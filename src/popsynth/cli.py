@@ -4,7 +4,8 @@ Subcommands: restructure, pretrain, finetune, generate, evaluate, privacy,
 oracle-make. Every run that succeeds writes a manifest (resolved
 configuration, fingerprints, wall-clock timings, sha256 of every emitted
 file) atomically next to its outputs. Exit codes: 0 success, 1 usage or
-validation failure, 2 runtime failure. Seeds are explicit flags; nothing is
+validation failure (a malformed or mismatched model or latent file included),
+2 runtime failure. Seeds are explicit flags; nothing is
 seeded from the clock. ``POPSYNTH_REPORT_DIR`` overrides the default output
 directory of ``evaluate`` and ``privacy`` only.
 """
@@ -63,22 +64,20 @@ def _sha256(path) -> str:
 
 
 def _write_json_atomic(payload: dict, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    vae.write_atomic(path, text.encode("utf-8"))
 
 
 def _write_manifest(path, subcommand, config, outputs, started, fingerprints=None):
+    finished = time.time()
     manifest = {
         "subcommand": subcommand,
         "toolkit_version": __version__,
         "config": config,
         "fingerprints": fingerprints or {},
         "started_unix": started,
-        "finished_unix": time.time(),
-        "duration_s": time.time() - started,
+        "finished_unix": finished,
+        "duration_s": finished - started,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     _write_json_atomic(manifest, path)
@@ -88,6 +87,16 @@ def _config_dict(args) -> dict:
     return {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
     }
+
+
+def _resolve_window(schema, *record_sets):
+    """Pin an open n_window to the largest household in any of the record
+    sets (at least 1), so that every table built from them has one layout."""
+    if schema.n_window is not None:
+        return schema
+    return schema.with_n_window(
+        max([1, *(len(r.persons) for records in record_sets for r in records)])
+    )
 
 
 def _load_tables(args, schema):
@@ -228,7 +237,11 @@ def _cmd_generate(args) -> int:
     started = time.time()
     model = vae.load_model(args.model)
     schema = load_schema(args.schema)
-    latent, _ = training.load_latent(args.latent)
+    latent, header = training.load_latent(args.latent)
+    fingerprint = model.checksum()
+    fitted_for = (header.get("schema_fingerprint"), header.get("model_fingerprint"))
+    if fitted_for != (model.schema_fingerprint, fingerprint):
+        raise DataError(f"{args.latent} was fitted for another model or schema than {args.model}")
     inventory = generation.generate_inventory(
         model,
         latent,
@@ -252,7 +265,7 @@ def _cmd_generate(args) -> int:
         _config_dict(args),
         outputs,
         started,
-        {"schema": schema.fingerprint(), "model": model.checksum()},
+        {"schema": schema.fingerprint(), "model": fingerprint},
     )
     return 0
 
@@ -298,12 +311,7 @@ def _cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     micro_records = load_microdata(args.microdata_hh, args.microdata_p, schema)
     syn_records = load_microdata(args.syn_hh, args.syn_p, schema)
-    if schema.n_window is None:
-        window = max(
-            max((len(r.persons) for r in micro_records), default=1),
-            max((len(r.persons) for r in syn_records), default=1),
-        )
-        schema = schema.with_n_window(window)
+    schema = _resolve_window(schema, micro_records, syn_records)
     micro = restructure(micro_records, schema)
     syn = restructure(syn_records, schema)
     targets = (
@@ -389,13 +397,7 @@ def _cmd_privacy(args) -> int:
     micro_records = load_microdata(args.microdata_hh, args.microdata_p, schema)
     a_records = load_microdata(args.a_hh, args.a_p, schema)
     b_records = load_microdata(args.b_hh, args.b_p, schema)
-    if schema.n_window is None:
-        window = max(
-            max(len(r.persons) for r in micro_records),
-            max(len(r.persons) for r in a_records),
-            max(len(r.persons) for r in b_records),
-        )
-        schema = schema.with_n_window(window)
+    schema = _resolve_window(schema, micro_records, a_records, b_records)
     micro = restructure(micro_records, schema)
     inv_a = restructure(a_records, schema)
     inv_b = restructure(b_records, schema)

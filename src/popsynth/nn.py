@@ -94,8 +94,9 @@ class BatchNorm:
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat = (x - mean) * inv_std
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
+            # in place: the statistics may be views into a model's state vector
+            self.running_mean[...] = (1 - m) * self.running_mean + m * mean
+            self.running_var[...] = (1 - m) * self.running_var + m * var * n / (n - 1)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean) * inv_std

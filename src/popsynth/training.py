@@ -12,8 +12,6 @@ matrix, one row per target household.
 from __future__ import annotations
 
 import csv
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,7 @@ from .losses import (
     marginal_rmse_loss,
 )
 from .schema import EncodedMatrix, TargetMarginals
+from .vae import read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
 LATENT_VERSION = 1
@@ -144,7 +143,7 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
     if batch < 2:
         raise ValueError("batch size must be >= 2")
 
-    opt = Lion(model.parameters())
+    opt = Lion([model.flat])
     history = []
     for epoch in range(config.epochs):
         rng = _epoch_rng(config.seed, epoch)
@@ -291,36 +290,20 @@ def save_latent(
 ) -> None:
     header = {
         "format": "pslatent",
-        "version": LATENT_VERSION,
         "seed": latent.seed,
         "rows": latent.z.shape[0],
         "width": latent.z.shape[1],
         "schema_fingerprint": schema_fingerprint,
         "model_fingerprint": model_fingerprint,
-        "dtype": "<f8",
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(LATENT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(latent.z, dtype="<f8").tobytes())
+    write_blob(path, LATENT_MAGIC, LATENT_VERSION, header, latent.z)
 
 
 def load_latent(path) -> tuple[LatentMatrix, dict]:
-    with open(path, "rb") as fh:
-        if fh.read(len(LATENT_MAGIC)) != LATENT_MAGIC:
-            raise ValueError(f"{path}: not a latent file (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != LATENT_VERSION:
-            raise ValueError(f"{path}: unsupported latent version")
-        rows, width = header["rows"], header["width"]
-        raw = fh.read(rows * width * 8)
-        if len(raw) != rows * width * 8:
-            raise ValueError(f"{path}: truncated latent payload")
-        z = np.frombuffer(raw, dtype="<f8").reshape(rows, width).copy()
-    return LatentMatrix(z=z, seed=header["seed"]), header
+    header, z = read_blob(
+        path, LATENT_MAGIC, LATENT_VERSION, lambda h: (h["rows"], h["width"])
+    )
+    return LatentMatrix(z=z, seed=header.get("seed")), header
 
 
 def write_history(path, columns, rows) -> None:

@@ -5,18 +5,22 @@ heads for mu and logsig. Decoder: six mirrored blocks, then an affine output
 head followed by a per-variable group softmax, so every decoded row is a
 stack of category distributions.
 
-Persistence is a versioned binary format: an 8-byte magic, a length-prefixed
-JSON header (schema fingerprint, dims, hyperparameters, array directory) and
-the arrays as little-endian float64 in directory order. Round trips are
-bit-exact, including batch-norm running statistics.
+The layers' parameters and running statistics are views into one ``state``
+vector, and their gradients into one gradient vector. Persistence is a
+versioned binary format (the codec ``write_blob`` / ``read_blob``, shared with
+latent files): an 8-byte magic, a length-prefixed JSON header (schema
+fingerprint, dims, hyperparameters, array directory) and ``state`` as
+little-endian float64. Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +36,7 @@ N_BLOCKS = 6
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model file is malformed or from an unknown version."""
+    """Raised when a model or latent file is malformed or from an unknown version."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class VaeModel:
         self.out_softmax = nn.GroupSoftmax(
             [(g.start, g.stop) for g in groups], "out.softmax"
         )
+        self._pack()
 
     @property
     def latent_dim(self) -> int:
@@ -133,48 +138,54 @@ class VaeModel:
 
     # -- state ---------------------------------------------------------------
 
+    def _pack(self) -> None:
+        """View every parameter and running statistic into ``state`` (in file
+        order), and every gradient into ``flat``, a Param over the parameters."""
+        params = self.parameters()
+        slots = [(p, "value", p.name) for p in params] + [
+            (bn, key, f"{bn.name}.{key}")
+            for bn in self._layers()
+            if isinstance(bn, nn.BatchNorm)
+            for key in ("running_mean", "running_var")
+        ]
+        self.state = np.concatenate([getattr(o, key).ravel() for o, key, _ in slots])
+        self.flat = nn.Param(self.state[: sum(p.value.size for p in params)], "params")
+        self.arrays = []  # (name, view into state), in file order
+        offset = 0
+        for owner, key, name in slots:
+            arr = getattr(owner, key)
+            span = slice(offset, offset + arr.size)
+            setattr(owner, key, self.state[span].reshape(arr.shape))
+            if key == "value":
+                owner.grad = self.flat.grad[span].reshape(arr.shape)
+            self.arrays.append((name, getattr(owner, key)))
+            offset = span.stop
+
+    def _layers(self) -> list:
+        heads = [self.mu_affine, self.mu_bn, self.logsig_affine, self.logsig_bn]
+        return [*self.encoder.layers, *heads, *self.decoder.layers, self.out_affine]
+
     def parameters(self) -> list[nn.Param]:
-        out = self.encoder.params()
-        out += self.mu_affine.params() + self.mu_bn.params()
-        out += self.logsig_affine.params() + self.logsig_bn.params()
-        out += self.decoder.params() + self.out_affine.params()
-        return out
+        return [p for layer in self._layers() for p in layer.params()]
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat.zero_grad()
 
-    def _batchnorms(self) -> list[nn.BatchNorm]:
-        bns = [l for l in self.encoder.layers if isinstance(l, nn.BatchNorm)]
-        bns += [self.mu_bn, self.logsig_bn]
-        bns += [l for l in self.decoder.layers if isinstance(l, nn.BatchNorm)]
-        return bns
-
-    def state_items(self) -> list[tuple[str, np.ndarray]]:
-        """Every persisted array (parameters plus running statistics), in the
-        fixed order that defines the file layout."""
-        items = [(p.name, p.value) for p in self.parameters()]
-        for bn in self._batchnorms():
-            items.append((f"{bn.name}.running_mean", bn.running_mean))
-            items.append((f"{bn.name}.running_var", bn.running_var))
-        return items
-
-    def decoder_state_items(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            (n, a)
-            for n, a in self.state_items()
-            if n.split(".")[0].startswith(("dec", "out"))
-        ]
+    def directory(self) -> list[list]:
+        """The file header's array directory: [name, shape] in file order."""
+        return [[name, list(arr.shape)] for name, arr in self.arrays]
 
     def checksum(self, items=None) -> str:
         h = hashlib.sha256()
-        for name, arr in items if items is not None else self.state_items():
+        for name, arr in items if items is not None else self.arrays:
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         return h.hexdigest()
 
     def decoder_checksum(self) -> str:
-        return self.checksum(self.decoder_state_items())
+        return self.checksum(
+            [(n, a) for n, a in self.arrays if n.startswith(("dec", "out"))]
+        )
 
 
 def init_model(
@@ -204,73 +215,74 @@ def init_model(
 # persistence
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def write_blob(path, magic: bytes, version: int, header: dict, payload: np.ndarray) -> None:
+    """Write magic, the u32 length of the JSON header (``header`` plus version
+    and dtype), the header and the payload as little-endian float64, atomically."""
+    header = header | {"version": version, "dtype": "<f8"}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = np.ascontiguousarray(payload, dtype="<f8").tobytes()
+    write_atomic(path, magic + struct.pack("<I", len(head)) + head + body)
+
+
+def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndarray]:
+    """Read a ``write_blob`` file into (header, payload). Any defect, including
+    a payload that does not fill the rest of the file in the shape
+    ``shape_of(header)``, raises ``ModelFormatError``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = len(magic) + 4
+    if blob[: len(magic)] != magic:
+        raise ModelFormatError(f"{path}: bad magic, not a {magic.decode().strip()} file")
+    try:
+        (size,) = struct.unpack_from("<I", blob, len(magic))
+        header = json.loads(blob[start : start + size])
+    except (struct.error, ValueError) as exc:
+        raise ModelFormatError(f"{path}: corrupt header: {exc}") from None
+    found = header.get("version") if isinstance(header, dict) else None
+    if found != version:
+        raise ModelFormatError(f"{path}: unsupported version {found!r}")
+    try:
+        payload = np.frombuffer(blob, "<f8", offset=start + size).reshape(shape_of(header))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: payload does not match its header: {exc}") from None
+    return header, payload.astype(np.float64)
+
+
 def save_model(model: VaeModel, path) -> None:
-    items = model.state_items()
     header = {
         "format": "psvae",
-        "version": MODEL_VERSION,
         "schema_fingerprint": model.schema_fingerprint,
         "d": model.d,
         "groups": [[g.var, g.slot, g.start, g.width] for g in model.groups],
-        "hyperparams": {
-            "latent_dim": model.hyper.latent_dim,
-            "encoder_widths": list(model.hyper.encoder_widths),
-            "decoder_widths": list(model.hyper.decoder_widths),
-            "bn_eps": model.hyper.bn_eps,
-            "bn_momentum": model.hyper.bn_momentum,
-            "init_seed": model.hyper.init_seed,
-        },
-        "dtype": "<f8",
-        "arrays": [[name, list(arr.shape)] for name, arr in items],
+        "hyperparams": asdict(model.hyper),
+        "arrays": model.directory(),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, arr in items:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_blob(path, MODEL_MAGIC, MODEL_VERSION, header, model.state)
 
 
 def load_model(path) -> VaeModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a model file (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelFormatError(f"{path}: corrupt header: {exc}") from None
-        if header.get("version") != MODEL_VERSION:
-            raise ModelFormatError(
-                f"{path}: unsupported model version {header.get('version')!r}"
-            )
-        groups = tuple(
-            ColumnGroup(var, slot, start, width)
-            for var, slot, start, width in header["groups"]
-        )
-        hp = header["hyperparams"]
-        hyper = VaeHyperparams(
-            latent_dim=hp["latent_dim"],
-            encoder_widths=tuple(hp["encoder_widths"]),
-            decoder_widths=tuple(hp["decoder_widths"]),
-            bn_eps=hp["bn_eps"],
-            bn_momentum=hp["bn_momentum"],
-            init_seed=hp["init_seed"],
-        )
+    header, state = read_blob(
+        path,
+        MODEL_MAGIC,
+        MODEL_VERSION,
+        lambda h: (sum(math.prod(shape) for _, shape in h["arrays"]),),
+    )
+    try:
+        hp = {k: tuple(v) if isinstance(v, list) else v for k, v in header["hyperparams"].items()}
+        hyper = VaeHyperparams(**hp)
+        groups = tuple(ColumnGroup(*g) for g in header["groups"])
         model = VaeModel(header["d"], groups, header["schema_fingerprint"], hyper)
-        by_name = dict(model.state_items())
-        for name, shape in header["arrays"]:
-            if name not in by_name:
-                raise ModelFormatError(f"{path}: unknown array {name!r}")
-            arr = by_name[name]
-            if list(arr.shape) != shape:
-                raise ModelFormatError(f"{path}: shape mismatch for {name!r}")
-            raw = fh.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
-                raise ModelFormatError(f"{path}: truncated while reading {name!r}")
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-        if fh.read(1):
-            raise ModelFormatError(f"{path}: trailing bytes after the last array")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: header does not describe a model: {exc!r}") from None
+    if header["arrays"] != model.directory():
+        raise ModelFormatError(f"{path}: array directory does not match the model")
+    model.state[...] = state
     return model

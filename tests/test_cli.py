@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from popsynth.cli import run
+from popsynth import training, vae
+from popsynth.cli import _resolve_window, run
+from popsynth.schema import HouseholdRecord
 
 TINY_WIDTHS = "16,14,12,12,10,8"
 
@@ -95,6 +97,7 @@ def test_pretrain_writes_model_history_manifest(data_dir, tmp_path):
     assert manifest["subcommand"] == "pretrain"
     assert manifest["config"]["seed"] == 1
     assert "focal_alpha_used" in manifest["config"]
+    assert manifest["duration_s"] == manifest["finished_unix"] - manifest["started_unix"]
 
 
 def test_pretrain_is_reproducible(data_dir, tmp_path):
@@ -272,3 +275,76 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.fixture(scope="module")
+def artifacts(data_dir, tmp_path_factory):
+    """A tiny model and a latent fitted for it, for the generate checks."""
+    d = tmp_path_factory.mktemp("artifacts")
+    assert cli_pretrain(data_dir, d / "model.psv") == 0
+    model = vae.load_model(d / "model.psv")
+    training.save_latent(
+        training.init_latent(12, model.latent_dim, 3), d / "latent.psl",
+        model.schema_fingerprint, model.checksum(),
+    )
+    return d, model
+
+
+def cli_generate(data_dir, model, latent, out):
+    return run(
+        [
+            "generate",
+            "--model", str(model),
+            "--schema", str(data_dir / "schema.json"),
+            "--latent", str(latent),
+            "--out-dir", str(out),
+            "--seed", "5",
+        ]
+    )
+
+
+@pytest.mark.parametrize("field", ["schema_fingerprint", "model_fingerprint"])
+def test_generate_rejects_latent_of_another_model(data_dir, artifacts, tmp_path, field, capsys):
+    d, model = artifacts
+    assert cli_generate(data_dir, d / "model.psv", d / "latent.psl", tmp_path / "ok") == 0
+    latent, header = training.load_latent(d / "latent.psl")
+    fingerprints = {k: header[k] for k in ("schema_fingerprint", "model_fingerprint")}
+    fingerprints[field] = "0" * 64
+    foreign = tmp_path / "foreign.psl"
+    training.save_latent(latent, foreign, **fingerprints)
+    capsys.readouterr()
+    assert cli_generate(data_dir, d / "model.psv", foreign, tmp_path / "inv") == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "inv" / "households.csv").exists()
+
+
+CORRUPTIONS = {
+    "bad-magic": lambda b: b"XXXXXXXX" + b[8:],
+    "corrupt-header": lambda b: b[:12] + b"#" + b[13:],
+    "truncated-payload": lambda b: b[:-8],
+    "trailing-byte": lambda b: b + b"\x00",
+    "ten-bytes": lambda b: b[:10],
+}
+
+
+@pytest.mark.parametrize("fmt", ["model.psv", "latent.psl"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_artifact_is_exit_1(data_dir, artifacts, tmp_path, fmt, corruption, capsys):
+    d, _ = artifacts
+    bad = tmp_path / fmt
+    bad.write_bytes(CORRUPTIONS[corruption]((d / fmt).read_bytes()))
+    paths = {"model.psv": d / "model.psv", "latent.psl": d / "latent.psl", fmt: bad}
+    capsys.readouterr()
+    rc = cli_generate(data_dir, paths["model.psv"], paths["latent.psl"], tmp_path / "inv")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_open_window_resolves_over_all_record_sets(tiny_schema):
+    open_schema = tiny_schema.with_n_window(None)
+    assert _resolve_window(open_schema, [], []).n_window == 1
+    three = HouseholdRecord("h", ("yes", "0"), [("kid", "none")] * 3)
+    empty = HouseholdRecord("e", ("no", "1"), [])
+    assert _resolve_window(open_schema, [empty], [three], []).n_window == 3
+    assert _resolve_window(tiny_schema, [three]).n_window == tiny_schema.n_window

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
+from popsynth import vae
+from popsynth.training import Lion
 from popsynth.vae import (
     ModelFormatError,
     VaeHyperparams,
@@ -168,3 +170,86 @@ def test_decoder_checksum_ignores_encoder(small_model):
     assert small_model.checksum() != full_before
     small_model.decoder.params()[0].value += 1.0
     assert small_model.decoder_checksum() != before
+
+
+def test_state_vector_backs_every_array(small_model):
+    params = small_model.parameters()
+    n = sum(p.value.size for p in params)
+    assert small_model.flat.value.size == n
+    for p in params:
+        assert np.shares_memory(p.value, small_model.state)
+        assert np.shares_memory(p.grad, small_model.flat.grad)
+    names = [name for name, _ in small_model.arrays]
+    assert names[: len(params)] == [p.name for p in params]
+    assert names[len(params)] == "enc0.bn.running_mean"
+    assert sum(a.size for _, a in small_model.arrays) == small_model.state.size
+
+
+def test_flat_lion_step_moves_the_layer_views(small_model, tiny_encoded):
+    mu, logsig = small_model.encode(tiny_encoded.values, train=True)
+    small_model.zero_grads()
+    small_model.encode_backward(np.ones_like(mu), np.ones_like(logsig))
+    w = small_model.mu_affine.w
+    expected = w.value - 0.1 * np.sign(0.1 * w.grad)
+    Lion([small_model.flat]).step(0.1)
+    np.testing.assert_array_equal(w.value, expected)
+    small_model.zero_grads()
+    assert not small_model.flat.grad.any() and not w.grad.any()
+
+
+def test_running_stats_stay_in_the_state_vector(small_model, tiny_encoded):
+    bn = small_model.encoder.layers[1]
+    small_model.encode(tiny_encoded.values, train=True)
+    assert np.shares_memory(bn.running_mean, small_model.state)
+    assert np.shares_memory(bn.running_var, small_model.state)
+    np.testing.assert_array_equal(dict(small_model.arrays)["enc0.bn.running_var"], bn.running_var)
+
+
+def _saved(model, tmp_path):
+    p = tmp_path / "model.psv"
+    save_model(model, p)
+    return p
+
+
+def test_payload_is_the_state_vector(small_model, tmp_path):
+    p = _saved(small_model, tmp_path)
+    assert p.read_bytes().endswith(small_model.state.astype("<f8").tobytes())
+
+
+def test_load_rejects_foreign_directory(small_model, tmp_path):
+    header, state = vae.read_blob(
+        _saved(small_model, tmp_path), vae.MODEL_MAGIC, vae.MODEL_VERSION,
+        lambda h: (sum(int(np.prod(s)) for _, s in h["arrays"]),),
+    )
+    a, b = header["arrays"][0], header["arrays"][1]
+    header["arrays"][0], header["arrays"][1] = [b[0], a[1]], [a[0], b[1]]
+    p = tmp_path / "swapped.psv"
+    vae.write_blob(p, vae.MODEL_MAGIC, vae.MODEL_VERSION, header, state)
+    with pytest.raises(ModelFormatError, match="directory"):
+        load_model(p)
+
+
+def test_failed_write_keeps_the_old_file(small_model, tmp_path, monkeypatch):
+    p = _saved(small_model, tmp_path)
+    old = p.read_bytes()
+    small_model.state += 1.0
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(vae.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        save_model(small_model, p)
+    assert p.read_bytes() == old
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"", b"PSVAE01\n\x01", b"PSVAE01\n\x02\x00\x00\x00[]", b"PSVAE01\n\x02\x00\x00\x00{}"],
+    ids=["empty", "short", "not-an-object", "no-version"],
+)
+def test_load_rejects_malformed_prefix(blob, tmp_path):
+    p = tmp_path / "bad.psv"
+    p.write_bytes(blob)
+    with pytest.raises(ModelFormatError):
+        load_model(p)
