@@ -13,7 +13,6 @@ directory of ``evaluate`` and ``privacy`` only.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -33,10 +32,12 @@ from .schema import (
     load_schema,
     load_target_marginals,
     restructure,
+    write_csv,
     write_encoded,
     write_restructured,
     write_schema,
     write_target_marginals,
+    write_text,
 )
 
 REPORT_DIR_ENV = "POPSYNTH_REPORT_DIR"
@@ -64,8 +65,7 @@ def _sha256(path) -> str:
 
 
 def _write_json_atomic(payload: dict, path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    vae.write_atomic(path, text.encode("utf-8"))
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(path, subcommand, config, outputs, started, fingerprints=None):
@@ -242,6 +242,7 @@ def _cmd_generate(args) -> int:
     fitted_for = (header.get("schema_fingerprint"), header.get("model_fingerprint"))
     if fitted_for != (model.schema_fingerprint, fingerprint):
         raise DataError(f"{args.latent} was fitted for another model or schema than {args.model}")
+    rules = generation.load_rules(args.rules) if args.rules else None
     inventory = generation.generate_inventory(
         model,
         latent,
@@ -251,11 +252,12 @@ def _cmd_generate(args) -> int:
         tract_id=args.tract_id,
         toolkit_version=__version__,
     )
+    # a rule naming an unknown variable or category fails here, before any write
+    report = generation.sanity_check(inventory, rules) if rules is not None else None
     os.makedirs(args.out_dir, exist_ok=True)
     paths = generation.write_inventory(inventory, args.out_dir)
     outputs = list(paths.values())
-    if args.rules:
-        report = generation.sanity_check(inventory, generation.load_rules(args.rules))
+    if report is not None:
         report_path = os.path.join(args.out_dir, "sanity_report.json")
         generation.write_sanity_report(report, report_path)
         outputs.append(report_path)
@@ -277,33 +279,6 @@ def _report_dir(args) -> str:
     if env:
         return env
     raise UsageError(f"--out-dir is required (or set {REPORT_DIR_ENV})")
-
-
-def emit_histograms(summary_path, out_dir) -> list[str]:
-    """One CSV per variable from an evaluate summary: category, microdata,
-    synthetic and (when present) target proportions."""
-    if not os.path.exists(summary_path):
-        raise DataError(f"report {summary_path} does not exist")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    paths = []
-    for name, entry in summary["variables"].items():
-        path = os.path.join(out_dir, f"hist_{name}.csv")
-        target = entry.get("target")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["category", "microdata", "synthetic", "target"])
-            for i, cat in enumerate(entry["categories"]):
-                writer.writerow(
-                    [
-                        cat,
-                        f"{entry['microdata'][i]:.12g}",
-                        f"{entry['synthetic'][i]:.12g}",
-                        f"{target[i]:.12g}" if target is not None else "",
-                    ]
-                )
-        paths.append(path)
-    return paths
 
 
 def _cmd_evaluate(args) -> int:
@@ -328,12 +303,12 @@ def _cmd_evaluate(args) -> int:
 
     report_path = os.path.join(out_dir, "marginals_report.csv")
     keys = sorted({k for row in report.rows.values() for k in row})
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", *keys])
-        for name, row in report.rows.items():
-            writer.writerow([name, *[f"{row[k]:.12g}" if k in row else "" for k in keys]])
-        writer.writerow(["__mean__", *[f"{report.means[k]:.12g}" for k in keys]])
+    rows = [
+        [name, *[f"{row[k]:.12g}" if k in row else "" for k in keys]]
+        for name, row in report.rows.items()
+    ]
+    rows.append(["__mean__", *[f"{report.means[k]:.12g}" for k in keys]])
+    write_csv(report_path, ["variable", *keys], rows)
     outputs.append(report_path)
 
     for metric_name, values in (
@@ -342,11 +317,11 @@ def _cmd_evaluate(args) -> int:
         ("chi2_p", joint.p_value),
     ):
         path = os.path.join(out_dir, f"joint_{metric_name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variable_a", "variable_b", metric_name])
-            for (a, b), v in values.items():
-                writer.writerow([a, b, f"{v:.12g}"])
+        write_csv(
+            path,
+            ["variable_a", "variable_b", metric_name],
+            ([a, b, f"{v:.12g}"] for (a, b), v in values.items()),
+        )
         outputs.append(path)
 
     micro_marg = empirical_marginals(micro)
@@ -378,7 +353,21 @@ def _cmd_evaluate(args) -> int:
     summary_path = os.path.join(out_dir, "summary.json")
     _write_json_atomic(summary, summary_path)
     outputs.append(summary_path)
-    outputs.extend(emit_histograms(summary_path, out_dir))
+    for name, entry in variables.items():
+        # one CSV per variable: category, microdata, synthetic, target proportions
+        path = os.path.join(out_dir, f"hist_{name}.csv")
+        target = entry["target"] or [None] * len(entry["categories"])
+        write_csv(
+            path,
+            ["category", "microdata", "synthetic", "target"],
+            (
+                [cat, f"{m:.12g}", f"{syn:.12g}", "" if t is None else f"{t:.12g}"]
+                for cat, m, syn, t in zip(
+                    entry["categories"], entry["microdata"], entry["synthetic"], target
+                )
+            ),
+        )
+        outputs.append(path)
 
     _write_manifest(
         os.path.join(out_dir, "manifest.json"),
@@ -439,19 +428,20 @@ def _cmd_privacy(args) -> int:
         hist_a, _ = np.histogram(da, bins=edges)
         hist_b, _ = np.histogram(db, bins=edges)
         hist_path = os.path.join(out_dir, f"dcr_histogram_{level}.csv")
-        with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_low", "bin_high", "count_a", "count_b"])
-            for i in range(args.bins):
-                writer.writerow(
-                    [f"{edges[i]:.12g}", f"{edges[i + 1]:.12g}", hist_a[i], hist_b[i]]
-                )
+        write_csv(
+            hist_path,
+            ["bin_low", "bin_high", "count_a", "count_b"],
+            (
+                [f"{edges[i]:.12g}", f"{edges[i + 1]:.12g}", hist_a[i], hist_b[i]]
+                for i in range(args.bins)
+            ),
+        )
         outputs.append(hist_path)
-    with open(dist_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "inventory", "row", "distance"])
-        for level, inv, i, d in rows:
-            writer.writerow([level, inv, i, f"{d:.12g}"])
+    write_csv(
+        dist_path,
+        ["level", "inventory", "row", "distance"],
+        ([level, inv, i, f"{d:.12g}"] for level, inv, i, d in rows),
+    )
     outputs.append(dist_path)
 
     summary_path = os.path.join(out_dir, "privacy_summary.json")
@@ -492,17 +482,16 @@ def _cmd_oracle_make(args) -> int:
     write_schema(schema, schema_path)
     hh_path = os.path.join(args.out_dir, "households.csv")
     p_path = os.path.join(args.out_dir, "persons.csv")
-    with open(hh_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", *schema.household_names])
-        for rec in records:
-            writer.writerow([rec.household_id, *rec.values])
-    with open(p_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", *schema.person_names])
-        for rec in records:
-            for person in rec.persons:
-                writer.writerow([rec.household_id, *person])
+    write_csv(
+        hh_path,
+        ["household_id", *schema.household_names],
+        ([rec.household_id, *rec.values] for rec in records),
+    )
+    write_csv(
+        p_path,
+        ["household_id", *schema.person_names],
+        ([rec.household_id, *p] for rec in records for p in rec.persons),
+    )
 
     tract_weights = _parse_weights(args.tract_type_weights)
     targets = oracle.analytic_marginals(

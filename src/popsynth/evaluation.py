@@ -24,11 +24,11 @@ import scipy.stats
 
 from .losses import clamp01, pairwise_mean_bce
 from .schema import (
-    NA,
     RestructuredTable,
+    empirical_marginals,
     encode_onehot,
     marginal_counts,
-    empirical_marginals,
+    one_hot,
 )
 
 KL_EPS = 1e-6
@@ -121,50 +121,21 @@ def _pair_counts(table: RestructuredTable, var_a: str, var_b: str) -> np.ndarray
     involving a person variable counts persons (non-NA in every person
     variable involved)."""
     schema = table.schema
-    hh_names = set(schema.household_names)
-    a_hh, b_hh = var_a in hh_names, var_b in hh_names
-
-    def hh_var(name):
-        return schema.household_var(name)
-
-    def p_var(name):
-        return schema.person_var(name)
-
-    if a_hh and b_hh:
-        va, vb = hh_var(var_a), hh_var(var_b)
-        ia = {c: i for i, c in enumerate(va.categories)}
-        ib = {c: i for i, c in enumerate(vb.categories)}
-        counts = np.zeros((va.width, vb.width))
-        pa = list(schema.household_names).index(var_a)
-        pb = list(schema.household_names).index(var_b)
-        for values in table.households:
-            counts[ia[values[pa]], ib[values[pb]]] += 1
-        return counts
-
-    p_names = list(schema.person_names)
-    if a_hh or b_hh:
-        hh_name, p_name = (var_a, var_b) if a_hh else (var_b, var_a)
-        vh, vp = hh_var(hh_name), p_var(p_name)
-        counts = np.zeros((vh.width, vp.width - 1))
-        ph = list(schema.household_names).index(hh_name)
-        pp = p_names.index(p_name)
-        for values, row_slots in zip(table.households, table.slots):
-            hi = vh.index(values[ph])
-            for slot in row_slots:
-                if slot is None or slot[pp] == NA:
-                    continue
-                counts[hi, vp.index(slot[pp])] += 1
-        return counts if a_hh else counts.T
-
-    va, vb = p_var(var_a), p_var(var_b)
-    pa, pb = p_names.index(var_a), p_names.index(var_b)
-    counts = np.zeros((va.width - 1, vb.width - 1))
-    for row_slots in table.slots:
-        for slot in row_slots:
-            if slot is None or slot[pa] == NA or slot[pb] == NA:
-                continue
-            counts[va.index(slot[pa]), vb.index(slot[pb])] += 1
-    return counts
+    hh_names = schema.household_names
+    if var_a in hh_names and var_b in hh_names:
+        view, variables = table.households, schema.household_vars
+    else:
+        view, variables = table.person_codes(), schema.household_vars + schema.person_vars
+    names = [v.name for v in variables]
+    ka, kb = names.index(var_a), names.index(var_b)
+    # person variables drop their last category, NA, from the table
+    wa, wb = (
+        v.width - (v.name not in hh_names) for v in (variables[ka], variables[kb])
+    )
+    a, b = view[:, ka], view[:, kb]
+    keep = (a < wa) & (b < wb)
+    counts = np.bincount(a[keep] * wb + b[keep], minlength=wa * wb)
+    return counts.reshape(wa, wb).astype(np.float64)
 
 
 def joint_pair_metrics(
@@ -217,27 +188,12 @@ def person_level_matrix(table: RestructuredTable) -> np.ndarray:
     """One row per occupied person slot: household one-hot columns followed
     by that person's one-hot columns."""
     schema = table.schema
-    hh_width = sum(v.width for v in schema.household_vars)
-    p_width = sum(v.width for v in schema.person_vars)
-    rows = []
-    for values, row_slots in zip(table.households, table.slots):
-        hh = np.zeros(hh_width)
-        start = 0
-        for var, value in zip(schema.household_vars, values):
-            hh[start + var.index(value)] = 1.0
-            start += var.width
-        for slot in row_slots:
-            if slot is None:
-                continue
-            person = np.zeros(p_width)
-            start = 0
-            for var, value in zip(schema.person_vars, slot):
-                person[start + var.index(value)] = 1.0
-                start += var.width
-            rows.append(np.concatenate([hh, person]))
-    if not rows:
+    codes = table.person_codes()
+    if codes.shape[0] == 0:
         raise ValueError("table has no persons")
-    return np.vstack(rows)
+    widths = [v.width for v in schema.household_vars + schema.person_vars]
+    starts = np.cumsum([0, *widths[:-1]])
+    return one_hot(codes, starts, sum(widths))
 
 
 def household_matrix(table: RestructuredTable) -> np.ndarray:

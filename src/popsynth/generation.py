@@ -1,18 +1,20 @@
 """Decode latents into a synthetic inventory and check structural sanity rules.
 
-An inventory is a pair of emitted tables (households, persons) with sequential
-integer ids, plus a provenance record. Households whose decode produced zero
-occupied person slots are dropped and counted.
+An inventory is the coded table of the kept households, with sequential
+integer ids "1".."k", plus a provenance record. Households whose decode
+produced zero occupied person slots are dropped and counted. Its CSV files
+(households, persons) are the only place where the codes become category
+strings again.
 
 Sanity rules are data, not code: each rule links a household flag value to a
 set of person categories and is checked in one or both directions per
 household (flag set but no qualifying member / qualifying member but flag not
-set).
+set). A rule that names an unknown variable or category, or that cannot be
+parsed, is a ``DataError``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -20,13 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schema import (
-    NA,
     DataError,
     EncodedMatrix,
-    HouseholdRecord,
     RestructuredTable,
     Schema,
+    SchemaError,
     decode_onehot_with_stats,
+    labels,
+    write_csv,
+    write_text,
 )
 
 DIRECTIONS = ("flag_implies_member", "member_implies_flag", "both")
@@ -51,44 +55,28 @@ class Provenance:
 
 @dataclass
 class SyntheticInventory:
-    schema: Schema
-    households: list[tuple[str, tuple[str, ...]]]
-    persons: list[tuple[str, str, tuple[str, ...]]]
+    table: RestructuredTable
     provenance: Provenance
 
     @property
     def n_households(self) -> int:
-        return len(self.households)
-
-    def to_records(self) -> list[HouseholdRecord]:
-        by_household: dict[str, list[tuple[str, ...]]] = {h: [] for h, _ in self.households}
-        for _, hid, values in self.persons:
-            by_household[hid].append(values)
-        return [
-            HouseholdRecord(hid, values, by_household[hid])
-            for hid, values in self.households
-        ]
+        return self.table.n_rows
 
 
 def inventory_from_table(
     table: RestructuredTable, provenance: Provenance
 ) -> SyntheticInventory:
-    """Emit occupied slots as person rows; drop and count empty households."""
-    households, persons = [], []
-    hid = pid = 0
-    dropped = 0
-    for values, row_slots in zip(table.households, table.slots):
-        occupied = [s for s in row_slots if s is not None]
-        if not occupied:
-            dropped += 1
-            continue
-        hid += 1
-        households.append((str(hid), values))
-        for slot in occupied:
-            pid += 1
-            persons.append((str(pid), str(hid), slot))
-    provenance.dropped_households = dropped
-    return SyntheticInventory(table.schema, households, persons, provenance)
+    """Keep the rows with an occupied slot, renumbered "1".."k"; count the
+    dropped ones."""
+    keep = table.occupied.any(axis=1)
+    kept = RestructuredTable(
+        table.schema,
+        [str(i) for i in range(1, int(keep.sum()) + 1)],
+        table.households[keep],
+        table.persons[keep],
+    )
+    provenance.dropped_households = table.n_rows - kept.n_rows
+    return SyntheticInventory(kept, provenance)
 
 
 def generate_inventory(
@@ -122,30 +110,34 @@ def generate_inventory(
 
 
 def write_inventory(inventory: SyntheticInventory, out_dir) -> dict[str, str]:
-    """households.csv, persons.csv and provenance.json under out_dir."""
-    schema = inventory.schema
-    paths = {}
-    hh_path = os.path.join(out_dir, "households.csv")
-    with open(hh_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", *schema.household_names])
-        for hid, values in inventory.households:
-            writer.writerow([hid, *values])
-    paths["households.csv"] = hh_path
-
-    p_path = os.path.join(out_dir, "persons.csv")
-    with open(p_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "household_id", *schema.person_names])
-        for pid, hid, values in inventory.persons:
-            writer.writerow([pid, hid, *values])
-    paths["persons.csv"] = p_path
-
-    prov_path = os.path.join(out_dir, "provenance.json")
-    with open(prov_path, "w", encoding="utf-8") as fh:
-        json.dump(inventory.provenance.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["provenance.json"] = prov_path
+    """households.csv, persons.csv and provenance.json under out_dir; person
+    ids run "1".."m" over the occupied slots in row then slot order."""
+    table = inventory.table
+    schema = table.schema
+    paths = {
+        name: os.path.join(out_dir, name)
+        for name in ("households.csv", "persons.csv", "provenance.json")
+    }
+    hh_rows = labels(schema.household_vars, table.households)
+    write_csv(
+        paths["households.csv"],
+        ["household_id", *schema.household_names],
+        ([hid, *row] for hid, row in zip(table.household_ids, hh_rows)),
+    )
+    rows, slots = np.nonzero(table.occupied)
+    people = labels(schema.person_vars, table.persons[rows, slots])
+    write_csv(
+        paths["persons.csv"],
+        ["person_id", "household_id", *schema.person_names],
+        (
+            [pid, table.household_ids[i], *row]
+            for pid, (i, row) in enumerate(zip(rows, people), start=1)
+        ),
+    )
+    write_text(
+        paths["provenance.json"],
+        json.dumps(inventory.provenance.to_dict(), indent=2, sort_keys=True) + "\n",
+    )
     return paths
 
 
@@ -164,26 +156,31 @@ class SanityRule:
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
-            raise ValueError(
+            raise DataError(
                 f"rule {self.rule_id!r}: direction must be one of {DIRECTIONS}"
             )
 
 
 def load_rules(path) -> list[SanityRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = raw["rules"] if isinstance(raw, dict) else raw
-    return [
-        SanityRule(
-            rule_id=e["id"],
-            household_var=e["household_var"],
-            household_value=e["household_value"],
-            person_var=e["person_var"],
-            person_categories=tuple(e["person_categories"]),
-            direction=e.get("direction", "both"),
-        )
-        for e in entries
-    ]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        entries = raw["rules"] if isinstance(raw, dict) else raw
+        return [
+            SanityRule(
+                rule_id=e["id"],
+                household_var=e["household_var"],
+                household_value=e["household_value"],
+                person_var=e["person_var"],
+                person_categories=tuple(e["person_categories"]),
+                direction=e.get("direction", "both"),
+            )
+            for e in entries
+        ]
+    except json.JSONDecodeError as exc:
+        raise DataError(f"could not parse rules file {path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed rules file {path}: {exc!r}") from None
 
 
 def write_rules(rules: list[SanityRule], path) -> None:
@@ -200,9 +197,7 @@ def write_rules(rules: list[SanityRule], path) -> None:
             for r in rules
         ]
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def default_rules(schema: Schema) -> list[SanityRule]:
@@ -249,41 +244,37 @@ class SanityReport:
         return sum(len(v) for v in self.violations.values())
 
 
+def _rule_masks(table: RestructuredTable, rule: SanityRule) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the household flag is set; some occupied slot qualifies."""
+    schema = table.schema
+    try:
+        hv = schema.household_var(rule.household_var)
+        pv = schema.person_var(rule.person_var)
+        flag_code = hv.index(rule.household_value)
+        wanted = [pv.index(c) for c in rule.person_categories]
+    except (SchemaError, DataError) as exc:
+        raise DataError(f"rule {rule.rule_id!r}: {exc}") from None
+    flag = table.households[:, schema.household_names.index(hv.name)] == flag_code
+    qualifies = np.isin(table.persons[:, :, schema.person_names.index(pv.name)], wanted)
+    return flag, (qualifies & table.occupied).any(axis=1)
+
+
 def sanity_check(target, rules: list[SanityRule]) -> SanityReport:
     """Check every rule against every household of an inventory or
     restructured table; violations are (household_id, kind) pairs."""
-    records = target.to_records()
-    schema = target.schema
-    hh_index = {name: i for i, name in enumerate(schema.household_names)}
-    p_index = {name: i for i, name in enumerate(schema.person_names)}
-    report = SanityReport(total_households=len(records))
+    table = target.table if isinstance(target, SyntheticInventory) else target
+    report = SanityReport(total_households=table.n_rows)
     for rule in rules:
-        if rule.household_var not in hh_index:
-            raise DataError(f"rule {rule.rule_id!r}: unknown household variable "
-                            f"{rule.household_var!r}")
-        if rule.person_var not in p_index:
-            raise DataError(
-                f"rule {rule.rule_id!r}: unknown person variable {rule.person_var!r}"
+        flag, member = _rule_masks(table, rule)
+        no_member = flag & ~member & (rule.direction != "member_implies_flag")
+        no_flag = member & ~flag & (rule.direction != "flag_implies_member")
+        report.violations[rule.rule_id] = [
+            (
+                table.household_ids[i],
+                "flag_without_member" if no_member[i] else "member_without_flag",
             )
-        hits = []
-        hv, pv = hh_index[rule.household_var], p_index[rule.person_var]
-        wanted = set(rule.person_categories)
-        for rec in records:
-            flag = rec.values[hv] == rule.household_value
-            member = any(p[pv] in wanted for p in rec.persons)
-            if (
-                rule.direction in ("flag_implies_member", "both")
-                and flag
-                and not member
-            ):
-                hits.append((rec.household_id, "flag_without_member"))
-            if (
-                rule.direction in ("member_implies_flag", "both")
-                and member
-                and not flag
-            ):
-                hits.append((rec.household_id, "member_without_flag"))
-        report.violations[rule.rule_id] = hits
+            for i in np.flatnonzero(no_member | no_flag)
+        ]
     return report
 
 
@@ -294,6 +285,4 @@ def write_sanity_report(report: SanityReport, path) -> None:
         "rates": report.rates,
         "violations": {k: [list(v) for v in vs] for k, vs in report.violations.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

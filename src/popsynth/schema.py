@@ -1,16 +1,20 @@
-"""Schema handling, microdata ingestion, household restructuring and one-hot codec.
+"""Schema handling, microdata ingestion, the coded household table and the one-hot codec.
 
 Data model
 ----------
 A population dataset couples a household table with a person table, joined on
-``household_id``. Every variable is categorical. ``restructure`` folds the
-persons of each household into that household's row: one row per household,
-with ``n_window`` person slots. Slots beyond the household's size are padding,
-expressed through the reserved ``NA`` category that every person variable
-carries as its last category. Household variables never carry ``NA``.
+``household_id``. Every variable is categorical, and a cell's code is the
+index of its category in the variable's category list. ``restructure`` folds
+the persons of each household into that household's row: one row per
+household, with ``n_window`` person slots. Slots beyond the household's size
+are padding: NA, the reserved last category of every person variable, in
+every person variable. Household variables never carry ``NA``.
 
-Within a row, occupied slots come first and are ordered by the schema's sort
-keys (descending category index per key), so that equivalent households map to
+``RestructuredTable`` holds those rows as integer codes (``households`` is
+``n x H``, ``persons`` is ``n x n_window x P``). Category strings exist only
+where CSV files are read and written. A slot is occupied iff its anchor code
+is not NA; occupied slots come first and are ordered by the schema's sort
+keys (descending code per key), so that equivalent households map to
 identical rows.
 
 File formats
@@ -32,15 +36,22 @@ one row per category, plus a ``__n_households__`` row carrying the tract's
 household count (and optionally ``__n_persons__``). Person variables are
 listed without their ``NA`` category. Counts are normalised to proportions
 per variable.
+
+Every file is written through ``write_atomic``: to ``<path>.tmp``, then
+renamed over ``path``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,10 +87,14 @@ class Variable:
             raise SchemaError(f"variable {self.name!r} has no NA category")
         return len(self.categories) - 1
 
+    @cached_property
+    def codes(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.categories)}
+
     def index(self, value: str) -> int:
         try:
-            return self.categories.index(value)
-        except ValueError:
+            return self.codes[value]
+        except KeyError:
             raise DataError(
                 f"unknown category {value!r} for variable {self.name!r}"
             ) from None
@@ -215,30 +230,40 @@ class HouseholdRecord:
 
 @dataclass
 class RestructuredTable:
-    """One row per household: household values plus n_window person slots.
+    """One row per household, as category codes.
 
-    A slot is either a tuple of person-variable values or None (padding).
-    Occupied slots precede padding and are sorted by the schema's sort keys.
+    ``households[i, k]`` is the code of household variable k in row i and
+    ``persons[i, s, k]`` the code of person variable k in slot s. Padding
+    slots are NA in every person variable; occupied slots precede padding
+    and are sorted by the schema's sort keys.
     """
 
     schema: Schema
     household_ids: list[str]
-    households: list[tuple[str, ...]]
-    slots: list[tuple[tuple[str, ...] | None, ...]]
+    households: np.ndarray
+    persons: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return len(self.household_ids)
 
-    def to_records(self) -> list[HouseholdRecord]:
-        """Flatten back to (household, persons) records; inverse of restructure."""
-        out = []
-        for hid, values, row_slots in zip(
-            self.household_ids, self.households, self.slots
-        ):
-            persons = [slot for slot in row_slots if slot is not None]
-            out.append(HouseholdRecord(hid, values, persons))
-        return out
+    @property
+    def occupied(self) -> np.ndarray:
+        """(n, n_window) mask of the slots whose anchor is not NA."""
+        k = self.schema.person_names.index(self.schema.slot_anchor)
+        return self.persons[:, :, k] != self.schema.person_vars[k].na_index
+
+    @property
+    def codes(self) -> np.ndarray:
+        """All codes of a row in column-group order (see ``column_layout``)."""
+        n, w, p = self.persons.shape
+        return np.hstack([self.households, self.persons.reshape(n, w * p)])
+
+    def person_codes(self) -> np.ndarray:
+        """One row per occupied slot, in row then slot order: the household's
+        codes followed by the person's."""
+        rows, slots = np.nonzero(self.occupied)
+        return np.hstack([self.households[rows], self.persons[rows, slots]])
 
 
 @dataclass
@@ -336,133 +361,140 @@ def write_schema(schema: Schema, path) -> None:
             for v in schema.person_vars
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_rows(path, required: list[str]) -> list[dict]:
+def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:
+    """The ``required`` columns of every non-blank row, as tuples."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
-        return list(reader)
+        pick = itemgetter(*(header.index(c) for c in required))
+        rows = []
+        for row in reader:
+            if len(row) < len(header):
+                if not row:
+                    continue
+                raise DataError(
+                    f"{path}: line {reader.line_num} has fewer fields than the header"
+                )
+            rows.append(pick(row))
+        return rows
 
 
 def load_microdata(household_path, person_path, schema: Schema) -> list[HouseholdRecord]:
-    """Read and join the two microdata tables; validates categories and ids."""
+    """Read and join the two microdata tables; validates ids. Categories are
+    checked where ``restructure`` codes them."""
     hh_rows = _read_rows(household_path, ["household_id", *schema.household_names])
     p_rows = _read_rows(person_path, ["household_id", *schema.person_names])
 
     records: dict[str, HouseholdRecord] = {}
-    order: list[str] = []
-    for row in hh_rows:
-        hid = row["household_id"]
+    for hid, *values in hh_rows:
         if hid in records:
             raise DataError(f"duplicate household_id {hid!r} in {household_path}")
-        values = tuple(row[v.name] for v in schema.household_vars)
-        for var, value in zip(schema.household_vars, values):
-            var.index(value)
-        records[hid] = HouseholdRecord(hid, values, [])
-        order.append(hid)
+        records[hid] = HouseholdRecord(hid, tuple(values), [])
 
-    for row in p_rows:
-        hid = row["household_id"]
+    for hid, *values in p_rows:
         if hid not in records:
             raise DataError(
                 f"person row references unknown household_id {hid!r} in {person_path}"
             )
-        values = tuple(row[v.name] for v in schema.person_vars)
-        for var, value in zip(schema.person_vars, values):
-            var.index(value)
-        records[hid].persons.append(values)
+        records[hid].persons.append(tuple(values))
 
     if not p_rows:
         warnings.warn(
             f"person table {person_path} is empty; every household has zero persons",
             stacklevel=2,
         )
-    return [records[hid] for hid in order]
+    return list(records.values())
 
 
 # ---------------------------------------------------------------------------
 # restructuring
 
 
-def _sort_persons(persons, schema: Schema):
-    key_vars = [schema.person_var(k) for k in schema.sort_keys]
-    idx = {v.name: i for i, v in enumerate(schema.person_vars)}
+def _code_columns(variables, rows) -> np.ndarray:
+    """(len(rows), len(variables)) codes of string rows, one dict lookup per cell."""
+    out = np.empty((len(rows), len(variables)), dtype=np.int64)
+    for k, var in enumerate(variables):
+        try:
+            out[:, k] = [var.codes[row[k]] for row in rows]
+        except KeyError as exc:
+            raise DataError(
+                f"unknown category {exc.args[0]!r} for variable {var.name!r}"
+            ) from None
+    return out
 
-    def key(values):
-        return tuple(-var.index(values[idx[var.name]]) for var in key_vars)
 
-    return sorted(persons, key=key)
+def _sort_slots(persons: np.ndarray, schema: Schema) -> np.ndarray:
+    """Reorder each row's slots: occupied first, then descending code per
+    sort key; the sort is stable, so full ties keep their slot order."""
+    names = schema.person_names
+    anchor = names.index(schema.slot_anchor)
+    keys = [-persons[:, :, names.index(k)] for k in reversed(schema.sort_keys)]
+    keys.append(persons[:, :, anchor] == schema.person_vars[anchor].na_index)
+    order = np.lexsort(keys, axis=-1)
+    return np.take_along_axis(persons, order[:, :, None], axis=1)
 
 
 def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredTable:
-    """Fold person records into one fixed-width row per household.
+    """Fold person records into one fixed-width row of codes per household.
 
-    Resolves n_window to the observed maximum household size when the schema
-    leaves it open; a pinned n_window smaller than some household is an error.
+    This is where category strings become codes, so an unknown category is a
+    ``DataError``. Resolves n_window to the observed maximum household size
+    when the schema leaves it open; a pinned n_window smaller than some
+    household is an error.
     """
-    anchor = schema.person_var(schema.slot_anchor)
-    anchor_pos = list(schema.person_names).index(schema.slot_anchor)
-    max_size = max((len(r.persons) for r in records), default=0)
+    sizes = np.array([len(r.persons) for r in records], dtype=np.int64)
+    max_size = int(sizes.max(initial=0))
     if schema.n_window is None:
-        resolved = schema.with_n_window(max(max_size, 1))
-    else:
-        if max_size > schema.n_window:
-            offender = next(r for r in records if len(r.persons) > schema.n_window)
-            raise DataError(
-                f"household {offender.household_id!r} has {len(offender.persons)} "
-                f"persons but n_window is {schema.n_window}"
-            )
-        resolved = schema
+        schema = schema.with_n_window(max(max_size, 1))
+    elif max_size > schema.n_window:
+        offender = records[int(np.argmax(sizes > schema.n_window))]
+        raise DataError(
+            f"household {offender.household_id!r} has {len(offender.persons)} "
+            f"persons but n_window is {schema.n_window}"
+        )
 
-    ids, households, slots = [], [], []
-    for rec in records:
-        for person in rec.persons:
-            if person[anchor_pos] == NA:
-                raise DataError(
-                    f"household {rec.household_id!r} has a person with NA "
-                    f"{anchor.name!r}; the anchor variable marks slot occupancy"
-                )
-        ordered = _sort_persons(rec.persons, resolved)
-        row = tuple(ordered) + (None,) * (resolved.n_window - len(ordered))
-        ids.append(rec.household_id)
-        households.append(tuple(rec.values))
-        slots.append(row)
-    return RestructuredTable(resolved, ids, households, slots)
+    households = _code_columns(schema.household_vars, [r.values for r in records])
+    people = _code_columns(schema.person_vars, [p for r in records for p in r.persons])
+    owner = np.repeat(np.arange(len(records)), sizes)
+    anchor = schema.person_names.index(schema.slot_anchor)
+    unanchored = people[:, anchor] == schema.person_vars[anchor].na_index
+    if unanchored.any():
+        raise DataError(
+            f"household {records[owner[np.argmax(unanchored)]].household_id!r} has a "
+            f"person with NA {schema.slot_anchor!r}; the anchor variable marks slot occupancy"
+        )
+    persons = np.empty((len(records), schema.n_window, len(schema.person_vars)), np.int64)
+    persons[:] = [v.na_index for v in schema.person_vars]
+    # each person goes to the next free slot of its household, then rows are sorted
+    first = np.cumsum(sizes) - sizes
+    persons[owner, np.arange(owner.size) - first[owner]] = people
+    return RestructuredTable(
+        schema, [r.household_id for r in records], households, _sort_slots(persons, schema)
+    )
 
 
 # ---------------------------------------------------------------------------
 # one-hot codec
 
 
+def one_hot(codes: np.ndarray, starts, width: int) -> np.ndarray:
+    """Rows of ``width`` zeros with a one at ``starts[k] + codes[:, k]``."""
+    x = np.zeros((codes.shape[0], width), dtype=np.float64)
+    x[np.arange(codes.shape[0])[:, None], np.asarray(starts) + codes] = 1.0
+    return x
+
+
 def encode_onehot(table: RestructuredTable) -> EncodedMatrix:
     """One row per household; one-hot per variable per slot, padding hits NA."""
-    schema = table.schema
-    groups, d = column_layout(schema)
-    x = np.zeros((table.n_rows, d), dtype=np.float64)
-    hh_vars = schema.household_vars
-    p_vars = schema.person_vars
-    n_hh = len(hh_vars)
-    for i, (values, row_slots) in enumerate(zip(table.households, table.slots)):
-        for g, var, value in zip(groups[:n_hh], hh_vars, values):
-            x[i, g.start + var.index(value)] = 1.0
-        gi = n_hh
-        for slot in row_slots:
-            for var in p_vars:
-                g = groups[gi]
-                if slot is None:
-                    x[i, g.start + var.na_index] = 1.0
-                else:
-                    value = slot[list(schema.person_names).index(var.name)]
-                    x[i, g.start + var.index(value)] = 1.0
-                gi += 1
-    return EncodedMatrix(x, groups, schema.fingerprint())
+    groups, d = column_layout(table.schema)
+    x = one_hot(table.codes, [g.start for g in groups], d)
+    return EncodedMatrix(x, groups, table.schema.fingerprint())
 
 
 def _draw_categories(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -480,13 +512,14 @@ def decode_onehot_with_stats(
     mode: str = "argmax",
     seed: int | None = None,
 ) -> tuple[RestructuredTable, DecodeStats]:
-    """Map probability rows back to categories.
+    """Map probability rows back to category codes.
 
     argmax ties break toward the lowest category index; "sample" draws one
-    category per group from its probabilities (seed required). A slot is
-    occupied iff its anchor-variable group decodes to something other than NA;
-    every other variable in an unoccupied slot is forced to NA and each decode
-    that disagreed with the forced value is counted.
+    category per group from its probabilities, group by group in column
+    order (seed required). A slot is occupied iff its anchor-variable group
+    decodes to something other than NA; every other variable in an
+    unoccupied slot is forced to NA and each decode that disagreed with the
+    forced value is counted. Row ids are "0".."n-1".
     """
     if matrix.schema_fingerprint != schema.fingerprint():
         raise DataError("encoded matrix does not match the supplied schema")
@@ -498,8 +531,8 @@ def decode_onehot_with_stats(
     n = x.shape[0]
     rng = np.random.default_rng(seed) if mode == "sample" else None
 
-    choices = {}
-    for g in matrix.groups:
+    codes = np.empty((n, len(matrix.groups)), dtype=np.int64)
+    for j, g in enumerate(matrix.groups):
         block = x[:, g.start : g.stop]
         sums = block.sum(axis=1)
         bad = np.where(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
@@ -508,62 +541,21 @@ def decode_onehot_with_stats(
                 f"group {g.var!r} (slot {g.slot}) row {bad[0]} sums to "
                 f"{sums[bad[0]]:.8f}, not 1"
             )
-        if mode == "argmax":
-            choices[g] = np.argmax(block, axis=1)
-        else:
-            choices[g] = _draw_categories(block, rng)
+        codes[:, j] = np.argmax(block, axis=1) if rng is None else _draw_categories(block, rng)
 
     n_hh = len(schema.household_vars)
-    hh_groups = matrix.groups[:n_hh]
-    person_names = schema.person_names
-    anchor_name = schema.slot_anchor
-    stats = DecodeStats()
-
-    ids, households, slots = [], [], []
-    slot_groups: dict[int, dict[str, ColumnGroup]] = {}
-    for g in matrix.groups[n_hh:]:
-        slot_groups.setdefault(g.slot, {})[g.var] = g
-
-    for i in range(n):
-        values = tuple(
-            schema.household_vars[k].categories[choices[g][i]]
-            for k, g in enumerate(hh_groups)
-        )
-        row_slots = []
-        for s in range(schema.n_window):
-            by_var = slot_groups[s]
-            anchor_var = schema.person_var(anchor_name)
-            anchor_idx = choices[by_var[anchor_name]][i]
-            if anchor_idx == anchor_var.na_index:
-                for name in person_names:
-                    if name == anchor_name:
-                        continue
-                    var = schema.person_var(name)
-                    if choices[by_var[name]][i] != var.na_index:
-                        stats.forced_na_cells += 1
-                continue
-            person = tuple(
-                schema.person_var(name).categories[choices[by_var[name]][i]]
-                for name in person_names
-            )
-            row_slots.append(person)
-        if not row_slots:
-            stats.all_na_rows += 1
-        ordered = _sort_persons(row_slots, schema)
-        ids.append(str(i))
-        households.append(values)
-        slots.append(tuple(ordered) + (None,) * (schema.n_window - len(ordered)))
-    return RestructuredTable(schema, ids, households, slots), stats
-
-
-def decode_onehot(
-    matrix: EncodedMatrix,
-    schema: Schema,
-    mode: str = "argmax",
-    seed: int | None = None,
-) -> RestructuredTable:
-    table, _ = decode_onehot_with_stats(matrix, schema, mode=mode, seed=seed)
-    return table
+    na = np.array([v.na_index for v in schema.person_vars])
+    table = RestructuredTable(
+        schema, [str(i) for i in range(n)], codes[:, :n_hh],
+        codes[:, n_hh:].reshape(n, schema.n_window, na.size),
+    )
+    padding = ~table.occupied[:, :, None]
+    stats = DecodeStats(
+        forced_na_cells=int((padding & (table.persons != na)).sum()),
+        all_na_rows=int(padding.all(axis=(1, 2)).sum()),
+    )
+    table.persons = _sort_slots(np.where(padding, na, table.persons), schema)
+    return table, stats
 
 
 # ---------------------------------------------------------------------------
@@ -574,26 +566,17 @@ def marginal_counts(
     table: RestructuredTable,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Raw category counts: households for household vars, non-NA persons
-    (per variable) for person vars. Person count vectors exclude NA."""
+    (per variable) for person vars. Person count vectors exclude NA, and
+    padding slots are NA throughout, so they never count."""
     schema = table.schema
     hh = {
-        v.name: np.zeros(v.width, dtype=np.int64) for v in schema.household_vars
+        v.name: np.bincount(table.households[:, k], minlength=v.width)
+        for k, v in enumerate(schema.household_vars)
     }
     pp = {
-        v.name: np.zeros(v.width - 1, dtype=np.int64) for v in schema.person_vars
+        v.name: np.bincount(table.persons[:, :, k].ravel(), minlength=v.width)[:-1]
+        for k, v in enumerate(schema.person_vars)
     }
-    p_names = schema.person_names
-    for values, row_slots in zip(table.households, table.slots):
-        for var, value in zip(schema.household_vars, values):
-            hh[var.name][var.index(value)] += 1
-        for slot in row_slots:
-            if slot is None:
-                continue
-            for k, name in enumerate(p_names):
-                var = schema.person_var(name)
-                if slot[k] == NA:
-                    continue
-                pp[name][var.index(slot[k])] += 1
     return hh, pp
 
 
@@ -624,9 +607,7 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
     by_var: dict[str, dict[str, float]] = {}
     n_households = None
     n_persons = None
-    for row in rows:
-        var, cat = row["variable"], row["category"]
-        raw = row["count_or_proportion"]
+    for var, cat, raw in rows:
         if var == N_HOUSEHOLDS_KEY:
             n_households = int(float(raw))
             continue
@@ -678,22 +659,47 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
 
 
 def write_target_marginals(targets: TargetMarginals, schema: Schema, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "category", "count_or_proportion"])
-        for var in schema.household_vars:
-            for cat, p in zip(var.categories, targets.household_targets[var.name]):
-                writer.writerow([var.name, cat, f"{p:.12g}"])
-        for var in schema.person_vars:
-            for cat, p in zip(var.categories[:-1], targets.person_targets[var.name]):
-                writer.writerow([var.name, cat, f"{p:.12g}"])
-        writer.writerow([N_HOUSEHOLDS_KEY, "", targets.n_households])
-        if targets.n_persons is not None:
-            writer.writerow([N_PERSONS_KEY, "", targets.n_persons])
+    rows = []
+    for var in schema.household_vars:
+        for cat, p in zip(var.categories, targets.household_targets[var.name]):
+            rows.append([var.name, cat, f"{p:.12g}"])
+    for var in schema.person_vars:
+        for cat, p in zip(var.categories[:-1], targets.person_targets[var.name]):
+            rows.append([var.name, cat, f"{p:.12g}"])
+    rows.append([N_HOUSEHOLDS_KEY, "", targets.n_households])
+    if targets.n_persons is not None:
+        rows.append([N_PERSONS_KEY, "", targets.n_persons])
+    write_csv(path, ["variable", "category", "count_or_proportion"], rows)
 
 
 # ---------------------------------------------------------------------------
-# plain-text writers for inspection
+# writers
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def write_text(path, text: str) -> None:
+    write_atomic(path, text.encode("utf-8"))
+
+
+def write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
+
+
+def labels(variables, codes: np.ndarray) -> list[list[str]]:
+    """Category strings of an (n, len(variables)) code matrix, row by row."""
+    cols = [np.array(v.categories, dtype=object)[codes[:, k]] for k, v in enumerate(variables)]
+    return np.stack(cols, axis=1).tolist()
 
 
 def write_restructured(table: RestructuredTable, path) -> None:
@@ -701,16 +707,9 @@ def write_restructured(table: RestructuredTable, path) -> None:
     header = ["household_id", *schema.household_names]
     for s in range(schema.n_window):
         header.extend(f"{name}__s{s}" for name in schema.person_names)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for hid, values, row_slots in zip(
-            table.household_ids, table.households, table.slots
-        ):
-            row = [hid, *values]
-            for slot in row_slots:
-                row.extend(slot if slot is not None else (NA,) * len(schema.person_vars))
-            writer.writerow(row)
+    variables = schema.household_vars + schema.person_vars * schema.n_window
+    rows = labels(variables, table.codes)
+    write_csv(path, header, ([hid, *row] for hid, row in zip(table.household_ids, rows)))
 
 
 def write_encoded(matrix: EncodedMatrix, schema: Schema, path) -> None:
@@ -721,8 +720,4 @@ def write_encoded(matrix: EncodedMatrix, schema: Schema, path) -> None:
         )
         prefix = g.var if g.slot is None else f"{g.var}__s{g.slot}"
         header.extend(f"{prefix}={c}" for c in var.categories)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in matrix.values:
-            writer.writerow([f"{v:.12g}" for v in row])
+    write_csv(path, header, ([f"{v:.12g}" for v in row] for row in matrix.values))

@@ -11,7 +11,6 @@ matrix, one row per target household.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .losses import (
     latent_kl,
     marginal_rmse_loss,
 )
-from .schema import EncodedMatrix, TargetMarginals
+from .schema import EncodedMatrix, TargetMarginals, write_csv
 from .vae import read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
@@ -307,10 +306,8 @@ def load_latent(path) -> tuple[LatentMatrix, dict]:
 
 
 def write_history(path, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [v if isinstance(v, int) else f"{v:.12g}" for v in row]
-            )
+    write_csv(
+        path,
+        columns,
+        ([v if isinstance(v, int) else f"{v:.12g}" for v in row] for row in rows),
+    )

@@ -18,14 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
-from .schema import Schema, ColumnGroup, column_layout
+from .schema import Schema, ColumnGroup, column_layout, write_atomic
 
 MODEL_MAGIC = b"PSVAE01\n"
 MODEL_VERSION = 1
@@ -213,14 +212,6 @@ def init_model(
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def write_blob(path, magic: bytes, version: int, header: dict, payload: np.ndarray) -> None:

@@ -19,8 +19,9 @@ import oracles
 from popsynth import cli, evaluation, generation, losses, nn, training, vae
 from popsynth.schema import (
     column_layout,
+    RestructuredTable,
+    decode_onehot_with_stats,
     encode_onehot,
-    decode_onehot,
     load_microdata,
     load_schema,
     load_target_marginals,
@@ -422,13 +423,13 @@ def test_structural_suite(verdict, desk, tmp_path):
         load_microdata(tmp_path / "roundtrip" / "households.csv",
                        tmp_path / "roundtrip" / "persons.csv", schema),
         schema)
-    round_trip = (table.households == table2.households
-                  and table.slots == table2.slots)
+    round_trip = (np.array_equal(table.households, table2.households)
+                  and np.array_equal(table.persons, table2.persons))
 
     # encode -> argmax decode identity
-    decoded = decode_onehot(encode_onehot(table), schema, mode="argmax")
-    encode_identity = (decoded.households == table.households
-                       and decoded.slots == table.slots)
+    decoded, _ = decode_onehot_with_stats(encode_onehot(table), schema, mode="argmax")
+    encode_identity = (np.array_equal(decoded.households, table.households)
+                       and np.array_equal(decoded.persons, table.persons))
 
     # inventory referential integrity on a generated inventory
     with open(desk["w"] / "syn_tuned" / "persons.csv", encoding="utf-8") as fh:
@@ -443,26 +444,23 @@ def test_structural_suite(verdict, desk, tmp_path):
     # fixture, zero violations on the microdata itself
     rules = generation.load_rules(desk["data"] / "rules.json")
     clean = generation.sanity_check(table, rules)
-    planted = [list(v) for v in table.households[:20]]
-    slots = [list(s) for s in table.slots[:20]]
+    planted = table.households[:20].copy()
+    persons = table.persons[:20].copy()
     ids = table.household_ids[:20]
     age_i = schema.person_names.index("AGEP")
     r65_i = schema.household_names.index("R65")
-    senior = {"65-74", "75 and over"}
-    candidates = [i for i, (h, s) in enumerate(zip(planted, slots))
-                  if h[r65_i] == "No"
-                  and all(p is None or p[age_i] not in senior for p in s)]
+    r65, agep = schema.household_var("R65"), schema.person_var("AGEP")
+    senior = [agep.index("65-74"), agep.index("75 and over")]
+    # padding slots are NA, never a senior
+    candidates = [i for i in range(20)
+                  if planted[i, r65_i] == r65.index("No")
+                  and not np.isin(persons[i, :, age_i], senior).any()]
     flag_idx, member_idx = candidates[0], candidates[1]
-    planted[flag_idx][r65_i] = "Yes"  # flag with no qualifying member
-    new_slot = list(slots[member_idx][0])
-    new_slot[age_i] = "75 and over"   # qualifying member without the flag
-    slots[member_idx] = [tuple(new_slot)] + list(slots[member_idx][1:])
-    from popsynth.schema import RestructuredTable
-
+    planted[flag_idx, r65_i] = r65.index("Yes")  # flag with no qualifying member
+    # qualifying member without the flag
+    persons[member_idx, 0, age_i] = agep.index("75 and over")
     broken = RestructuredTable(
-        schema=schema, household_ids=ids,
-        households=[tuple(h) for h in planted],
-        slots=[tuple(s) for s in slots])
+        schema=schema, household_ids=ids, households=planted, persons=persons)
     report = generation.sanity_check(broken, rules)
     flagged = {hid for v in report.violations.values() for hid, _ in v}
     expected = {ids[flag_idx], ids[member_idx]}

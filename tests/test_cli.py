@@ -348,3 +348,30 @@ def test_open_window_resolves_over_all_record_sets(tiny_schema):
     empty = HouseholdRecord("e", ("no", "1"), [])
     assert _resolve_window(open_schema, [empty], [three], []).n_window == 3
     assert _resolve_window(tiny_schema, [three]).n_window == tiny_schema.n_window
+
+
+GOOD_RULE = {"id": "R65", "household_var": "R65", "household_value": "Yes",
+             "person_var": "AGEP", "person_categories": ["65-74", "75 and over"]}
+BAD_RULES = {
+    "missing-key": json.dumps([{k: v for k, v in GOOD_RULE.items() if k != "person_var"}]),
+    "not-json": '{"rules": [',
+    "unknown-direction": json.dumps([GOOD_RULE | {"direction": "sideways"}]),
+    "household-value-typo": json.dumps([GOOD_RULE | {"household_value": "yes"}]),
+    "person-category-typo": json.dumps([GOOD_RULE | {"person_categories": ["65-74", "75+"]}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RULES))
+def test_bad_rules_exit_1_before_writing(data_dir, artifacts, tmp_path, case, capsys):
+    d, _ = artifacts
+    rules = tmp_path / "rules.json"
+    rules.write_text(BAD_RULES[case])
+    out = tmp_path / "inv"
+    capsys.readouterr()
+    rc = run(["generate", "--model", str(d / "model.psv"), "--schema", str(data_dir / "schema.json"),
+              "--latent", str(d / "latent.psl"), "--out-dir", str(out), "--seed", "5",
+              "--rules", str(rules)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -154,11 +154,11 @@ def test_joint_pairs_self_comparison_is_zero(tiny_table):
     assert all(v == pytest.approx(1.0) for v in rep.p_value.values())
 
 
-def test_joint_pairs_rejects_schema_mismatch(tiny_table, tiny_schema):
+def test_joint_pairs_rejects_schema_mismatch(tiny_table, tiny_schema, tiny_records):
     other = tiny_schema.with_n_window(3)
     from popsynth.schema import restructure
 
-    table2 = restructure(tiny_table.to_records(), other)
+    table2 = restructure(tiny_records, other)
     with pytest.raises(ValueError):
         joint_pair_metrics(tiny_table, table2)
 

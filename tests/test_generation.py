@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from popsynth.generation import (
 from popsynth.schema import (
     DataError,
     HouseholdRecord,
+    load_microdata,
     restructure,
 )
 from popsynth.training import TrainConfig, init_latent, pretrain
@@ -39,24 +41,26 @@ def trained_model(schema, encoded):
 
 
 def test_inventory_from_table_drops_empty(tiny_schema, tiny_table):
-    slots = list(tiny_table.slots)
-    slots[2] = (None, None)
-    tiny_table.slots = slots
+    tiny_table.persons[2] = 3  # NA in every slot of row 2
     inv = inventory_from_table(tiny_table, Provenance())
     assert inv.n_households == 3
     assert inv.provenance.dropped_households == 1
     # household ids are sequential from 1 after the drop
-    assert [hid for hid, _ in inv.households] == ["1", "2", "3"]
+    assert inv.table.household_ids == ["1", "2", "3"]
 
 
-def test_inventory_referential_integrity(tiny_table):
+def test_inventory_referential_integrity(tiny_table, tmp_path):
     inv = inventory_from_table(tiny_table, Provenance())
-    hh_ids = {hid for hid, _ in inv.households}
-    assert all(hid in hh_ids for _, hid, _ in inv.persons)
+    paths = write_inventory(inv, tmp_path)
+    with open(paths["households.csv"]) as fh:
+        hh_ids = {row["household_id"] for row in csv.DictReader(fh)}
+    with open(paths["persons.csv"]) as fh:
+        person_rows = list(csv.DictReader(fh))
+    assert all(row["household_id"] in hh_ids for row in person_rows)
     sizes = {hid: 0 for hid in hh_ids}
-    for _, hid, _ in inv.persons:
-        sizes[hid] += 1
-    occupied = [sum(s is not None for s in row) for row in tiny_table.slots]
+    for row in person_rows:
+        sizes[row["household_id"]] += 1
+    occupied = tiny_table.occupied.sum(axis=1).tolist()
     assert sorted(sizes.values()) == sorted(occupied)
 
 
@@ -65,8 +69,9 @@ def test_generate_inventory_is_deterministic(tiny_schema, tiny_encoded):
     latent = init_latent(20, model.latent_dim, seed=3)
     a = generate_inventory(model, latent, tiny_schema)
     b = generate_inventory(model, latent, tiny_schema)
-    assert a.households == b.households
-    assert a.persons == b.persons
+    assert a.table.household_ids == b.table.household_ids
+    np.testing.assert_array_equal(a.table.households, b.table.households)
+    np.testing.assert_array_equal(a.table.persons, b.table.persons)
     assert a.provenance.model_fingerprint == model.checksum()
     assert a.provenance.latent_seed == 3
     assert a.provenance.n_latent_rows == 20
@@ -101,10 +106,27 @@ def test_write_inventory_files(tiny_table, tmp_path):
     assert prov["mode"] == "argmax"
 
 
-def test_inventory_round_trips_through_restructure(tiny_schema, tiny_table):
+def test_inventory_round_trips_through_restructure(tiny_schema, tiny_table, tmp_path):
     inv = inventory_from_table(tiny_table, Provenance())
-    table2 = restructure(inv.to_records(), tiny_schema)
-    assert sorted(table2.households) == sorted(tiny_table.households)
+    write_inventory(inv, tmp_path)
+    records = load_microdata(tmp_path / "households.csv", tmp_path / "persons.csv", tiny_schema)
+    table2 = restructure(records, tiny_schema)
+    np.testing.assert_array_equal(table2.households, tiny_table.households)
+    np.testing.assert_array_equal(table2.persons, tiny_table.persons)
+
+
+def test_failed_inventory_write_keeps_the_old_file(tiny_table, tmp_path, monkeypatch):
+    write_inventory(inventory_from_table(tiny_table, Provenance()), tmp_path)
+    old = (tmp_path / "households.csv").read_bytes()
+    tiny_table.households[:, 0] = 1 - tiny_table.households[:, 0]
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        write_inventory(inventory_from_table(tiny_table, Provenance()), tmp_path)
+    assert (tmp_path / "households.csv").read_bytes() == old
 
 
 # -- sanity rules ------------------------------------------------------------
@@ -163,6 +185,20 @@ def test_sanity_check_direction_one_way(tiny_schema, senior_rule):
     only_flag = replace(senior_rule, direction="flag_implies_member")
     hits = sanity_check(table, [only_flag]).violations["old_flag"]
     assert hits == [("bad_flag", "flag_without_member")]
+
+
+def test_sanity_check_ignores_padding(tiny_schema):
+    # JOB NA is an answer of an occupied slot; a padding slot is no member
+    rule = SanityRule("job_na", "OWN", "yes", "JOB", ("NA",), "member_implies_flag")
+    table = restructure(
+        [
+            HouseholdRecord("pad", ("no", "0"), [("old", "none")]),
+            HouseholdRecord("real", ("no", "0"), [("kid", "NA")]),
+        ],
+        tiny_schema,
+    )
+    hits = sanity_check(table, [rule]).violations["job_na"]
+    assert hits == [("real", "member_without_flag")]
 
 
 def test_sanity_check_unknown_variable(tiny_schema, senior_rule):

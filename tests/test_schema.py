@@ -11,7 +11,6 @@ from popsynth.schema import (
     SchemaError,
     Variable,
     column_layout,
-    decode_onehot,
     decode_onehot_with_stats,
     empirical_marginals,
     encode_onehot,
@@ -24,6 +23,32 @@ from popsynth.schema import (
     write_schema,
     write_target_marginals,
 )
+from popsynth.evaluation import _pair_counts
+
+# tiny schema codes: OWN yes=0 no=1; CAR 0=0 1=1 2+=2;
+# AGE kid=0 adult=1 old=2 NA=3; JOB none=0 part=1 full=2 NA=3
+
+
+def decode(matrix, schema, **kwargs):
+    return decode_onehot_with_stats(matrix, schema, **kwargs)[0]
+
+
+def same_table(a, b):
+    return (
+        np.array_equal(a.households, b.households)
+        and np.array_equal(a.persons, b.persons)
+    )
+
+
+def record_codes(schema, persons):
+    """Sorted code tuples of a list of person string tuples."""
+    return sorted(
+        tuple(v.index(x) for v, x in zip(schema.person_vars, p)) for p in persons
+    )
+
+
+def occupied_codes(table, row):
+    return sorted(map(tuple, table.persons[row][table.occupied[row]].tolist()))
 
 
 def test_schema_rejects_household_na():
@@ -80,24 +105,22 @@ def test_column_layout_contiguous(tiny_schema):
 def test_restructure_sorts_persons_descending(tiny_schema):
     rec = HouseholdRecord("h", ("yes", "0"), [("kid", "none"), ("old", "full")])
     table = restructure([rec], tiny_schema)
-    assert table.slots[0][0] == ("old", "full")
-    assert table.slots[0][1] == ("kid", "none")
+    assert table.persons[0].tolist() == [[2, 2], [0, 0]]  # (old, full), (kid, none)
 
 
 def test_restructure_sort_breaks_ties_with_second_key(tiny_schema):
     rec = HouseholdRecord("h", ("yes", "0"), [("adult", "part"), ("adult", "full")])
     table = restructure([rec], tiny_schema)
-    assert table.slots[0][0] == ("adult", "full")
-    assert table.slots[0][1] == ("adult", "part")
+    assert table.persons[0].tolist() == [[1, 2], [1, 1]]  # (adult, full), (adult, part)
 
 
 def test_restructure_round_trip(tiny_schema, tiny_records):
     table = restructure(tiny_records, tiny_schema)
-    back = table.to_records()
-    assert [r.household_id for r in back] == [r.household_id for r in tiny_records]
-    for orig, rt in zip(tiny_records, back):
-        assert rt.values == orig.values
-        assert sorted(rt.persons) == sorted(orig.persons)
+    assert table.household_ids == [r.household_id for r in tiny_records]
+    # (yes, 2+), (no, 0), (no, 1), (yes, 0)
+    assert table.households.tolist() == [[0, 2], [1, 0], [1, 1], [0, 0]]
+    for row, orig in enumerate(tiny_records):
+        assert occupied_codes(table, row) == record_codes(tiny_schema, orig.persons)
 
 
 def test_restructure_resolves_open_n_window(tiny_records):
@@ -122,16 +145,16 @@ def test_restructure_rejects_oversized_household(tiny_schema):
 
 def test_restructure_accepts_empty_household(tiny_schema):
     table = restructure([HouseholdRecord("h", ("yes", "0"), [])], tiny_schema)
-    assert table.slots[0] == (None, None)
+    assert table.persons[0].tolist() == [[3, 3], [3, 3]]
+    assert not table.occupied[0].any()
 
 
 def test_encode_rejects_unknown_category(tiny_schema):
-    table = restructure(
-        [HouseholdRecord("h", ("yes", "0"), [("kid", "none")])], tiny_schema
-    )
-    table.households[0] = ("maybe", "0")
-    with pytest.raises(DataError):
-        encode_onehot(table)
+    # the encoder reads codes; a category is checked where restructure codes it
+    with pytest.raises(DataError, match="maybe"):
+        restructure([HouseholdRecord("h", ("maybe", "0"), [("kid", "none")])], tiny_schema)
+    with pytest.raises(DataError, match="teen"):
+        restructure([HouseholdRecord("h", ("yes", "0"), [("teen", "none")])], tiny_schema)
 
 
 def test_encode_rows_are_group_one_hot(tiny_encoded):
@@ -142,9 +165,8 @@ def test_encode_rows_are_group_one_hot(tiny_encoded):
 
 
 def test_encode_decode_identity(tiny_schema, tiny_table, tiny_encoded):
-    back = decode_onehot(tiny_encoded, tiny_schema)
-    assert back.households == tiny_table.households
-    assert back.slots == tiny_table.slots
+    back = decode(tiny_encoded, tiny_schema)
+    assert same_table(back, tiny_table)
 
 
 def test_decode_argmax_is_onehot_fixed_point(tiny_schema, tiny_encoded, rng):
@@ -155,10 +177,9 @@ def test_decode_argmax_is_onehot_fixed_point(tiny_schema, tiny_encoded, rng):
         mix = rng.uniform(0.0, 0.4)
         soft[:, g.start : g.stop] = (1 - mix) * block + mix / g.width
     jittered = EncodedMatrix(soft, tiny_encoded.groups, tiny_encoded.schema_fingerprint)
-    a = decode_onehot(jittered, tiny_schema)
-    b = decode_onehot(tiny_encoded, tiny_schema)
-    assert a.households == b.households
-    assert a.slots == b.slots
+    a = decode(jittered, tiny_schema)
+    b = decode(tiny_encoded, tiny_schema)
+    assert same_table(a, b)
 
 
 def test_decode_forces_na_alignment(tiny_schema, tiny_table):
@@ -172,14 +193,15 @@ def test_decode_forces_na_alignment(tiny_schema, tiny_table):
     table, stats = decode_onehot_with_stats(
         EncodedMatrix(x, enc.groups, enc.schema_fingerprint), tiny_schema
     )
-    assert table.slots[row][1] is None
+    assert not table.occupied[row, 1]
+    assert table.persons[row, 1].tolist() == [3, 3]
     assert stats.forced_na_cells == 1
 
 
 def test_decode_sample_mode_deterministic(tiny_schema, tiny_encoded):
-    a = decode_onehot(tiny_encoded, tiny_schema, mode="sample", seed=7)
-    b = decode_onehot(tiny_encoded, tiny_schema, mode="sample", seed=7)
-    assert a.households == b.households and a.slots == b.slots
+    a = decode(tiny_encoded, tiny_schema, mode="sample", seed=7)
+    b = decode(tiny_encoded, tiny_schema, mode="sample", seed=7)
+    assert same_table(a, b)
 
 
 def test_marginal_counts_match_hand_tally(tiny_table):
@@ -243,6 +265,15 @@ def test_load_microdata_rejects_orphan_person(tiny_schema, tmp_path):
         load_microdata(hh, pp, tiny_schema)
 
 
+def test_load_microdata_rejects_short_row(tiny_schema, tmp_path):
+    hh = tmp_path / "households.csv"
+    pp = tmp_path / "persons.csv"
+    hh.write_text("household_id,OWN,CAR\nh1,yes,0\n\nh2,no\n")
+    pp.write_text("household_id,AGE,JOB\nh1,kid,none\n")
+    with pytest.raises(DataError, match="line 4 has fewer fields"):
+        load_microdata(hh, pp, tiny_schema)
+
+
 def test_target_marginals_round_trip(tiny_schema, tiny_table, tmp_path):
     m = empirical_marginals(tiny_table)
     p = tmp_path / "targets.csv"
@@ -281,20 +312,43 @@ def test_write_restructured_format(tiny_table, tmp_path):
 
 @st.composite
 def household_batches(draw):
-    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+    sizes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
     recs = []
+    # few categories, so sort keys often tie
     for i, size in enumerate(sizes):
         own = draw(st.sampled_from(["yes", "no"]))
         car = draw(st.sampled_from(["0", "1", "2+"]))
         persons = [
             (
                 draw(st.sampled_from(["kid", "adult", "old"])),
-                draw(st.sampled_from(["none", "part", "full"])),
+                draw(st.sampled_from(["none", "part", "full", "NA"])),
             )
             for _ in range(size)
         ]
         recs.append(HouseholdRecord(f"h{i}", (own, car), persons))
     return recs
+
+
+def brute_pair_counts(schema, recs, var_a, var_b):
+    """Pair counts straight from the records: households for two household
+    variables, otherwise persons with no NA in the pair."""
+    variables = schema.household_vars + schema.person_vars
+    names = [v.name for v in variables]
+    ka, kb = names.index(var_a), names.index(var_b)
+    n_hh = len(schema.household_vars)
+    rows = (
+        [r.values for r in recs]
+        if max(ka, kb) < n_hh
+        else [r.values + p for r in recs for p in r.persons]
+    )
+    va, vb = variables[ka], variables[kb]
+    wa, wb = va.width - (ka >= n_hh), vb.width - (kb >= n_hh)
+    counts = np.zeros((wa, wb))
+    for row in rows:
+        ia, ib = va.index(row[ka]), vb.index(row[kb])
+        if ia < wa and ib < wb:
+            counts[ia, ib] += 1
+    return counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,9 +365,22 @@ def test_property_encode_decode_round_trip(recs):
         slot_anchor="AGE",
     )
     table = restructure(recs, schema)
-    back = decode_onehot(encode_onehot(table), schema)
-    assert back.households == table.households
-    assert back.slots == table.slots
+    back = decode(encode_onehot(table), schema)
+    assert same_table(back, table)
     # multisets of persons survive the round trip through sorting
-    for orig, rt in zip(recs, back.to_records()):
-        assert sorted(orig.persons) == sorted(rt.persons)
+    for row, orig in enumerate(recs):
+        assert occupied_codes(back, row) == record_codes(schema, orig.persons)
+
+    hh, person = marginal_counts(table)
+    for k, var in enumerate(schema.household_vars):
+        brute = [sum(r.values[k] == c for r in recs) for c in var.categories]
+        np.testing.assert_array_equal(hh[var.name], brute)
+    for k, var in enumerate(schema.person_vars):
+        brute = [sum(p[k] == c for r in recs for p in r.persons) for c in var.categories[:-1]]
+        np.testing.assert_array_equal(person[var.name], brute)
+    names = schema.household_names + schema.person_names
+    for i, var_a in enumerate(names):
+        for var_b in names[i + 1 :]:
+            np.testing.assert_array_equal(
+                _pair_counts(table, var_a, var_b), brute_pair_counts(schema, recs, var_a, var_b)
+            )

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,7 @@ def test_failed_write_keeps_the_old_file(small_model, tmp_path, monkeypatch):
     def broken_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(vae.os, "replace", broken_replace)
+    monkeypatch.setattr(os, "replace", broken_replace)
     with pytest.raises(OSError):
         save_model(small_model, p)
     assert p.read_bytes() == old
