@@ -2,9 +2,11 @@
 
 A small oracle dataset goes through ``restructure --write-encoded``, and a
 fixed seeded probability matrix is decoded in both modes into an inventory
-and a sanity report. None of these files depend on BLAS, so their digests are
-fixed: any change to how tables are restructured, encoded, decoded, sorted,
-emitted or checked shows up here.
+and a sanity report. The argmax inventory is then evaluated against the
+microdata and the oracle's tract marginals. None of these files depend on
+BLAS, so their digests are fixed: any change to how tables are restructured,
+encoded, decoded, sorted, emitted, checked, counted into marginals or
+reported shows up here.
 """
 
 import hashlib
@@ -38,6 +40,22 @@ INVENTORY_PINS = {
         "persons.csv": "12fdd685581cea6d2af08923b467ef76a1d6fe7aa4a9a1f867e654b81e4ca56a",
         "sanity_report.json": "1b4a45a53a3e7fbc81de68644346ce3ae7bcb7fa583349ea1556aaed52547b32",
     },
+}
+
+
+TRACT_MARGINALS_PIN = "fee1857dafa0d925a2e0fafa9c397a0581ba04d25e5188f6a9ae8a4bcb8fddb8"
+
+EVALUATE_PINS = {
+    "hist_AGEP.csv": "2b6ef56f12eb825da406deffa047a2a7d66d0f3b88333ff3956a348ccd119bdc",
+    "hist_EDU.csv": "41a23b9fa4d21754e4bd5ccd66f7379bcb6beb37c7c48e0426d30bc0dd2f48f8",
+    "hist_R65.csv": "19ca366f789c2a7097a111d39ba1be36d8dbb2a8c0f74023933affd602d2b009",
+    "hist_TEN.csv": "315005db5eb1ab2ecd93e4216a2b133b72d77363f74306516569e10fb2ca8077",
+    "hist_VEH.csv": "e40679c1e9fc887ee89ca643617a86463a80135b56b9058c58a3b078b107391e",
+    "joint_chi2_p.csv": "d9bf7eb86263277607cc66b0473d1b4f4c9c6c58736494a3774a5c42ee0eae68",
+    "joint_kl.csv": "df54abf18f5f72c86cc221629a43e1609b2a92b25a79145bc0f1893f03ce4aab",
+    "joint_rmse.csv": "f8e844d9a72213f3017c91d0bc163d8930e59b14a2deef31b9550a0517466ad3",
+    "marginals_report.csv": "d7030a7ffd003e2e619b88a938162684493ba264270b3e313a5a9d7cd850ae2d",
+    "summary.json": "5b8b88fddf8a14f768efb4ddf54bdca0ee516d5afdaa71eb86d47126d937f0b9",
 }
 
 
@@ -76,8 +94,8 @@ def test_restructure_outputs_are_pinned(oracle_dir, tmp_path):
     assert {name: _digest(tmp_path / name) for name in RESTRUCTURE_PINS} == RESTRUCTURE_PINS
 
 
-@pytest.mark.parametrize("mode", sorted(INVENTORY_PINS))
-def test_decoded_inventory_is_pinned(oracle_dir, tmp_path, mode):
+def write_decoded_inventory(oracle_dir, out_dir, mode):
+    """Decode the fixed probability matrix and write the inventory to out_dir."""
     schema = load_schema(oracle_dir / "schema.json")
     records = load_microdata(oracle_dir / "households.csv", oracle_dir / "persons.csv", schema)
     schema = restructure(records, schema).schema
@@ -85,10 +103,36 @@ def test_decoded_inventory_is_pinned(oracle_dir, tmp_path, mode):
     table, stats = decode_onehot_with_stats(matrix, schema, mode=mode, seed=17)
     prov = generation.Provenance(mode=mode, forced_na_cells=stats.forced_na_cells)
     inventory = generation.inventory_from_table(table, prov)
-    generation.write_inventory(inventory, tmp_path)
+    generation.write_inventory(inventory, out_dir)
+    return inventory, stats
+
+
+@pytest.mark.parametrize("mode", sorted(INVENTORY_PINS))
+def test_decoded_inventory_is_pinned(oracle_dir, tmp_path, mode):
+    inventory, stats = write_decoded_inventory(oracle_dir, tmp_path, mode)
     report = generation.sanity_check(inventory, generation.load_rules(oracle_dir / "rules.json"))
     generation.write_sanity_report(report, tmp_path / "sanity_report.json")
     assert 0 < inventory.provenance.dropped_households < 50
     assert stats.forced_na_cells > 0
     got = {name: _digest(tmp_path / name) for name in INVENTORY_PINS[mode]}
     assert got == INVENTORY_PINS[mode]
+
+
+def test_tract_marginals_are_pinned(oracle_dir):
+    assert _digest(oracle_dir / "tract_marginals.csv") == TRACT_MARGINALS_PIN
+
+
+def test_evaluate_outputs_are_pinned(oracle_dir, tmp_path):
+    inv = tmp_path / "inventory"
+    inv.mkdir()
+    write_decoded_inventory(oracle_dir, inv, "argmax")
+    out = tmp_path / "report"
+    assert cli.run(["evaluate", "--schema", str(oracle_dir / "schema.json"),
+                    "--microdata-hh", str(oracle_dir / "households.csv"),
+                    "--microdata-p", str(oracle_dir / "persons.csv"),
+                    "--syn-hh", str(inv / "households.csv"),
+                    "--syn-p", str(inv / "persons.csv"),
+                    "--tract-marginals", str(oracle_dir / "tract_marginals.csv"),
+                    "--out-dir", str(out)]) == 0
+    got = {p.name: _digest(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    assert got == EVALUATE_PINS
