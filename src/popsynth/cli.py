@@ -26,7 +26,6 @@ from . import evaluation, generation, oracle, training, vae
 from .schema import (
     DataError,
     SchemaError,
-    empirical_marginals,
     encode_onehot,
     load_microdata,
     load_schema,
@@ -89,19 +88,16 @@ def _config_dict(args) -> dict:
     }
 
 
-def _resolve_window(schema, *record_sets):
-    """Pin an open n_window to the largest household in any of the record
-    sets (at least 1), so that every table built from them has one layout."""
-    if schema.n_window is not None:
-        return schema
-    return schema.with_n_window(
-        max([1, *(len(r.persons) for records in record_sets for r in records)])
-    )
-
-
-def _load_tables(args, schema):
-    records = load_microdata(args.microdata_hh, args.microdata_p, schema)
-    return restructure(records, schema)
+def _load_tables(schema, *path_pairs):
+    """One restructured table per (household CSV, person CSV) pair. An open
+    n_window is pinned to the largest household in any of them (at least 1),
+    so that every table has one layout."""
+    record_sets = [load_microdata(hh, p, schema) for hh, p in path_pairs]
+    if schema.n_window is None:
+        schema = schema.with_n_window(
+            max([1, *(len(r.persons) for records in record_sets for r in records)])
+        )
+    return [restructure(records, schema) for records in record_sets]
 
 
 def _train_config(args, **overrides) -> training.TrainConfig:
@@ -130,8 +126,7 @@ def _add_train_flags(p, epochs):
 
 def _cmd_restructure(args) -> int:
     started = time.time()
-    schema = load_schema(args.schema)
-    table = _load_tables(args, schema)
+    [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "restructured.csv")
     write_restructured(table, out)
@@ -153,8 +148,7 @@ def _cmd_restructure(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     started = time.time()
-    schema = load_schema(args.schema)
-    table = _load_tables(args, schema)
+    [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
     widths = tuple(int(w) for w in args.hidden_widths.split(",")) if args.hidden_widths else None
     model = vae.init_model(
@@ -190,7 +184,7 @@ def _cmd_finetune(args) -> int:
     schema = load_schema(args.schema)
     if schema.fingerprint() != model.schema_fingerprint:
         raise DataError("schema does not match the model's schema fingerprint")
-    table = _load_tables(args, schema)
+    [table] = _load_tables(schema, (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
@@ -216,8 +210,8 @@ def _cmd_finetune(args) -> int:
     marg_path = f"{args.out_latent}.soft_marginals.json"
     _write_json_atomic(
         {
-            "household": {k: list(v) for k, v in result.household_marginals.items()},
-            "person": {k: list(v) for k, v in result.person_marginals.items()},
+            "household": {k: list(result.marginals[k]) for k in schema.household_names},
+            "person": {k: list(result.marginals[k]) for k in schema.person_names},
             "final_losses": result.final_losses,
         },
         marg_path,
@@ -283,12 +277,10 @@ def _report_dir(args) -> str:
 
 def _cmd_evaluate(args) -> int:
     started = time.time()
-    schema = load_schema(args.schema)
-    micro_records = load_microdata(args.microdata_hh, args.microdata_p, schema)
-    syn_records = load_microdata(args.syn_hh, args.syn_p, schema)
-    schema = _resolve_window(schema, micro_records, syn_records)
-    micro = restructure(micro_records, schema)
-    syn = restructure(syn_records, schema)
+    micro, syn = _load_tables(
+        load_schema(args.schema), (args.microdata_hh, args.microdata_p), (args.syn_hh, args.syn_p)
+    )
+    schema = micro.schema
     targets = (
         load_target_marginals(args.tract_marginals, schema)
         if args.tract_marginals
@@ -324,22 +316,16 @@ def _cmd_evaluate(args) -> int:
         )
         outputs.append(path)
 
-    micro_marg = empirical_marginals(micro)
-    syn_marg = empirical_marginals(syn)
-    variables = {}
-    for var in schema.household_vars + schema.person_vars:
-        is_hh = var.name in schema.household_names
-        cats = list(var.categories if is_hh else var.categories[:-1])
-        pick = lambda m: (
-            m.household_targets[var.name] if is_hh else m.person_targets[var.name]
-        )
-        variables[var.name] = {
-            "categories": cats,
-            "microdata": [float(v) for v in pick(micro_marg)],
-            "synthetic": [float(v) for v in pick(syn_marg)],
-            "target": [float(v) for v in pick(targets)] if targets else None,
+    variables = {
+        var.name: {
+            "categories": list(var.levels),
+            "microdata": [float(v) for v in report.reference[var.name]],
+            "synthetic": [float(v) for v in report.synthetic[var.name]],
+            "target": [float(v) for v in targets.proportions[var.name]] if targets else None,
             "metrics": report.rows[var.name],
         }
+        for var in schema.variables
+    }
     summary = {
         "variables": variables,
         "means": report.means,
@@ -382,14 +368,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_privacy(args) -> int:
     started = time.time()
-    schema = load_schema(args.schema)
-    micro_records = load_microdata(args.microdata_hh, args.microdata_p, schema)
-    a_records = load_microdata(args.a_hh, args.a_p, schema)
-    b_records = load_microdata(args.b_hh, args.b_p, schema)
-    schema = _resolve_window(schema, micro_records, a_records, b_records)
-    micro = restructure(micro_records, schema)
-    inv_a = restructure(a_records, schema)
-    inv_b = restructure(b_records, schema)
+    tables = _load_tables(
+        load_schema(args.schema),
+        (args.microdata_hh, args.microdata_p),
+        (args.a_hh, args.a_p),
+        (args.b_hh, args.b_p),
+    )
+    schema = tables[0].schema
 
     out_dir = _report_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -398,15 +383,11 @@ def _cmd_privacy(args) -> int:
 
     dist_path = os.path.join(out_dir, "dcr_distances.csv")
     rows = []
-    for level in ("household", "person"):
-        if level == "household":
-            m = evaluation.household_matrix(micro)
-            xa = evaluation.household_matrix(inv_a)
-            xb = evaluation.household_matrix(inv_b)
-        else:
-            m = evaluation.person_level_matrix(micro)
-            xa = evaluation.person_level_matrix(inv_a)
-            xb = evaluation.person_level_matrix(inv_b)
+    for level, matrix in (
+        ("household", evaluation.household_matrix),
+        ("person", evaluation.person_level_matrix),
+    ):
+        m, xa, xb = (matrix(table) for table in tables)
         da = evaluation.dcr(xa, m)
         db = evaluation.dcr(xb, m)
         ks = evaluation.ks_test(da, db, binned=args.binned, bins=args.bins)

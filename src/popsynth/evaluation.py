@@ -25,9 +25,9 @@ import scipy.stats
 from .losses import clamp01, pairwise_mean_bce
 from .schema import (
     RestructuredTable,
-    empirical_marginals,
     encode_onehot,
     marginal_counts,
+    marginals_from_counts,
     one_hot,
 )
 
@@ -121,17 +121,11 @@ def _pair_counts(table: RestructuredTable, var_a: str, var_b: str) -> np.ndarray
     involving a person variable counts persons (non-NA in every person
     variable involved)."""
     schema = table.schema
-    hh_names = schema.household_names
-    if var_a in hh_names and var_b in hh_names:
-        view, variables = table.households, schema.household_vars
-    else:
-        view, variables = table.person_codes(), schema.household_vars + schema.person_vars
-    names = [v.name for v in variables]
+    households_only = {var_a, var_b} <= set(schema.household_names)
+    view = table.households if households_only else table.person_codes()
+    names = [v.name for v in schema.variables]
     ka, kb = names.index(var_a), names.index(var_b)
-    # person variables drop their last category, NA, from the table
-    wa, wb = (
-        v.width - (v.name not in hh_names) for v in (variables[ka], variables[kb])
-    )
+    wa, wb = (len(schema.variables[k].levels) for k in (ka, kb))
     a, b = view[:, ka], view[:, kb]
     keep = (a < wa) & (b < wb)
     counts = np.bincount(a[keep] * wb + b[keep], minlength=wa * wb)
@@ -191,7 +185,7 @@ def person_level_matrix(table: RestructuredTable) -> np.ndarray:
     codes = table.person_codes()
     if codes.shape[0] == 0:
         raise ValueError("table has no persons")
-    widths = [v.width for v in schema.household_vars + schema.person_vars]
+    widths = [v.width for v in schema.variables]
     starts = np.cumsum([0, *widths[:-1]])
     return one_hot(codes, starts, sum(widths))
 
@@ -248,9 +242,12 @@ def ks_test(
 @dataclass
 class MetricsReport:
     """Per-variable fidelity rows plus their mean; target columns appear only
-    when tract targets were supplied."""
+    when tract targets were supplied. ``synthetic`` and ``reference`` are the
+    proportions the rows compare."""
 
     rows: dict[str, dict[str, float]]
+    synthetic: dict[str, np.ndarray] = field(default_factory=dict)
+    reference: dict[str, np.ndarray] = field(default_factory=dict)
     means: dict[str, float] = field(default_factory=dict)
 
     def finalize(self):
@@ -268,32 +265,23 @@ def marginal_report(
     table_ref: RestructuredTable,
     targets=None,
 ) -> MetricsReport:
-    syn_marg = empirical_marginals(table_syn)
-    ref_marg = empirical_marginals(table_ref)
-    syn_hh_counts, syn_p_counts = marginal_counts(table_syn)
-    ref_hh_counts, ref_p_counts = marginal_counts(table_ref)
-
-    def proportions(marg, name, is_hh):
-        return marg.household_targets[name] if is_hh else marg.person_targets[name]
-
+    syn_counts = marginal_counts(table_syn)
+    syn = marginals_from_counts(table_syn, syn_counts).proportions
+    ref = marginals_from_counts(table_ref, marginal_counts(table_ref)).proportions
     rows = {}
-    schema = table_syn.schema
-    for name in schema.household_names + schema.person_names:
-        is_hh = name in schema.household_names
-        syn_p = proportions(syn_marg, name, is_hh)
-        ref_p = proportions(ref_marg, name, is_hh)
-        counts = syn_hh_counts[name] if is_hh else syn_p_counts[name]
+    for name, counts in syn_counts.items():
+        syn_p, ref_p = syn[name], ref[name]
         row = {
             "rmse_vs_microdata": rmse_metric(syn_p, ref_p),
             "kl_vs_microdata": kl_metric(syn_p, ref_p),
             "p_vs_microdata": chi_square_test(counts, ref_p).p_value,
         }
         if targets is not None:
-            tgt = proportions(targets, name, is_hh)
+            tgt = targets.proportions[name]
             row["rmse_vs_target"] = rmse_metric(syn_p, tgt)
             row["kl_vs_target"] = kl_metric(syn_p, tgt)
             row["p_vs_target"] = chi_square_test(counts, tgt).p_value
             row["baseline_rmse"] = rmse_metric(ref_p, tgt)
             row["baseline_kl"] = kl_metric(ref_p, tgt)
         rows[name] = row
-    return MetricsReport(rows).finalize()
+    return MetricsReport(rows, syn, ref).finalize()

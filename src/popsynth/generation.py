@@ -211,7 +211,7 @@ def default_rules(schema: Schema) -> list[SanityRule]:
     hh_names = set(schema.household_names)
     if "AGEP" not in set(schema.person_names):
         return rules
-    ages = schema.person_var("AGEP").categories[:-1]
+    ages = schema.person_var("AGEP").levels
     if "R65" in hh_names and "65-69" in ages:
         seniors = ages[ages.index("65-69") :]
         rules.append(

@@ -176,8 +176,7 @@ def dbce(
 class MarginalRmseResult:
     loss: float
     grad: np.ndarray
-    household_marginals: dict[str, np.ndarray]
-    person_marginals: dict[str, np.ndarray]
+    marginals: dict[str, np.ndarray]
 
 
 def marginal_rmse_loss(
@@ -187,49 +186,44 @@ def marginal_rmse_loss(
 ) -> MarginalRmseResult:
     """RMSE between the batch's soft marginals and the target marginals.
 
-    Household marginals average each category's probability over rows. Person
-    marginals pool all slots and normalise by the expected non-NA mass of the
-    variable, so padding does not dilute them; the gradient flows through that
-    ratio. The loss is a single RMSE over all (variable, category) deviations
-    concatenated across variables.
+    A variable's soft marginal sums its level columns over rows and over the
+    slots its groups occupy, and divides by the expected mass: the row count
+    for a household variable, the expected non-NA mass (one minus the last,
+    NA, column, summed over rows and slots) for a person variable, so padding
+    does not dilute it; the gradient flows through that ratio. The loss is a
+    single RMSE over all (variable, level) deviations concatenated across
+    variables.
     """
     n_t = pred.shape[0]
     if n_t == 0:
         raise ValueError("empty batch")
-    hh_groups = [g for g in groups if g.slot is None]
-    person_groups: dict[str, list[ColumnGroup]] = {}
+    by_var: dict[str, list[ColumnGroup]] = {}
     for g in groups:
-        if g.slot is not None:
-            person_groups.setdefault(g.var, []).append(g)
+        by_var.setdefault(g.var, []).append(g)
 
     diffs = []
-    hh_marg: dict[str, np.ndarray] = {}
-    p_marg: dict[str, np.ndarray] = {}
-    person_state = {}
-    for g in hh_groups:
-        if g.var not in targets.household_targets:
-            raise ValueError(f"no target marginal for household variable {g.var!r}")
-        m = pred[:, g.start : g.stop].mean(axis=0)
-        hh_marg[g.var] = m
-        diffs.append(m - targets.household_targets[g.var])
-    for var, var_groups in person_groups.items():
-        if var not in targets.person_targets:
-            raise ValueError(f"no target marginal for person variable {var!r}")
-        width = var_groups[0].width
-        numer = np.zeros(width - 1)
+    marginals: dict[str, np.ndarray] = {}
+    state = {}
+    for var, var_groups in by_var.items():
+        if var not in targets.proportions:
+            raise ValueError(f"no target marginal for variable {var!r}")
+        target = targets.proportions[var]
+        numer = np.zeros(target.size)
         denom = 0.0
         for g in var_groups:
+            # a slot group carries one column past the levels: NA
+            if g.width - target.size != (g.slot is not None):
+                raise ValueError(
+                    f"target for {var!r} has {target.size} levels; its group has {g.width} columns"
+                )
             block = pred[:, g.start : g.stop]
-            numer += block[:, :-1].sum(axis=0)
-            denom += (1.0 - block[:, -1]).sum()
+            numer += block[:, : target.size].sum(axis=0)
+            denom += n_t if g.slot is None else (1.0 - block[:, -1]).sum()
         if denom < 1e-6:
-            raise ValueError(
-                f"person variable {var!r} has no expected non-NA mass"
-            )
-        m = numer / denom
-        p_marg[var] = m
-        person_state[var] = (numer, denom)
-        diffs.append(m - targets.person_targets[var])
+            raise ValueError(f"variable {var!r} has no expected non-NA mass")
+        marginals[var] = numer / denom
+        state[var] = (numer, denom)
+        diffs.append(marginals[var] - target)
 
     flat = np.concatenate(diffs)
     m_total = flat.size
@@ -238,17 +232,13 @@ def marginal_rmse_loss(
     grad = np.zeros_like(pred)
     scale = 1.0 / (m_total * max(rmse, 1e-12))
     k = 0
-    for g in hh_groups:
-        dv = flat[k : k + g.width] * scale / n_t
-        grad[:, g.start : g.stop] += dv[None, :]
-        k += g.width
-    for var, var_groups in person_groups.items():
-        width = var_groups[0].width
-        dv = flat[k : k + width - 1] * scale
-        numer, denom = person_state[var]
+    for var, var_groups in by_var.items():
+        numer, denom = state[var]
+        dv = flat[k : k + numer.size] * scale
         d_na = float((dv * numer).sum()) / denom**2
         for g in var_groups:
-            grad[:, g.start : g.stop - 1] += dv[None, :] / denom
-            grad[:, g.stop - 1] += d_na
-        k += width - 1
-    return MarginalRmseResult(rmse, grad, hh_marg, p_marg)
+            grad[:, g.start : g.start + numer.size] += dv[None, :] / denom
+            if g.slot is not None:
+                grad[:, g.stop - 1] += d_na
+        k += numer.size
+    return MarginalRmseResult(rmse, grad, marginals)

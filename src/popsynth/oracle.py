@@ -200,15 +200,18 @@ def analytic_marginals(
                     for edu, ep in EDU_GIVEN_AGE[age].items():
                         edu_mass[edu] += w * cp * ap * ep
     total_persons = sum(age_mass.values())
+    shares = {
+        "TEN": ten,
+        "VEH": veh,
+        "R65": r65,
+        "AGEP": {c: m / total_persons for c, m in age_mass.items()},
+        "EDU": {c: m / total_persons for c, m in edu_mass.items()},
+    }
+    schema = desk_schema()
     return TargetMarginals(
-        household_targets={
-            "TEN": np.array([ten[c] for c in TENURES]),
-            "VEH": np.array([veh[c] for c in VEHICLES]),
-            "R65": np.array([r65["No"], r65["Yes"]]),
-        },
-        person_targets={
-            "AGEP": np.array([age_mass[c] / total_persons for c in AGES]),
-            "EDU": np.array([edu_mass[c] / total_persons for c in EDUS]),
+        {
+            v.name: np.array([shares[v.name][c] for c in v.levels])
+            for v in schema.variables
         },
         n_households=n_households,
         n_persons=round(n_households * expected_size) if n_households else None,

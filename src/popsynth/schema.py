@@ -31,11 +31,17 @@ Microdata: two CSV files with header rows. The household file needs
 ``household_id`` plus one column per person variable. Extra columns are
 ignored.
 
+A marginal is one vector per variable over its ``levels``: every category of
+a household variable, every category but the trailing ``NA`` of a person
+variable (households count households; persons count the persons with a
+non-NA value). ``TargetMarginals.proportions`` maps each variable name, in
+schema order, to that vector.
+
 Marginal targets: CSV with header ``variable,category,count_or_proportion``,
-one row per category, plus a ``__n_households__`` row carrying the tract's
-household count (and optionally ``__n_persons__``). Person variables are
-listed without their ``NA`` category. Counts are normalised to proportions
-per variable.
+one row per level, plus a ``__n_households__`` row carrying the tract's
+household count (a positive integer; optionally ``__n_persons__``, a
+non-negative integer). Counts must be finite and non-negative; they are
+normalised to proportions per variable.
 
 Every file is written through ``write_atomic``: to ``<path>.tmp``, then
 renamed over ``path``.
@@ -82,6 +88,11 @@ class Variable:
         return len(self.categories)
 
     @property
+    def levels(self) -> tuple[str, ...]:
+        """The categories a marginal counts: all but the trailing NA."""
+        return self.categories[:-1] if self.has_na else self.categories
+
+    @property
     def na_index(self) -> int:
         if not self.has_na:
             raise SchemaError(f"variable {self.name!r} has no NA category")
@@ -113,11 +124,11 @@ class Schema:
             raise SchemaError("schema needs at least one household variable")
         if not self.person_vars:
             raise SchemaError("schema needs at least one person variable")
-        names = [v.name for v in self.household_vars + self.person_vars]
+        names = [v.name for v in self.variables]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise SchemaError(f"duplicate variable name(s): {sorted(dupes)}")
-        for var in self.household_vars + self.person_vars:
+        for var in self.variables:
             if not var.categories:
                 raise SchemaError(f"variable {var.name!r} has no categories")
             cats = list(var.categories)
@@ -166,6 +177,11 @@ class Schema:
             if v.name == name:
                 return v
         raise SchemaError(f"no person variable named {name!r}")
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """Household variables, then person variables."""
+        return self.household_vars + self.person_vars
 
     @property
     def household_names(self) -> tuple[str, ...]:
@@ -284,15 +300,13 @@ class EncodedMatrix:
 @dataclass
 class DecodeStats:
     forced_na_cells: int = 0
-    all_na_rows: int = 0
 
 
 @dataclass
 class TargetMarginals:
-    """Per-variable category proportions; person variables exclude NA."""
+    """Per-variable proportions over ``Variable.levels``, in schema order."""
 
-    household_targets: dict[str, np.ndarray]
-    person_targets: dict[str, np.ndarray]
+    proportions: dict[str, np.ndarray]
     n_households: int
     n_persons: int | None = None
 
@@ -337,7 +351,10 @@ def load_schema(path) -> Schema:
         sort_key = [sort_key]
     n_window = raw.get("n_window")
     if n_window is not None:
-        n_window = int(n_window)
+        try:
+            n_window = int(str(n_window))  # "x", 2.5 and true are errors, not truncated
+        except ValueError:
+            raise SchemaError(f"n_window must be an integer, not {raw['n_window']!r}") from None
     return Schema(
         household_vars=build("household", is_person=False),
         person_vars=build("person", is_person=True),
@@ -550,10 +567,7 @@ def decode_onehot_with_stats(
         codes[:, n_hh:].reshape(n, schema.n_window, na.size),
     )
     padding = ~table.occupied[:, :, None]
-    stats = DecodeStats(
-        forced_na_cells=int((padding & (table.persons != na)).sum()),
-        all_na_rows=int(padding.all(axis=(1, 2)).sum()),
-    )
+    stats = DecodeStats(forced_na_cells=int((padding & (table.persons != na)).sum()))
     table.persons = _sort_slots(np.where(padding, na, table.persons), schema)
     return table, stats
 
@@ -562,44 +576,57 @@ def decode_onehot_with_stats(
 # marginals
 
 
-def marginal_counts(
-    table: RestructuredTable,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Raw category counts: households for household vars, non-NA persons
-    (per variable) for person vars. Person count vectors exclude NA, and
-    padding slots are NA throughout, so they never count."""
+def marginal_counts(table: RestructuredTable) -> dict[str, np.ndarray]:
+    """Raw counts over each variable's levels, in schema order: households
+    for a household variable, persons for a person variable. NA is not a
+    level, and padding slots are NA throughout, so they never count."""
     schema = table.schema
-    hh = {
-        v.name: np.bincount(table.households[:, k], minlength=v.width)
-        for k, v in enumerate(schema.household_vars)
+    persons = np.moveaxis(table.persons, 2, 0).reshape(len(schema.person_vars), -1)
+    columns = [*table.households.T, *persons]
+    return {
+        v.name: np.bincount(column, minlength=v.width)[: len(v.levels)]
+        for v, column in zip(schema.variables, columns)
     }
-    pp = {
-        v.name: np.bincount(table.persons[:, :, k].ravel(), minlength=v.width)[:-1]
-        for k, v in enumerate(schema.person_vars)
-    }
-    return hh, pp
 
 
-def empirical_marginals(table: RestructuredTable) -> TargetMarginals:
-    """Observed proportions; NA never enters a person variable's numerator
-    or denominator."""
+def marginals_from_counts(
+    table: RestructuredTable, counts: dict[str, np.ndarray]
+) -> TargetMarginals:
+    """Proportions of ``marginal_counts(table)``; NA never enters a person
+    variable's numerator or denominator."""
     if table.n_rows == 0:
         raise DataError("cannot compute marginals of an empty table")
-    hh_counts, p_counts = marginal_counts(table)
-    hh = {name: c / c.sum() for name, c in hh_counts.items()}
-    persons = {}
-    for name, c in p_counts.items():
+    proportions = {}
+    for name, c in counts.items():
         total = c.sum()
         if total == 0:
             raise DataError(f"no persons with a non-NA value for {name!r}")
-        persons[name] = c / total
-    anchor_counts = p_counts[table.schema.slot_anchor]
-    return TargetMarginals(
-        household_targets=hh,
-        person_targets=persons,
-        n_households=table.n_rows,
-        n_persons=int(anchor_counts.sum()),
-    )
+        proportions[name] = c / total
+    n_persons = int(counts[table.schema.slot_anchor].sum())
+    return TargetMarginals(proportions, table.n_rows, n_persons)
+
+
+def empirical_marginals(table: RestructuredTable) -> TargetMarginals:
+    """Observed proportions of every variable."""
+    return marginals_from_counts(table, marginal_counts(table))
+
+
+def _number(raw: str, what: str) -> float:
+    """A finite, non-negative number from a marginals file."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DataError(f"{what}: {raw!r} is not a number") from None
+    if not np.isfinite(value) or value < 0:
+        raise DataError(f"{what}: {raw!r} is not a finite non-negative number")
+    return value
+
+
+def _whole(raw: str, what: str) -> int:
+    value = _number(raw, what)
+    if not value.is_integer():
+        raise DataError(f"{what}: {raw!r} is not a whole number")
+    return int(value)
 
 
 def load_target_marginals(path, schema: Schema) -> TargetMarginals:
@@ -609,14 +636,12 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
     n_persons = None
     for var, cat, raw in rows:
         if var == N_HOUSEHOLDS_KEY:
-            n_households = int(float(raw))
+            n_households = _whole(raw, f"{path}: {N_HOUSEHOLDS_KEY}")
             continue
         if var == N_PERSONS_KEY:
-            n_persons = int(float(raw))
+            n_persons = _whole(raw, f"{path}: {N_PERSONS_KEY}")
             continue
-        value = float(raw)
-        if value < 0:
-            raise DataError(f"negative count for {var!r}/{cat!r} in {path}")
+        value = _number(raw, f"{path}: count for {var!r}/{cat!r}")
         by_var.setdefault(var, {})
         if cat in by_var[var]:
             raise DataError(f"duplicate row for {var!r}/{cat!r} in {path}")
@@ -627,45 +652,35 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
     if n_households <= 0:
         raise DataError(f"{path}: household total must be positive")
 
-    def vector(var: Variable, cats: tuple[str, ...]) -> np.ndarray:
-        got = by_var.pop(var.name, None)
+    proportions = {}
+    for v in schema.variables:
+        got = by_var.pop(v.name, None)
         if got is None:
-            raise DataError(f"{path}: no rows for variable {var.name!r}")
-        unknown = set(got) - set(cats)
+            raise DataError(f"{path}: no rows for variable {v.name!r}")
+        if v.has_na and NA in got:
+            raise DataError(f"{path}: person variable {v.name!r} must not list an NA target")
+        unknown = set(got) - set(v.levels)
         if unknown:
             raise DataError(
                 f"{path}: unknown categor{'ies' if len(unknown) > 1 else 'y'} "
-                f"{sorted(unknown)} for variable {var.name!r}"
+                f"{sorted(unknown)} for variable {v.name!r}"
             )
-        vec = np.array([got.get(c, 0.0) for c in cats], dtype=np.float64)
+        vec = np.array([got.get(c, 0.0) for c in v.levels], dtype=np.float64)
         total = vec.sum()
         if total <= 0:
-            raise DataError(f"{path}: variable {var.name!r} has zero total")
-        if abs(total - 1.0) > 1e-9:
-            vec = vec / total
-        return vec
-
-    hh = {v.name: vector(v, v.categories) for v in schema.household_vars}
-    persons = {}
-    for v in schema.person_vars:
-        if v.name in by_var and NA in by_var[v.name]:
-            raise DataError(
-                f"{path}: person variable {v.name!r} must not list an NA target"
-            )
-        persons[v.name] = vector(v, v.categories[:-1])
+            raise DataError(f"{path}: variable {v.name!r} has zero total")
+        proportions[v.name] = vec / total if abs(total - 1.0) > 1e-9 else vec
     if by_var:
         raise DataError(f"{path}: rows for unknown variable(s) {sorted(by_var)}")
-    return TargetMarginals(hh, persons, n_households, n_persons)
+    return TargetMarginals(proportions, n_households, n_persons)
 
 
 def write_target_marginals(targets: TargetMarginals, schema: Schema, path) -> None:
-    rows = []
-    for var in schema.household_vars:
-        for cat, p in zip(var.categories, targets.household_targets[var.name]):
-            rows.append([var.name, cat, f"{p:.12g}"])
-    for var in schema.person_vars:
-        for cat, p in zip(var.categories[:-1], targets.person_targets[var.name]):
-            rows.append([var.name, cat, f"{p:.12g}"])
+    rows = [
+        [v.name, cat, f"{p:.12g}"]
+        for v in schema.variables
+        for cat, p in zip(v.levels, targets.proportions[v.name])
+    ]
     rows.append([N_HOUSEHOLDS_KEY, "", targets.n_households])
     if targets.n_persons is not None:
         rows.append([N_PERSONS_KEY, "", targets.n_persons])
@@ -713,11 +728,20 @@ def write_restructured(table: RestructuredTable, path) -> None:
 
 
 def write_encoded(matrix: EncodedMatrix, schema: Schema, path) -> None:
+    categories = {v.name: v.categories for v in schema.variables}
     header = []
     for g in matrix.groups:
-        var = (
-            schema.household_var(g.var) if g.slot is None else schema.person_var(g.var)
-        )
         prefix = g.var if g.slot is None else f"{g.var}__s{g.slot}"
-        header.extend(f"{prefix}={c}" for c in var.categories)
-    write_csv(path, header, ([f"{v:.12g}" for v in row] for row in matrix.values))
+        header.extend(f"{prefix}={c}" for c in categories[g.var])
+    write_csv(path, header, _formatted_rows(matrix.values))
+
+
+def _formatted_rows(values: np.ndarray):
+    """Rows of ``values`` as ``.12g`` strings. Each distinct value of a block
+    of rows is formatted once; unique by bit pattern, so -0.0 keeps its sign.
+    Blocks of 256 rows keep the temporaries of ``np.unique`` small."""
+    for start in range(0, values.shape[0], 256):
+        block = np.ascontiguousarray(values[start : start + 256], dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array([f"{v:.12g}" for v in bits.view(np.float64)], dtype=object)
+        yield from text[inverse.reshape(block.shape)].tolist()

@@ -114,8 +114,9 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch])
 
 
-def _assert_finite(value: float, epoch: int, what: str) -> None:
-    if not np.isfinite(value):
+def _assert_finite(value, epoch: int, what: str) -> None:
+    """``value``: a loss, or a whole gradient array."""
+    if not np.isfinite(value).all():
         raise TrainingDivergedError(f"{what} became non-finite at epoch {epoch}")
 
 
@@ -164,6 +165,7 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
             model.encode_backward(
                 dmu + config.kl_weight * dmu_kl, dls + config.kl_weight * dls_kl
             )
+            _assert_finite(model.flat.grad, epoch, "pretraining gradient")
             opt.step(lr)
             fl_sum += fl
             kl_sum += kl
@@ -200,8 +202,7 @@ def init_latent(n_households: int, width: int, seed: int) -> LatentMatrix:
 class FinetuneResult:
     history: list[tuple]
     final_losses: dict[str, float]
-    household_marginals: dict[str, np.ndarray]
-    person_marginals: dict[str, np.ndarray]
+    marginals: dict[str, np.ndarray]
 
 
 def finetune(
@@ -258,6 +259,7 @@ def finetune(
         _assert_finite(total, epoch, "fine-tuning loss")
         z_param.zero_grad()
         z_param.grad += model.decode_backward(dprobs, with_params=False)
+        _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
         opt.step(lr)
         history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))
 
@@ -272,8 +274,7 @@ def finetune(
             "norm_kl": dres.norm_kl,
             "total": total,
         },
-        household_marginals=mres.household_marginals,
-        person_marginals=mres.person_marginals,
+        marginals=mres.marginals,
     )
 
 

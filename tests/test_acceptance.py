@@ -230,11 +230,9 @@ def test_gradient_correctness(verdict):
         from popsynth.schema import TargetMarginals
 
         targets = TargetMarginals(
-            household_targets={
-                "OWN": np.array([0.6, 0.4]), "CAR": np.array([0.2, 0.5, 0.3])
-            },
-            person_targets={
-                "AGE": np.array([0.3, 0.5, 0.2]), "JOB": np.array([0.4, 0.3, 0.3])
+            {
+                "OWN": np.array([0.6, 0.4]), "CAR": np.array([0.2, 0.5, 0.3]),
+                "AGE": np.array([0.3, 0.5, 0.2]), "JOB": np.array([0.4, 0.3, 0.3]),
             },
             n_households=n,
         )

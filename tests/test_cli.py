@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from popsynth import training, vae
-from popsynth.cli import _resolve_window, run
-from popsynth.schema import HouseholdRecord
+from popsynth.cli import _load_tables, run
+from popsynth.schema import DataError, HouseholdRecord
 
 TINY_WIDTHS = "16,14,12,12,10,8"
 
@@ -341,13 +342,88 @@ def test_malformed_artifact_is_exit_1(data_dir, artifacts, tmp_path, fmt, corrup
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_open_window_resolves_over_all_record_sets(tiny_schema):
+def write_records(tmp_path, name, records):
+    """The household and person CSVs of ``records`` (tiny schema columns)."""
+    hh, pp = tmp_path / f"{name}_hh.csv", tmp_path / f"{name}_p.csv"
+    hh.write_text("household_id,OWN,CAR\n" + "".join(
+        f"{r.household_id},{','.join(r.values)}\n" for r in records))
+    pp.write_text("household_id,AGE,JOB\n" + "".join(
+        f"{r.household_id},{','.join(p)}\n" for r in records for p in r.persons))
+    return hh, pp
+
+
+@pytest.mark.filterwarnings("ignore:person table")
+def test_open_window_resolves_over_all_record_sets(tiny_schema, tmp_path):
     open_schema = tiny_schema.with_n_window(None)
-    assert _resolve_window(open_schema, [], []).n_window == 1
-    three = HouseholdRecord("h", ("yes", "0"), [("kid", "none")] * 3)
-    empty = HouseholdRecord("e", ("no", "1"), [])
-    assert _resolve_window(open_schema, [empty], [three], []).n_window == 3
-    assert _resolve_window(tiny_schema, [three]).n_window == tiny_schema.n_window
+    none = write_records(tmp_path, "none", [])
+    tables = _load_tables(open_schema, none, none)
+    assert [t.schema.n_window for t in tables] == [1, 1]
+    three = write_records(tmp_path, "three", [HouseholdRecord("h", ("yes", "0"), [("kid", "none")] * 3)])
+    empty = write_records(tmp_path, "empty", [HouseholdRecord("e", ("no", "1"), [])])
+    tables = _load_tables(open_schema, empty, three, none)
+    assert [t.schema.n_window for t in tables] == [3, 3, 3]
+    assert [t.n_rows for t in tables] == [1, 1, 0]
+    # a pinned window is never widened
+    with pytest.raises(DataError, match="n_window is 2"):
+        _load_tables(tiny_schema, three)
+
+
+def replace_first(var, value):
+    """Set the count of the first marginals row of ``var`` to ``value``."""
+    def mutate(rows):
+        i = next(i for i, row in enumerate(rows) if row[0] == var)
+        return rows[:i] + [[var, rows[i][1], value]] + rows[i + 1 :]
+    return mutate
+
+
+BAD_MARGINALS = {
+    "non-numeric-count": replace_first("TEN", "many"),
+    "nan-count": replace_first("TEN", "nan"),
+    "negative-count": replace_first("TEN", "-1"),
+    "inf-household-total": replace_first("__n_households__", "inf"),
+    "zero-household-total": replace_first("__n_households__", "0"),
+    "missing-household-total": lambda rows: [r for r in rows if r[0] != "__n_households__"],
+    "duplicate-row": lambda rows: rows + rows[:1],
+    "zero-variable-total": lambda rows: [[*r[:2], "0"] if r[0] == "TEN" else r for r in rows],
+    "unknown-variable": lambda rows: rows + [["XYZ", "a", "1"]],
+    "unknown-category": lambda rows: rows + [["TEN", "Castle", "1"]],
+    "person-na-target": lambda rows: rows + [["AGEP", "NA", "0.1"]],
+}
+
+
+BAD_N_WINDOWS = {"non-numeric-n-window": "x", "fractional-n-window": 3.5}
+
+
+@pytest.mark.parametrize("case", [*sorted(BAD_MARGINALS), *sorted(BAD_N_WINDOWS)])
+def test_bad_numeric_input_is_exit_1(data_dir, tmp_path, case, capsys):
+    schema, marginals = data_dir / "schema.json", data_dir / "tract_marginals.csv"
+    if case in BAD_MARGINALS:
+        with open(marginals, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        marginals = tmp_path / "tract_marginals.csv"
+        with open(marginals, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *BAD_MARGINALS[case](rows)])
+    else:
+        schema = tmp_path / "schema.json"
+        raw = json.loads((data_dir / "schema.json").read_text())
+        schema.write_text(json.dumps(raw | {"n_window": BAD_N_WINDOWS[case]}))
+    capsys.readouterr()
+    rc = run(
+        [
+            "evaluate",
+            "--schema", str(schema),
+            "--microdata-hh", str(data_dir / "households.csv"),
+            "--microdata-p", str(data_dir / "persons.csv"),
+            "--syn-hh", str(data_dir / "households.csv"),
+            "--syn-p", str(data_dir / "persons.csv"),
+            "--tract-marginals", str(marginals),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 GOOD_RULE = {"id": "R65", "household_var": "R65", "household_value": "Yes",

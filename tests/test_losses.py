@@ -291,11 +291,9 @@ def test_pairwise_mean_bce_matches_bce_rows(rng):
 
 def _tiny_targets(schema):
     return TargetMarginals(
-        household_targets={
+        {
             "OWN": np.array([0.5, 0.5]),
             "CAR": np.array([0.4, 0.35, 0.25]),
-        },
-        person_targets={
             "AGE": np.array([0.3, 0.5, 0.2]),
             "JOB": np.array([0.4, 0.3, 0.3]),
         },
@@ -321,11 +319,7 @@ def test_marginal_rmse_hand_value():
     )
     groups, _ = column_layout(schema)
     pred = np.array([[0.6, 0.4, 1.0, 0.0], [0.6, 0.4, 1.0, 0.0]])
-    targets = TargetMarginals(
-        household_targets={"H": np.array([0.5, 0.5])},
-        person_targets={"P": np.array([1.0])},
-        n_households=2,
-    )
+    targets = TargetMarginals({"H": np.array([0.5, 0.5]), "P": np.array([1.0])}, n_households=2)
     res = marginal_rmse_loss(pred, targets, groups)
     # deviations: (0.1, -0.1, 0) over 3 slots
     assert res.loss == pytest.approx(np.sqrt(0.02 / 3), rel=1e-9)
@@ -340,8 +334,8 @@ def test_marginal_rmse_matches_oracle(tiny_schema, rng):
     res = marginal_rmse_loss(pred, targets, groups)
     brute = oracles.brute_marginal_rmse(
         pred,
-        targets.household_targets,
-        targets.person_targets,
+        targets.proportions,
+        targets.proportions,
         [(g.var, g.slot, g.start, g.stop) for g in groups],
     )
     assert res.loss == pytest.approx(brute, rel=1e-10)
@@ -369,6 +363,17 @@ def test_marginal_rmse_gradient_through_na_ratio(tiny_schema, rng):
         lambda p: marginal_rmse_loss(p, targets, groups).loss, pred, step=1e-6
     )
     assert oracles.max_rel_error(res.grad, numeric, floor=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("var", ["CAR", "AGE"])
+def test_marginal_rmse_rejects_target_of_wrong_length(tiny_schema, rng, var):
+    from conftest import random_simplex_batch
+
+    groups, _ = column_layout(tiny_schema)
+    targets = _tiny_targets(tiny_schema)
+    targets.proportions[var] = targets.proportions[var][:-1]
+    with pytest.raises(ValueError, match=f"target for '{var}' has 2 levels"):
+        marginal_rmse_loss(random_simplex_batch(rng, groups, 4), targets, groups)
 
 
 def test_marginal_rmse_rejects_all_na(tiny_schema):

@@ -58,16 +58,16 @@ def test_sampled_marginals_approach_analytic():
     table = restructure(recs, desk_schema())
     emp = empirical_marginals(table)
     ana = analytic_marginals()
-    for var, target in ana.household_targets.items():
-        assert rmse_metric(emp.household_targets[var], target) < 0.015
-    for var, target in ana.person_targets.items():
-        assert rmse_metric(emp.person_targets[var], target) < 0.015
+    assert list(ana.proportions) == list(emp.proportions)
+    for var, target in ana.proportions.items():
+        assert rmse_metric(emp.proportions[var], target) < 0.015
 
 
 def test_analytic_marginals_are_distributions():
     for weights in (None, SHIFTED_TYPE_WEIGHTS):
         m = analytic_marginals(weights, n_households=400)
-        for v in list(m.household_targets.values()) + list(m.person_targets.values()):
+        assert list(m.proportions) == ["TEN", "VEH", "R65", "AGEP", "EDU"]
+        for v in m.proportions.values():
             assert v.min() >= 0
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
         assert m.n_households == 400
@@ -76,13 +76,8 @@ def test_analytic_marginals_are_distributions():
 def test_shifted_weights_move_marginals():
     base = analytic_marginals(DEFAULT_TYPE_WEIGHTS)
     shift = analytic_marginals(SHIFTED_TYPE_WEIGHTS)
-    gaps = [
-        rmse_metric(base.household_targets[v], shift.household_targets[v])
-        for v in base.household_targets
-    ] + [
-        rmse_metric(base.person_targets[v], shift.person_targets[v])
-        for v in base.person_targets
-    ]
+    gaps = [rmse_metric(base.proportions[v], shift.proportions[v]) for v in base.proportions]
+    assert len(gaps) == 5
     # every attribute separates clearly, so target-fit can beat the baseline
     assert min(gaps) > 0.05
 

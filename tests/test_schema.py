@@ -19,6 +19,7 @@ from popsynth.schema import (
     load_target_marginals,
     marginal_counts,
     restructure,
+    write_encoded,
     write_restructured,
     write_schema,
     write_target_marginals,
@@ -205,18 +206,18 @@ def test_decode_sample_mode_deterministic(tiny_schema, tiny_encoded):
 
 
 def test_marginal_counts_match_hand_tally(tiny_table):
-    hh, person = marginal_counts(tiny_table)
-    np.testing.assert_array_equal(hh["OWN"], [2, 2])
-    np.testing.assert_array_equal(hh["CAR"], [2, 1, 1])
-    np.testing.assert_array_equal(person["AGE"], [1, 3, 2])
-    np.testing.assert_array_equal(person["JOB"], [2, 2, 2])
+    counts = marginal_counts(tiny_table)
+    assert list(counts) == ["OWN", "CAR", "AGE", "JOB"]
+    np.testing.assert_array_equal(counts["OWN"], [2, 2])
+    np.testing.assert_array_equal(counts["CAR"], [2, 1, 1])
+    np.testing.assert_array_equal(counts["AGE"], [1, 3, 2])
+    np.testing.assert_array_equal(counts["JOB"], [2, 2, 2])
 
 
 def test_empirical_marginals_are_proportions(tiny_table):
     m = empirical_marginals(tiny_table)
-    for v in m.household_targets.values():
-        assert v.sum() == pytest.approx(1.0)
-    for v in m.person_targets.values():
+    assert {k: v.size for k, v in m.proportions.items()} == {"OWN": 2, "CAR": 3, "AGE": 3, "JOB": 3}
+    for v in m.proportions.values():
         assert v.sum() == pytest.approx(1.0)
     assert m.n_households == 4
     assert m.n_persons == 6
@@ -280,10 +281,9 @@ def test_target_marginals_round_trip(tiny_schema, tiny_table, tmp_path):
     write_target_marginals(m, tiny_schema, p)
     back = load_target_marginals(p, tiny_schema)
     assert back.n_households == m.n_households
-    for k, v in m.household_targets.items():
-        np.testing.assert_allclose(back.household_targets[k], v)
-    for k, v in m.person_targets.items():
-        np.testing.assert_allclose(back.person_targets[k], v)
+    assert list(back.proportions) == list(m.proportions)
+    for k, v in m.proportions.items():
+        np.testing.assert_allclose(back.proportions[k], v)
 
 
 def test_target_marginals_accepts_counts(tiny_schema, tmp_path):
@@ -297,8 +297,8 @@ def test_target_marginals_accepts_counts(tiny_schema, tmp_path):
         "__n_households__,,40\n"
     )
     t = load_target_marginals(p, tiny_schema)
-    np.testing.assert_allclose(t.household_targets["OWN"], [0.75, 0.25])
-    np.testing.assert_allclose(t.person_targets["AGE"], [0.25, 0.5, 0.25])
+    np.testing.assert_allclose(t.proportions["OWN"], [0.75, 0.25])
+    np.testing.assert_allclose(t.proportions["AGE"], [0.25, 0.5, 0.25])
     assert t.n_households == 40
 
 
@@ -308,6 +308,20 @@ def test_write_restructured_format(tiny_table, tmp_path):
     header = p.read_text().splitlines()[0].split(",")
     assert header[0] == "household_id"
     assert "AGE__s0" in header and "JOB__s1" in header
+
+
+def test_write_encoded_formats_every_value(tiny_schema, tiny_encoded, tmp_path):
+    """Each distinct value is formatted once: -0.0 keeps its sign, and every
+    other cell prints exactly as formatting it on its own would."""
+    values = tiny_encoded.values.copy()
+    values[0, :4] = [-0.0, 0.125, 1e-300, np.nan]
+    values[1, :2] = [0.125, -0.0]
+    p = tmp_path / "encoded.csv"
+    write_encoded(EncodedMatrix(values, tiny_encoded.groups, ""), tiny_schema, p)
+    header, *rows = p.read_text().splitlines()
+    assert header.split(",")[:3] == ["OWN=yes", "OWN=no", "CAR=0"]
+    assert rows == [",".join(f"{v:.12g}" for v in row) for row in values]
+    assert rows[0].startswith("-0,0.125,1e-300,nan,")
 
 
 @st.composite
@@ -371,13 +385,14 @@ def test_property_encode_decode_round_trip(recs):
     for row, orig in enumerate(recs):
         assert occupied_codes(back, row) == record_codes(schema, orig.persons)
 
-    hh, person = marginal_counts(table)
+    counts = marginal_counts(table)
+    assert list(counts) == list(schema.household_names + schema.person_names)
     for k, var in enumerate(schema.household_vars):
         brute = [sum(r.values[k] == c for r in recs) for c in var.categories]
-        np.testing.assert_array_equal(hh[var.name], brute)
+        np.testing.assert_array_equal(counts[var.name], brute)
     for k, var in enumerate(schema.person_vars):
         brute = [sum(p[k] == c for r in recs for p in r.persons) for c in var.categories[:-1]]
-        np.testing.assert_array_equal(person[var.name], brute)
+        np.testing.assert_array_equal(counts[var.name], brute)
     names = schema.household_names + schema.person_names
     for i, var_a in enumerate(names):
         for var_b in names[i + 1 :]:

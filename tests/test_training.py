@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from popsynth import training
+from popsynth.losses import MarginalRmseResult
 from popsynth.nn import Param
 from popsynth.schema import EncodedMatrix, empirical_marginals
 from popsynth.training import (
@@ -249,6 +251,27 @@ def test_finetune_flags_divergence(tiny_schema, tiny_encoded, tiny_table):
     latent.z[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError):
         finetune(model, latent, targets, tiny_encoded, cfg)
+
+
+NAN_GRADIENT_HEADS = {
+    "focal_loss": lambda pred, *_: (1.0, np.full_like(pred, np.nan)),
+    "marginal_rmse_loss": lambda pred, *_: MarginalRmseResult(1.0, np.full_like(pred, np.nan), {}),
+}
+
+
+@pytest.mark.parametrize("head", sorted(NAN_GRADIENT_HEADS))
+def test_non_finite_gradient_is_divergence(tiny_schema, tiny_encoded, tiny_table, monkeypatch, head):
+    """A head with a finite loss but a NaN gradient must stop the run before
+    the optimizer writes NaN into the parameters."""
+    model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table, epochs=1)
+    monkeypatch.setattr(training, head, NAN_GRADIENT_HEADS[head])
+    with pytest.raises(TrainingDivergedError, match="gradient became non-finite at epoch 0"):
+        if head == "focal_loss":
+            pretrain(model, tiny_encoded, TrainConfig(epochs=1, seed=2))
+        else:
+            finetune(model, latent, targets, tiny_encoded, cfg)
+    assert np.isfinite(model.flat.value).all()
+    assert np.isfinite(latent.z).all()
 
 
 def test_finetune_dbce_subsample_changes_reference(tiny_schema, tiny_encoded, tiny_table):
