@@ -219,7 +219,11 @@ def _cmd_finetune(args) -> int:
     _write_manifest(
         f"{args.out_latent}.manifest.json",
         "finetune",
-        _config_dict(args),
+        _config_dict(args)
+        | {
+            "reference_rows": result.reference_rows,
+            "distinct_reference_rows": result.distinct_reference_rows,
+        },
         [args.out_latent, history_path, marg_path],
         started,
         {"schema": schema.fingerprint(), "model": model.checksum()},

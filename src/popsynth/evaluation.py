@@ -22,7 +22,7 @@ import numpy as np
 import scipy.special
 import scipy.stats
 
-from .losses import clamp01, pairwise_mean_bce
+from .losses import clamp01, distinct_rows, pairwise_mean_bce
 from .schema import (
     RestructuredTable,
     encode_onehot,
@@ -163,13 +163,16 @@ def dcr(
     syn: np.ndarray, micro: np.ndarray, chunk: int = 1024
 ) -> np.ndarray:
     """Distance of each synthetic row to its closest microdata row: minimum
-    column-mean BCE, treating the clamped synthetic row as probabilities."""
+    column-mean BCE, treating the clamped synthetic row as probabilities.
+    Only the distinct microdata rows are compared; a repeat cannot change a
+    minimum."""
     syn = np.asarray(syn, dtype=np.float64)
     micro = np.asarray(micro, dtype=np.float64)
     if syn.shape[1] != micro.shape[1]:
         raise ValueError("row widths differ")
     if syn.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty input")
+    micro = distinct_rows(micro)[0]
     out = np.empty(syn.shape[0])
     p = clamp01(syn)
     for start in range(0, p.shape[0], chunk):

@@ -94,7 +94,7 @@ def generate_inventory(
         raise DataError("schema does not match the model's schema fingerprint")
     probs = model.decode(np.asarray(latent.z, dtype=np.float64), train=False)
     matrix = EncodedMatrix(probs, model.groups, model.schema_fingerprint)
-    table, stats = decode_onehot_with_stats(matrix, schema, mode=mode, seed=seed)
+    table, forced_na_cells = decode_onehot_with_stats(matrix, schema, mode=mode, seed=seed)
     prov = Provenance(
         model_fingerprint=model.checksum(),
         schema_fingerprint=model.schema_fingerprint,
@@ -103,7 +103,7 @@ def generate_inventory(
         tract_id=tract_id,
         latent_seed=getattr(latent, "seed", None),
         n_latent_rows=latent.z.shape[0],
-        forced_na_cells=stats.forced_na_cells,
+        forced_na_cells=forced_na_cells,
         toolkit_version=toolkit_version,
     )
     return inventory_from_table(table, prov)

@@ -90,14 +90,26 @@ def latent_kl(
     return value, mu / n, 0.5 * (e - 1.0) / n
 
 
-def softmin(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def softmin(
+    values: np.ndarray, temperature: float = 1.0, weights: float | np.ndarray = 1.0
+) -> np.ndarray:
     """Softmax of -values/temperature: positive weights summing to 1 that
-    concentrate on the minimum as the temperature drops."""
+    concentrate on the minimum as the temperature drops.
+
+    ``weights`` multiplies each entry's exponential before normalising, so an
+    entry of weight c counts as c equal entries; the default 1.0 changes no
+    bit of the result.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     v = np.asarray(values, dtype=np.float64)
-    e = np.exp(-(v - v.min(axis=-1, keepdims=True)) / temperature)
-    return e / e.sum(axis=-1, keepdims=True)
+    # in place on one fresh array; x / -T has the bits of -x / T
+    e = v - v.min(axis=-1, keepdims=True)
+    e /= -temperature
+    np.exp(e, out=e)
+    e *= weights
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -112,6 +124,23 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(np.log(p) @ target.T + np.log1p(-p) @ (1.0 - target).T) / d
 
 
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``x`` in order of first occurrence, and how often
+    each occurs.
+
+    Rows are compared by their bytes, so equality is exact and -0.0 differs
+    from 0.0. When every row is distinct the rows come back in input order
+    with unit counts.
+    """
+    x = np.ascontiguousarray(x)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("expected a 2-d array with at least one column")
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return x[first[order]], counts[order]
+
+
 @dataclass
 class DbceResult:
     dbce_loss: float
@@ -123,7 +152,10 @@ class DbceResult:
 
 
 def dbce(
-    pred: np.ndarray, micro: np.ndarray, temperature: float = 1.0
+    pred: np.ndarray,
+    micro: np.ndarray,
+    temperature: float = 1.0,
+    counts: np.ndarray | None = None,
 ) -> DbceResult:
     """Decoupled BCE: realism of generated rows without a fixed row pairing.
 
@@ -133,27 +165,38 @@ def dbce(
     on each microdata row, and ``norm_kl`` penalises its divergence from
     uniform so the batch cannot collapse onto a few records. Gradients flow
     through both the pairwise BCE values and the softmin weights.
+
+    ``counts[j]`` says how many microdata records row j stands for (None:
+    one each), so the distinct rows of ``distinct_rows`` with their counts
+    give the result of the full table: row j enters the softmin with weight
+    ``counts[j]``, ``soft_index[j]`` is the mass over all its records, and
+    ``norm_kl`` sums over records. With unit counts every bit equals the
+    unweighted formula.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if pred.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty batch")
     n_t, d = pred.shape
-    n = micro.shape[0]
+    c = np.ones(micro.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
+    if c.shape != micro.shape[:1] or not (c >= 1).all():
+        raise ValueError("counts must be one positive count per microdata row")
+    n = c.sum()
     p = clamp01(pred)
 
     b = pairwise_mean_bce(p, micro)
-    s = softmin(b, temperature)
+    s = softmin(b, temperature, c)
     per_row = (s * b).sum(axis=1)
     loss = float(per_row.mean())
 
     soft_index = s.sum(axis=0)
-    q = soft_index / n_t
+    q = soft_index / (n_t * c)
     u = 1.0 / n
     ratio = (u + KL_EPS) / (q + KL_EPS)
-    norm_kl = float(((u + KL_EPS) * np.log(ratio)).sum())
+    norm_kl = float((c * (u + KL_EPS) * np.log(ratio)).sum())
 
-    # d loss / dB and d norm_kl / dB, folding the softmin Jacobian
+    # d loss / dB and d norm_kl / dB, folding the softmin Jacobian (the
+    # counts only shift the softmin logits, so its Jacobian keeps its form)
     g_loss = s * (1.0 - (b - per_row[:, None]) / temperature) / n_t
     g_kl = s * (ratio[None, :] - (s @ ratio)[:, None]) / (n_t * temperature)
 

@@ -298,11 +298,6 @@ class EncodedMatrix:
 
 
 @dataclass
-class DecodeStats:
-    forced_na_cells: int = 0
-
-
-@dataclass
 class TargetMarginals:
     """Per-variable proportions over ``Variable.levels``, in schema order."""
 
@@ -528,8 +523,9 @@ def decode_onehot_with_stats(
     schema: Schema,
     mode: str = "argmax",
     seed: int | None = None,
-) -> tuple[RestructuredTable, DecodeStats]:
-    """Map probability rows back to category codes.
+) -> tuple[RestructuredTable, int]:
+    """Map probability rows back to category codes; also return the number of
+    forced-NA cells.
 
     argmax ties break toward the lowest category index; "sample" draws one
     category per group from its probabilities, group by group in column
@@ -567,9 +563,9 @@ def decode_onehot_with_stats(
         codes[:, n_hh:].reshape(n, schema.n_window, na.size),
     )
     padding = ~table.occupied[:, :, None]
-    stats = DecodeStats(forced_na_cells=int((padding & (table.persons != na)).sum()))
+    forced_na_cells = int((padding & (table.persons != na)).sum())
     table.persons = _sort_slots(np.where(padding, na, table.persons), schema)
-    return table, stats
+    return table, forced_na_cells
 
 
 # ---------------------------------------------------------------------------

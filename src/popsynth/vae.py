@@ -102,6 +102,8 @@ class VaeModel:
         self.out_softmax = nn.GroupSoftmax(
             [(g.start, g.stop) for g in groups], "out.softmax"
         )
+        if self.out_softmax.width != d:
+            raise ValueError(f"column groups cover {self.out_softmax.width} columns, not {d}")
         self._pack()
 
     @property

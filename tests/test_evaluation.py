@@ -95,6 +95,15 @@ def test_dcr_matches_brute_force(rng):
     np.testing.assert_allclose(fast, brute, atol=1e-12)
 
 
+def test_dcr_with_repeated_rows_matches_brute_force(rng):
+    syn = rng.uniform(0.05, 0.95, size=(7, 8))
+    base = (rng.random((4, 8)) < 0.5).astype(float)
+    micro = base[rng.integers(0, 4, size=30)]
+    fast = dcr(syn, micro, chunk=3)
+    brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
+    np.testing.assert_allclose(fast, brute, atol=1e-12)
+
+
 def test_dcr_self_distance_is_tiny(tiny_encoded):
     x = tiny_encoded.values
     d = dcr(x, x)

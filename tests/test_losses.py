@@ -10,6 +10,7 @@ from popsynth.losses import (
     bce_loss,
     clamp01,
     dbce,
+    distinct_rows,
     focal_loss,
     latent_kl,
     marginal_rmse_loss,
@@ -274,6 +275,68 @@ def test_dbce_gradients(rng):
     )
     assert oracles.max_rel_error(res.grad_dbce, n_loss) < 1e-5
     assert oracles.max_rel_error(res.grad_norm_kl, n_kl) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    st.integers(1, 9),
+    st.integers(2, 12),
+    st.sampled_from([0.05, 0.3, 1.0, 2.0]),
+)
+def test_dbce_counts_equal_repeated_rows(seed, counts, n_t, d, tau):
+    """A row with count c scores exactly as c copies of it."""
+    rng = np.random.default_rng(seed)
+    counts = np.array(counts)
+    rows = (rng.random((counts.size, d)) < 0.5).astype(float)
+    pred = rng.uniform(0.02, 0.98, size=(n_t, d))
+    got = dbce(pred, rows, tau, counts)
+    full = dbce(pred, np.repeat(rows, counts, axis=0), tau)
+    assert got.dbce_loss == pytest.approx(full.dbce_loss, abs=1e-12)
+    assert got.norm_kl == pytest.approx(full.norm_kl, abs=1e-12)
+    np.testing.assert_allclose(got.per_row_softmin, full.per_row_softmin, rtol=1e-12)
+    for a, b in ((got.grad_dbce, full.grad_dbce), (got.grad_norm_kl, full.grad_norm_kl)):
+        # relative to the largest entry: a gradient that is zero in exact
+        # arithmetic (one distinct row) is rounding noise in the repeated form
+        assert np.abs(a - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
+    owner = np.repeat(np.arange(counts.size), counts)
+    np.testing.assert_allclose(
+        got.soft_index, np.bincount(owner, full.soft_index), rtol=1e-12, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0])
+def test_dbce_unit_counts_are_bitwise_the_default(rng, tau):
+    pred = rng.uniform(0.02, 0.98, size=(9, 7))
+    micro = (rng.random((6, 7)) < 0.5).astype(float)
+    a = dbce(pred, micro, tau)
+    b = dbce(pred, micro, tau, np.ones(6, dtype=np.int64))
+    for field in ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad_dbce", "grad_norm_kl"):
+        assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
+
+
+def test_dbce_rejects_bad_counts(rng):
+    pred = np.full((2, 3), 0.5)
+    micro = np.eye(3)
+    for counts in ([1, 2], [1, 0, 2], [1, -1, 1]):
+        with pytest.raises(ValueError):
+            dbce(pred, micro, 1.0, np.array(counts))
+
+
+def test_distinct_rows_keeps_first_occurrence_order():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    rows, counts = distinct_rows(x)
+    # -0.0 and 0.0 have different bytes and stay apart
+    assert rows.tobytes() == x[[0, 1, 3, 5]].tobytes()
+    assert counts.tolist() == [2, 2, 1, 1]
+
+
+def test_distinct_rows_of_distinct_rows_is_identity(rng):
+    x = rng.random((50, 9))
+    rows, counts = distinct_rows(x)
+    assert rows.tobytes() == x.tobytes()
+    assert counts.tolist() == [1] * 50
 
 
 def test_pairwise_mean_bce_matches_bce_rows(rng):

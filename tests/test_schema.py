@@ -191,12 +191,12 @@ def test_decode_forces_na_alignment(tiny_schema, tiny_table):
     row = tiny_table.household_ids.index("h2")
     x[row, job_slot1.start : job_slot1.stop] = 0.0
     x[row, job_slot1.start + 2] = 1.0
-    table, stats = decode_onehot_with_stats(
+    table, forced_na_cells = decode_onehot_with_stats(
         EncodedMatrix(x, enc.groups, enc.schema_fingerprint), tiny_schema
     )
     assert not table.occupied[row, 1]
     assert table.persons[row, 1].tolist() == [3, 3]
-    assert stats.forced_na_cells == 1
+    assert forced_na_cells == 1
 
 
 def test_decode_sample_mode_deterministic(tiny_schema, tiny_encoded):

@@ -286,6 +286,36 @@ def test_finetune_dbce_subsample_changes_reference(tiny_schema, tiny_encoded, ti
     assert r_full.history != r_sub.history
 
 
+def test_finetune_subsamples_before_deduplicating(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
+    """The matcher sees the distinct rows of the subsample, found once."""
+    repeated = EncodedMatrix(
+        np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.groups, tiny_encoded.schema_fingerprint
+    )
+    model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    cfg = TrainConfig(epochs=3, decay_start_epoch=1, seed=7, dbce_subsample=5)
+    keep = np.random.default_rng([cfg.seed, 1]).choice(12, size=5, replace=False)
+    seen, weights = [], []
+    real_distinct_rows, real_dbce = training.distinct_rows, training.dbce
+
+    def spy_distinct_rows(x):
+        seen.append(x.copy())
+        return real_distinct_rows(x)
+
+    def spy_dbce(pred, rows, temperature, counts):
+        weights.append(counts)
+        return real_dbce(pred, rows, temperature, counts)
+
+    monkeypatch.setattr(training, "distinct_rows", spy_distinct_rows)
+    monkeypatch.setattr(training, "dbce", spy_dbce)
+    res = finetune(model, latent, targets, repeated, cfg)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], repeated.values[np.sort(keep)])
+    assert len(weights) == cfg.epochs + 1
+    assert all(c.sum() == 5 for c in weights)
+    assert res.reference_rows == 5
+    assert res.distinct_reference_rows == len(np.unique(keep // 3)) < 5
+
+
 # -- persistence -----------------------------------------------------------------
 
 
