@@ -9,151 +9,4 @@ score fidelity and privacy.
 
 __version__ = "0.1.0"
 
-from .schema import (
-    NA,
-    ColumnGroup,
-    DataError,
-    EncodedMatrix,
-    HouseholdRecord,
-    RestructuredTable,
-    Schema,
-    SchemaError,
-    TargetMarginals,
-    Variable,
-    column_layout,
-    decode_onehot_with_stats,
-    empirical_marginals,
-    encode_onehot,
-    load_microdata,
-    load_schema,
-    load_target_marginals,
-    marginal_counts,
-    restructure,
-    write_schema,
-    write_target_marginals,
-)
-from .losses import (
-    DbceResult,
-    FocalParams,
-    MarginalRmseResult,
-    bce_loss,
-    dbce,
-    distinct_rows,
-    focal_loss,
-    latent_kl,
-    marginal_rmse_loss,
-    pairwise_mean_bce,
-    softmin,
-)
-from .vae import (
-    ModelFormatError,
-    VaeHyperparams,
-    VaeModel,
-    init_model,
-    load_model,
-    save_model,
-)
-from .training import (
-    LatentMatrix,
-    TrainConfig,
-    TrainingDivergedError,
-    finetune,
-    init_latent,
-    load_latent,
-    lr_schedule,
-    pretrain,
-    save_latent,
-)
-from .generation import (
-    SanityReport,
-    SanityRule,
-    SyntheticInventory,
-    default_rules,
-    generate_inventory,
-    load_rules,
-    sanity_check,
-    write_inventory,
-)
-from .evaluation import (
-    ChiSquareResult,
-    JointPairReport,
-    KsResult,
-    MetricsReport,
-    chi_square_test,
-    dcr,
-    joint_pair_metrics,
-    kl_metric,
-    ks_test,
-    marginal_report,
-    rmse_metric,
-)
-
-__all__ = [
-    "__version__",
-    "NA",
-    "ColumnGroup",
-    "DataError",
-    "EncodedMatrix",
-    "HouseholdRecord",
-    "RestructuredTable",
-    "Schema",
-    "SchemaError",
-    "TargetMarginals",
-    "Variable",
-    "column_layout",
-    "decode_onehot_with_stats",
-    "empirical_marginals",
-    "encode_onehot",
-    "load_microdata",
-    "load_schema",
-    "load_target_marginals",
-    "marginal_counts",
-    "restructure",
-    "write_schema",
-    "write_target_marginals",
-    "DbceResult",
-    "FocalParams",
-    "MarginalRmseResult",
-    "bce_loss",
-    "dbce",
-    "distinct_rows",
-    "focal_loss",
-    "latent_kl",
-    "marginal_rmse_loss",
-    "pairwise_mean_bce",
-    "softmin",
-    "ModelFormatError",
-    "VaeHyperparams",
-    "VaeModel",
-    "init_model",
-    "load_model",
-    "save_model",
-    "LatentMatrix",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "finetune",
-    "init_latent",
-    "load_latent",
-    "lr_schedule",
-    "pretrain",
-    "save_latent",
-    "SanityReport",
-    "SanityRule",
-    "SyntheticInventory",
-    "default_rules",
-    "generate_inventory",
-    "load_rules",
-    "sanity_check",
-    "write_inventory",
-    "ChiSquareResult",
-    "JointPairReport",
-    "KsResult",
-    "MetricsReport",
-    "chi_square_test",
-    "dcr",
-    "joint_pair_metrics",
-    "kl_metric",
-    "ks_test",
-    "marginal_report",
-    "rmse_metric",
-]
+from . import evaluation, generation, losses, nn, schema, training, vae  # noqa: F401

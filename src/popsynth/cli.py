@@ -6,8 +6,7 @@ configuration, fingerprints, wall-clock timings, sha256 of every emitted
 file) atomically next to its outputs. Exit codes: 0 success, 1 usage or
 validation failure (a malformed or mismatched model or latent file included),
 2 runtime failure. Seeds are explicit flags; nothing is
-seeded from the clock. ``POPSYNTH_REPORT_DIR`` overrides the default output
-directory of ``evaluate`` and ``privacy`` only.
+seeded from the clock.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import evaluation, generation, oracle, training, vae
+from .losses import distinct_rows
 from .schema import (
     DataError,
     SchemaError,
@@ -38,9 +38,6 @@ from .schema import (
     write_target_marginals,
     write_text,
 )
-
-REPORT_DIR_ENV = "POPSYNTH_REPORT_DIR"
-
 
 class UsageError(ValueError):
     pass
@@ -270,15 +267,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _report_dir(args) -> str:
-    if args.out_dir:
-        return args.out_dir
-    env = os.environ.get(REPORT_DIR_ENV)
-    if env:
-        return env
-    raise UsageError(f"--out-dir is required (or set {REPORT_DIR_ENV})")
-
-
 def _cmd_evaluate(args) -> int:
     started = time.time()
     micro, syn = _load_tables(
@@ -293,7 +281,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluation.marginal_report(syn, micro, targets)
     joint = evaluation.joint_pair_metrics(syn, micro)
 
-    out_dir = _report_dir(args)
+    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
 
@@ -380,7 +368,7 @@ def _cmd_privacy(args) -> int:
     )
     schema = tables[0].schema
 
-    out_dir = _report_dir(args)
+    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     summary = {"binned": args.binned, "bins": args.bins, "levels": {}}
@@ -392,6 +380,7 @@ def _cmd_privacy(args) -> int:
         ("person", evaluation.person_level_matrix),
     ):
         m, xa, xb = (matrix(table) for table in tables)
+        m = distinct_rows(m)[0]  # a repeated row cannot change a minimum
         da = evaluation.dcr(xa, m)
         db = evaluation.dcr(xb, m)
         ks = evaluation.ks_test(da, db, binned=args.binned, bins=args.bins)
@@ -576,7 +565,7 @@ def build_parser() -> _Parser:
     p.add_argument("--syn-hh", required=True, dest="syn_hh")
     p.add_argument("--syn-p", required=True, dest="syn_p")
     p.add_argument("--tract-marginals", default=None, dest="tract_marginals")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
+    p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("privacy", help="DCR distributions of two inventories")
@@ -585,7 +574,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a-p", required=True, dest="a_p")
     p.add_argument("--b-hh", required=True, dest="b_hh")
     p.add_argument("--b-p", required=True, dest="b_p")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
+    p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--binned", action="store_true")
     p.add_argument("--bins", type=int, default=20)
     p.set_defaults(func=_cmd_privacy)

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
-from .losses import clamp01, distinct_rows, pairwise_mean_bce
+from .losses import clamp01, pairwise_mean_bce
 from .schema import (
     RestructuredTable,
     encode_onehot,
@@ -101,7 +100,7 @@ def chi_square_test(
         return ChiSquareResult(0.0, 1.0, 0, merged)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = obs.size - 1
-    return ChiSquareResult(stat, float(scipy.stats.chi2.sf(stat, dof)), dof, merged)
+    return ChiSquareResult(stat, float(scipy.special.chdtrc(dof, stat)), dof, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +163,14 @@ def dcr(
 ) -> np.ndarray:
     """Distance of each synthetic row to its closest microdata row: minimum
     column-mean BCE, treating the clamped synthetic row as probabilities.
-    Only the distinct microdata rows are compared; a repeat cannot change a
-    minimum."""
+    Every row of ``micro`` is compared; a caller that passes only the distinct
+    rows gets the same minima for less work."""
     syn = np.asarray(syn, dtype=np.float64)
     micro = np.asarray(micro, dtype=np.float64)
     if syn.shape[1] != micro.shape[1]:
         raise ValueError("row widths differ")
     if syn.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty input")
-    micro = distinct_rows(micro)[0]
     out = np.empty(syn.shape[0])
     p = clamp01(syn)
     for start in range(0, p.shape[0], chunk):

@@ -200,31 +200,6 @@ def write_rules(rules: list[SanityRule], path) -> None:
     write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def default_rules(schema: Schema) -> list[SanityRule]:
-    """Presence-flag rules derived from conventional variable names.
-
-    When the schema carries R65/R18 household flags and an AGEP person
-    variable with standard five-year bins, tie the flags to membership of the
-    matching age range. Schemas without those names get no default rules.
-    """
-    rules = []
-    hh_names = set(schema.household_names)
-    if "AGEP" not in set(schema.person_names):
-        return rules
-    ages = schema.person_var("AGEP").levels
-    if "R65" in hh_names and "65-69" in ages:
-        seniors = ages[ages.index("65-69") :]
-        rules.append(
-            SanityRule("R65", "R65", "Yes", "AGEP", tuple(seniors), "both")
-        )
-    if "R18" in hh_names and "15-19" in ages:
-        minors = ages[: ages.index("15-19") + 1]
-        rules.append(
-            SanityRule("R18", "R18", "Yes", "AGEP", tuple(minors), "both")
-        )
-    return rules
-
-
 @dataclass
 class SanityReport:
     total_households: int

@@ -85,28 +85,21 @@ class Lion:
     """Sign-momentum optimizer.
 
     update direction: c = beta1 * m + (1 - beta1) * g
-    parameter step:   p <- p - lr * (sign(c) + weight_decay * p)
+    parameter step:   p <- p - lr * sign(c)
     momentum:         m <- beta2 * m + (1 - beta2) * g
     """
 
-    def __init__(
-        self,
-        params: list[nn.Param],
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[nn.Param], beta1: float = 0.9, beta2: float = 0.99):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
-        self.weight_decay = weight_decay
         self.momenta = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, lr: float) -> None:
-        b1, b2, wd = self.beta1, self.beta2, self.weight_decay
+        b1, b2 = self.beta1, self.beta2
         for p, m in zip(self.params, self.momenta):
             c = b1 * m + (1 - b1) * p.grad
-            p.value -= lr * (np.sign(c) + wd * p.value)
+            p.value -= lr * np.sign(c)
             m *= b2
             m += (1 - b2) * p.grad
 

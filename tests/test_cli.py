@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import popsynth
 from popsynth import training, vae
 from popsynth.cli import _load_tables, run
 from popsynth.schema import DataError, HouseholdRecord
@@ -211,33 +214,25 @@ def test_bad_flag_is_exit_1():
     assert run(["no-such-command"]) == 1
 
 
-def test_evaluate_requires_out_dir(data_dir, tmp_path, monkeypatch):
-    inv = tmp_path / "inv"
-    model = tmp_path / "m.psv"
-    assert cli_pretrain(data_dir, model) == 0
-    rc = run(
-        [
-            "generate",
-            "--model", str(model),
-            "--schema", str(data_dir / "schema.json"),
-            "--latent-rows", "10",
-        ]
-    )
-    assert rc == 1  # generate requires a latent file, not row count
-
-    args = [
-        "evaluate",
+def test_evaluate_requires_out_dir(data_dir):
+    micro = [
         "--schema", str(data_dir / "schema.json"),
         "--microdata-hh", str(data_dir / "households.csv"),
         "--microdata-p", str(data_dir / "persons.csv"),
-        "--syn-hh", str(data_dir / "households.csv"),
-        "--syn-p", str(data_dir / "persons.csv"),
     ]
-    monkeypatch.delenv("POPSYNTH_REPORT_DIR", raising=False)
-    assert run(args) == 1
-    monkeypatch.setenv("POPSYNTH_REPORT_DIR", str(tmp_path / "envout"))
-    assert run(args) == 0
-    assert (tmp_path / "envout" / "marginals_report.csv").exists()
+    hh, p = str(data_dir / "households.csv"), str(data_dir / "persons.csv")
+    assert run(["evaluate", *micro, "--syn-hh", hh, "--syn-p", p]) == 1
+    assert run(["privacy", *micro, "--a-hh", hh, "--a-p", p, "--b-hh", hh, "--b-p", p]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(popsynth.__file__))
+    code = "import sys; import popsynth.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_finetune_rejects_foreign_schema(data_dir, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,35 @@ def test_chi_square_all_small_keeps_buckets():
     res = chi_square_test(obs, np.array([0.5, 0.25, 0.25]))
     assert res.merged_categories == 0
     assert res.dof == 2
+
+
+@pytest.mark.parametrize(
+    "observed, expected",
+    [
+        ([25.0, 25.0, 25.0, 25.0], [0.25, 0.25, 0.25, 0.25]),  # stat = 0
+        ([10.0, 90.0], [0.5, 0.5]),
+        ([1000.0, 0.0], [0.5, 0.5]),  # p near the float64 floor
+        ([4000.0, 0.0], [0.5, 0.5]),  # p underflows to 0
+        ([60.0, 36.0, 2.0, 1.0, 1.0], [0.6, 0.36, 0.02, 0.01, 0.01]),  # merged
+        ([50.0, 30.0, 9.0, 6.0, 3.0, 2.0], [0.4, 0.4, 0.1, 0.05, 0.03, 0.02]),  # merged
+    ],
+)
+def test_chi_square_p_value_bit_equals_scipy_stats(observed, expected):
+    res = chi_square_test(np.array(observed), np.array(expected))
+    assert res.dof >= 1
+    ref = float(scipy.stats.chi2.sf(res.statistic, res.dof))
+    assert res.p_value.hex() == ref.hex()
+
+
+def test_chi_square_p_value_bit_equals_scipy_stats_on_random_counts(rng):
+    for _ in range(200):
+        k = int(rng.integers(2, 30))
+        expected = rng.dirichlet(np.full(k, 0.5))
+        observed = rng.multinomial(int(rng.integers(10, 5000)), rng.dirichlet(np.ones(k)))
+        res = chi_square_test(observed.astype(float), expected)
+        if res.dof:
+            ref = float(scipy.stats.chi2.sf(res.statistic, res.dof))
+            assert res.p_value.hex() == ref.hex()
 
 
 def test_chi_square_rejects_zero_total():

@@ -8,7 +8,6 @@ import pytest
 from popsynth.generation import (
     Provenance,
     SanityRule,
-    default_rules,
     generate_inventory,
     inventory_from_table,
     load_rules,
@@ -242,10 +241,6 @@ def test_load_rules_rejects_bad_direction(tmp_path):
     )
     with pytest.raises(ValueError):
         load_rules(p)
-
-
-def test_default_rules_empty_without_convention(tiny_schema):
-    assert default_rules(tiny_schema) == []
 
 
 def test_sanity_report_file(tiny_schema, senior_rule, tmp_path):

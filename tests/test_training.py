@@ -87,14 +87,6 @@ def test_lion_hand_computed_steps():
     np.testing.assert_allclose(p.value, [0.9 + 0.1, -0.9 - 0.1])
 
 
-def test_lion_weight_decay_pulls_to_zero():
-    p = Param(np.array([10.0]), "p")
-    opt = Lion([p], weight_decay=0.5)
-    p.grad = np.array([0.0])
-    opt.step(0.1)
-    assert p.value[0] < 10.0
-
-
 # -- pretraining ---------------------------------------------------------------
 
 
