@@ -12,6 +12,7 @@ seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -97,6 +98,16 @@ def _load_tables(schema, *path_pairs):
     return [restructure(records, schema) for records in record_sets]
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Re-raise a ValueError as a UsageError. Commands build their settings
+    inside this block before they read any data, so a bad number exits 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _train_config(args, **overrides) -> training.TrainConfig:
     fields = dict(
         epochs=args.epochs,
@@ -108,6 +119,12 @@ def _train_config(args, **overrides) -> training.TrainConfig:
     )
     fields.update(overrides)
     return training.TrainConfig(**fields)
+
+
+def _require_counts(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
 
 
 def _add_train_flags(p, epochs):
@@ -145,22 +162,27 @@ def _cmd_restructure(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     started = time.time()
+    with _usage_errors():
+        widths = (
+            tuple(int(w) for w in args.hidden_widths.split(","))
+            if args.hidden_widths
+            else vae.DEFAULT_ENCODER_WIDTHS
+        )
+        hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
+        config = _train_config(
+            args,
+            reparam_mode=args.reparam_mode,
+            kl_weight=args.kl_weight,
+            focal_gamma=args.focal_gamma,
+        )
     [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
-    widths = tuple(int(w) for w in args.hidden_widths.split(",")) if args.hidden_widths else None
     model = vae.init_model(
-        table.schema, latent_dim=args.latent_dim, hidden_widths=widths, seed=args.seed
-    )
-    config = _train_config(
-        args,
-        reparam_mode=args.reparam_mode,
-        kl_weight=args.kl_weight,
-        focal_alpha=args.focal_alpha,
-        focal_gamma=args.focal_gamma,
+        table.schema, hyper.latent_dim, hyper.encoder_widths, hyper.init_seed
     )
     result = training.pretrain(model, data, config)
     vae.save_model(model, args.out)
-    history_path = args.history or f"{args.out}.history.csv"
+    history_path = f"{args.out}.history.csv"
     training.write_history(
         history_path, training.PRETRAIN_HISTORY_COLUMNS, result.history
     )
@@ -177,6 +199,14 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_finetune(args) -> int:
     started = time.time()
+    with _usage_errors():
+        config = _train_config(
+            args,
+            w_marginal=args.w_marginal,
+            w_dbce=args.w_dbce,
+            w_normkl=args.w_normkl,
+            softmin_temperature=args.temperature,
+        )
     model = vae.load_model(args.model)
     schema = load_schema(args.schema)
     if schema.fingerprint() != model.schema_fingerprint:
@@ -185,14 +215,6 @@ def _cmd_finetune(args) -> int:
     data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
-    config = _train_config(
-        args,
-        w_marginal=args.w_marginal,
-        w_dbce=args.w_dbce,
-        w_normkl=args.w_normkl,
-        softmin_temperature=args.temperature,
-        dbce_subsample=args.dbce_subsample,
-    )
     before = model.decoder_checksum()
     result = training.finetune(model, latent, targets, data, config)
     if model.decoder_checksum() != before:
@@ -200,7 +222,7 @@ def _cmd_finetune(args) -> int:
     training.save_latent(
         latent, args.out_latent, model.schema_fingerprint, model.checksum()
     )
-    history_path = args.history or f"{args.out_latent}.history.csv"
+    history_path = f"{args.out_latent}.history.csv"
     training.write_history(
         history_path, training.FINETUNE_HISTORY_COLUMNS, result.history
     )
@@ -360,6 +382,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_privacy(args) -> int:
     started = time.time()
+    _require_counts(args, "bins")
     tables = _load_tables(
         load_schema(args.schema),
         (args.microdata_hh, args.microdata_p),
@@ -432,24 +455,13 @@ def _cmd_privacy(args) -> int:
     return 0
 
 
-def _parse_weights(text):
-    if not text:
-        return None
-    out = {}
-    for part in text.split(","):
-        name, _, value = part.partition("=")
-        if not value:
-            raise UsageError(f"bad type weight {part!r}; expected name=weight")
-        out[name.strip()] = float(value)
-    return out
-
-
 def _cmd_oracle_make(args) -> int:
+    """Microdata from the default household-type mix, and the marginals of a
+    tract with the shifted mix."""
     started = time.time()
+    _require_counts(args, "households", "tract_households")
     schema = oracle.desk_schema()
-    records = oracle.sample_records(
-        args.households, args.seed, _parse_weights(args.type_weights)
-    )
+    records = oracle.sample_records(args.households, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
 
     schema_path = os.path.join(args.out_dir, "schema.json")
@@ -467,10 +479,8 @@ def _cmd_oracle_make(args) -> int:
         ([rec.household_id, *p] for rec in records for p in rec.persons),
     )
 
-    tract_weights = _parse_weights(args.tract_type_weights)
     targets = oracle.analytic_marginals(
-        tract_weights if tract_weights is not None else oracle.SHIFTED_TYPE_WEIGHTS,
-        n_households=args.tract_households,
+        oracle.SHIFTED_TYPE_WEIGHTS, n_households=args.tract_households
     )
     tract_path = os.path.join(args.out_dir, "tract_marginals.csv")
     write_target_marginals(targets, schema, tract_path)
@@ -530,8 +540,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--kl-weight", type=float, default=1.0, dest="kl_weight")
     p.add_argument("--focal-gamma", type=float, default=2.0, dest="focal_gamma")
-    p.add_argument("--focal-alpha", type=float, default=None, dest="focal_alpha")
-    p.add_argument("--history", default=None)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fit a latent matrix to tract marginals")
@@ -545,8 +553,6 @@ def build_parser() -> _Parser:
     p.add_argument("--w-dbce", type=float, default=1.0, dest="w_dbce")
     p.add_argument("--w-normkl", type=float, default=0.1, dest="w_normkl")
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--dbce-subsample", type=int, default=None, dest="dbce_subsample")
-    p.add_argument("--history", default=None)
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("generate", help="decode a latent matrix into an inventory")
@@ -584,10 +590,6 @@ def build_parser() -> _Parser:
     p.add_argument("--households", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tract-households", type=int, default=400, dest="tract_households")
-    p.add_argument("--type-weights", default=None, dest="type_weights")
-    p.add_argument(
-        "--tract-type-weights", default=None, dest="tract_type_weights"
-    )
     p.set_defaults(func=_cmd_oracle_make)
 
     return parser

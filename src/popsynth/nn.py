@@ -70,14 +70,15 @@ class BatchNorm:
     """Batch normalisation with learned scale/shift and running statistics.
 
     Train mode normalises by biased batch variance and updates the running
-    statistics (unbiased variance) with the given momentum; eval mode
+    statistics (unbiased variance) with momentum ``MOMENTUM``; eval mode
     normalises by the running statistics. Both modes are differentiable.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1, name: str = "bn"):
+    EPS = 1e-5
+    MOMENTUM = 0.1
+
+    def __init__(self, dim: int, name: str = "bn"):
         self.name = name
-        self.eps = eps
-        self.momentum = momentum
         self.scale = Param(np.ones(dim), f"{name}.scale")
         self.shift = Param(np.zeros(dim), f"{name}.shift")
         self.running_mean = np.zeros(dim)
@@ -91,14 +92,14 @@ class BatchNorm:
                 raise ValueError(f"{self.name}: train mode needs a batch of >= 2 rows")
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + self.EPS)
             xhat = (x - mean) * inv_std
-            m = self.momentum
+            m = self.MOMENTUM
             # in place: the statistics may be views into a model's state vector
             self.running_mean[...] = (1 - m) * self.running_mean + m * mean
             self.running_var[...] = (1 - m) * self.running_var + m * var * n / (n - 1)
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = (x - self.running_mean) * inv_std
         self._ctx = (xhat, inv_std, train)
         return xhat * self.scale.value + self.shift.value

@@ -136,15 +136,12 @@ def _draw(rng: np.random.Generator, dist: dict[str, float]) -> str:
     return labels[rng.choice(len(labels), p=probs / probs.sum())]
 
 
-def sample_records(
-    n_households: int,
-    seed: int,
-    type_weights: dict[str, float] | None = None,
-) -> list[HouseholdRecord]:
-    """Draw households; deterministic in the seed."""
+def sample_records(n_households: int, seed: int) -> list[HouseholdRecord]:
+    """Draw households from the ``DEFAULT_TYPE_WEIGHTS`` mix; deterministic in
+    the seed."""
     if n_households < 1:
         raise ValueError("n_households must be >= 1")
-    weights = _normalize_weights(type_weights)
+    weights = _normalize_weights(DEFAULT_TYPE_WEIGHTS)
     rng = np.random.default_rng(seed)
     names = list(weights)
     probs = np.array([weights[k] for k in names])

@@ -25,7 +25,7 @@ from .losses import (
     marginal_rmse_loss,
 )
 from .schema import EncodedMatrix, TargetMarginals, write_csv
-from .vae import read_blob, write_blob
+from .vae import ModelFormatError, read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
 LATENT_VERSION = 1
@@ -48,13 +48,11 @@ class TrainConfig:
     seed: int = 0
     reparam_mode: str = nn.REPARAM_PAPER_LITERAL
     kl_weight: float = 1.0
-    focal_alpha: float | None = None  # None: fraction of zeros in the data
     focal_gamma: float = 2.0
     w_marginal: float = 1.0
     w_dbce: float = 1.0
     w_normkl: float = 0.1
     softmin_temperature: float = 1.0
-    dbce_subsample: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -65,6 +63,12 @@ class TrainConfig:
             raise ValueError("min_lr cannot exceed initial_lr")
         if self.decay_start_epoch < 0:
             raise ValueError("decay_start_epoch must be >= 0")
+        if self.batch_size is not None and self.batch_size < 2:
+            raise ValueError("batch size must be >= 2")
+        if self.focal_gamma < 0:
+            raise ValueError("focal gamma must be >= 0")
+        if self.softmin_temperature <= 0:
+            raise ValueError("softmin temperature must be positive")
         if self.reparam_mode not in nn.REPARAM_MODES:
             raise ValueError(f"unknown reparameterisation mode {self.reparam_mode!r}")
 
@@ -84,19 +88,17 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 class Lion:
     """Sign-momentum optimizer.
 
-    update direction: c = beta1 * m + (1 - beta1) * g
+    update direction: c = b1 * m + (1 - b1) * g,  b1 = 0.9
     parameter step:   p <- p - lr * sign(c)
-    momentum:         m <- beta2 * m + (1 - beta2) * g
+    momentum:         m <- b2 * m + (1 - b2) * g,  b2 = 0.99
     """
 
-    def __init__(self, params: list[nn.Param], beta1: float = 0.9, beta2: float = 0.99):
+    def __init__(self, params: list[nn.Param]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.momenta = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, lr: float) -> None:
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.99
         for p, m in zip(self.params, self.momenta):
             c = b1 * m + (1 - b1) * p.grad
             p.value -= lr * np.sign(c)
@@ -117,7 +119,7 @@ def _assert_finite(value, epoch: int, what: str) -> None:
 @dataclass
 class PretrainResult:
     history: list[tuple]
-    focal_alpha: float
+    focal_alpha: float  # 1 - mean(x): the share of zero cells in the data
 
 
 def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
@@ -129,13 +131,9 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
     n = x.shape[0]
     if n < 2:
         raise ValueError("pretraining needs at least 2 rows")
-    alpha = config.focal_alpha
-    if alpha is None:
-        alpha = float(1.0 - x.mean())
+    alpha = float(1.0 - x.mean())
     focal = FocalParams(alpha=alpha, gamma=config.focal_gamma)
     batch = n if config.batch_size is None else min(config.batch_size, n)
-    if batch < 2:
-        raise ValueError("batch size must be >= 2")
 
     opt = Lion([model.flat])
     history = []
@@ -169,7 +167,7 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
         total = fl_mean + config.kl_weight * kl_mean
         _assert_finite(total, epoch, "pretraining loss")
         history.append((epoch, lr, fl_mean, kl_mean, total))
-    return PretrainResult(history=history, focal_alpha=alpha)
+    return PretrainResult(history, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +209,10 @@ def finetune(
     """Optimise the latent matrix against tract marginals through the frozen
     decoder. The loss mixes marginal RMSE, decoupled BCE realism against the
     microdata and the softmin-mass uniformity penalty; the recorded soft
-    marginals are those of the final latent state. The matcher runs over the
-    distinct microdata rows (after ``dbce_subsample``), each weighted by its
-    count, which gives the loss of the full table at a fraction of the work."""
+    marginals are those of the final latent state. The matcher compares
+    against every distinct microdata row, found once before the first epoch
+    and weighted by its count, which gives the loss of the full table at a
+    fraction of the work."""
     if data.schema_fingerprint != model.schema_fingerprint:
         raise ValueError("encoded microdata does not match the model's schema")
     if latent.z.shape[1] != model.latent_dim:
@@ -226,10 +225,6 @@ def finetune(
             f"{targets.n_households}"
         )
     micro = np.asarray(data.values, dtype=np.float64)
-    if config.dbce_subsample is not None and config.dbce_subsample < micro.shape[0]:
-        rng = np.random.default_rng([config.seed, 1])
-        keep = rng.choice(micro.shape[0], size=config.dbce_subsample, replace=False)
-        micro = micro[np.sort(keep)]
     rows, counts = distinct_rows(micro)
 
     z_param = nn.Param(latent.z, "latent.z")
@@ -304,6 +299,8 @@ def load_latent(path) -> tuple[LatentMatrix, dict]:
     header, z = read_blob(
         path, LATENT_MAGIC, LATENT_VERSION, lambda h: (h["rows"], h["width"])
     )
+    if header.get("format") != "pslatent":
+        raise ModelFormatError(f"{path}: format {header.get('format')!r} is not pslatent")
     return LatentMatrix(z=z, seed=header.get("seed")), header
 
 

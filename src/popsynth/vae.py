@@ -1,9 +1,9 @@
 """Variational autoencoder over one-hot household rows.
 
 Encoder: six affine+batchnorm+ReLU blocks, then separate affine+batchnorm
-heads for mu and logsig. Decoder: six mirrored blocks, then an affine output
-head followed by a per-variable group softmax, so every decoded row is a
-stack of category distributions.
+heads for mu and logsig. Decoder: six blocks with the encoder's widths in
+reverse order, then an affine output head followed by a per-variable group
+softmax, so every decoded row is a stack of category distributions.
 
 The layers' parameters and running statistics are views into one ``state``
 vector, and their gradients into one gradient vector. Persistence is a
@@ -27,7 +27,7 @@ from . import nn
 from .schema import Schema, ColumnGroup, column_layout, write_atomic
 
 MODEL_MAGIC = b"PSVAE01\n"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 DEFAULT_ENCODER_WIDTHS = (512, 384, 256, 192, 128, 96)
 DEFAULT_LATENT_DIM = 64
@@ -41,25 +41,22 @@ class ModelFormatError(ValueError):
 @dataclass(frozen=True)
 class VaeHyperparams:
     latent_dim: int = DEFAULT_LATENT_DIM
-    encoder_widths: tuple[int, ...] = DEFAULT_ENCODER_WIDTHS
-    decoder_widths: tuple[int, ...] = tuple(reversed(DEFAULT_ENCODER_WIDTHS))
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
+    encoder_widths: tuple[int, ...] = DEFAULT_ENCODER_WIDTHS  # reversed by the decoder
     init_seed: int = 0
 
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if len(self.encoder_widths) != N_BLOCKS or len(self.decoder_widths) != N_BLOCKS:
-            raise ValueError(f"expected {N_BLOCKS} hidden widths per side")
-        if any(w < 1 for w in self.encoder_widths + self.decoder_widths):
+        if len(self.encoder_widths) != N_BLOCKS:
+            raise ValueError(f"expected {N_BLOCKS} hidden widths")
+        if any(w < 1 for w in self.encoder_widths):
             raise ValueError("hidden widths must be >= 1")
 
 
-def _block(in_dim, out_dim, rng, eps, momentum, name):
+def _block(in_dim, out_dim, rng, name):
     return [
         nn.Affine(in_dim, out_dim, rng, f"{name}.affine"),
-        nn.BatchNorm(out_dim, eps=eps, momentum=momentum, name=f"{name}.bn"),
+        nn.BatchNorm(out_dim, f"{name}.bn"),
         nn.Relu(f"{name}.relu"),
     ]
 
@@ -77,25 +74,22 @@ class VaeModel:
         self.schema_fingerprint = schema_fingerprint
         self.hyper = hyper
         rng = np.random.default_rng(hyper.init_seed)
-        eps, mom = hyper.bn_eps, hyper.bn_momentum
 
         layers = []
         width = d
         for i, w in enumerate(hyper.encoder_widths):
-            layers.extend(_block(width, w, rng, eps, mom, f"enc{i}"))
+            layers.extend(_block(width, w, rng, f"enc{i}"))
             width = w
         self.encoder = nn.Chain(layers)
         self.mu_affine = nn.Affine(width, hyper.latent_dim, rng, "mu.affine")
-        self.mu_bn = nn.BatchNorm(hyper.latent_dim, eps=eps, momentum=mom, name="mu.bn")
+        self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn")
         self.logsig_affine = nn.Affine(width, hyper.latent_dim, rng, "logsig.affine")
-        self.logsig_bn = nn.BatchNorm(
-            hyper.latent_dim, eps=eps, momentum=mom, name="logsig.bn"
-        )
+        self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn")
 
         layers = []
         width = hyper.latent_dim
-        for i, w in enumerate(hyper.decoder_widths):
-            layers.extend(_block(width, w, rng, eps, mom, f"dec{i}"))
+        for i, w in enumerate(reversed(hyper.encoder_widths)):
+            layers.extend(_block(width, w, rng, f"dec{i}"))
             width = w
         self.decoder = nn.Chain(layers)
         self.out_affine = nn.Affine(width, d, rng, "out.affine")
@@ -203,12 +197,7 @@ def init_model(
     """
     groups, d = column_layout(schema)
     widths = tuple(hidden_widths) if hidden_widths else DEFAULT_ENCODER_WIDTHS
-    hyper = VaeHyperparams(
-        latent_dim=latent_dim,
-        encoder_widths=widths,
-        decoder_widths=tuple(reversed(widths)),
-        init_seed=seed,
-    )
+    hyper = VaeHyperparams(latent_dim=latent_dim, encoder_widths=widths, init_seed=seed)
     return VaeModel(d, groups, schema.fingerprint(), hyper)
 
 
@@ -242,6 +231,8 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
     found = header.get("version") if isinstance(header, dict) else None
     if found != version:
         raise ModelFormatError(f"{path}: unsupported version {found!r}")
+    if header.get("dtype") != "<f8":
+        raise ModelFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     try:
         payload = np.frombuffer(blob, "<f8", offset=start + size).reshape(shape_of(header))
     except (KeyError, TypeError, ValueError) as exc:
@@ -268,6 +259,8 @@ def load_model(path) -> VaeModel:
         MODEL_VERSION,
         lambda h: (sum(math.prod(shape) for _, shape in h["arrays"]),),
     )
+    if header.get("format") != "psvae":
+        raise ModelFormatError(f"{path}: format {header.get('format')!r} is not psvae")
     try:
         hp = {k: tuple(v) if isinstance(v, list) else v for k, v in header["hyperparams"].items()}
         hyper = VaeHyperparams(**hp)

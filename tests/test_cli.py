@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -446,3 +447,115 @@ def test_bad_rules_exit_1_before_writing(data_dir, artifacts, tmp_path, case, ca
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def micro_flags(data_dir):
+    return [
+        "--schema", str(data_dir / "schema.json"),
+        "--microdata-hh", str(data_dir / "households.csv"),
+        "--microdata-p", str(data_dir / "persons.csv"),
+    ]
+
+
+def valid_command(sub, data_dir, model, out):
+    """A quick, valid ``sub`` run that writes only into the directory ``out``."""
+    hh, p = str(data_dir / "households.csv"), str(data_dir / "persons.csv")
+    return {
+        "pretrain": ["pretrain", *micro_flags(data_dir), "--out", str(out / "model.psv"),
+                     "--seed", "1", "--epochs", "2", "--latent-dim", "3",
+                     "--hidden-widths", TINY_WIDTHS],
+        "finetune": ["finetune", *micro_flags(data_dir), "--model", str(model),
+                     "--tract-marginals", str(data_dir / "tract_marginals.csv"),
+                     "--out-latent", str(out / "latent.psl"), "--seed", "2", "--epochs", "2"],
+        "oracle-make": ["oracle-make", "--out-dir", str(out / "data"), "--households", "20",
+                        "--tract-households", "10", "--seed", "3"],
+        "privacy": ["privacy", *micro_flags(data_dir), "--a-hh", hh, "--a-p", p,
+                    "--b-hh", hh, "--b-p", p, "--out-dir", str(out / "privacy")],
+    }[sub]
+
+
+@pytest.mark.parametrize("sub", ["pretrain", "finetune", "oracle-make", "privacy"])
+def test_valid_command_writes(data_dir, artifacts, tmp_path, sub):
+    assert run(valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)) == 0
+    assert any(tmp_path.iterdir())
+
+
+BAD_NUMBERS = [
+    ("pretrain", "--hidden-widths", "8,8"),
+    ("pretrain", "--hidden-widths", "a,b"),
+    ("pretrain", "--latent-dim", "0"),
+    ("pretrain", "--epochs", "0"),
+    ("pretrain", "--lr", "-1"),
+    ("pretrain", "--min-lr", "1"),
+    ("pretrain", "--batch-size", "1"),
+    ("pretrain", "--focal-gamma", "-1"),
+    ("finetune", "--temperature", "0"),
+    ("finetune", "--epochs", "0"),
+    ("oracle-make", "--households", "0"),
+    ("oracle-make", "--tract-households", "0"),
+    ("privacy", "--bins", "-2"),
+    ("privacy", "--bins", "0"),
+]
+
+
+@pytest.mark.parametrize("sub,flag,value", BAD_NUMBERS, ids=[" ".join(c) for c in BAD_NUMBERS])
+def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_path, sub, flag, value, capsys):
+    capsys.readouterr()
+    rc = run([*valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+REMOVED_FLAGS = [
+    ("pretrain", "--focal-alpha", "0.5"),
+    ("pretrain", "--history", "h.csv"),
+    ("finetune", "--history", "h.csv"),
+    ("finetune", "--dbce-subsample", "5"),
+    ("oracle-make", "--type-weights", "family=1"),
+    ("oracle-make", "--tract-type-weights", "family=1"),
+]
+
+
+@pytest.mark.parametrize("sub,flag,value", REMOVED_FLAGS, ids=[" ".join(c) for c in REMOVED_FLAGS])
+def test_removed_flag_is_a_usage_error(data_dir, artifacts, tmp_path, sub, flag, value, capsys):
+    capsys.readouterr()
+    rc = run([*valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"unrecognized arguments: {flag} {value}" in err and "usage:" in err
+    assert not any(tmp_path.iterdir())
+
+
+def rewrite_header(src, dst, **changes):
+    """Copy a ``write_blob`` file with some header keys replaced."""
+    blob = src.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + size]) | changes
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :])
+
+
+@pytest.mark.parametrize(
+    "fmt,changes,message",
+    [
+        ("model.psv", {"dtype": "<f4"}, "unsupported dtype '<f4'"),
+        ("model.psv", {"format": "pslatent"}, "format 'pslatent' is not psvae"),
+        ("latent.psl", {"format": "psvae"}, "format 'psvae' is not pslatent"),
+        ("latent.psl", {"dtype": ">f8"}, "unsupported dtype '>f8'"),
+        ("model.psv", {"version": 1}, "unsupported version 1"),
+    ],
+    ids=["psv-dtype", "psv-format", "psl-format", "psl-dtype", "psv-version-1"],
+)
+def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, fmt, changes, message, capsys):
+    d, _ = artifacts
+    paths = {"model.psv": d / "model.psv", "latent.psl": d / "latent.psl"}
+    rewrite_header(paths[fmt], tmp_path / fmt, **changes)
+    paths[fmt] = tmp_path / fmt
+    capsys.readouterr()
+    rc = cli_generate(data_dir, paths["model.psv"], paths["latent.psl"], tmp_path / "inv")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "inv").exists()

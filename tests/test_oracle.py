@@ -84,8 +84,8 @@ def test_shifted_weights_move_marginals():
 
 def test_weights_validation():
     with pytest.raises(ValueError):
-        sample_records(5, seed=0, type_weights={"castle": 1.0})
+        analytic_marginals({"castle": 1.0})
     with pytest.raises(ValueError):
-        sample_records(5, seed=0, type_weights={"family": 0.0})
+        analytic_marginals({"family": 0.0})
     with pytest.raises(ValueError):
         sample_records(0, seed=0)

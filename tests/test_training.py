@@ -75,7 +75,7 @@ def test_lr_schedule_rejects_out_of_range():
 
 def test_lion_hand_computed_steps():
     p = Param(np.array([1.0, -1.0]), "p")
-    opt = Lion([p], beta1=0.9, beta2=0.99)
+    opt = Lion([p])
     p.grad = np.array([0.5, -2.0])
     opt.step(0.1)
     # first step: momentum starts at 0, c = 0.1*g, sign(c) = sign(g)
@@ -266,26 +266,13 @@ def test_non_finite_gradient_is_divergence(tiny_schema, tiny_encoded, tiny_table
     assert np.isfinite(latent.z).all()
 
 
-def test_finetune_dbce_subsample_changes_reference(tiny_schema, tiny_encoded, tiny_table):
-    m1, l1, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table, epochs=5)
-    sub_cfg = TrainConfig(
-        epochs=5, initial_lr=1e-2, min_lr=1e-3, decay_start_epoch=2, seed=7,
-        softmin_temperature=0.1, dbce_subsample=2,
-    )
-    r_full = finetune(m1, l1, targets, tiny_encoded, cfg)
-    m2, l2, _, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table, epochs=5)
-    r_sub = finetune(m2, l2, targets, tiny_encoded, sub_cfg)
-    assert r_full.history != r_sub.history
-
-
-def test_finetune_subsamples_before_deduplicating(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
-    """The matcher sees the distinct rows of the subsample, found once."""
+def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
+    """The matcher sees the distinct rows of the whole table, found once."""
     repeated = EncodedMatrix(
         np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.groups, tiny_encoded.schema_fingerprint
     )
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    cfg = TrainConfig(epochs=3, decay_start_epoch=1, seed=7, dbce_subsample=5)
-    keep = np.random.default_rng([cfg.seed, 1]).choice(12, size=5, replace=False)
+    cfg = TrainConfig(epochs=3, decay_start_epoch=1, seed=7)
     seen, weights = [], []
     real_distinct_rows, real_dbce = training.distinct_rows, training.dbce
 
@@ -301,11 +288,11 @@ def test_finetune_subsamples_before_deduplicating(tiny_schema, tiny_encoded, tin
     monkeypatch.setattr(training, "dbce", spy_dbce)
     res = finetune(model, latent, targets, repeated, cfg)
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], repeated.values[np.sort(keep)])
+    np.testing.assert_array_equal(seen[0], repeated.values)
     assert len(weights) == cfg.epochs + 1
-    assert all(c.sum() == 5 for c in weights)
-    assert res.reference_rows == 5
-    assert res.distinct_reference_rows == len(np.unique(keep // 3)) < 5
+    assert all(np.array_equal(c, [3, 3, 3, 3]) for c in weights)
+    assert res.reference_rows == 12
+    assert res.distinct_reference_rows == 4
 
 
 # -- persistence -----------------------------------------------------------------

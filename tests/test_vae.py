@@ -24,7 +24,7 @@ def small_model(tiny_schema):
 
 def test_hyperparams_validate_block_count():
     with pytest.raises(ValueError):
-        VaeHyperparams(encoder_widths=(8, 8), decoder_widths=(8, 8))
+        VaeHyperparams(encoder_widths=(8, 8))
     with pytest.raises(ValueError):
         VaeHyperparams(latent_dim=0)
 
