@@ -1,7 +1,10 @@
 """End-to-end desk-scale run: ground truth -> pretrain -> fine-tune ->
 generate -> evaluate -> privacy, printing a compact summary of the numbers
 the test suite checks. Everything goes through the CLI entry points, so a
-run of this script exercises the same paths as a user would.
+run of this script exercises the same paths as a user would. It ends by
+writing ``<work-dir>/digests.json``: the sha256 of every file it left under
+the work directory except the manifests, which hold timestamps. Two runs of
+the same arguments on two checkouts compare by comparing their digests.
 
 Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk [options]
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -18,7 +22,7 @@ import time
 import numpy as np
 
 from popsynth import cli, evaluation, training, vae
-from popsynth.schema import load_microdata, load_schema, restructure
+from popsynth.schema import load_microdata, load_schema, restructure, write_json
 
 
 def sh(args: list[str]) -> None:
@@ -38,6 +42,20 @@ def read_report(path: str) -> dict[str, dict[str, float]]:
         name = row.pop("variable")
         out[name] = {k: float(v) for k, v in row.items() if v != ""}
     return out
+
+
+def write_digests(work_dir: str) -> None:
+    path = os.path.join(work_dir, "digests.json")
+    digests = {}
+    for root, _, names in os.walk(work_dir):
+        for name in names:
+            file = os.path.join(root, name)
+            if file != path and not name.endswith("manifest.json"):
+                with open(file, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                digests[os.path.relpath(file, work_dir)] = digest
+    write_json(path, digests)
+    print(f"\n== digests == {len(digests)} files -> {path}")
 
 
 def main() -> None:
@@ -192,6 +210,8 @@ def main() -> None:
             rep = json.load(fh)
         print(f"== sanity == {os.path.basename(d)}: "
               f"{sum(rep['counts'].values())} violations / {rep['total_households']}")
+
+    write_digests(w)
 
 
 if __name__ == "__main__":

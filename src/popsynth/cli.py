@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import sys
 import time
@@ -34,10 +33,10 @@ from .schema import (
     restructure,
     write_csv,
     write_encoded,
+    write_json,
     write_restructured,
     write_schema,
     write_target_marginals,
-    write_text,
 )
 
 class UsageError(ValueError):
@@ -61,23 +60,27 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json_atomic(payload: dict, path) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(path, subcommand, config, outputs, started, fingerprints=None):
+def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
     finished = time.time()
     manifest = {
         "subcommand": subcommand,
         "toolkit_version": __version__,
         "config": config,
-        "fingerprints": fingerprints or {},
+        "fingerprints": fingerprints,
         "started_unix": started,
         "finished_unix": finished,
         "duration_s": finished - started,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
-    _write_json_atomic(manifest, path)
+    write_json(path, manifest)
+
+
+def _out_path(args, *name) -> str:
+    """``name`` under ``--out-dir`` (the directory itself without a name).
+    The directory is made on first use, so a command that checks its input
+    before it asks for a path writes nothing when a check fails."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, *name)
 
 
 def _config_dict(args) -> dict:
@@ -138,30 +141,19 @@ def _add_train_flags(p, epochs):
 # subcommands
 
 
-def _cmd_restructure(args) -> int:
-    started = time.time()
+def _cmd_restructure(args):
     [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "restructured.csv")
+    out = _out_path(args, "restructured.csv")
     write_restructured(table, out)
     outputs = [out]
     if args.write_encoded:
-        enc_path = os.path.join(args.out_dir, "encoded.csv")
+        enc_path = _out_path(args, "encoded.csv")
         write_encoded(encode_onehot(table), table.schema, enc_path)
         outputs.append(enc_path)
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "restructure",
-        _config_dict(args),
-        outputs,
-        started,
-        {"schema": table.schema.fingerprint()},
-    )
-    return 0
+    return outputs, {"schema": table.schema.fingerprint()}
 
 
-def _cmd_pretrain(args) -> int:
-    started = time.time()
+def _cmd_pretrain(args):
     with _usage_errors():
         widths = (
             tuple(int(w) for w in args.hidden_widths.split(","))
@@ -176,6 +168,10 @@ def _cmd_pretrain(args) -> int:
             focal_gamma=args.focal_gamma,
         )
     [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
+    if table.n_rows < 2:
+        raise DataError(
+            f"pretraining needs at least 2 households; {args.microdata_hh} has {table.n_rows}"
+        )
     data = encode_onehot(table)
     model = vae.init_model(
         table.schema, hyper.latent_dim, hyper.encoder_widths, hyper.init_seed
@@ -186,19 +182,14 @@ def _cmd_pretrain(args) -> int:
     training.write_history(
         history_path, training.PRETRAIN_HISTORY_COLUMNS, result.history
     )
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "pretrain",
-        _config_dict(args) | {"focal_alpha_used": result.focal_alpha},
+    return (
         [args.out, history_path],
-        started,
         {"schema": table.schema.fingerprint(), "model": model.checksum()},
+        {"focal_alpha_used": result.focal_alpha},
     )
-    return 0
 
 
-def _cmd_finetune(args) -> int:
-    started = time.time()
+def _cmd_finetune(args):
     with _usage_errors():
         config = _train_config(
             args,
@@ -227,31 +218,25 @@ def _cmd_finetune(args) -> int:
         history_path, training.FINETUNE_HISTORY_COLUMNS, result.history
     )
     marg_path = f"{args.out_latent}.soft_marginals.json"
-    _write_json_atomic(
+    write_json(
+        marg_path,
         {
             "household": {k: list(result.marginals[k]) for k in schema.household_names},
             "person": {k: list(result.marginals[k]) for k in schema.person_names},
             "final_losses": result.final_losses,
         },
-        marg_path,
     )
-    _write_manifest(
-        f"{args.out_latent}.manifest.json",
-        "finetune",
-        _config_dict(args)
-        | {
+    return (
+        [args.out_latent, history_path, marg_path],
+        {"schema": schema.fingerprint(), "model": model.checksum()},
+        {
             "reference_rows": result.reference_rows,
             "distinct_reference_rows": result.distinct_reference_rows,
         },
-        [args.out_latent, history_path, marg_path],
-        started,
-        {"schema": schema.fingerprint(), "model": model.checksum()},
     )
-    return 0
 
 
-def _cmd_generate(args) -> int:
-    started = time.time()
+def _cmd_generate(args):
     model = vae.load_model(args.model)
     schema = load_schema(args.schema)
     latent, header = training.load_latent(args.latent)
@@ -271,26 +256,15 @@ def _cmd_generate(args) -> int:
     )
     # a rule naming an unknown variable or category fails here, before any write
     report = generation.sanity_check(inventory, rules) if rules is not None else None
-    os.makedirs(args.out_dir, exist_ok=True)
-    paths = generation.write_inventory(inventory, args.out_dir)
-    outputs = list(paths.values())
+    outputs = list(generation.write_inventory(inventory, _out_path(args)).values())
     if report is not None:
-        report_path = os.path.join(args.out_dir, "sanity_report.json")
+        report_path = _out_path(args, "sanity_report.json")
         generation.write_sanity_report(report, report_path)
         outputs.append(report_path)
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "generate",
-        _config_dict(args),
-        outputs,
-        started,
-        {"schema": schema.fingerprint(), "model": fingerprint},
-    )
-    return 0
+    return outputs, {"schema": schema.fingerprint(), "model": fingerprint}
 
 
-def _cmd_evaluate(args) -> int:
-    started = time.time()
+def _cmd_evaluate(args):
     micro, syn = _load_tables(
         load_schema(args.schema), (args.microdata_hh, args.microdata_p), (args.syn_hh, args.syn_p)
     )
@@ -302,12 +276,9 @@ def _cmd_evaluate(args) -> int:
     )
     report = evaluation.marginal_report(syn, micro, targets)
     joint = evaluation.joint_pair_metrics(syn, micro)
+    joint_metrics = (("rmse", joint.rmse), ("kl", joint.kl), ("chi2_p", joint.p_value))
 
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-
-    report_path = os.path.join(out_dir, "marginals_report.csv")
+    report_path = _out_path(args, "marginals_report.csv")
     keys = sorted({k for row in report.rows.values() for k in row})
     rows = [
         [name, *[f"{row[k]:.12g}" if k in row else "" for k in keys]]
@@ -315,14 +286,10 @@ def _cmd_evaluate(args) -> int:
     ]
     rows.append(["__mean__", *[f"{report.means[k]:.12g}" for k in keys]])
     write_csv(report_path, ["variable", *keys], rows)
-    outputs.append(report_path)
+    outputs = [report_path]
 
-    for metric_name, values in (
-        ("rmse", joint.rmse),
-        ("kl", joint.kl),
-        ("chi2_p", joint.p_value),
-    ):
-        path = os.path.join(out_dir, f"joint_{metric_name}.csv")
+    for metric_name, values in joint_metrics:
+        path = _out_path(args, f"joint_{metric_name}.csv")
         write_csv(
             path,
             ["variable_a", "variable_b", metric_name],
@@ -344,18 +311,17 @@ def _cmd_evaluate(args) -> int:
         "variables": variables,
         "means": report.means,
         "joint": {
-            "rmse": {f"{a}|{b}": v for (a, b), v in joint.rmse.items()},
-            "kl": {f"{a}|{b}": v for (a, b), v in joint.kl.items()},
-            "chi2_p": {f"{a}|{b}": v for (a, b), v in joint.p_value.items()},
+            metric_name: {f"{a}|{b}": v for (a, b), v in values.items()}
+            for metric_name, values in joint_metrics
         },
         "n_households": {"microdata": micro.n_rows, "synthetic": syn.n_rows},
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json_atomic(summary, summary_path)
+    summary_path = _out_path(args, "summary.json")
+    write_json(summary_path, summary)
     outputs.append(summary_path)
     for name, entry in variables.items():
         # one CSV per variable: category, microdata, synthetic, target proportions
-        path = os.path.join(out_dir, f"hist_{name}.csv")
+        path = _out_path(args, f"hist_{name}.csv")
         target = entry["target"] or [None] * len(entry["categories"])
         write_csv(
             path,
@@ -368,35 +334,20 @@ def _cmd_evaluate(args) -> int:
             ),
         )
         outputs.append(path)
-
-    _write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        "evaluate",
-        _config_dict(args),
-        outputs,
-        started,
-        {"schema": schema.fingerprint()},
-    )
-    return 0
+    return outputs, {"schema": schema.fingerprint()}
 
 
-def _cmd_privacy(args) -> int:
-    started = time.time()
+def _cmd_privacy(args):
     _require_counts(args, "bins")
-    tables = _load_tables(
-        load_schema(args.schema),
-        (args.microdata_hh, args.microdata_p),
-        (args.a_hh, args.a_p),
-        (args.b_hh, args.b_p),
-    )
+    pairs = [(args.microdata_hh, args.microdata_p), (args.a_hh, args.a_p), (args.b_hh, args.b_p)]
+    tables = _load_tables(load_schema(args.schema), *pairs)
+    for (hh, p), table in zip(pairs, tables):
+        if not table.occupied.any():
+            raise DataError(f"{hh} and {p} hold no persons; privacy compares persons too")
     schema = tables[0].schema
 
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     summary = {"binned": args.binned, "bins": args.bins, "levels": {}}
-
-    dist_path = os.path.join(out_dir, "dcr_distances.csv")
     rows = []
     for level, matrix in (
         ("household", evaluation.household_matrix),
@@ -424,7 +375,7 @@ def _cmd_privacy(args) -> int:
         edges = np.linspace(lo, hi if hi > lo else lo + 1e-12, args.bins + 1)
         hist_a, _ = np.histogram(da, bins=edges)
         hist_b, _ = np.histogram(db, bins=edges)
-        hist_path = os.path.join(out_dir, f"dcr_histogram_{level}.csv")
+        hist_path = _out_path(args, f"dcr_histogram_{level}.csv")
         write_csv(
             hist_path,
             ["bin_low", "bin_high", "count_a", "count_b"],
@@ -434,6 +385,7 @@ def _cmd_privacy(args) -> int:
             ),
         )
         outputs.append(hist_path)
+    dist_path = _out_path(args, "dcr_distances.csv")
     write_csv(
         dist_path,
         ["level", "inventory", "row", "distance"],
@@ -441,33 +393,23 @@ def _cmd_privacy(args) -> int:
     )
     outputs.append(dist_path)
 
-    summary_path = os.path.join(out_dir, "privacy_summary.json")
-    _write_json_atomic(summary, summary_path)
+    summary_path = _out_path(args, "privacy_summary.json")
+    write_json(summary_path, summary)
     outputs.append(summary_path)
-    _write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        "privacy",
-        _config_dict(args),
-        outputs,
-        started,
-        {"schema": schema.fingerprint()},
-    )
-    return 0
+    return outputs, {"schema": schema.fingerprint()}
 
 
-def _cmd_oracle_make(args) -> int:
+def _cmd_oracle_make(args):
     """Microdata from the default household-type mix, and the marginals of a
     tract with the shifted mix."""
-    started = time.time()
     _require_counts(args, "households", "tract_households")
     schema = oracle.desk_schema()
     records = oracle.sample_records(args.households, args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
 
-    schema_path = os.path.join(args.out_dir, "schema.json")
+    schema_path = _out_path(args, "schema.json")
     write_schema(schema, schema_path)
-    hh_path = os.path.join(args.out_dir, "households.csv")
-    p_path = os.path.join(args.out_dir, "persons.csv")
+    hh_path = _out_path(args, "households.csv")
+    p_path = _out_path(args, "persons.csv")
     write_csv(
         hh_path,
         ["household_id", *schema.household_names],
@@ -482,21 +424,12 @@ def _cmd_oracle_make(args) -> int:
     targets = oracle.analytic_marginals(
         oracle.SHIFTED_TYPE_WEIGHTS, n_households=args.tract_households
     )
-    tract_path = os.path.join(args.out_dir, "tract_marginals.csv")
+    tract_path = _out_path(args, "tract_marginals.csv")
     write_target_marginals(targets, schema, tract_path)
 
-    rules_path = os.path.join(args.out_dir, "rules.json")
+    rules_path = _out_path(args, "rules.json")
     generation.write_rules(oracle.desk_rules(), rules_path)
-
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "oracle-make",
-        _config_dict(args),
-        [schema_path, hh_path, p_path, tract_path, rules_path],
-        started,
-        {"schema": schema.fingerprint()},
-    )
-    return 0
+    return [schema_path, hh_path, p_path, tract_path, rules_path], {"schema": schema.fingerprint()}
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +535,20 @@ def run(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    started = time.time()
     try:
-        return args.func(args)
+        # a command returns its outputs, its fingerprints and, optionally,
+        # config keys of its own; the manifest goes in --out-dir when the
+        # command has one, else next to its first output
+        outputs, fingerprints, *extra = args.func(args)
+        manifest = (
+            os.path.join(args.out_dir, "manifest.json")
+            if "out_dir" in vars(args)
+            else f"{outputs[0]}.manifest.json"
+        )
+        config = _config_dict(args) | dict(*extra)
+        _write_manifest(manifest, args.subcommand, config, outputs, started, fingerprints)
+        return 0
     except (UsageError, SchemaError, DataError, vae.ModelFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

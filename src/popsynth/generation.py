@@ -30,6 +30,7 @@ from .schema import (
     decode_onehot_with_stats,
     labels,
     write_csv,
+    write_json,
     write_text,
 )
 
@@ -134,10 +135,7 @@ def write_inventory(inventory: SyntheticInventory, out_dir) -> dict[str, str]:
             for pid, (i, row) in enumerate(zip(rows, people), start=1)
         ),
     )
-    write_text(
-        paths["provenance.json"],
-        json.dumps(inventory.provenance.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    write_json(paths["provenance.json"], inventory.provenance.to_dict())
     return paths
 
 
@@ -260,4 +258,4 @@ def write_sanity_report(report: SanityReport, path) -> None:
         "rates": report.rates,
         "violations": {k: [list(v) for v in vs] for k, vs in report.violations.items()},
     }
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

@@ -699,6 +699,11 @@ def write_text(path, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_csv(path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)

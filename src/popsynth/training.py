@@ -11,7 +11,7 @@ matrix, one row per target household.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class TrainConfig:
     softmin_temperature: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("kl_weight", "w_marginal", "w_dbce", "w_normkl"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.initial_lr <= 0 or self.min_lr <= 0:

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +235,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_desk_script_writes_the_digest_of_every_output(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
+    work = tmp_path / "desk"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(popsynth.__file__)))
+    subprocess.run(
+        [sys.executable, str(script), "--work-dir", str(work), "--households", "60",
+         "--tract-households", "20", "--pretrain-epochs", "4", "--pretrain-decay-start", "1",
+         "--finetune-epochs", "4", "--finetune-decay-start", "1", "--wide-sample", "50",
+         "--batch-size", "30"],
+        capture_output=True, env=env, check=True,
+    )
+    digests = json.loads((work / "digests.json").read_text())
+    on_disk = {
+        str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in work.rglob("*")
+        if p.is_file() and not p.name.endswith("manifest.json") and p.name != "digests.json"
+    }
+    assert digests == on_disk
+    assert {"model.psv", "latent.psl", "syn_tuned/households.csv"} <= set(digests)
 
 
 def test_finetune_rejects_foreign_schema(data_dir, tmp_path):
@@ -489,7 +511,19 @@ BAD_NUMBERS = [
     ("pretrain", "--min-lr", "1"),
     ("pretrain", "--batch-size", "1"),
     ("pretrain", "--focal-gamma", "-1"),
+    ("pretrain", "--lr", "nan"),
+    ("pretrain", "--lr", "inf"),
+    ("pretrain", "--min-lr", "nan"),
+    ("pretrain", "--kl-weight", "nan"),
+    ("pretrain", "--kl-weight", "-5"),
+    ("pretrain", "--focal-gamma", "nan"),
     ("finetune", "--temperature", "0"),
+    ("finetune", "--temperature", "nan"),
+    ("finetune", "--temperature", "inf"),
+    ("finetune", "--w-dbce", "nan"),
+    ("finetune", "--w-dbce", "-1"),
+    ("finetune", "--w-marginal", "-1"),
+    ("finetune", "--w-normkl", "-3"),
     ("finetune", "--epochs", "0"),
     ("oracle-make", "--households", "0"),
     ("oracle-make", "--tract-households", "0"),
@@ -506,6 +540,50 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def header_only(src, dst):
+    dst.write_text(src.read_text().splitlines()[0] + "\n")
+    return str(dst)
+
+
+TOO_LITTLE_DATA = ["pretrain-one-household", "privacy-no-microdata-persons",
+                   "privacy-no-inventory-households"]
+
+
+@pytest.mark.filterwarnings("ignore:person table")
+@pytest.mark.parametrize("case", TOO_LITTLE_DATA)
+def test_too_little_data_is_exit_1_before_any_write(data_dir, artifacts, tmp_path, case, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    hh, p = str(data_dir / "households.csv"), str(data_dir / "persons.csv")
+    if case == "pretrain-one-household":
+        one = tmp_path / "one"
+        assert run(["oracle-make", "--out-dir", str(one), "--households", "1",
+                    "--tract-households", "10", "--seed", "3"]) == 0
+        argv = ["pretrain", "--schema", str(one / "schema.json"),
+                "--microdata-hh", str(one / "households.csv"),
+                "--microdata-p", str(one / "persons.csv"),
+                "--out", str(out / "model.psv"), "--seed", "1", "--epochs", "2"]
+    else:
+        a_hh, a_p = hh, p
+        if case == "privacy-no-microdata-persons":
+            p = header_only(data_dir / "persons.csv", tmp_path / "no_persons.csv")
+        else:
+            inv = tmp_path / "inv"
+            assert cli_generate(data_dir, artifacts[0] / "model.psv",
+                                artifacts[0] / "latent.psl", inv) == 0
+            a_hh = header_only(inv / "households.csv", tmp_path / "dropped_hh.csv")
+            a_p = header_only(inv / "persons.csv", tmp_path / "dropped_p.csv")
+        argv = ["privacy", "--schema", str(data_dir / "schema.json"), "--microdata-hh", hh,
+                "--microdata-p", p, "--a-hh", a_hh, "--a-p", a_p, "--b-hh", hh, "--b-p", p,
+                "--out-dir", str(out / "privacy")]
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not any(out.iterdir())
 
 
 REMOVED_FLAGS = [
