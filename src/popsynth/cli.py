@@ -124,6 +124,14 @@ def _train_config(args, **overrides) -> training.TrainConfig:
     return training.TrainConfig(**fields)
 
 
+def _require_parent_dir(path, flag) -> None:
+    """Fail before any data is read, not after training, when the file
+    ``path`` cannot be written because its directory does not exist."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag}: directory {parent} does not exist")
+
+
 def _require_counts(args, *names) -> None:
     for name in names:
         if getattr(args, name) < 1:
@@ -167,6 +175,7 @@ def _cmd_pretrain(args):
             kl_weight=args.kl_weight,
             focal_gamma=args.focal_gamma,
         )
+    _require_parent_dir(args.out, "--out")
     [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     if table.n_rows < 2:
         raise DataError(
@@ -198,6 +207,7 @@ def _cmd_finetune(args):
             w_normkl=args.w_normkl,
             softmin_temperature=args.temperature,
         )
+    _require_parent_dir(args.out_latent, "--out-latent")
     model = vae.load_model(args.model)
     schema = load_schema(args.schema)
     if schema.fingerprint() != model.schema_fingerprint:

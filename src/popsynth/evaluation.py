@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special
 
-from .losses import clamp01, pairwise_mean_bce
+from .losses import clamp01
 from .schema import (
     RestructuredTable,
     encode_onehot,
@@ -164,7 +164,14 @@ def dcr(
     """Distance of each synthetic row to its closest microdata row: minimum
     column-mean BCE, treating the clamped synthetic row as probabilities.
     Every row of ``micro`` is compared; a caller that passes only the distinct
-    rows gets the same minima for less work."""
+    rows gets the same minima for less work.
+
+    The BCE is the two-product form ``log p @ t.T + log1p(-p) @ (1 - t).T``,
+    not the one-GEMM identity of ``losses.pairwise_mean_bce``. At an exact
+    match the identity's two terms are about +16k and -16k for a row with k
+    ones, while the distance is about 1e-7, so it would lose the leading
+    digits of exactly the minima this function reports, and rows tied at
+    an exact match would get different distances."""
     syn = np.asarray(syn, dtype=np.float64)
     micro = np.asarray(micro, dtype=np.float64)
     if syn.shape[1] != micro.shape[1]:
@@ -173,9 +180,12 @@ def dcr(
         raise ValueError("empty input")
     out = np.empty(syn.shape[0])
     p = clamp01(syn)
+    d = p.shape[1]
+    absent = (1.0 - micro).T
     for start in range(0, p.shape[0], chunk):
-        block = pairwise_mean_bce(p[start : start + chunk], micro)
-        out[start : start + chunk] = block.min(axis=1)
+        block = p[start : start + chunk]
+        bce = -(np.log(block) @ micro.T + np.log1p(-block) @ absent) / d
+        out[start : start + chunk] = bce.min(axis=1)
     return out
 
 

@@ -116,12 +116,23 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Column-averaged BCE between every prediction row and every target row.
 
     Entry (i, j) treats prediction row i as probabilities for target row j.
+    It is computed as ``(log p - log1p(-p)) @ t.T + sum_c log1p(-p)``: one
+    GEMM and no ``1 - target`` copy. The identity is exact in real
+    arithmetic, but for a row that matches a target almost exactly its terms
+    cancel to a value far smaller than either, so ``evaluation.dcr``, which
+    needs those small distances, keeps the two-product form.
     """
     if pred.shape[1] != target.shape[1]:
         raise ValueError("prediction and target widths differ")
     p = clamp01(pred)
     d = pred.shape[1]
-    return -(np.log(p) @ target.T + np.log1p(-p) @ (1.0 - target).T) / d
+    log_q = np.log1p(-p)
+    logit = np.log(p)
+    logit -= log_q
+    out = logit @ target.T
+    out += log_q.sum(axis=1)[:, None]
+    out /= -d
+    return out
 
 
 def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +158,7 @@ class DbceResult:
     norm_kl: float
     soft_index: np.ndarray
     per_row_softmin: np.ndarray
-    grad_dbce: np.ndarray
-    grad_norm_kl: np.ndarray
+    grad: np.ndarray
 
 
 def dbce(
@@ -156,6 +166,9 @@ def dbce(
     micro: np.ndarray,
     temperature: float = 1.0,
     counts: np.ndarray | None = None,
+    *,
+    w_dbce: float = 1.0,
+    w_normkl: float = 1.0,
 ) -> DbceResult:
     """Decoupled BCE: realism of generated rows without a fixed row pairing.
 
@@ -165,6 +178,11 @@ def dbce(
     on each microdata row, and ``norm_kl`` penalises its divergence from
     uniform so the batch cannot collapse onto a few records. Gradients flow
     through both the pairwise BCE values and the softmin weights.
+
+    ``grad`` is the gradient of ``w_dbce * dbce_loss + w_normkl * norm_kl``
+    with respect to ``pred``: the weighted sum is the only one training
+    needs, and it costs one product with ``micro`` instead of two. Weights
+    (1, 0) or (0, 1) give the gradient of one term alone.
 
     ``counts[j]`` says how many microdata records row j stands for (None:
     one each), so the distinct rows of ``distinct_rows`` with their counts
@@ -186,7 +204,7 @@ def dbce(
 
     b = pairwise_mean_bce(p, micro)
     s = softmin(b, temperature, c)
-    per_row = (s * b).sum(axis=1)
+    per_row = np.einsum("ij,ij->i", s, b)
     loss = float(per_row.mean())
 
     soft_index = s.sum(axis=0)
@@ -195,23 +213,26 @@ def dbce(
     ratio = (u + KL_EPS) / (q + KL_EPS)
     norm_kl = float((c * (u + KL_EPS) * np.log(ratio)).sum())
 
-    # d loss / dB and d norm_kl / dB, folding the softmin Jacobian (the
-    # counts only shift the softmin logits, so its Jacobian keeps its form)
-    g_loss = s * (1.0 - (b - per_row[:, None]) / temperature) / n_t
-    g_kl = s * (ratio[None, :] - (s @ ratio)[:, None]) / (n_t * temperature)
-
-    pq = p * (1.0 - p)
-
-    def chain(g):
-        return (g.sum(axis=1)[:, None] * p - g @ micro) / (d * pq)
+    # d(w_dbce * loss + w_normkl * norm_kl) / dB through the softmin Jacobian
+    # (the counts only shift the softmin logits, so it keeps its form):
+    #   g_ij = s_ij * (row_i + col_j - kappa * b_ij)
+    # built in b's buffer, which is not read again
+    kappa = w_dbce / (n_t * temperature)
+    row = w_dbce / n_t + (w_dbce * per_row - w_normkl * (s @ ratio)) / (n_t * temperature)
+    col = w_normkl * ratio / (n_t * temperature)
+    g = b
+    g *= -kappa
+    g += row[:, None]
+    g += col
+    g *= s
+    grad = (g.sum(axis=1)[:, None] * p - g @ micro) / (d * (p * (1.0 - p)))
 
     return DbceResult(
         dbce_loss=loss,
         norm_kl=norm_kl,
         soft_index=soft_index,
         per_row_softmin=per_row,
-        grad_dbce=chain(g_loss),
-        grad_norm_kl=chain(g_kl),
+        grad=grad,
     )
 
 

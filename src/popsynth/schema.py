@@ -54,7 +54,6 @@ import hashlib
 import io
 import json
 import os
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -415,12 +414,6 @@ def load_microdata(household_path, person_path, schema: Schema) -> list[Househol
                 f"person row references unknown household_id {hid!r} in {person_path}"
             )
         records[hid].persons.append(tuple(values))
-
-    if not p_rows:
-        warnings.warn(
-            f"person table {person_path} is empty; every household has zero persons",
-            stacklevel=2,
-        )
     return list(records.values())
 
 

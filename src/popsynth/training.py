@@ -240,18 +240,16 @@ def finetune(
 
     def losses_and_grad(probs):
         mres = marginal_rmse_loss(probs, targets, model.groups)
-        dres = dbce(probs, rows, config.softmin_temperature, counts)
+        dres = dbce(
+            probs, rows, config.softmin_temperature, counts,
+            w_dbce=config.w_dbce, w_normkl=config.w_normkl,
+        )
         total = (
             config.w_marginal * mres.loss
             + config.w_dbce * dres.dbce_loss
             + config.w_normkl * dres.norm_kl
         )
-        dprobs = (
-            config.w_marginal * mres.grad
-            + config.w_dbce * dres.grad_dbce
-            + config.w_normkl * dres.grad_norm_kl
-        )
-        return mres, dres, total, dprobs
+        return mres, dres, total, config.w_marginal * mres.grad + dres.grad
 
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config)

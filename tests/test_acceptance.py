@@ -210,8 +210,8 @@ def test_gradient_correctness(verdict):
         micro = (rng.uniform(size=(n + 2, width)) < 0.4).astype(float)
 
         def f_dbce(v):
-            r = losses.dbce(v.reshape(pred.shape), micro, temperature=0.7)
-            return r.dbce_loss + 0.3 * r.norm_kl, r.grad_dbce + 0.3 * r.grad_norm_kl
+            r = losses.dbce(v.reshape(pred.shape), micro, temperature=0.7, w_normkl=0.3)
+            return r.dbce_loss + 0.3 * r.norm_kl, r.grad
 
         worst = max(worst, nn.check_gradients(f_dbce, pred.ravel()))
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +371,6 @@ def write_records(tmp_path, name, records):
     return hh, pp
 
 
-@pytest.mark.filterwarnings("ignore:person table")
 def test_open_window_resolves_over_all_record_sets(tiny_schema, tmp_path):
     open_schema = tiny_schema.with_n_window(None)
     none = write_records(tmp_path, "none", [])
@@ -542,6 +542,50 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("sub", ["pretrain", "finetune"])
+def test_missing_output_directory_is_exit_1_before_training(
+    data_dir, artifacts, tmp_path, sub, capsys, monkeypatch
+):
+    trained = []
+
+    def spy(name):
+        real = getattr(training, name)
+
+        def called(*args, **kwargs):
+            trained.append(name)
+            return real(*args, **kwargs)
+
+        return called
+
+    for name in ("pretrain", "finetune"):
+        monkeypatch.setattr(training, name, spy(name))
+    capsys.readouterr()
+    rc = run(valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path / "nodir"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nodir" in err
+    assert trained == []
+    assert not any(tmp_path.iterdir())
+
+
+def test_header_only_person_table_is_one_error_line_and_no_warning(data_dir, tmp_path, capsys):
+    no_persons = header_only(data_dir / "persons.csv", tmp_path / "no_persons.csv")
+    hh = str(data_dir / "households.csv")
+    argv = ["privacy", "--schema", str(data_dir / "schema.json"), "--microdata-hh", hh,
+            "--microdata-p", no_persons, "--a-hh", hh, "--a-p", no_persons,
+            "--b-hh", hh, "--b-p", no_persons, "--out-dir", str(tmp_path / "privacy")]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "privacy").exists()
+
+
 def header_only(src, dst):
     dst.write_text(src.read_text().splitlines()[0] + "\n")
     return str(dst)
@@ -551,7 +595,6 @@ TOO_LITTLE_DATA = ["pretrain-one-household", "privacy-no-microdata-persons",
                    "privacy-no-inventory-households"]
 
 
-@pytest.mark.filterwarnings("ignore:person table")
 @pytest.mark.parametrize("case", TOO_LITTLE_DATA)
 def test_too_little_data_is_exit_1_before_any_write(data_dir, artifacts, tmp_path, case, capsys):
     out = tmp_path / "out"

@@ -134,6 +134,25 @@ def test_dcr_with_repeated_rows_matches_brute_force(rng):
     np.testing.assert_allclose(fast, brute, atol=1e-12)
 
 
+def test_dcr_exact_copies_at_census_width_match_brute_force(rng):
+    """Synthetic rows that copy a microdata row exactly sit at a distance of
+    about 1e-7, so only a relative tolerance sees their error. The one-GEMM
+    identity of ``losses.pairwise_mean_bce`` cancels terms of about 16 per
+    one in the row there and misses by about 1e-9 to 1e-8 relative, which is
+    why ``dcr`` keeps the two-product form."""
+    widths = [2, 3, 5, 7, 9, 12, 16] * 6 + [3, 4, 5, 6, 7, 11]
+    micro = np.zeros((40, sum(widths)))
+    start = 0
+    for w in widths:
+        micro[np.arange(40), start + rng.integers(0, w, size=40)] = 1.0
+        start += w
+    syn = micro[rng.integers(0, 40, size=12)]
+    fast = dcr(syn, micro, chunk=5)
+    brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
+    assert brute.max() < 1e-6
+    np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=0)
+
+
 def test_dcr_self_distance_is_tiny(tiny_encoded):
     x = tiny_encoded.values
     d = dcr(x, x)

@@ -266,15 +266,52 @@ def test_dbce_rejects_empty_micro():
 def test_dbce_gradients(rng):
     pred = rng.uniform(0.1, 0.9, size=(4, 5))
     micro = (rng.random((3, 5)) < 0.5).astype(float)
-    res = dbce(pred, micro, temperature=0.8)
+    grad_loss = dbce(pred, micro, temperature=0.8, w_dbce=1.0, w_normkl=0.0).grad
+    grad_kl = dbce(pred, micro, temperature=0.8, w_dbce=0.0, w_normkl=1.0).grad
     n_loss = oracles.central_difference(
         lambda p: dbce(p, micro, temperature=0.8).dbce_loss, pred
     )
     n_kl = oracles.central_difference(
         lambda p: dbce(p, micro, temperature=0.8).norm_kl, pred
     )
-    assert oracles.max_rel_error(res.grad_dbce, n_loss) < 1e-5
-    assert oracles.max_rel_error(res.grad_norm_kl, n_kl) < 1e-5
+    assert oracles.max_rel_error(grad_loss, n_loss) < 1e-5
+    assert oracles.max_rel_error(grad_kl, n_kl) < 1e-5
+
+
+@pytest.mark.parametrize("w_dbce, w_normkl", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.1)])
+def test_dbce_weighted_grad_matches_finite_differences(rng, w_dbce, w_normkl):
+    """``grad`` is the gradient of w_dbce * dbce_loss + w_normkl * norm_kl,
+    here with repeated rows weighted by their counts."""
+    pred = rng.uniform(0.1, 0.9, size=(5, 6))
+    micro = (rng.random((4, 6)) < 0.5).astype(float)
+    counts = np.array([1, 3, 2, 1])
+
+    def objective(p):
+        r = dbce(p, micro, 0.4, counts)
+        return w_dbce * r.dbce_loss + w_normkl * r.norm_kl
+
+    got = dbce(pred, micro, 0.4, counts, w_dbce=w_dbce, w_normkl=w_normkl).grad
+    numeric = oracles.central_difference(objective, pred)
+    assert oracles.max_rel_error(got, numeric) < 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0),
+    st.sampled_from([0.05, 0.3, 1.0]),
+)
+def test_dbce_grad_is_linear_in_the_weights(seed, w_dbce, w_normkl, tau):
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.02, 0.98, size=(7, 9))
+    micro = (rng.random((5, 9)) < 0.5).astype(float)
+    counts = rng.integers(1, 4, size=5)
+    grad_loss = dbce(pred, micro, tau, counts, w_dbce=1.0, w_normkl=0.0).grad
+    grad_kl = dbce(pred, micro, tau, counts, w_dbce=0.0, w_normkl=1.0).grad
+    got = dbce(pred, micro, tau, counts, w_dbce=w_dbce, w_normkl=w_normkl).grad
+    want = w_dbce * grad_loss + w_normkl * grad_kl
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,7 +333,10 @@ def test_dbce_counts_equal_repeated_rows(seed, counts, n_t, d, tau):
     assert got.dbce_loss == pytest.approx(full.dbce_loss, abs=1e-12)
     assert got.norm_kl == pytest.approx(full.norm_kl, abs=1e-12)
     np.testing.assert_allclose(got.per_row_softmin, full.per_row_softmin, rtol=1e-12)
-    for a, b in ((got.grad_dbce, full.grad_dbce), (got.grad_norm_kl, full.grad_norm_kl)):
+    for w_dbce, w_normkl in ((1.0, 0.0), (0.0, 1.0)):
+        kw = dict(w_dbce=w_dbce, w_normkl=w_normkl)
+        a = dbce(pred, rows, tau, counts, **kw).grad
+        b = dbce(pred, np.repeat(rows, counts, axis=0), tau, **kw).grad
         # relative to the largest entry: a gradient that is zero in exact
         # arithmetic (one distinct row) is rounding noise in the repeated form
         assert np.abs(a - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
@@ -310,10 +350,12 @@ def test_dbce_counts_equal_repeated_rows(seed, counts, n_t, d, tau):
 def test_dbce_unit_counts_are_bitwise_the_default(rng, tau):
     pred = rng.uniform(0.02, 0.98, size=(9, 7))
     micro = (rng.random((6, 7)) < 0.5).astype(float)
-    a = dbce(pred, micro, tau)
-    b = dbce(pred, micro, tau, np.ones(6, dtype=np.int64))
-    for field in ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad_dbce", "grad_norm_kl"):
-        assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
+    for w_dbce, w_normkl in ((1.0, 0.0), (0.0, 1.0)):
+        kw = dict(w_dbce=w_dbce, w_normkl=w_normkl)
+        a = dbce(pred, micro, tau, **kw)
+        b = dbce(pred, micro, tau, np.ones(6, dtype=np.int64), **kw)
+        for field in ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad"):
+            assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
 
 
 def test_dbce_rejects_bad_counts(rng):
@@ -347,6 +389,26 @@ def test_pairwise_mean_bce_matches_bce_rows(rng):
         for j in range(2):
             loss, _ = bce_loss(pred[i : i + 1], micro[j : j + 1])
             assert b[i, j] == pytest.approx(loss / 4, rel=1e-12)
+
+
+def test_pairwise_mean_bce_matches_two_products_at_census_width(rng):
+    """The one-GEMM identity against the two-product definition on
+    clamped, group-softmaxed predictions 360 columns wide."""
+    widths = [2, 3, 5, 7, 9, 12, 16] * 6 + [3, 4, 5, 6, 7, 11]
+    assert sum(widths) == 360
+    # logits up to about +-25 put many entries on the clamp
+    logits = rng.normal(scale=8.0, size=(40, 360))
+    pred = np.empty_like(logits)
+    start = 0
+    for w in widths:
+        e = np.exp(logits[:, start : start + w])
+        pred[:, start : start + w] = e / e.sum(axis=1, keepdims=True)
+        start += w
+    pred = clamp01(pred)
+    micro = random_onehot(rng, 60, widths)
+    micro[:5] = (pred[:5] > 0.5).astype(float)  # near-matches as well
+    want = -(np.log(pred) @ micro.T + np.log1p(-pred) @ (1.0 - micro).T) / 360
+    np.testing.assert_allclose(pairwise_mean_bce(pred, micro), want, rtol=0, atol=1e-12)
 
 
 # -- marginal rmse -----------------------------------------------------------

@@ -273,16 +273,17 @@ def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, ti
     )
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     cfg = TrainConfig(epochs=3, decay_start_epoch=1, seed=7)
-    seen, weights = [], []
+    seen, weights, loss_weights_seen = [], [], []
     real_distinct_rows, real_dbce = training.distinct_rows, training.dbce
 
     def spy_distinct_rows(x):
         seen.append(x.copy())
         return real_distinct_rows(x)
 
-    def spy_dbce(pred, rows, temperature, counts):
+    def spy_dbce(pred, rows, temperature, counts, **loss_weights):
         weights.append(counts)
-        return real_dbce(pred, rows, temperature, counts)
+        loss_weights_seen.append(loss_weights)
+        return real_dbce(pred, rows, temperature, counts, **loss_weights)
 
     monkeypatch.setattr(training, "distinct_rows", spy_distinct_rows)
     monkeypatch.setattr(training, "dbce", spy_dbce)
@@ -291,6 +292,8 @@ def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, ti
     np.testing.assert_array_equal(seen[0], repeated.values)
     assert len(weights) == cfg.epochs + 1
     assert all(np.array_equal(c, [3, 3, 3, 3]) for c in weights)
+    # the matcher's one gradient carries the config's two weights
+    assert all(w == {"w_dbce": cfg.w_dbce, "w_normkl": cfg.w_normkl} for w in loss_weights_seen)
     assert res.reference_rows == 12
     assert res.distinct_reference_rows == 4
 
