@@ -6,7 +6,10 @@ writing ``<work-dir>/digests.json``: the sha256 of every file it left under
 the work directory except the manifests, which hold timestamps. Two runs of
 the same arguments on two checkouts compare by comparing their digests.
 
-Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk [options]
+Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk
+
+The recipe is the acceptance suite's (tests/test_acceptance.py) and is fixed
+in the constants below.
 """
 
 from __future__ import annotations
@@ -23,6 +26,19 @@ import numpy as np
 
 from popsynth import cli, evaluation, training, vae
 from popsynth.schema import load_microdata, load_schema, restructure, write_json
+
+DATA_SEED = 42
+N_HOUSEHOLDS = 2000
+N_TRACT = 400
+LATENT_DIM = 3
+HIDDEN_WIDTHS = "48,48,40,40,32,32"
+PRETRAIN = dict(seed=21, epochs=1000, decay_start=300, batch_size=125,
+                kl_weight=0.3, focal_gamma=0.0)
+FINETUNE = dict(seed=7, epochs=3000, decay_start=1000, lr=2e-3, min_lr=2e-4,
+                w_marginal=5.0, w_dbce=0.5, w_normkl=0.1, temperature=0.05)
+WIDE_SAMPLE = 8000  # prior draws for the pretrain fidelity check
+WIDE_SEED = 9
+GEN_SEED = 5
 
 
 def sh(args: list[str]) -> None:
@@ -61,30 +77,6 @@ def write_digests(work_dir: str) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--work-dir", required=True)
-    ap.add_argument("--households", type=int, default=2000)
-    ap.add_argument("--tract-households", type=int, default=400)
-    ap.add_argument("--latent-dim", type=int, default=3)
-    ap.add_argument("--hidden-widths", default="48,48,40,40,32,32")
-    ap.add_argument("--pretrain-epochs", type=int, default=1000)
-    ap.add_argument("--pretrain-decay-start", type=int, default=300)
-    ap.add_argument("--batch-size", type=int, default=125)
-    ap.add_argument("--kl-weight", type=float, default=0.3)
-    ap.add_argument("--focal-gamma", type=float, default=0.0)
-    ap.add_argument("--finetune-epochs", type=int, default=3000)
-    ap.add_argument("--finetune-decay-start", type=int, default=1000)
-    ap.add_argument("--finetune-lr", type=float, default=2e-3)
-    ap.add_argument("--finetune-min-lr", type=float, default=2e-4)
-    ap.add_argument("--w-marginal", type=float, default=5.0)
-    ap.add_argument("--w-dbce", type=float, default=0.5)
-    ap.add_argument("--w-normkl", type=float, default=0.1)
-    ap.add_argument("--temperature", type=float, default=0.05)
-    ap.add_argument("--wide-sample", type=int, default=8000,
-                    help="prior draws for the pretrain fidelity check")
-    ap.add_argument("--data-seed", type=int, default=42)
-    ap.add_argument("--pretrain-seed", type=int, default=21)
-    ap.add_argument("--finetune-seed", type=int, default=7)
-    ap.add_argument("--prior-seed", type=int, default=9)
-    ap.add_argument("--gen-seed", type=int, default=5)
     args = ap.parse_args()
 
     w = args.work_dir
@@ -95,9 +87,9 @@ def main() -> None:
 
     sh([
         "oracle-make", "--out-dir", data,
-        "--households", str(args.households),
-        "--tract-households", str(args.tract_households),
-        "--seed", str(args.data_seed),
+        "--households", str(N_HOUSEHOLDS),
+        "--tract-households", str(N_TRACT),
+        "--seed", str(DATA_SEED),
     ])
     micro = [
         "--schema", f"{data}/schema.json",
@@ -106,29 +98,28 @@ def main() -> None:
     ]
     sh([
         "pretrain", *micro, "--out", model_path,
-        "--seed", str(args.pretrain_seed),
-        "--epochs", str(args.pretrain_epochs),
-        "--decay-start", str(args.pretrain_decay_start),
-        "--batch-size", str(args.batch_size),
-        "--hidden-widths", args.hidden_widths,
-        "--latent-dim", str(args.latent_dim),
-        "--reparam-mode", "standard",
-        "--kl-weight", str(args.kl_weight),
-        "--focal-gamma", str(args.focal_gamma),
+        "--seed", str(PRETRAIN["seed"]),
+        "--epochs", str(PRETRAIN["epochs"]),
+        "--decay-start", str(PRETRAIN["decay_start"]),
+        "--batch-size", str(PRETRAIN["batch_size"]),
+        "--hidden-widths", HIDDEN_WIDTHS,
+        "--latent-dim", str(LATENT_DIM),
+        "--kl-weight", str(PRETRAIN["kl_weight"]),
+        "--focal-gamma", str(PRETRAIN["focal_gamma"]),
     ])
     sh([
         "finetune", *micro, "--model", model_path,
         "--tract-marginals", f"{data}/tract_marginals.csv",
         "--out-latent", latent_path,
-        "--seed", str(args.finetune_seed),
-        "--epochs", str(args.finetune_epochs),
-        "--decay-start", str(args.finetune_decay_start),
-        "--lr", str(args.finetune_lr),
-        "--min-lr", str(args.finetune_min_lr),
-        "--w-marginal", str(args.w_marginal),
-        "--w-dbce", str(args.w_dbce),
-        "--w-normkl", str(args.w_normkl),
-        "--temperature", str(args.temperature),
+        "--seed", str(FINETUNE["seed"]),
+        "--epochs", str(FINETUNE["epochs"]),
+        "--decay-start", str(FINETUNE["decay_start"]),
+        "--lr", str(FINETUNE["lr"]),
+        "--min-lr", str(FINETUNE["min_lr"]),
+        "--w-marginal", str(FINETUNE["w_marginal"]),
+        "--w-dbce", str(FINETUNE["w_dbce"]),
+        "--w-normkl", str(FINETUNE["w_normkl"]),
+        "--temperature", str(FINETUNE["temperature"]),
     ])
 
     # inventories: wide prior sample (pretrain fidelity), tract-sized prior
@@ -137,16 +128,16 @@ def main() -> None:
     model = vae.load_model(model_path)
     wide_latent = os.path.join(w, "prior_wide.psl")
     training.save_latent(
-        training.init_latent(args.wide_sample, model.latent_dim, args.prior_seed),
+        training.init_latent(WIDE_SAMPLE, model.latent_dim, WIDE_SEED),
         wide_latent, model.schema_fingerprint, model.checksum(),
     )
     pre_latent = os.path.join(w, "prior_tract.psl")
     training.save_latent(
-        training.init_latent(args.tract_households, model.latent_dim, args.finetune_seed),
+        training.init_latent(N_TRACT, model.latent_dim, FINETUNE["seed"]),
         pre_latent, model.schema_fingerprint, model.checksum(),
     )
     gen_common = ["--model", model_path, "--schema", f"{data}/schema.json",
-                  "--seed", str(args.gen_seed), "--rules", f"{data}/rules.json"]
+                  "--seed", str(GEN_SEED), "--rules", f"{data}/rules.json"]
     sh(["generate", *gen_common, "--latent", wide_latent, "--out-dir", f"{w}/syn_pre_wide"])
     sh(["generate", *gen_common, "--latent", pre_latent, "--out-dir", f"{w}/syn_pre_tract"])
     sh(["generate", *gen_common, "--latent", latent_path, "--out-dir", f"{w}/syn_tuned"])

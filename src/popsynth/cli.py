@@ -39,6 +39,9 @@ from .schema import (
     write_target_marginals,
 )
 
+DCR_BINS = 20  # bins of each privacy DCR histogram
+
+
 class UsageError(ValueError):
     pass
 
@@ -99,6 +102,18 @@ def _load_tables(schema, *path_pairs):
             max([1, *(len(r.persons) for records in record_sets for r in records)])
         )
     return [restructure(records, schema) for records in record_sets]
+
+
+def _model_schema(path, model):
+    """The schema at ``path`` as ``model`` was fitted with it: an open
+    n_window is pinned to the model's slot count, then the fingerprints must
+    match."""
+    schema = load_schema(path)
+    if schema.n_window is None:
+        schema = schema.with_n_window(len({g.slot for g in model.groups} - {None}))
+    if schema.fingerprint() != model.schema_fingerprint:
+        raise DataError("schema does not match the model's schema fingerprint")
+    return schema
 
 
 @contextlib.contextmanager
@@ -170,10 +185,7 @@ def _cmd_pretrain(args):
         )
         hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
         config = _train_config(
-            args,
-            reparam_mode=args.reparam_mode,
-            kl_weight=args.kl_weight,
-            focal_gamma=args.focal_gamma,
+            args, kl_weight=args.kl_weight, focal_gamma=args.focal_gamma
         )
     _require_parent_dir(args.out, "--out")
     [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
@@ -209,9 +221,7 @@ def _cmd_finetune(args):
         )
     _require_parent_dir(args.out_latent, "--out-latent")
     model = vae.load_model(args.model)
-    schema = load_schema(args.schema)
-    if schema.fingerprint() != model.schema_fingerprint:
-        raise DataError("schema does not match the model's schema fingerprint")
+    schema = _model_schema(args.schema, model)
     [table] = _load_tables(schema, (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
@@ -248,7 +258,7 @@ def _cmd_finetune(args):
 
 def _cmd_generate(args):
     model = vae.load_model(args.model)
-    schema = load_schema(args.schema)
+    schema = _model_schema(args.schema, model)
     latent, header = training.load_latent(args.latent)
     fingerprint = model.checksum()
     fitted_for = (header.get("schema_fingerprint"), header.get("model_fingerprint"))
@@ -348,7 +358,6 @@ def _cmd_evaluate(args):
 
 
 def _cmd_privacy(args):
-    _require_counts(args, "bins")
     pairs = [(args.microdata_hh, args.microdata_p), (args.a_hh, args.a_p), (args.b_hh, args.b_p)]
     tables = _load_tables(load_schema(args.schema), *pairs)
     for (hh, p), table in zip(pairs, tables):
@@ -357,7 +366,7 @@ def _cmd_privacy(args):
     schema = tables[0].schema
 
     outputs = []
-    summary = {"binned": args.binned, "bins": args.bins, "levels": {}}
+    summary = {"levels": {}}
     rows = []
     for level, matrix in (
         ("household", evaluation.household_matrix),
@@ -367,7 +376,7 @@ def _cmd_privacy(args):
         m = distinct_rows(m)[0]  # a repeated row cannot change a minimum
         da = evaluation.dcr(xa, m)
         db = evaluation.dcr(xb, m)
-        ks = evaluation.ks_test(da, db, binned=args.binned, bins=args.bins)
+        ks = evaluation.ks_test(da, db)
         summary["levels"][level] = {
             "ks_statistic": ks.statistic,
             "ks_p_value": ks.p_value,
@@ -382,7 +391,7 @@ def _cmd_privacy(args):
         )
         lo = float(min(da.min(), db.min()))
         hi = float(max(da.max(), db.max()))
-        edges = np.linspace(lo, hi if hi > lo else lo + 1e-12, args.bins + 1)
+        edges = np.linspace(lo, hi if hi > lo else lo + 1e-12, DCR_BINS + 1)
         hist_a, _ = np.histogram(da, bins=edges)
         hist_b, _ = np.histogram(db, bins=edges)
         hist_path = _out_path(args, f"dcr_histogram_{level}.csv")
@@ -391,7 +400,7 @@ def _cmd_privacy(args):
             ["bin_low", "bin_high", "count_a", "count_b"],
             (
                 [f"{edges[i]:.12g}", f"{edges[i + 1]:.12g}", hist_a[i], hist_b[i]]
-                for i in range(args.bins)
+                for i in range(DCR_BINS)
             ),
         )
         outputs.append(hist_path)
@@ -475,11 +484,10 @@ def build_parser() -> _Parser:
         dest="hidden_widths",
         help="six comma-separated encoder widths; decoder mirrors them",
     )
+    # the one sampler, mu + noise * exp(0.5 * logsig); the flag is kept only
+    # because existing command lines pass it
     p.add_argument(
-        "--reparam-mode",
-        choices=["paper-literal", "standard"],
-        default="paper-literal",
-        dest="reparam_mode",
+        "--reparam-mode", choices=["standard"], default="standard", dest="reparam_mode"
     )
     p.add_argument("--kl-weight", type=float, default=1.0, dest="kl_weight")
     p.add_argument("--focal-gamma", type=float, default=2.0, dest="focal_gamma")
@@ -524,8 +532,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b-hh", required=True, dest="b_hh")
     p.add_argument("--b-p", required=True, dest="b_p")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--binned", action="store_true")
-    p.add_argument("--bins", type=int, default=20)
     p.set_defaults(func=_cmd_privacy)
 
     p = sub.add_parser("oracle-make", help="desk-scale ground-truth dataset")

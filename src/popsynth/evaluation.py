@@ -9,7 +9,7 @@ Privacy: distance to the closest record (DCR), the column-mean binary
 cross-entropy between a synthetic row (clamped one-hot, read as probabilities)
 and its nearest microdata row, at household level and at person level (each
 person joined with their household's variables); plus a two-sample
-Kolmogorov-Smirnov test between DCR samples, optionally on binned values.
+Kolmogorov-Smirnov test between DCR samples.
 """
 
 from __future__ import annotations
@@ -211,32 +211,12 @@ class KsResult:
     p_value: float
 
 
-def ks_test(
-    a: np.ndarray, b: np.ndarray, binned: bool = False, bins: int = 20
-) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov with the asymptotic p-value.
-
-    ``binned`` first discretises both samples into equal-width bins over the
-    pooled range, which coarsens the comparison to histogram resolution.
-    """
+def ks_test(a: np.ndarray, b: np.ndarray) -> KsResult:
+    """Two-sample Kolmogorov-Smirnov with the asymptotic p-value."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
-    if binned:
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        lo = min(a[0], b[0])
-        hi = max(a[-1], b[-1])
-        if hi <= lo:
-            a = np.zeros_like(a)
-            b = np.zeros_like(b)
-        else:
-            edges = np.linspace(lo, hi, bins + 1)
-            a = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, bins - 1).astype(float)
-            b = np.clip(np.searchsorted(edges, b, side="right") - 1, 0, bins - 1).astype(float)
-            a.sort()
-            b.sort()
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

@@ -15,11 +15,6 @@ import math
 
 import numpy as np
 
-REPARAM_PAPER_LITERAL = "paper-literal"
-REPARAM_STANDARD = "standard"
-REPARAM_MODES = (REPARAM_PAPER_LITERAL, REPARAM_STANDARD)
-
-
 class Param:
     """A trainable array with an additively accumulated gradient."""
 
@@ -211,31 +206,18 @@ class Chain:
 # reparameterisation
 
 
-def reparameterize(
-    mu: np.ndarray, logsig: np.ndarray, noise: np.ndarray, mode: str = REPARAM_PAPER_LITERAL
-) -> np.ndarray:
-    """Draw latents from (mu, logsig) with externally supplied noise.
-
-    "paper-literal" multiplies the noise by logsig itself; "standard" by
-    exp(0.5 * logsig), treating logsig as log-variance.
-    """
+def reparameterize(mu: np.ndarray, logsig: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Draw latents ``mu + noise * exp(0.5 * logsig)`` with externally
+    supplied noise: ``logsig`` is a log-variance, as in ``losses.latent_kl``."""
     if not (mu.shape == logsig.shape == noise.shape):
         raise ValueError("mu, logsig and noise must have identical shapes")
-    if mode == REPARAM_PAPER_LITERAL:
-        return mu + noise * logsig
-    if mode == REPARAM_STANDARD:
-        return mu + noise * np.exp(0.5 * logsig)
-    raise ValueError(f"unknown reparameterisation mode {mode!r}")
+    return mu + noise * np.exp(0.5 * logsig)
 
 
 def reparameterize_backward(
-    dz: np.ndarray, logsig: np.ndarray, noise: np.ndarray, mode: str = REPARAM_PAPER_LITERAL
+    dz: np.ndarray, logsig: np.ndarray, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    if mode == REPARAM_PAPER_LITERAL:
-        return dz, dz * noise
-    if mode == REPARAM_STANDARD:
-        return dz, dz * noise * 0.5 * np.exp(0.5 * logsig)
-    raise ValueError(f"unknown reparameterisation mode {mode!r}")
+    return dz, dz * noise * 0.5 * np.exp(0.5 * logsig)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class TrainConfig:
     decay_start_epoch: int = 1000
     batch_size: int | None = None  # None: full batch (dataset size)
     seed: int = 0
-    reparam_mode: str = nn.REPARAM_PAPER_LITERAL
     kl_weight: float = 1.0
     focal_gamma: float = 2.0
     w_marginal: float = 1.0
@@ -76,8 +75,6 @@ class TrainConfig:
             raise ValueError("focal gamma must be >= 0")
         if self.softmin_temperature <= 0:
             raise ValueError("softmin temperature must be positive")
-        if self.reparam_mode not in nn.REPARAM_MODES:
-            raise ValueError(f"unknown reparameterisation mode {self.reparam_mode!r}")
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -155,12 +152,12 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
             model.zero_grads()
             mu, logsig = model.encode(xb, train=True)
             noise = rng.standard_normal(mu.shape)
-            z = nn.reparameterize(mu, logsig, noise, config.reparam_mode)
+            z = nn.reparameterize(mu, logsig, noise)
             probs = model.decode(z, train=True)
             fl, dprobs = focal_loss(probs, xb, focal)
             kl, dmu_kl, dls_kl = latent_kl(mu, logsig)
             dz = model.decode_backward(dprobs)
-            dmu, dls = nn.reparameterize_backward(dz, logsig, noise, config.reparam_mode)
+            dmu, dls = nn.reparameterize_backward(dz, logsig, noise)
             model.encode_backward(
                 dmu + config.kl_weight * dmu_kl, dls + config.kl_weight * dls_kl
             )

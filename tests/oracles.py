@@ -24,7 +24,7 @@ def brute_bce(pred, target) -> float:
         for j in range(d):
             p = clamp(pred[i, j])
             t = target[i, j]
-            total -= t * math.log(p) + (1.0 - t) * math.log(1.0 - p)
+            total -= t * math.log(p) + (1.0 - t) * math.log1p(-p)
     return total / n
 
 
@@ -36,7 +36,7 @@ def brute_focal(pred, target, alpha: float, gamma: float) -> float:
             p = clamp(pred[i, j])
             t = target[i, j]
             total -= alpha * t * (1.0 - p) ** gamma * math.log(p)
-            total -= (1.0 - alpha) * (1.0 - t) * p**gamma * math.log(1.0 - p)
+            total -= (1.0 - alpha) * (1.0 - t) * p**gamma * math.log1p(-p)
     return total / n
 
 
@@ -67,7 +67,7 @@ def brute_dbce(pred, micro, temperature: float):
             for k in range(d):
                 p = clamp(pred[i, k])
                 t = micro[j, k]
-                acc -= t * math.log(p) + (1.0 - t) * math.log(1.0 - p)
+                acc -= t * math.log(p) + (1.0 - t) * math.log1p(-p)
             b[i, j] = acc / d
     per_row = np.zeros(n_t)
     soft_index = np.zeros(n)

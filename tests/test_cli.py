@@ -1,5 +1,7 @@
+import collections
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import struct
@@ -35,11 +37,11 @@ def data_dir(tmp_path_factory):
     return d
 
 
-def cli_pretrain(data_dir, out, seed=1, epochs=25):
+def cli_pretrain(data_dir, out, *extra, seed=1, epochs=25, schema="schema.json"):
     return run(
         [
             "pretrain",
-            "--schema", str(data_dir / "schema.json"),
+            "--schema", str(data_dir / schema),
             "--microdata-hh", str(data_dir / "households.csv"),
             "--microdata-p", str(data_dir / "persons.csv"),
             "--out", str(out),
@@ -50,7 +52,7 @@ def cli_pretrain(data_dir, out, seed=1, epochs=25):
             "--hidden-widths", TINY_WIDTHS,
             "--kl-weight", "0.1",
             "--focal-gamma", "0",
-            "--reparam-mode", "standard",
+            *extra,
         ]
     )
 
@@ -113,6 +115,88 @@ def test_pretrain_is_reproducible(data_dir, tmp_path):
     assert cli_pretrain(data_dir, a) == 0
     assert cli_pretrain(data_dir, b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pretrain_default_sampler_is_the_standard_one(data_dir, tmp_path):
+    default, standard = tmp_path / "default.psv", tmp_path / "standard.psv"
+    assert cli_pretrain(data_dir, default) == 0
+    assert cli_pretrain(data_dir, standard, "--reparam-mode", "standard") == 0
+    assert default.read_bytes() == standard.read_bytes()
+    manifest = json.loads((tmp_path / "default.psv.manifest.json").read_text())
+    assert manifest["config"]["reparam_mode"] == "standard"
+
+
+def test_paper_literal_sampler_is_a_usage_error(data_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert cli_pretrain(data_dir, tmp_path / "model.psv", "--reparam-mode", "paper-literal") == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'paper-literal'" in err and err.count("usage:") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def write_open_schema(data_dir, path):
+    """``data_dir``'s schema without its n_window, written to ``path``;
+    returns the pinned schema's JSON."""
+    pinned = json.loads((data_dir / "schema.json").read_text())
+    path.write_text(json.dumps({k: v for k, v in pinned.items() if k != "n_window"}))
+    return pinned
+
+
+def run_chain(data_dir, schema, out):
+    """pretrain -> finetune -> generate -> evaluate -> privacy on ``schema``
+    (a path, or a file name in ``data_dir``); returns the exit codes."""
+    micro = ["--schema", str(data_dir / schema), "--microdata-hh", str(data_dir / "households.csv"),
+             "--microdata-p", str(data_dir / "persons.csv")]
+    out.mkdir()
+    inv = out / "inventory"
+    syn = ["--syn-hh", str(inv / "households.csv"), "--syn-p", str(inv / "persons.csv")]
+    return [
+        cli_pretrain(data_dir, out / "model.psv", schema=schema),
+        run(["finetune", *micro, "--model", str(out / "model.psv"),
+             "--tract-marginals", str(data_dir / "tract_marginals.csv"),
+             "--out-latent", str(out / "tract.psl"), "--seed", "2", "--epochs", "10",
+             "--decay-start", "5", "--temperature", "0.1"]),
+        run(["generate", "--model", str(out / "model.psv"), "--schema", str(data_dir / schema),
+             "--latent", str(out / "tract.psl"), "--out-dir", str(inv), "--seed", "5",
+             "--rules", str(data_dir / "rules.json")]),
+        run(["evaluate", *micro, *syn, "--tract-marginals", str(data_dir / "tract_marginals.csv"),
+             "--out-dir", str(out / "report")]),
+        run(["privacy", *micro, "--a-hh", str(data_dir / "households.csv"),
+             "--a-p", str(data_dir / "persons.csv"), "--b-hh", str(inv / "households.csv"),
+             "--b-p", str(inv / "persons.csv"), "--out-dir", str(out / "privacy")]),
+    ]
+
+
+def test_open_window_schema_runs_the_chain_like_the_pinned_one(data_dir, tmp_path):
+    """An open n_window is pinned by the model for finetune and generate, so
+    the chain gives the pinned schema's inventory."""
+    pinned = write_open_schema(data_dir, tmp_path / "open.json")
+    with open(data_dir / "persons.csv", encoding="utf-8") as fh:
+        sizes = collections.Counter(row["household_id"] for row in csv.DictReader(fh))
+    assert max(sizes.values()) == pinned["n_window"]
+
+    assert run_chain(data_dir, tmp_path / "open.json", tmp_path / "open") == [0] * 5
+    assert run_chain(data_dir, "schema.json", tmp_path / "pinned") == [0] * 5
+    for name in ("households.csv", "persons.csv", "provenance.json", "sanity_report.json"):
+        open_inv = tmp_path / "open" / "inventory" / name
+        assert open_inv.read_bytes() == (tmp_path / "pinned" / "inventory" / name).read_bytes()
+
+
+def test_open_window_household_larger_than_the_model_is_exit_1(data_dir, artifacts, tmp_path, capsys):
+    write_open_schema(data_dir, tmp_path / "open.json")
+    lines = (data_dir / "persons.csv").read_text().splitlines()
+    (tmp_path / "persons.csv").write_text("\n".join([*lines, *[lines[1]] * 4]) + "\n")
+    capsys.readouterr()
+    rc = run(["finetune", "--schema", str(tmp_path / "open.json"),
+              "--microdata-hh", str(data_dir / "households.csv"),
+              "--microdata-p", str(tmp_path / "persons.csv"),
+              "--model", str(artifacts[0] / "model.psv"),
+              "--tract-marginals", str(data_dir / "tract_marginals.csv"),
+              "--out-latent", str(tmp_path / "x.psl"), "--seed", "2", "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "n_window is 3" in err and err.count("\n") == 1
+    assert not (tmp_path / "x.psl").exists()
 
 
 def test_full_pipeline_and_exit_codes(data_dir, tmp_path):
@@ -238,17 +322,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_desk_script_writes_the_digest_of_every_output(tmp_path):
+def test_desk_script_writes_the_digest_of_every_output(tmp_path, monkeypatch):
     script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_desk_pipeline", script)
+    desk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk)
+    # the script's recipe, shrunk to seconds
+    for name, value in [("N_HOUSEHOLDS", 60), ("N_TRACT", 20), ("WIDE_SAMPLE", 50),
+                        ("PRETRAIN", desk.PRETRAIN | dict(epochs=4, decay_start=1, batch_size=30)),
+                        ("FINETUNE", desk.FINETUNE | dict(epochs=4, decay_start=1))]:
+        monkeypatch.setattr(desk, name, value)
     work = tmp_path / "desk"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(popsynth.__file__)))
-    subprocess.run(
-        [sys.executable, str(script), "--work-dir", str(work), "--households", "60",
-         "--tract-households", "20", "--pretrain-epochs", "4", "--pretrain-decay-start", "1",
-         "--finetune-epochs", "4", "--finetune-decay-start", "1", "--wide-sample", "50",
-         "--batch-size", "30"],
-        capture_output=True, env=env, check=True,
-    )
+    monkeypatch.setattr(sys, "argv", [str(script), "--work-dir", str(work)])
+    desk.main()
     digests = json.loads((work / "digests.json").read_text())
     on_disk = {
         str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -527,8 +613,6 @@ BAD_NUMBERS = [
     ("finetune", "--epochs", "0"),
     ("oracle-make", "--households", "0"),
     ("oracle-make", "--tract-households", "0"),
-    ("privacy", "--bins", "-2"),
-    ("privacy", "--bins", "0"),
 ]
 
 

@@ -183,15 +183,6 @@ def test_ks_same_distribution_accepts(rng):
     assert ks_test(a, b).p_value > 0.05
 
 
-def test_ks_binned_coarsens(rng):
-    a = rng.normal(size=300)
-    b = a + rng.normal(scale=1e-4, size=300)
-    exact = ks_test(a, b)
-    coarse = ks_test(a, b, binned=True, bins=10)
-    assert coarse.statistic <= exact.statistic + 1e-12
-    assert coarse.p_value >= exact.p_value - 1e-12
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_ks_property_statistic_in_unit_interval(seed):

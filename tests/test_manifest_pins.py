@@ -93,10 +93,10 @@ def chain(tmp_path_factory):
                                     "joint_chi2_p.csv", "summary.json",
                                     *(f"hist_{v}.csv" for v in VARIABLES))])
     cli(["privacy", *flags, "--a-hh", hh, "--a-p", pp, "--b-hh", syn["syn_hh"],
-         "--b-p", syn["syn_p"], "--out-dir", d / "privacy", "--bins", 5],
+         "--b-p", syn["syn_p"], "--out-dir", d / "privacy"],
         d / "privacy" / "manifest.json",
         micro | {"a_hh": hh, "a_p": pp, "b_hh": syn["syn_hh"], "b_p": syn["syn_p"],
-                 "out_dir": str(d / "privacy"), "binned": False, "bins": 5},
+                 "out_dir": str(d / "privacy")},
         [d / "privacy" / n for n in ("dcr_histogram_household.csv", "dcr_histogram_person.csv",
                                      "dcr_distances.csv", "privacy_summary.json")])
     return d, expected

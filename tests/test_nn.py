@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,31 +170,31 @@ def test_reparameterize_modes_differ(rng):
     mu = rng.normal(size=(3, 4))
     logsig = rng.normal(size=(3, 4))
     eps = rng.normal(size=(3, 4))
-    z_lit = reparameterize(mu, logsig, eps, "paper-literal")
-    z_std = reparameterize(mu, logsig, eps, "standard")
-    np.testing.assert_allclose(z_lit, mu + eps * logsig, atol=1e-12)
+    z_std = reparameterize(mu, logsig, eps)
     np.testing.assert_allclose(z_std, mu + eps * np.exp(0.5 * logsig), atol=1e-12)
 
 
-def test_reparameterize_rejects_unknown_mode(rng):
-    with pytest.raises(ValueError):
-        reparameterize(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), "other")
+def test_reparameterize_variance_is_exp_logsig():
+    """logsig is the log-variance that ``losses.latent_kl`` assumes."""
+    shape = (100_000, 1)
+    eps = np.random.default_rng(0).standard_normal(shape)
+    z = reparameterize(np.zeros(shape), np.full(shape, math.log(4.0)), eps)
+    assert abs(z.var() / 4.0 - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("mode", ["paper-literal", "standard"])
-def test_reparameterize_gradients(mode, rng):
+def test_reparameterize_gradients(rng):
     mu = rng.normal(size=(3, 4))
     logsig = rng.normal(scale=0.3, size=(3, 4))
     eps = rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 4))
 
     dz = w
-    d_mu, d_logsig = reparameterize_backward(dz, logsig, eps, mode)
+    d_mu, d_logsig = reparameterize_backward(dz, logsig, eps)
     n_mu = oracles.central_difference(
-        lambda m: float((reparameterize(m, logsig, eps, mode) * w).sum()), mu
+        lambda m: float((reparameterize(m, logsig, eps) * w).sum()), mu
     )
     n_ls = oracles.central_difference(
-        lambda s: float((reparameterize(mu, s, eps, mode) * w).sum()), logsig
+        lambda s: float((reparameterize(mu, s, eps) * w).sum()), logsig
     )
     assert oracles.max_rel_error(d_mu, n_mu) < 1e-6
     assert oracles.max_rel_error(d_logsig, n_ls) < 1e-6

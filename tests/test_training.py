@@ -37,8 +37,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(min_lr=1e-2, initial_lr=1e-3)
-    with pytest.raises(ValueError):
-        TrainConfig(reparam_mode="banana")
 
 
 def test_lr_schedule_reference_points():
