@@ -104,18 +104,6 @@ def _load_tables(schema, *path_pairs):
     return [restructure(records, schema) for records in record_sets]
 
 
-def _model_schema(path, model):
-    """The schema at ``path`` as ``model`` was fitted with it: an open
-    n_window is pinned to the model's slot count, then the fingerprints must
-    match."""
-    schema = load_schema(path)
-    if schema.n_window is None:
-        schema = schema.with_n_window(len({g.slot for g in model.groups} - {None}))
-    if schema.fingerprint() != model.schema_fingerprint:
-        raise DataError("schema does not match the model's schema fingerprint")
-    return schema
-
-
 @contextlib.contextmanager
 def _usage_errors():
     """Re-raise a ValueError as a UsageError. Commands build their settings
@@ -221,18 +209,16 @@ def _cmd_finetune(args):
         )
     _require_parent_dir(args.out_latent, "--out-latent")
     model = vae.load_model(args.model)
-    schema = _model_schema(args.schema, model)
+    schema = model.schema_for(load_schema(args.schema))
     [table] = _load_tables(schema, (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
-    before = model.decoder_checksum()
+    fingerprint = model.checksum()
     result = training.finetune(model, latent, targets, data, config)
-    if model.decoder_checksum() != before:
-        raise RuntimeError("decoder parameters changed during fine-tuning")
-    training.save_latent(
-        latent, args.out_latent, model.schema_fingerprint, model.checksum()
-    )
+    if model.checksum() != fingerprint:
+        raise RuntimeError("model changed during fine-tuning")
+    training.save_latent(latent, args.out_latent, model.schema_fingerprint, fingerprint)
     history_path = f"{args.out_latent}.history.csv"
     training.write_history(
         history_path, training.FINETUNE_HISTORY_COLUMNS, result.history
@@ -248,7 +234,7 @@ def _cmd_finetune(args):
     )
     return (
         [args.out_latent, history_path, marg_path],
-        {"schema": schema.fingerprint(), "model": model.checksum()},
+        {"schema": schema.fingerprint(), "model": fingerprint},
         {
             "reference_rows": result.reference_rows,
             "distinct_reference_rows": result.distinct_reference_rows,
@@ -258,7 +244,7 @@ def _cmd_finetune(args):
 
 def _cmd_generate(args):
     model = vae.load_model(args.model)
-    schema = _model_schema(args.schema, model)
+    schema = model.schema_for(load_schema(args.schema))
     latent, header = training.load_latent(args.latent)
     fingerprint = model.checksum()
     fitted_for = (header.get("schema_fingerprint"), header.get("model_fingerprint"))

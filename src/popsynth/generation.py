@@ -90,9 +90,9 @@ def generate_inventory(
     toolkit_version: str = "",
 ) -> SyntheticInventory:
     """Decode the latent matrix with the frozen decoder (eval-mode batch norm)
-    and translate the rows into an inventory."""
-    if schema.fingerprint() != model.schema_fingerprint:
-        raise DataError("schema does not match the model's schema fingerprint")
+    and translate the rows into an inventory. An open n_window in ``schema``
+    is pinned to the model's (``VaeModel.schema_for``)."""
+    schema = model.schema_for(schema)
     probs = model.decode(np.asarray(latent.z, dtype=np.float64), train=False)
     matrix = EncodedMatrix(probs, model.groups, model.schema_fingerprint)
     table, forced_na_cells = decode_onehot_with_stats(matrix, schema, mode=mode, seed=seed)

@@ -24,7 +24,8 @@ Schema: JSON object with keys ``household`` and ``person`` (lists of
 the observed maximum household size), optional ``person_sort_key`` (name or
 list of names, default: first person variable then the rest in schema order)
 and optional ``slot_anchor`` (default: first person variable). ``NA`` is
-appended to person variables automatically when absent.
+appended to person variables automatically when absent; a person variable
+needs at least one other category. Any other key is an error.
 
 Microdata: two CSV files with header rows. The household file needs
 ``household_id`` plus one column per household variable; the person file needs
@@ -309,14 +310,14 @@ class TargetMarginals:
 # loaders
 
 
-def load_schema(path) -> Schema:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"could not parse schema file {path}: {exc}") from None
+def schema_from_dict(raw) -> Schema:
+    """The schema a parsed schema file or model header describes. A key the
+    format does not define is an error, not ignored."""
     if not isinstance(raw, dict):
-        raise SchemaError("schema file must contain a JSON object")
+        raise SchemaError("schema must be a JSON object")
+    unknown = raw.keys() - {"household", "person", "n_window", "person_sort_key", "slot_anchor"}
+    if unknown:
+        raise SchemaError(f"unknown schema key(s) {sorted(unknown)}")
 
     def build(section, is_person):
         entries = raw.get(section)
@@ -324,7 +325,7 @@ def load_schema(path) -> Schema:
             raise SchemaError(f"schema section {section!r} must be a list")
         out = []
         for entry in entries:
-            if not isinstance(entry, dict) or "name" not in entry:
+            if not isinstance(entry, dict) or not {"name"} <= entry.keys() <= {"name", "categories"}:
                 raise SchemaError(f"malformed entry in section {section!r}: {entry!r}")
             name = str(entry["name"])
             cats = [str(c) for c in entry.get("categories", [])]
@@ -335,6 +336,8 @@ def load_schema(path) -> Schema:
                     )
                 if NA not in cats:
                     cats.append(NA)
+                if len(cats) == 1:
+                    raise SchemaError(f"person variable {name!r} has no category besides NA")
                 out.append(Variable(name, tuple(cats), has_na=True))
             else:
                 out.append(Variable(name, tuple(cats)))
@@ -358,8 +361,9 @@ def load_schema(path) -> Schema:
     )
 
 
-def write_schema(schema: Schema, path) -> None:
-    payload = {
+def schema_dict(schema: Schema) -> dict:
+    """The JSON object of a schema file; ``schema_from_dict`` inverts it."""
+    return {
         "n_window": schema.n_window,
         "person_sort_key": list(schema.sort_keys),
         "slot_anchor": schema.slot_anchor,
@@ -372,7 +376,19 @@ def write_schema(schema: Schema, path) -> None:
             for v in schema.person_vars
         ],
     }
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def load_schema(path) -> Schema:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"could not parse schema file {path}: {exc}") from None
+    return schema_from_dict(raw)
+
+
+def write_schema(schema: Schema, path) -> None:
+    write_text(path, json.dumps(schema_dict(schema), indent=2) + "\n")
 
 
 def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:

@@ -283,8 +283,8 @@ def finetune(
 def save_latent(
     latent: LatentMatrix,
     path,
-    schema_fingerprint: str = "",
-    model_fingerprint: str = "",
+    schema_fingerprint: str,
+    model_fingerprint: str,
 ) -> None:
     header = {
         "format": "pslatent",

@@ -8,9 +8,10 @@ softmax, so every decoded row is a stack of category distributions.
 The layers' parameters and running statistics are views into one ``state``
 vector, and their gradients into one gradient vector. Persistence is a
 versioned binary format (the codec ``write_blob`` / ``read_blob``, shared with
-latent files): an 8-byte magic, a length-prefixed JSON header (schema
-fingerprint, dims, hyperparameters, array directory) and ``state`` as
-little-endian float64. Round trips are bit-exact.
+latent files): an 8-byte magic, a length-prefixed JSON header (the resolved
+schema, hyperparameters, array directory) and ``state`` as little-endian
+float64. Round trips are bit-exact. The model's fingerprint, ``checksum``,
+hashes that header and ``state``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .schema import Schema, ColumnGroup, column_layout, write_atomic
+from .schema import DataError, Schema, column_layout, schema_dict, schema_from_dict, write_atomic
 
 MODEL_MAGIC = b"PSVAE01\n"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 DEFAULT_ENCODER_WIDTHS = (512, 384, 256, 192, 128, 96)
 DEFAULT_LATENT_DIM = 64
@@ -62,21 +63,15 @@ def _block(in_dim, out_dim, rng, name):
 
 
 class VaeModel:
-    def __init__(
-        self,
-        d: int,
-        groups: tuple[ColumnGroup, ...],
-        schema_fingerprint: str,
-        hyper: VaeHyperparams,
-    ):
-        self.d = d
-        self.groups = groups
-        self.schema_fingerprint = schema_fingerprint
+    def __init__(self, schema: Schema, hyper: VaeHyperparams):
+        self.schema = schema
+        self.groups, self.d = column_layout(schema)
+        self.schema_fingerprint = schema.fingerprint()
         self.hyper = hyper
         rng = np.random.default_rng(hyper.init_seed)
 
         layers = []
-        width = d
+        width = self.d
         for i, w in enumerate(hyper.encoder_widths):
             layers.extend(_block(width, w, rng, f"enc{i}"))
             width = w
@@ -92,12 +87,10 @@ class VaeModel:
             layers.extend(_block(width, w, rng, f"dec{i}"))
             width = w
         self.decoder = nn.Chain(layers)
-        self.out_affine = nn.Affine(width, d, rng, "out.affine")
+        self.out_affine = nn.Affine(width, self.d, rng, "out.affine")
         self.out_softmax = nn.GroupSoftmax(
-            [(g.start, g.stop) for g in groups], "out.softmax"
+            [(g.start, g.stop) for g in self.groups], "out.softmax"
         )
-        if self.out_softmax.width != d:
-            raise ValueError(f"column groups cover {self.out_softmax.width} columns, not {d}")
         self._pack()
 
     @property
@@ -166,21 +159,32 @@ class VaeModel:
     def zero_grads(self) -> None:
         self.flat.zero_grad()
 
-    def directory(self) -> list[list]:
-        """The file header's array directory: [name, shape] in file order."""
-        return [[name, list(arr.shape)] for name, arr in self.arrays]
+    def header(self) -> dict:
+        """The file header: the schema, the hyperparameters and the array
+        directory ([name, shape] in file order)."""
+        return {
+            "format": "psvae",
+            "schema": schema_dict(self.schema),
+            "hyperparams": asdict(self.hyper),
+            "arrays": [[name, list(arr.shape)] for name, arr in self.arrays],
+        }
 
-    def checksum(self, items=None) -> str:
-        h = hashlib.sha256()
-        for name, arr in items if items is not None else self.arrays:
-            h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    def checksum(self) -> str:
+        """The model's fingerprint: sha256 of the header in canonical JSON,
+        then of ``state`` as little-endian float64."""
+        head = json.dumps(self.header(), sort_keys=True, separators=(",", ":"))
+        h = hashlib.sha256(head.encode("utf-8"))
+        h.update(np.ascontiguousarray(self.state, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    def decoder_checksum(self) -> str:
-        return self.checksum(
-            [(n, a) for n, a in self.arrays if n.startswith(("dec", "out"))]
-        )
+    def schema_for(self, schema: Schema) -> Schema:
+        """``schema`` as this model was fitted with it: an open n_window is
+        pinned to the model's own, then the fingerprints must match."""
+        if schema.n_window is None:
+            schema = schema.with_n_window(self.schema.n_window)
+        if schema.fingerprint() != self.schema_fingerprint:
+            raise DataError("schema does not match the model's schema fingerprint")
+        return schema
 
 
 def init_model(
@@ -195,10 +199,9 @@ def init_model(
     Initialisation is uniform in +/- sqrt(6 / (fan_in + fan_out)), biases and
     batch-norm shifts zero, deterministic in the seed.
     """
-    groups, d = column_layout(schema)
     widths = tuple(hidden_widths) if hidden_widths else DEFAULT_ENCODER_WIDTHS
     hyper = VaeHyperparams(latent_dim=latent_dim, encoder_widths=widths, init_seed=seed)
-    return VaeModel(d, groups, schema.fingerprint(), hyper)
+    return VaeModel(schema, hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +244,7 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
 
 
 def save_model(model: VaeModel, path) -> None:
-    header = {
-        "format": "psvae",
-        "schema_fingerprint": model.schema_fingerprint,
-        "d": model.d,
-        "groups": [[g.var, g.slot, g.start, g.width] for g in model.groups],
-        "hyperparams": asdict(model.hyper),
-        "arrays": model.directory(),
-    }
-    write_blob(path, MODEL_MAGIC, MODEL_VERSION, header, model.state)
+    write_blob(path, MODEL_MAGIC, MODEL_VERSION, model.header(), model.state)
 
 
 def load_model(path) -> VaeModel:
@@ -263,12 +258,10 @@ def load_model(path) -> VaeModel:
         raise ModelFormatError(f"{path}: format {header.get('format')!r} is not psvae")
     try:
         hp = {k: tuple(v) if isinstance(v, list) else v for k, v in header["hyperparams"].items()}
-        hyper = VaeHyperparams(**hp)
-        groups = tuple(ColumnGroup(*g) for g in header["groups"])
-        model = VaeModel(header["d"], groups, header["schema_fingerprint"], hyper)
+        model = VaeModel(schema_from_dict(header["schema"]), VaeHyperparams(**hp))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: header does not describe a model: {exc!r}") from None
-    if header["arrays"] != model.directory():
+    if header["arrays"] != model.header()["arrays"]:
         raise ModelFormatError(f"{path}: array directory does not match the model")
     model.state[...] = state
     return model

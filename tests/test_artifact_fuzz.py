@@ -3,14 +3,17 @@
 A real model and a latent fitted for it are written once; each example
 corrupts one of them and runs ``generate`` through ``cli.run``. A file cut
 short at any length must exit 1. A bit flipped in the magic, the length
-prefix or the JSON header may still describe a usable file (exit 0) or not
-(exit 1 with one ``error:`` line), but never a runtime failure (exit 2) or an
-uncaught exception. The float payload has no checksum, so flips there are
-not tested.
+prefix or the JSON header may still describe a usable file (exit 0, with the
+untouched run's inventory) or not (exit 1 with one ``error:`` line), but
+never a runtime failure (exit 2) or an uncaught exception. A bit flipped in
+the model's float payload changes its fingerprint, which no longer matches
+the one the latent records, so it exits 1. The latent's own payload has no
+checksum, so flips there are not tested.
 """
 
 import contextlib
 import io
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -23,6 +26,7 @@ from popsynth import training, vae
 from popsynth.cli import run
 
 FORMATS = ("model.psv", "latent.psl")
+INVENTORY = ("households.csv", "persons.csv", "provenance.json")
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +53,9 @@ def header_end(blob: bytes) -> int:
     return 12 + size
 
 
-def generate_with(d: Path, fmt: str, blob: bytes) -> tuple[int, str]:
-    """Exit code and standard error of ``generate`` with ``fmt`` replaced by ``blob``."""
+def generate_with(d: Path, fmt: str, blob: bytes) -> tuple[int, str, dict]:
+    """Exit code, standard error and inventory files (name -> bytes) of
+    ``generate`` with ``fmt`` replaced by ``blob``."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: d / name for name in FORMATS}
         paths[fmt] = Path(tmp) / fmt
@@ -60,25 +65,54 @@ def generate_with(d: Path, fmt: str, blob: bytes) -> tuple[int, str]:
             rc = run(["generate", "--model", str(paths["model.psv"]),
                       "--schema", str(d / "schema.json"), "--latent", str(paths["latent.psl"]),
                       "--out-dir", str(Path(tmp) / "inv"), "--seed", "5"])
-    return rc, err.getvalue()
+        inv = Path(tmp) / "inv"
+        files = {name: (inv / name).read_bytes() for name in INVENTORY if (inv / name).exists()}
+    return rc, err.getvalue(), files
+
+
+def assert_one_error_line(rc: int, err: str) -> None:
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def untouched(artifacts):
+    """The inventory files of a run on the untouched artifacts."""
+    rc, err, files = generate_with(artifacts, "model.psv", (artifacts / "model.psv").read_bytes())
+    assert (rc, err, sorted(files)) == (0, "", sorted(INVENTORY))
+    return files
 
 
 def test_untouched_artifacts_generate(artifacts):
     for fmt in FORMATS:
-        assert generate_with(artifacts, fmt, (artifacts / fmt).read_bytes()) == (0, "")
+        assert generate_with(artifacts, fmt, (artifacts / fmt).read_bytes())[:2] == (0, "")
 
 
-def test_model_with_groups_wider_than_its_output_is_exit_1(artifacts):
-    """Found by the fuzzer: a flip in the last group's width (4 -> 5) gave a
-    model whose softmax groups overrun its output layer, and ``generate``
-    exited 2 with a runtime failure."""
-    blob = bytearray((artifacts / "model.psv").read_bytes())
-    pos = blob.index(b'],"hyperparams"') - 2  # the last group's width
-    assert blob[pos : pos + 2] == b"4]"
-    blob[pos] ^= 1
-    rc, err = generate_with(artifacts, "model.psv", bytes(blob))
-    assert rc == 1
-    assert err.startswith("error:") and err.count("\n") == 1
+def with_schema(blob: bytes, change) -> bytes:
+    """A model file whose header holds ``change(schema)`` in place of its schema."""
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + size])
+    header["schema"] = change(header["schema"])
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]
+
+
+HEADER_SCHEMAS = {
+    "n_window-null": lambda s: s | {"n_window": None},
+    "misspelt-key": lambda s: {k.replace("_key", "_keys"): v for k, v in s.items()},
+    "not-an-object": lambda s: [s],
+    "no-person-section": lambda s: {k: v for k, v in s.items() if k != "person"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_SCHEMAS))
+def test_model_header_without_a_usable_schema_is_exit_1(artifacts, case):
+    """The model's layout comes from the schema in its header, so that schema
+    must be complete (n_window included) and parse under the strict loader."""
+    blob = with_schema((artifacts / "model.psv").read_bytes(), HEADER_SCHEMAS[case])
+    rc, err, _ = generate_with(artifacts, "model.psv", blob)
+    assert_one_error_line(rc, err)
+    assert "header does not describe a model" in err
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,20 +120,38 @@ def test_model_with_groups_wider_than_its_output_is_exit_1(artifacts):
 def test_truncated_artifact_is_exit_1(artifacts, fmt, data):
     blob = (artifacts / fmt).read_bytes()
     cut = data.draw(st.integers(0, len(blob) - 1), label="length")
-    rc, err = generate_with(artifacts, fmt, blob[:cut])
-    assert rc == 1
-    assert err.startswith("error:") and err.count("\n") == 1
+    rc, err, _ = generate_with(artifacts, fmt, blob[:cut])
+    assert_one_error_line(rc, err)
 
 
 @settings(max_examples=300, deadline=None)
 @given(fmt=st.sampled_from(FORMATS), data=st.data())
-def test_header_bit_flip_is_exit_0_or_1(artifacts, fmt, data):
+def test_header_bit_flip_is_exit_0_or_1(artifacts, untouched, fmt, data):
     blob = bytearray((artifacts / fmt).read_bytes())
     pos = data.draw(st.integers(0, header_end(blob) - 1), label="byte")
     blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    rc, err = generate_with(artifacts, fmt, bytes(blob))
+    rc, err, files = generate_with(artifacts, fmt, bytes(blob))
     assert rc in (0, 1)
     lines = err.splitlines()
     assert sum(line.startswith("error:") for line in lines) == rc
     if rc == 1:
         assert len(lines) == 1
+        return
+    assert files["households.csv"] == untouched["households.csv"]
+    assert files["persons.csv"] == untouched["persons.csv"]
+    if fmt == "model.psv":
+        assert files["provenance.json"] == untouched["provenance.json"]
+    else:  # the latent's seed is reported in provenance.json but checked nowhere
+        got, want = (json.loads(f["provenance.json"]) for f in (files, untouched))
+        assert got | {"latent_seed": want["latent_seed"]} == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_model_payload_bit_flip_is_exit_1(artifacts, data):
+    blob = bytearray((artifacts / "model.psv").read_bytes())
+    pos = data.draw(st.integers(header_end(blob), len(blob) - 1), label="byte")
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    rc, err, _ = generate_with(artifacts, "model.psv", bytes(blob))
+    assert_one_error_line(rc, err)
+    assert "was fitted for another model" in err

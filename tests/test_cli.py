@@ -653,6 +653,25 @@ def test_missing_output_directory_is_exit_1_before_training(
     assert not any(tmp_path.iterdir())
 
 
+def test_finetune_that_changes_the_model_fails(data_dir, artifacts, tmp_path, capsys, monkeypatch):
+    """Fine-tuning must leave the whole model as it was, encoder included:
+    the latent records the fingerprint taken before training."""
+    real = training.finetune
+
+    def finetune(model, *args, **kwargs):
+        result = real(model, *args, **kwargs)
+        model.encoder.params()[0].value[0, 0] += 1.0
+        return result
+
+    monkeypatch.setattr(training, "finetune", finetune)
+    capsys.readouterr()
+    rc = run(valid_command("finetune", data_dir, artifacts[0] / "model.psv", tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "model changed during fine-tuning" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_header_only_person_table_is_one_error_line_and_no_warning(data_dir, tmp_path, capsys):
     no_persons = header_only(data_dir / "persons.csv", tmp_path / "no_persons.csv")
     hh = str(data_dir / "households.csv")
@@ -750,8 +769,9 @@ def rewrite_header(src, dst, **changes):
         ("latent.psl", {"format": "psvae"}, "format 'psvae' is not pslatent"),
         ("latent.psl", {"dtype": ">f8"}, "unsupported dtype '>f8'"),
         ("model.psv", {"version": 1}, "unsupported version 1"),
+        ("model.psv", {"version": 2}, "unsupported version 2"),
     ],
-    ids=["psv-dtype", "psv-format", "psl-format", "psl-dtype", "psv-version-1"],
+    ids=["psv-dtype", "psv-format", "psl-format", "psl-dtype", "psv-version-1", "psv-version-2"],
 )
 def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, fmt, changes, message, capsys):
     d, _ = artifacts

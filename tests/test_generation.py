@@ -20,10 +20,12 @@ from popsynth.schema import (
     DataError,
     HouseholdRecord,
     load_microdata,
+    load_schema,
     restructure,
+    write_schema,
 )
 from popsynth.training import TrainConfig, init_latent, pretrain
-from popsynth.vae import init_model
+from popsynth.vae import init_model, load_model, save_model
 
 WIDTHS = (16, 14, 12, 12, 10, 8)
 
@@ -81,6 +83,26 @@ def test_generate_inventory_rejects_wrong_schema(tiny_schema, tiny_encoded):
     latent = init_latent(5, model.latent_dim, seed=3)
     with pytest.raises(DataError):
         generate_inventory(model, latent, tiny_schema.with_n_window(3))
+
+
+def test_generate_inventory_pins_an_open_window_to_the_model(tiny_schema, tiny_encoded, tmp_path):
+    """A library caller may pass the schema file without its n_window, as the
+    CLI does: the model's window is used, and the tables are the pinned ones."""
+    path = tmp_path / "model.psv"
+    save_model(trained_model(tiny_schema, tiny_encoded), path)
+    write_schema(tiny_schema, tmp_path / "open.json")
+    raw = json.loads((tmp_path / "open.json").read_text())
+    del raw["n_window"]
+    (tmp_path / "open.json").write_text(json.dumps(raw))
+    latent = init_latent(12, 3, seed=1)
+    pinned = generate_inventory(load_model(path), latent, tiny_schema, mode="sample", seed=4)
+    opened = generate_inventory(load_model(path), latent, load_schema(tmp_path / "open.json"),
+                                mode="sample", seed=4)
+    assert opened.table.schema == tiny_schema
+    assert opened.table.household_ids == pinned.table.household_ids
+    np.testing.assert_array_equal(opened.table.households, pinned.table.households)
+    np.testing.assert_array_equal(opened.table.persons, pinned.table.persons)
+    assert opened.provenance == pinned.provenance
 
 
 def test_generate_inventory_leaves_model_untouched(tiny_schema, tiny_encoded):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,29 @@ def test_load_schema_appends_na(tmp_path):
     s = load_schema(p)
     assert s.person_var("P").categories == ("x", "y", "NA")
     assert s.person_var("P").has_na
+
+
+STRICT_CASES = {
+    "misspelt-key": ({"person_sort_keys": ["Q", "P"]}, "unknown schema key"),
+    "extra-variable-key": (
+        {"person": [{"name": "P", "categories": ["x"], "label": "age"}]}, "malformed entry"
+    ),
+    "person-without-categories": ({"person": [{"name": "P"}]}, "no category besides NA"),
+    "person-only-na": ({"person": [{"name": "P", "categories": ["NA"]}]}, "no category besides NA"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_load_schema_rejects_what_it_would_ignore(tmp_path, case):
+    change, message = STRICT_CASES[case]
+    raw = {
+        "household": [{"name": "H", "categories": ["a"]}],
+        "person": [{"name": "P", "categories": ["x"]}, {"name": "Q", "categories": ["y"]}],
+    }
+    p = tmp_path / "schema.json"
+    p.write_text(json.dumps(raw | change))
+    with pytest.raises(SchemaError, match=message):
+        load_schema(p)
 
 
 def test_load_microdata_round_trip(tiny_schema, tiny_records, tmp_path):

@@ -313,7 +313,7 @@ def test_latent_save_load_round_trip(tmp_path):
 def test_latent_load_rejects_truncation(tmp_path):
     latent = init_latent(5, 2, seed=1)
     p = tmp_path / "latent.psl"
-    save_latent(latent, p)
+    save_latent(latent, p, "s" * 8, "m" * 8)
     p.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_latent(p)

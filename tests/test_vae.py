@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,14 +165,15 @@ def test_load_rejects_trailing_bytes(small_model, tmp_path):
         load_model(p)
 
 
-def test_decoder_checksum_ignores_encoder(small_model):
-    before = small_model.decoder_checksum()
-    full_before = small_model.checksum()
-    small_model.encoder.params()[0].value += 1.0
-    assert small_model.decoder_checksum() == before
-    assert small_model.checksum() != full_before
-    small_model.decoder.params()[0].value += 1.0
-    assert small_model.decoder_checksum() != before
+def test_checksum_covers_the_header(small_model, tiny_schema):
+    """Same state, a schema that differs in one category name: another model."""
+    own = tiny_schema.household_vars[0]
+    renamed = replace(own, categories=("yes", "nope"))
+    other_schema = replace(tiny_schema, household_vars=(renamed, *tiny_schema.household_vars[1:]))
+    other = vae.VaeModel(other_schema, small_model.hyper)
+    other.state[...] = small_model.state
+    assert other.header()["arrays"] == small_model.header()["arrays"]
+    assert other.checksum() != small_model.checksum()
 
 
 def test_state_vector_backs_every_array(small_model):
