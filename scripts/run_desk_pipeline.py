@@ -8,8 +8,8 @@ the same arguments on two checkouts compare by comparing their digests.
 
 Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk
 
-The recipe is the acceptance suite's (tests/test_acceptance.py) and is fixed
-in the constants below.
+The recipe is fixed in the constants below, its one copy: the acceptance
+suite (tests/test_acceptance.py) loads them from this file.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ N_TRACT = 400
 LATENT_DIM = 3
 HIDDEN_WIDTHS = "48,48,40,40,32,32"
 PRETRAIN = dict(seed=21, epochs=1000, decay_start=300, batch_size=125,
-                kl_weight=0.3, focal_gamma=0.0)
+                kl_weight=0.3, focal_gamma=0.0, lr=1e-3, min_lr=1e-4)
 FINETUNE = dict(seed=7, epochs=3000, decay_start=1000, lr=2e-3, min_lr=2e-4,
                 w_marginal=5.0, w_dbce=0.5, w_normkl=0.1, temperature=0.05)
 WIDE_SAMPLE = 8000  # prior draws for the pretrain fidelity check
@@ -106,6 +106,8 @@ def main() -> None:
         "--latent-dim", str(LATENT_DIM),
         "--kl-weight", str(PRETRAIN["kl_weight"]),
         "--focal-gamma", str(PRETRAIN["focal_gamma"]),
+        "--lr", str(PRETRAIN["lr"]),
+        "--min-lr", str(PRETRAIN["min_lr"]),
     ])
     sh([
         "finetune", *micro, "--model", model_path,

@@ -159,7 +159,7 @@ def _cmd_restructure(args):
     outputs = [out]
     if args.write_encoded:
         enc_path = _out_path(args, "encoded.csv")
-        write_encoded(encode_onehot(table), table.schema, enc_path)
+        write_encoded(table, enc_path)
         outputs.append(enc_path)
     return outputs, {"schema": table.schema.fingerprint()}
 
@@ -182,9 +182,7 @@ def _cmd_pretrain(args):
             f"pretraining needs at least 2 households; {args.microdata_hh} has {table.n_rows}"
         )
     data = encode_onehot(table)
-    model = vae.init_model(
-        table.schema, hyper.latent_dim, hyper.encoder_widths, hyper.init_seed
-    )
+    model = vae.VaeModel(table.schema, hyper)
     result = training.pretrain(model, data, config)
     vae.save_model(model, args.out)
     history_path = f"{args.out}.history.csv"
@@ -251,18 +249,17 @@ def _cmd_generate(args):
     if fitted_for != (model.schema_fingerprint, fingerprint):
         raise DataError(f"{args.latent} was fitted for another model or schema than {args.model}")
     rules = generation.load_rules(args.rules) if args.rules else None
-    inventory = generation.generate_inventory(
+    table, provenance = generation.generate_inventory(
         model,
         latent,
-        schema,
         mode=args.mode,
         seed=args.seed,
         tract_id=args.tract_id,
         toolkit_version=__version__,
     )
     # a rule naming an unknown variable or category fails here, before any write
-    report = generation.sanity_check(inventory, rules) if rules is not None else None
-    outputs = list(generation.write_inventory(inventory, _out_path(args)).values())
+    report = generation.sanity_check(table, rules) if rules is not None else None
+    outputs = list(generation.write_inventory(table, provenance, _out_path(args)).values())
     if report is not None:
         report_path = _out_path(args, "sanity_report.json")
         generation.write_sanity_report(report, report_path)
@@ -285,7 +282,7 @@ def _cmd_evaluate(args):
     joint_metrics = (("rmse", joint.rmse), ("kl", joint.kl), ("chi2_p", joint.p_value))
 
     report_path = _out_path(args, "marginals_report.csv")
-    keys = sorted({k for row in report.rows.values() for k in row})
+    keys = list(report.means)
     rows = [
         [name, *[f"{row[k]:.12g}" if k in row else "" for k in keys]]
         for name, row in report.rows.items()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -234,21 +234,12 @@ def ks_test(a: np.ndarray, b: np.ndarray) -> KsResult:
 class MetricsReport:
     """Per-variable fidelity rows plus their mean; target columns appear only
     when tract targets were supplied. ``synthetic`` and ``reference`` are the
-    proportions the rows compare."""
+    proportions the rows compare; ``means`` has every row key, sorted."""
 
     rows: dict[str, dict[str, float]]
-    synthetic: dict[str, np.ndarray] = field(default_factory=dict)
-    reference: dict[str, np.ndarray] = field(default_factory=dict)
-    means: dict[str, float] = field(default_factory=dict)
-
-    def finalize(self):
-        keys = set()
-        for row in self.rows.values():
-            keys |= set(row)
-        for key in sorted(keys):
-            vals = [row[key] for row in self.rows.values() if key in row]
-            self.means[key] = float(np.mean(vals)) if vals else float("nan")
-        return self
+    synthetic: dict[str, np.ndarray]
+    reference: dict[str, np.ndarray]
+    means: dict[str, float]
 
 
 def marginal_report(
@@ -275,4 +266,8 @@ def marginal_report(
             row["baseline_rmse"] = rmse_metric(ref_p, tgt)
             row["baseline_kl"] = kl_metric(ref_p, tgt)
         rows[name] = row
-    return MetricsReport(rows, syn, ref).finalize()
+    means = {
+        key: float(np.mean([row[key] for row in rows.values() if key in row]))
+        for key in sorted({key for row in rows.values() for key in row})
+    }
+    return MetricsReport(rows, syn, ref, means)

@@ -1,10 +1,11 @@
 """Decode latents into a synthetic inventory and check structural sanity rules.
 
-An inventory is the coded table of the kept households, with sequential
-integer ids "1".."k", plus a provenance record. Households whose decode
-produced zero occupied person slots are dropped and counted. Its CSV files
-(households, persons) are the only place where the codes become category
-strings again.
+An inventory is a ``RestructuredTable``, the one record of a population: the
+kept households, with sequential integer ids "1".."k". ``generate_inventory``
+decodes with the model's own schema and returns that table with its
+provenance record. Households whose decode produced zero occupied person
+slots are dropped and counted there. The CSV files (households, persons) are
+the only place where the codes become category strings again.
 
 Sanity rules are data, not code: each rule links a household flag value to a
 set of person categories and is checked in one or both directions per
@@ -25,7 +26,6 @@ from .schema import (
     DataError,
     EncodedMatrix,
     RestructuredTable,
-    Schema,
     SchemaError,
     decode_onehot_with_stats,
     labels,
@@ -54,66 +54,51 @@ class Provenance:
         return dict(self.__dict__)
 
 
-@dataclass
-class SyntheticInventory:
-    table: RestructuredTable
-    provenance: Provenance
-
-    @property
-    def n_households(self) -> int:
-        return self.table.n_rows
-
-
-def inventory_from_table(
-    table: RestructuredTable, provenance: Provenance
-) -> SyntheticInventory:
-    """Keep the rows with an occupied slot, renumbered "1".."k"; count the
-    dropped ones."""
+def inventory_from_table(table: RestructuredTable) -> RestructuredTable:
+    """The rows of ``table`` with an occupied slot, renumbered "1".."k"."""
     keep = table.occupied.any(axis=1)
-    kept = RestructuredTable(
+    return RestructuredTable(
         table.schema,
         [str(i) for i in range(1, int(keep.sum()) + 1)],
         table.households[keep],
         table.persons[keep],
     )
-    provenance.dropped_households = table.n_rows - kept.n_rows
-    return SyntheticInventory(kept, provenance)
 
 
 def generate_inventory(
     model,
     latent,
-    schema: Schema,
     mode: str = "argmax",
     seed: int | None = None,
     tract_id: str | None = None,
     toolkit_version: str = "",
-) -> SyntheticInventory:
+) -> tuple[RestructuredTable, Provenance]:
     """Decode the latent matrix with the frozen decoder (eval-mode batch norm)
-    and translate the rows into an inventory. An open n_window in ``schema``
-    is pinned to the model's (``VaeModel.schema_for``)."""
-    schema = model.schema_for(schema)
+    and the model's own schema; return the kept table and its provenance."""
     probs = model.decode(np.asarray(latent.z, dtype=np.float64), train=False)
     matrix = EncodedMatrix(probs, model.groups, model.schema_fingerprint)
-    table, forced_na_cells = decode_onehot_with_stats(matrix, schema, mode=mode, seed=seed)
-    prov = Provenance(
+    decoded, forced_na_cells = decode_onehot_with_stats(
+        matrix, model.schema, mode=mode, seed=seed
+    )
+    table = inventory_from_table(decoded)
+    provenance = Provenance(
         model_fingerprint=model.checksum(),
         schema_fingerprint=model.schema_fingerprint,
         mode=mode,
         seed=seed,
         tract_id=tract_id,
-        latent_seed=getattr(latent, "seed", None),
+        latent_seed=latent.seed,
         n_latent_rows=latent.z.shape[0],
+        dropped_households=decoded.n_rows - table.n_rows,
         forced_na_cells=forced_na_cells,
         toolkit_version=toolkit_version,
     )
-    return inventory_from_table(table, prov)
+    return table, provenance
 
 
-def write_inventory(inventory: SyntheticInventory, out_dir) -> dict[str, str]:
+def write_inventory(table: RestructuredTable, provenance: Provenance, out_dir) -> dict[str, str]:
     """households.csv, persons.csv and provenance.json under out_dir; person
     ids run "1".."m" over the occupied slots in row then slot order."""
-    table = inventory.table
     schema = table.schema
     paths = {
         name: os.path.join(out_dir, name)
@@ -135,7 +120,7 @@ def write_inventory(inventory: SyntheticInventory, out_dir) -> dict[str, str]:
             for pid, (i, row) in enumerate(zip(rows, people), start=1)
         ),
     )
-    write_json(paths["provenance.json"], inventory.provenance.to_dict())
+    write_json(paths["provenance.json"], provenance.to_dict())
     return paths
 
 
@@ -232,10 +217,9 @@ def _rule_masks(table: RestructuredTable, rule: SanityRule) -> tuple[np.ndarray,
     return flag, (qualifies & table.occupied).any(axis=1)
 
 
-def sanity_check(target, rules: list[SanityRule]) -> SanityReport:
-    """Check every rule against every household of an inventory or
-    restructured table; violations are (household_id, kind) pairs."""
-    table = target.table if isinstance(target, SyntheticInventory) else target
+def sanity_check(table: RestructuredTable, rules: list[SanityRule]) -> SanityReport:
+    """Check every rule against every household of a coded table;
+    violations are (household_id, kind) pairs."""
     report = SanityReport(total_households=table.n_rows)
     for rule in rules:
         flag, member = _rule_masks(table, rule)

@@ -310,6 +310,10 @@ class TargetMarginals:
 # loaders
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def schema_from_dict(raw) -> Schema:
     """The schema a parsed schema file or model header describes. A key the
     format does not define is an error, not ignored."""
@@ -328,14 +332,16 @@ def schema_from_dict(raw) -> Schema:
             if not isinstance(entry, dict) or not {"name"} <= entry.keys() <= {"name", "categories"}:
                 raise SchemaError(f"malformed entry in section {section!r}: {entry!r}")
             name = str(entry["name"])
-            cats = [str(c) for c in entry.get("categories", [])]
+            cats = entry.get("categories", [])
+            if not _strings(cats):
+                raise SchemaError(f"categories of {name!r} must be a list of strings")
             if is_person:
                 if NA in cats and cats[-1] != NA:
                     raise SchemaError(
                         f"person variable {name!r} lists NA in a non-final position"
                     )
                 if NA not in cats:
-                    cats.append(NA)
+                    cats = [*cats, NA]
                 if len(cats) == 1:
                     raise SchemaError(f"person variable {name!r} has no category besides NA")
                 out.append(Variable(name, tuple(cats), has_na=True))
@@ -343,9 +349,11 @@ def schema_from_dict(raw) -> Schema:
                 out.append(Variable(name, tuple(cats)))
         return tuple(out)
 
-    sort_key = raw.get("person_sort_key") or []
+    sort_key = raw.get("person_sort_key", [])
     if isinstance(sort_key, str):
         sort_key = [sort_key]
+    if not _strings(sort_key):
+        raise SchemaError("person_sort_key must be a string or a list of strings")
     n_window = raw.get("n_window")
     if n_window is not None:
         try:
@@ -356,7 +364,7 @@ def schema_from_dict(raw) -> Schema:
         household_vars=build("household", is_person=False),
         person_vars=build("person", is_person=True),
         n_window=n_window,
-        sort_keys=tuple(str(k) for k in sort_key),
+        sort_keys=tuple(sort_key),
         slot_anchor=str(raw.get("slot_anchor") or ""),
     )
 
@@ -737,21 +745,21 @@ def write_restructured(table: RestructuredTable, path) -> None:
     write_csv(path, header, ([hid, *row] for hid, row in zip(table.household_ids, rows)))
 
 
-def write_encoded(matrix: EncodedMatrix, schema: Schema, path) -> None:
-    categories = {v.name: v.categories for v in schema.variables}
+def write_encoded(table: RestructuredTable, path) -> None:
+    """The one-hot rows of ``table`` (the columns of ``encode_onehot``), each
+    cell the integer 0 or 1, in the CSV dialect of ``write_csv``."""
+    groups, d = column_layout(table.schema)
+    categories = {v.name: v.categories for v in table.schema.variables}
     header = []
-    for g in matrix.groups:
+    for g in groups:
         prefix = g.var if g.slot is None else f"{g.var}__s{g.slot}"
         header.extend(f"{prefix}={c}" for c in categories[g.var])
-    write_csv(path, header, _formatted_rows(matrix.values))
-
-
-def _formatted_rows(values: np.ndarray):
-    """Rows of ``values`` as ``.12g`` strings. Each distinct value of a block
-    of rows is formatted once; unique by bit pattern, so -0.0 keeps its sign.
-    Blocks of 256 rows keep the temporaries of ``np.unique`` small."""
-    for start in range(0, values.shape[0], 256):
-        block = np.ascontiguousarray(values[start : start + 256], dtype=np.float64)
-        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        text = np.array([f"{v:.12g}" for v in bits.view(np.float64)], dtype=object)
-        yield from text[inverse.reshape(block.shape)].tolist()
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    # one byte per digit, comma and line end, set straight from the codes
+    text = np.full((table.n_rows, 2 * d + 1), ord(","), dtype=np.uint8)
+    text[:, 0 : 2 * d : 2] = ord("0")
+    starts = np.array([g.start for g in groups], dtype=np.int64)
+    text[np.arange(table.n_rows)[:, None], 2 * (starts + table.codes)] = ord("1")
+    text[:, -2:] = (ord("\r"), ord("\n"))
+    write_text(path, head.getvalue() + text.tobytes().decode("ascii"))

@@ -29,6 +29,9 @@ from .vae import ModelFormatError, read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
 LATENT_VERSION = 1
+# every key of a latent header: save_latent's, then write_blob's
+LATENT_KEYS = {"format", "seed", "rows", "width", "schema_fingerprint", "model_fingerprint",
+               "version", "dtype"}
 
 PRETRAIN_HISTORY_COLUMNS = ("epoch", "lr", "focal", "latent_kl", "total")
 FINETUNE_HISTORY_COLUMNS = ("epoch", "lr", "marginal_rmse", "dbce", "norm_kl", "total")
@@ -303,7 +306,12 @@ def load_latent(path) -> tuple[LatentMatrix, dict]:
     )
     if header.get("format") != "pslatent":
         raise ModelFormatError(f"{path}: format {header.get('format')!r} is not pslatent")
-    return LatentMatrix(z=z, seed=header.get("seed")), header
+    if header.keys() != LATENT_KEYS:
+        raise ModelFormatError(f"{path}: header keys {sorted(header)} are not {sorted(LATENT_KEYS)}")
+    for key in ("seed", "rows", "width"):
+        if type(header[key]) is not int:  # a bool is no count or seed
+            raise ModelFormatError(f"{path}: {key} {header[key]!r} is not an integer")
+    return LatentMatrix(z=z, seed=header["seed"]), header
 
 
 def write_history(path, columns, rows) -> None:

@@ -5,6 +5,10 @@ heads for mu and logsig. Decoder: six blocks with the encoder's widths in
 reverse order, then an affine output head followed by a per-variable group
 softmax, so every decoded row is a stack of category distributions.
 
+``VaeModel(schema, VaeHyperparams(...))`` is the one constructor, and the
+model keeps that resolved schema as its own. Weights are Glorot-uniform, biases
+and batch-norm shifts zero, deterministic in ``init_seed``.
+
 The layers' parameters and running statistics are views into one ``state``
 vector, and their gradients into one gradient vector. Persistence is a
 versioned binary format (the codec ``write_blob`` / ``read_blob``, shared with
@@ -185,23 +189,6 @@ class VaeModel:
         if schema.fingerprint() != self.schema_fingerprint:
             raise DataError("schema does not match the model's schema fingerprint")
         return schema
-
-
-def init_model(
-    schema: Schema,
-    latent_dim: int = DEFAULT_LATENT_DIM,
-    hidden_widths: tuple[int, ...] | None = None,
-    seed: int = 0,
-) -> VaeModel:
-    """Build a freshly initialised model for a resolved schema.
-
-    ``hidden_widths`` gives the six encoder widths; the decoder mirrors them.
-    Initialisation is uniform in +/- sqrt(6 / (fan_in + fan_out)), biases and
-    batch-norm shifts zero, deterministic in the seed.
-    """
-    widths = tuple(hidden_widths) if hidden_widths else DEFAULT_ENCODER_WIDTHS
-    hyper = VaeHyperparams(latent_dim=latent_dim, encoder_widths=widths, init_seed=seed)
-    return VaeModel(schema, hyper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,16 @@ from popsynth.schema import (
     encode_onehot,
     restructure,
 )
+
+
+def load_desk_script():
+    """A fresh module of scripts/run_desk_pipeline.py, which holds the one
+    copy of the desk recipe."""
+    script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_desk_pipeline", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import load_desk_script
 from popsynth import cli, evaluation, generation, losses, nn, training, vae
 from popsynth.schema import (
     column_layout,
@@ -28,20 +29,20 @@ from popsynth.schema import (
     restructure,
 )
 
-# frozen desk-scale recipe: every stage is seeded, so these numbers are
-# reproduced bit-for-bit on every run (criterion 9 checks that directly)
-DATA_SEED = 42
-N_HOUSEHOLDS = 2000
-N_TRACT = 400
-LATENT_DIM = 3
-HIDDEN_WIDTHS = "48,48,40,40,32,32"
-PRETRAIN = dict(seed=21, epochs=1000, decay_start=300, batch_size=125,
-                kl_weight=0.3, focal_gamma=0.0, lr=1e-3, min_lr=1e-4)
-FINETUNE = dict(seed=7, epochs=3000, decay_start=1000, lr=2e-3, min_lr=2e-4,
-                w_marginal=5.0, w_dbce=0.5, w_normkl=0.1, temperature=0.05)
-WIDE_SAMPLE = 8000  # prior draws for the pretrain fidelity comparison
-WIDE_SEED = 9
-GEN_SEED = 5
+# the frozen desk-scale recipe of scripts/run_desk_pipeline.py: every stage
+# is seeded, so these numbers are reproduced bit-for-bit on every run
+# (criterion 9 checks that directly)
+_desk = load_desk_script()
+DATA_SEED = _desk.DATA_SEED
+N_HOUSEHOLDS = _desk.N_HOUSEHOLDS
+N_TRACT = _desk.N_TRACT
+LATENT_DIM = _desk.LATENT_DIM
+HIDDEN_WIDTHS = _desk.HIDDEN_WIDTHS
+PRETRAIN = _desk.PRETRAIN
+FINETUNE = _desk.FINETUNE
+WIDE_SAMPLE = _desk.WIDE_SAMPLE  # prior draws for the pretrain fidelity comparison
+WIDE_SEED = _desk.WIDE_SEED
+GEN_SEED = _desk.GEN_SEED
 
 
 @pytest.fixture(scope="session")
@@ -243,8 +244,7 @@ def test_gradient_correctness(verdict):
 
         worst = max(worst, nn.check_gradients(f_marg, pred.ravel()))
 
-    model = vae.init_model(schema, latent_dim=3,
-                           hidden_widths=(10, 8, 8, 8, 8, 10), seed=3)
+    model = vae.VaeModel(schema, vae.VaeHyperparams(3, (10, 8, 8, 8, 8, 10), init_seed=3))
     for point in range(20):
         rng = np.random.default_rng([303, point])
         x = random_simplex_batch(rng, groups, 3)
@@ -414,9 +414,9 @@ def test_structural_suite(verdict, desk, tmp_path):
         mode="argmax", seed=None, tract_id=None, latent_seed=None,
         n_latent_rows=len(table.households), forced_na_cells=0,
         toolkit_version="")
-    inv = generation.inventory_from_table(table, prov)
     (tmp_path / "roundtrip").mkdir()
-    generation.write_inventory(inv, tmp_path / "roundtrip")
+    generation.write_inventory(
+        generation.inventory_from_table(table), prov, tmp_path / "roundtrip")
     table2 = restructure(
         load_microdata(tmp_path / "roundtrip" / "households.csv",
                        tmp_path / "roundtrip" / "persons.csv", schema),

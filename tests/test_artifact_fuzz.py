@@ -141,7 +141,7 @@ def test_header_bit_flip_is_exit_0_or_1(artifacts, untouched, fmt, data):
     assert files["persons.csv"] == untouched["persons.csv"]
     if fmt == "model.psv":
         assert files["provenance.json"] == untouched["provenance.json"]
-    else:  # the latent's seed is reported in provenance.json but checked nowhere
+    else:  # a seed flipped from one digit to another is still an integer seed
         got, want = (json.loads(f["provenance.json"]) for f in (files, untouched))
         assert got | {"latent_seed": want["latent_seed"]} == want
 

@@ -1,19 +1,18 @@
 import collections
 import csv
 import hashlib
-import importlib.util
 import json
 import os
 import struct
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import popsynth
+from conftest import load_desk_script
 from popsynth import training, vae
 from popsynth.cli import _load_tables, run
 from popsynth.schema import DataError, HouseholdRecord
@@ -323,17 +322,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_desk_script_writes_the_digest_of_every_output(tmp_path, monkeypatch):
-    script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
-    spec = importlib.util.spec_from_file_location("run_desk_pipeline", script)
-    desk = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(desk)
+    desk = load_desk_script()
     # the script's recipe, shrunk to seconds
     for name, value in [("N_HOUSEHOLDS", 60), ("N_TRACT", 20), ("WIDE_SAMPLE", 50),
                         ("PRETRAIN", desk.PRETRAIN | dict(epochs=4, decay_start=1, batch_size=30)),
                         ("FINETUNE", desk.FINETUNE | dict(epochs=4, decay_start=1))]:
         monkeypatch.setattr(desk, name, value)
     work = tmp_path / "desk"
-    monkeypatch.setattr(sys, "argv", [str(script), "--work-dir", str(work)])
+    monkeypatch.setattr(sys, "argv", [desk.__file__, "--work-dir", str(work)])
     desk.main()
     digests = json.loads((work / "digests.json").read_text())
     on_disk = {
@@ -422,6 +418,21 @@ def test_generate_rejects_latent_of_another_model(data_dir, artifacts, tmp_path,
     assert cli_generate(data_dir, d / "model.psv", foreign, tmp_path / "inv") == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "inv" / "households.csv").exists()
+
+
+def test_generate_rejects_foreign_schema(data_dir, artifacts, tmp_path, capsys):
+    """generate decodes with the model's own schema; --schema must match it."""
+    d, _ = artifacts
+    schema = json.loads((data_dir / "schema.json").read_text())
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(schema | {"n_window": schema["n_window"] + 1}))
+    capsys.readouterr()
+    rc = run(["generate", "--model", str(d / "model.psv"), "--schema", str(wider),
+              "--latent", str(d / "latent.psl"), "--out-dir", str(tmp_path / "inv"), "--seed", "5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "does not match the model's schema" in err
+    assert not (tmp_path / "inv").exists()
 
 
 CORRUPTIONS = {
@@ -752,31 +763,43 @@ def test_removed_flag_is_a_usage_error(data_dir, artifacts, tmp_path, sub, flag,
     assert not any(tmp_path.iterdir())
 
 
-def rewrite_header(src, dst, **changes):
-    """Copy a ``write_blob`` file with some header keys replaced."""
+def rewrite_header(src, dst, change):
+    """Copy a ``write_blob`` file with ``change(header)`` as its header."""
     blob = src.read_bytes()
     (size,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + size]) | changes
+    header = change(json.loads(blob[12 : 12 + size]))
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dst.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :])
 
 
-@pytest.mark.parametrize(
-    "fmt,changes,message",
-    [
-        ("model.psv", {"dtype": "<f4"}, "unsupported dtype '<f4'"),
-        ("model.psv", {"format": "pslatent"}, "format 'pslatent' is not psvae"),
-        ("latent.psl", {"format": "psvae"}, "format 'psvae' is not pslatent"),
-        ("latent.psl", {"dtype": ">f8"}, "unsupported dtype '>f8'"),
-        ("model.psv", {"version": 1}, "unsupported version 1"),
-        ("model.psv", {"version": 2}, "unsupported version 2"),
-    ],
-    ids=["psv-dtype", "psv-format", "psl-format", "psl-dtype", "psv-version-1", "psv-version-2"],
-)
-def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, fmt, changes, message, capsys):
+def with_keys(**changes):
+    return lambda header: header | changes
+
+
+FOREIGN_HEADERS = {
+    "psv-dtype": ("model.psv", with_keys(dtype="<f4"), "unsupported dtype '<f4'"),
+    "psv-format": ("model.psv", with_keys(format="pslatent"), "format 'pslatent' is not psvae"),
+    "psl-format": ("latent.psl", with_keys(format="psvae"), "format 'psvae' is not pslatent"),
+    "psl-dtype": ("latent.psl", with_keys(dtype=">f8"), "unsupported dtype '>f8'"),
+    "psv-version-1": ("model.psv", with_keys(version=1), "unsupported version 1"),
+    "psv-version-2": ("model.psv", with_keys(version=2), "unsupported version 2"),
+    # provenance.json reports the latent's seed, so it is checked like the rest
+    "psl-seed-renamed": (
+        "latent.psl",
+        lambda header: {"sead" if k == "seed" else k: v for k, v in header.items()},
+        "header keys",
+    ),
+    "psl-seed-not-an-integer": ("latent.psl", with_keys(seed=3.5), "seed 3.5 is not an integer"),
+    "psl-seed-a-bool": ("latent.psl", with_keys(seed=True), "seed True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_HEADERS))
+def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, case, capsys):
+    fmt, change, message = FOREIGN_HEADERS[case]
     d, _ = artifacts
     paths = {"model.psv": d / "model.psv", "latent.psl": d / "latent.psl"}
-    rewrite_header(paths[fmt], tmp_path / fmt, **changes)
+    rewrite_header(paths[fmt], tmp_path / fmt, change)
     paths[fmt] = tmp_path / fmt
     capsys.readouterr()
     rc = cli_generate(data_dir, paths["model.psv"], paths["latent.psl"], tmp_path / "inv")

@@ -101,19 +101,21 @@ def write_decoded_inventory(oracle_dir, out_dir, mode):
     schema = restructure(records, schema).schema
     matrix = probability_matrix(schema, 50, seed=3)
     table, forced_na_cells = decode_onehot_with_stats(matrix, schema, mode=mode, seed=17)
-    prov = generation.Provenance(mode=mode, forced_na_cells=forced_na_cells)
-    inventory = generation.inventory_from_table(table, prov)
-    generation.write_inventory(inventory, out_dir)
-    return inventory
+    kept = generation.inventory_from_table(table)
+    prov = generation.Provenance(
+        mode=mode, dropped_households=table.n_rows - kept.n_rows, forced_na_cells=forced_na_cells
+    )
+    generation.write_inventory(kept, prov, out_dir)
+    return kept, prov
 
 
 @pytest.mark.parametrize("mode", sorted(INVENTORY_PINS))
 def test_decoded_inventory_is_pinned(oracle_dir, tmp_path, mode):
-    inventory = write_decoded_inventory(oracle_dir, tmp_path, mode)
-    report = generation.sanity_check(inventory, generation.load_rules(oracle_dir / "rules.json"))
+    kept, prov = write_decoded_inventory(oracle_dir, tmp_path, mode)
+    report = generation.sanity_check(kept, generation.load_rules(oracle_dir / "rules.json"))
     generation.write_sanity_report(report, tmp_path / "sanity_report.json")
-    assert 0 < inventory.provenance.dropped_households < 50
-    assert inventory.provenance.forced_na_cells > 0
+    assert 0 < prov.dropped_households < 50
+    assert prov.forced_na_cells > 0
     got = {name: _digest(tmp_path / name) for name in INVENTORY_PINS[mode]}
     assert got == INVENTORY_PINS[mode]
 

@@ -16,22 +16,15 @@ from popsynth.generation import (
     write_rules,
     write_sanity_report,
 )
-from popsynth.schema import (
-    DataError,
-    HouseholdRecord,
-    load_microdata,
-    load_schema,
-    restructure,
-    write_schema,
-)
+from popsynth.schema import DataError, HouseholdRecord, load_microdata, restructure
 from popsynth.training import TrainConfig, init_latent, pretrain
-from popsynth.vae import init_model, load_model, save_model
+from popsynth.vae import VaeHyperparams, VaeModel
 
 WIDTHS = (16, 14, 12, 12, 10, 8)
 
 
 def trained_model(schema, encoded):
-    model = init_model(schema, latent_dim=3, hidden_widths=WIDTHS, seed=5)
+    model = VaeModel(schema, VaeHyperparams(3, WIDTHS, 5))
     pretrain(
         model,
         encoded,
@@ -43,16 +36,15 @@ def trained_model(schema, encoded):
 
 def test_inventory_from_table_drops_empty(tiny_schema, tiny_table):
     tiny_table.persons[2] = 3  # NA in every slot of row 2
-    inv = inventory_from_table(tiny_table, Provenance())
-    assert inv.n_households == 3
-    assert inv.provenance.dropped_households == 1
+    kept = inventory_from_table(tiny_table)
+    assert kept.n_rows == 3
     # household ids are sequential from 1 after the drop
-    assert inv.table.household_ids == ["1", "2", "3"]
+    assert kept.household_ids == ["1", "2", "3"]
+    np.testing.assert_array_equal(kept.persons, tiny_table.persons[[0, 1, 3]])
 
 
 def test_inventory_referential_integrity(tiny_table, tmp_path):
-    inv = inventory_from_table(tiny_table, Provenance())
-    paths = write_inventory(inv, tmp_path)
+    paths = write_inventory(inventory_from_table(tiny_table), Provenance(), tmp_path)
     with open(paths["households.csv"]) as fh:
         hh_ids = {row["household_id"] for row in csv.DictReader(fh)}
     with open(paths["persons.csv"]) as fh:
@@ -68,58 +60,34 @@ def test_inventory_referential_integrity(tiny_table, tmp_path):
 def test_generate_inventory_is_deterministic(tiny_schema, tiny_encoded):
     model = trained_model(tiny_schema, tiny_encoded)
     latent = init_latent(20, model.latent_dim, seed=3)
-    a = generate_inventory(model, latent, tiny_schema)
-    b = generate_inventory(model, latent, tiny_schema)
-    assert a.table.household_ids == b.table.household_ids
-    np.testing.assert_array_equal(a.table.households, b.table.households)
-    np.testing.assert_array_equal(a.table.persons, b.table.persons)
-    assert a.provenance.model_fingerprint == model.checksum()
-    assert a.provenance.latent_seed == 3
-    assert a.provenance.n_latent_rows == 20
-
-
-def test_generate_inventory_rejects_wrong_schema(tiny_schema, tiny_encoded):
-    model = trained_model(tiny_schema, tiny_encoded)
-    latent = init_latent(5, model.latent_dim, seed=3)
-    with pytest.raises(DataError):
-        generate_inventory(model, latent, tiny_schema.with_n_window(3))
-
-
-def test_generate_inventory_pins_an_open_window_to_the_model(tiny_schema, tiny_encoded, tmp_path):
-    """A library caller may pass the schema file without its n_window, as the
-    CLI does: the model's window is used, and the tables are the pinned ones."""
-    path = tmp_path / "model.psv"
-    save_model(trained_model(tiny_schema, tiny_encoded), path)
-    write_schema(tiny_schema, tmp_path / "open.json")
-    raw = json.loads((tmp_path / "open.json").read_text())
-    del raw["n_window"]
-    (tmp_path / "open.json").write_text(json.dumps(raw))
-    latent = init_latent(12, 3, seed=1)
-    pinned = generate_inventory(load_model(path), latent, tiny_schema, mode="sample", seed=4)
-    opened = generate_inventory(load_model(path), latent, load_schema(tmp_path / "open.json"),
-                                mode="sample", seed=4)
-    assert opened.table.schema == tiny_schema
-    assert opened.table.household_ids == pinned.table.household_ids
-    np.testing.assert_array_equal(opened.table.households, pinned.table.households)
-    np.testing.assert_array_equal(opened.table.persons, pinned.table.persons)
-    assert opened.provenance == pinned.provenance
+    a, prov = generate_inventory(model, latent)
+    b, prov_b = generate_inventory(model, latent)
+    assert a.schema == model.schema
+    assert a.household_ids == b.household_ids
+    np.testing.assert_array_equal(a.households, b.households)
+    np.testing.assert_array_equal(a.persons, b.persons)
+    assert prov == prov_b
+    assert prov.model_fingerprint == model.checksum()
+    assert prov.latent_seed == 3
+    assert prov.n_latent_rows == 20
+    assert prov.dropped_households == 20 - a.n_rows
 
 
 def test_generate_inventory_leaves_model_untouched(tiny_schema, tiny_encoded):
     model = trained_model(tiny_schema, tiny_encoded)
     before = model.checksum()
-    generate_inventory(model, init_latent(10, model.latent_dim, seed=1), tiny_schema)
+    generate_inventory(model, init_latent(10, model.latent_dim, seed=1))
     assert model.checksum() == before
 
 
 def test_write_inventory_files(tiny_table, tmp_path):
-    inv = inventory_from_table(tiny_table, Provenance(mode="argmax", seed=None))
-    paths = write_inventory(inv, tmp_path)
+    kept = inventory_from_table(tiny_table)
+    paths = write_inventory(kept, Provenance(mode="argmax", seed=None), tmp_path)
     assert set(paths) == {"households.csv", "persons.csv", "provenance.json"}
     with open(paths["households.csv"]) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["household_id", "OWN", "CAR"]
-    assert len(rows) == 1 + inv.n_households
+    assert len(rows) == 1 + kept.n_rows
     with open(paths["persons.csv"]) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["person_id", "household_id", "AGE", "JOB"]
@@ -128,8 +96,7 @@ def test_write_inventory_files(tiny_table, tmp_path):
 
 
 def test_inventory_round_trips_through_restructure(tiny_schema, tiny_table, tmp_path):
-    inv = inventory_from_table(tiny_table, Provenance())
-    write_inventory(inv, tmp_path)
+    write_inventory(inventory_from_table(tiny_table), Provenance(), tmp_path)
     records = load_microdata(tmp_path / "households.csv", tmp_path / "persons.csv", tiny_schema)
     table2 = restructure(records, tiny_schema)
     np.testing.assert_array_equal(table2.households, tiny_table.households)
@@ -137,7 +104,7 @@ def test_inventory_round_trips_through_restructure(tiny_schema, tiny_table, tmp_
 
 
 def test_failed_inventory_write_keeps_the_old_file(tiny_table, tmp_path, monkeypatch):
-    write_inventory(inventory_from_table(tiny_table, Provenance()), tmp_path)
+    write_inventory(inventory_from_table(tiny_table), Provenance(), tmp_path)
     old = (tmp_path / "households.csv").read_bytes()
     tiny_table.households[:, 0] = 1 - tiny_table.households[:, 0]
 
@@ -146,7 +113,7 @@ def test_failed_inventory_write_keeps_the_old_file(tiny_table, tmp_path, monkeyp
 
     monkeypatch.setattr(os, "replace", broken_replace)
     with pytest.raises(OSError):
-        write_inventory(inventory_from_table(tiny_table, Provenance()), tmp_path)
+        write_inventory(inventory_from_table(tiny_table), Provenance(), tmp_path)
     assert (tmp_path / "households.csv").read_bytes() == old
 
 
@@ -233,8 +200,7 @@ def test_sanity_check_unknown_variable(tiny_schema, senior_rule):
 
 def test_sanity_check_works_on_inventory(tiny_schema, senior_rule):
     table = restructure(fixture_records(), tiny_schema)
-    inv = inventory_from_table(table, Provenance())
-    report = sanity_check(inv, [senior_rule])
+    report = sanity_check(inventory_from_table(table), [senior_rule])
     assert sum(len(v) for v in report.violations.values()) == 2
 
 

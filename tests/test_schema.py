@@ -249,6 +249,10 @@ STRICT_CASES = {
     ),
     "person-without-categories": ({"person": [{"name": "P"}]}, "no category besides NA"),
     "person-only-na": ({"person": [{"name": "P", "categories": ["NA"]}]}, "no category besides NA"),
+    "categories-a-string": (
+        {"household": [{"name": "H", "categories": "yes"}]}, "must be a list of strings"
+    ),
+    "sort-key-an-object": ({"person_sort_key": {"P": 1}}, "must be a string or a list"),
 }
 
 
@@ -335,18 +339,15 @@ def test_write_restructured_format(tiny_table, tmp_path):
     assert "AGE__s0" in header and "JOB__s1" in header
 
 
-def test_write_encoded_formats_every_value(tiny_schema, tiny_encoded, tmp_path):
-    """Each distinct value is formatted once: -0.0 keeps its sign, and every
-    other cell prints exactly as formatting it on its own would."""
-    values = tiny_encoded.values.copy()
-    values[0, :4] = [-0.0, 0.125, 1e-300, np.nan]
-    values[1, :2] = [0.125, -0.0]
+def test_write_encoded_formats_every_value(tiny_table, tiny_encoded, tmp_path):
+    """Each cell is its one-hot value as the integer 0 or 1, which is what
+    ``.12g`` prints for 0.0 and 1.0."""
     p = tmp_path / "encoded.csv"
-    write_encoded(EncodedMatrix(values, tiny_encoded.groups, ""), tiny_schema, p)
+    write_encoded(tiny_table, p)
     header, *rows = p.read_text().splitlines()
     assert header.split(",")[:3] == ["OWN=yes", "OWN=no", "CAR=0"]
-    assert rows == [",".join(f"{v:.12g}" for v in row) for row in values]
-    assert rows[0].startswith("-0,0.125,1e-300,nan,")
+    assert rows == [",".join(f"{v:.12g}" for v in row) for row in tiny_encoded.values]
+    assert {cell for row in rows for cell in row.split(",")} == {"0", "1"}
 
 
 @st.composite

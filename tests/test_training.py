@@ -20,13 +20,13 @@ from popsynth.training import (
     save_latent,
     write_history,
 )
-from popsynth.vae import init_model
+from popsynth.vae import VaeHyperparams, VaeModel
 
 WIDTHS = (16, 14, 12, 12, 10, 8)
 
 
 def small_model(schema, seed=5, latent_dim=3):
-    return init_model(schema, latent_dim=latent_dim, hidden_widths=WIDTHS, seed=seed)
+    return VaeModel(schema, VaeHyperparams(latent_dim, WIDTHS, seed))
 
 
 # -- config and schedule -------------------------------------------------------

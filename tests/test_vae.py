@@ -10,7 +10,7 @@ from popsynth.training import Lion
 from popsynth.vae import (
     ModelFormatError,
     VaeHyperparams,
-    init_model,
+    VaeModel,
     load_model,
     save_model,
 )
@@ -20,7 +20,7 @@ WIDTHS = (16, 14, 12, 12, 10, 8)
 
 @pytest.fixture
 def small_model(tiny_schema):
-    return init_model(tiny_schema, latent_dim=3, hidden_widths=WIDTHS, seed=5)
+    return VaeModel(tiny_schema, VaeHyperparams(3, WIDTHS, 5))
 
 
 def test_hyperparams_validate_block_count():
@@ -31,10 +31,10 @@ def test_hyperparams_validate_block_count():
 
 
 def test_init_is_deterministic(tiny_schema):
-    a = init_model(tiny_schema, latent_dim=3, hidden_widths=WIDTHS, seed=5)
-    b = init_model(tiny_schema, latent_dim=3, hidden_widths=WIDTHS, seed=5)
+    a = VaeModel(tiny_schema, VaeHyperparams(3, WIDTHS, 5))
+    b = VaeModel(tiny_schema, VaeHyperparams(3, WIDTHS, 5))
     assert a.checksum() == b.checksum()
-    c = init_model(tiny_schema, latent_dim=3, hidden_widths=WIDTHS, seed=6)
+    c = VaeModel(tiny_schema, VaeHyperparams(3, WIDTHS, 6))
     assert a.checksum() != c.checksum()
 
 
