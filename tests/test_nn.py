@@ -120,6 +120,66 @@ def test_batchnorm_eval_gradient(rng):
     assert fd_ok(layer, x, train=False)
 
 
+def textbook_batchnorm(layer, x, dy, train):
+    """BatchNorm forward and backward in their textbook form. Returns
+    (y, dx, running_mean, running_var, scale_grad, shift_grad) and leaves
+    ``layer`` untouched."""
+    eps, m = BatchNorm.EPS, BatchNorm.MOMENTUM
+    scale, shift = layer.scale.value, layer.shift.value
+    running_mean, running_var = layer.running_mean.copy(), layer.running_var.copy()
+    if train:
+        n = x.shape[0]
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mean) * inv_std
+        running_mean = (1 - m) * running_mean + m * mean
+        running_var = (1 - m) * running_var + m * var * n / (n - 1)
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        xhat = (x - running_mean) * inv_std
+    y = xhat * scale + shift
+    dxhat = dy * scale
+    if train:
+        dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    else:
+        dx = dxhat * inv_std
+    return y, dx, running_mean, running_var, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def test_batchnorm_matches_the_textbook_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for trial in range(400):
+        n = 2 if trial % 5 == 0 else int(rng.integers(2, 300))
+        width = int(rng.integers(1, 70))
+        train = trial % 2 == 0
+        layer = BatchNorm(width)
+        layer.scale.value[...] = rng.normal(size=width)
+        layer.shift.value[...] = rng.normal(size=width)
+        layer.running_mean[...] = rng.normal(size=width)
+        layer.running_var[...] = rng.uniform(0.1, 3.0, size=width)
+        x = rng.normal(loc=rng.normal(scale=5.0), scale=rng.uniform(0.01, 10.0), size=(n, width))
+        if trial % 7 == 0:
+            x = np.asfortranarray(x)
+        dy = rng.normal(size=(n, width))
+        want = textbook_batchnorm(layer, x, dy, train)
+        got = (
+            layer.forward(x, train=train),
+            layer.backward(dy),
+            layer.running_mean,
+            layer.running_var,
+            layer.scale.grad,
+            layer.shift.grad,
+        )
+        labels = ("y", "dx", "running_mean", "running_var", "dscale", "dshift")
+        for label, a, b in zip(labels, got, want):
+            assert same_bits(a, b), (trial, n, width, train, label)
+
+
 def test_group_softmax_blocks_are_simplex(rng):
     layer = GroupSoftmax([(0, 3), (3, 5)])
     y = layer.forward(rng.normal(size=(6, 5)))
