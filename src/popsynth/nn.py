@@ -6,7 +6,9 @@ layers in order and replays them in exact reverse for the backward pass,
 accumulating parameter gradients additively into each ``Param``. No general
 autodiff: the primitive set is closed (affine, batch norm, ReLU, group
 softmax, reparameterisation) and every gradient is checked against central
-finite differences in the test suite.
+finite differences in the test suite. A layer may reuse in place only arrays
+it allocated itself: its input, the ``dy`` it is handed and the activations it
+cached are never written.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ class Affine:
                 f"{self.name}: input width {x.shape[1]} != {self.w.value.shape[1]}"
             )
         self._x = x
-        return x @ self.w.value.T + self.b.value
+        y = x @ self.w.value.T
+        y += self.b.value
+        return y
 
     def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
         if with_params:
@@ -85,19 +89,23 @@ class BatchNorm:
             n = x.shape[0]
             if n < 2:
                 raise ValueError(f"{self.name}: train mode needs a batch of >= 2 rows")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            mean = x.sum(axis=0) / n
+            xhat = x - mean
+            var = (xhat * xhat).sum(axis=0) / n
             inv_std = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (x - mean) * inv_std
+            xhat *= inv_std
             m = self.MOMENTUM
             # in place: the statistics may be views into a model's state vector
             self.running_mean[...] = (1 - m) * self.running_mean + m * mean
             self.running_var[...] = (1 - m) * self.running_var + m * var * n / (n - 1)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
-            xhat = (x - self.running_mean) * inv_std
+            xhat = x - self.running_mean
+            xhat *= inv_std
         self._ctx = (xhat, inv_std, train)
-        return xhat * self.scale.value + self.shift.value
+        y = xhat * self.scale.value
+        y += self.shift.value
+        return y
 
     def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
         xhat, inv_std, train = self._ctx
@@ -106,13 +114,18 @@ class BatchNorm:
             self.shift.grad += dy.sum(axis=0)
         dxhat = dy * self.scale.value
         if not train:
-            return dxhat * inv_std
+            dxhat *= inv_std
+            return dxhat
+        # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # built in dxhat with the same rounding
         n = dy.shape[0]
-        return (
-            inv_std
-            / n
-            * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-        )
+        sum_dxhat = dxhat.sum(axis=0)
+        proj = (dxhat * xhat).sum(axis=0)
+        dxhat *= n
+        dxhat -= sum_dxhat
+        dxhat -= xhat * proj
+        dxhat *= inv_std / n
+        return dxhat
 
     def params(self) -> list[Param]:
         return [self.scale, self.shift]

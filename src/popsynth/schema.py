@@ -331,7 +331,9 @@ def schema_from_dict(raw) -> Schema:
         for entry in entries:
             if not isinstance(entry, dict) or not {"name"} <= entry.keys() <= {"name", "categories"}:
                 raise SchemaError(f"malformed entry in section {section!r}: {entry!r}")
-            name = str(entry["name"])
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise SchemaError(f"variable name {name!r} in section {section!r} must be a string")
             cats = entry.get("categories", [])
             if not _strings(cats):
                 raise SchemaError(f"categories of {name!r} must be a list of strings")
@@ -355,17 +357,17 @@ def schema_from_dict(raw) -> Schema:
     if not _strings(sort_key):
         raise SchemaError("person_sort_key must be a string or a list of strings")
     n_window = raw.get("n_window")
-    if n_window is not None:
-        try:
-            n_window = int(str(n_window))  # "x", 2.5 and true are errors, not truncated
-        except ValueError:
-            raise SchemaError(f"n_window must be an integer, not {raw['n_window']!r}") from None
+    if n_window is not None and type(n_window) is not int:  # "3", 2.5 and true included
+        raise SchemaError(f"n_window must be an integer, not {n_window!r}")
+    slot_anchor = raw.get("slot_anchor", "")
+    if not isinstance(slot_anchor, str):
+        raise SchemaError(f"slot_anchor must be a string, not {slot_anchor!r}")
     return Schema(
         household_vars=build("household", is_person=False),
         person_vars=build("person", is_person=True),
         n_window=n_window,
         sort_keys=tuple(sort_key),
-        slot_anchor=str(raw.get("slot_anchor") or ""),
+        slot_anchor=slot_anchor,
     )
 
 

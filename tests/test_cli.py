@@ -506,7 +506,11 @@ BAD_MARGINALS = {
 }
 
 
-BAD_N_WINDOWS = {"non-numeric-n-window": "x", "fractional-n-window": 3.5}
+BAD_N_WINDOWS = {
+    "non-numeric-n-window": lambda n: "x",
+    "fractional-n-window": lambda n: 3.5,
+    "string-n-window": str,  # the schema's own window, as a JSON string
+}
 
 
 @pytest.mark.parametrize("case", [*sorted(BAD_MARGINALS), *sorted(BAD_N_WINDOWS)])
@@ -521,7 +525,7 @@ def test_bad_numeric_input_is_exit_1(data_dir, tmp_path, case, capsys):
     else:
         schema = tmp_path / "schema.json"
         raw = json.loads((data_dir / "schema.json").read_text())
-        schema.write_text(json.dumps(raw | {"n_window": BAD_N_WINDOWS[case]}))
+        schema.write_text(json.dumps(raw | {"n_window": BAD_N_WINDOWS[case](raw["n_window"])}))
     capsys.readouterr()
     rc = run(
         [

@@ -180,6 +180,33 @@ def test_batchnorm_matches_the_textbook_form_bit_for_bit():
             assert same_bits(a, b), (trial, n, width, train, label)
 
 
+@pytest.mark.parametrize(
+    "make, train",
+    [
+        (lambda rng: Affine(5, 3, rng, "a"), True),
+        (lambda rng: BatchNorm(5), True),
+        (lambda rng: BatchNorm(5), False),
+        (lambda rng: Relu(), True),
+        (lambda rng: GroupSoftmax([(0, 2), (2, 5)]), True),
+    ],
+    ids=["affine", "batchnorm-train", "batchnorm-eval", "relu", "group-softmax"],
+)
+def test_layers_write_neither_input_nor_dy_nor_their_cache(rng, make, train):
+    layer = make(rng)
+    if isinstance(layer, BatchNorm):
+        layer.scale.value[...] = rng.normal(size=5)
+        layer.forward(rng.normal(size=(8, 5)), train=True)
+    x = rng.normal(size=(6, 5))
+    x_before = x.copy()
+    y = layer.forward(x, train=train)
+    np.testing.assert_array_equal(x, x_before)
+    dy = rng.normal(size=y.shape)
+    dy_before = dy.copy()
+    first = layer.backward(dy)
+    np.testing.assert_array_equal(dy, dy_before)
+    np.testing.assert_array_equal(layer.backward(dy), first)
+
+
 def test_group_softmax_blocks_are_simplex(rng):
     layer = GroupSoftmax([(0, 3), (3, 5)])
     y = layer.forward(rng.normal(size=(6, 5)))

@@ -253,6 +253,12 @@ STRICT_CASES = {
         {"household": [{"name": "H", "categories": "yes"}]}, "must be a list of strings"
     ),
     "sort-key-an-object": ({"person_sort_key": {"P": 1}}, "must be a string or a list"),
+    "n-window-a-string": ({"n_window": "3"}, "n_window must be an integer"),
+    "n-window-a-bool": ({"n_window": True}, "n_window must be an integer"),
+    "anchor-a-number": ({"slot_anchor": 0}, "slot_anchor must be a string"),
+    "anchor-false": ({"slot_anchor": False}, "slot_anchor must be a string"),
+    "anchor-null": ({"slot_anchor": None}, "slot_anchor must be a string"),
+    "name-a-number": ({"household": [{"name": 5, "categories": ["a"]}]}, "must be a string"),
 }
 
 
