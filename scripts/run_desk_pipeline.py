@@ -8,8 +8,10 @@ the same arguments on two checkouts compare by comparing their digests.
 
 Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk
 
-The recipe is fixed in the constants below, its one copy: the acceptance
-suite (tests/test_acceptance.py) loads them from this file.
+``RECIPE`` is the one copy of the desk recipe and ``run_chain`` the one
+copy of the chain: the acceptance suite (tests/test_acceptance.py) runs
+``run_chain`` with ``RECIPE`` for criteria 4-8 and with a smaller recipe,
+twice, for criterion 9.
 """
 
 from __future__ import annotations
@@ -22,35 +24,114 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from popsynth import cli, evaluation, training, vae
 from popsynth.schema import load_microdata, load_schema, restructure, write_json
 
-DATA_SEED = 42
-N_HOUSEHOLDS = 2000
-N_TRACT = 400
-LATENT_DIM = 3
-HIDDEN_WIDTHS = "48,48,40,40,32,32"
-PRETRAIN = dict(seed=21, epochs=1000, decay_start=300, batch_size=125,
-                kl_weight=0.3, focal_gamma=0.0, lr=1e-3, min_lr=1e-4)
-FINETUNE = dict(seed=7, epochs=3000, decay_start=1000, lr=2e-3, min_lr=2e-4,
-                w_marginal=5.0, w_dbce=0.5, w_normkl=0.1, temperature=0.05)
-WIDE_SAMPLE = 8000  # prior draws for the pretrain fidelity check
-WIDE_SEED = 9
-GEN_SEED = 5
+# each of "data", "pretrain" and "finetune" is the flag set of one command
+RECIPE = {
+    "data": dict(households=2000, tract_households=400, seed=42),
+    "pretrain": dict(seed=21, epochs=1000, decay_start=300, batch_size=125,
+                     hidden_widths="48,48,40,40,32,32", latent_dim=3,
+                     kl_weight=0.3, focal_gamma=0.0, lr=1e-3, min_lr=1e-4),
+    "finetune": dict(seed=7, epochs=3000, decay_start=1000, lr=2e-3, min_lr=2e-4,
+                     w_marginal=5.0, w_dbce=0.5, w_normkl=0.1, temperature=0.05),
+    "wide_sample": 8000,  # prior draws for the pretrain fidelity check
+    "wide_seed": 9,
+    "gen_seed": 5,
+}
 
 
-def sh(args: list[str]) -> None:
-    print(f"+ popsynth {' '.join(args)}")
-    t0 = time.time()
-    rc = cli.run(args)
-    print(f"  -> rc={rc} ({time.time() - t0:.1f}s)")
-    if rc != 0:
-        sys.exit(rc)
+class CommandFailed(RuntimeError):
+    def __init__(self, label: str, rc: int):
+        super().__init__(f"{label} exited {rc}")
+        self.rc = rc
 
 
-def read_report(path: str) -> dict[str, dict[str, float]]:
+def flags(settings: dict) -> list[str]:
+    return [s for k, v in settings.items() for s in (f"--{k.replace('_', '-')}", str(v))]
+
+
+def run_chain(work_dir: str, recipe: dict = RECIPE) -> dict[str, float]:
+    """Run the desk chain under ``work_dir`` and return the seconds each
+    command took, keyed by its label ("pretrain", "generate syn_tuned",
+    ...). A command that exits non-zero raises ``CommandFailed``."""
+    seconds = {}
+
+    def sh(label: str, args: list[str]) -> None:
+        print(f"+ popsynth {' '.join(args)}")
+        t0 = time.perf_counter()
+        rc = cli.run(args)
+        seconds[label] = time.perf_counter() - t0
+        print(f"  -> rc={rc} ({seconds[label]:.1f}s)")
+        if rc != 0:
+            raise CommandFailed(label, rc)
+
+    w = work_dir
+    os.makedirs(w, exist_ok=True)
+    data = os.path.join(w, "data")
+    model_path = os.path.join(w, "model.psv")
+    latent_path = os.path.join(w, "latent.psl")
+
+    sh("oracle-make", ["oracle-make", "--out-dir", data, *flags(recipe["data"])])
+    micro = [
+        "--schema", f"{data}/schema.json",
+        "--microdata-hh", f"{data}/households.csv",
+        "--microdata-p", f"{data}/persons.csv",
+    ]
+    sh("pretrain", ["pretrain", *micro, "--out", model_path, *flags(recipe["pretrain"])])
+    sh("finetune", [
+        "finetune", *micro, "--model", model_path,
+        "--tract-marginals", f"{data}/tract_marginals.csv",
+        "--out-latent", latent_path, *flags(recipe["finetune"]),
+    ])
+
+    # inventories: wide prior sample (pretrain fidelity), tract-sized prior
+    # sample (privacy reference, same latents fine-tuning started from) and
+    # the fine-tuned tract
+    model = vae.load_model(model_path)
+    wide_latent = os.path.join(w, "prior_wide.psl")
+    training.save_latent(
+        training.init_latent(recipe["wide_sample"], model.latent_dim, recipe["wide_seed"]),
+        wide_latent, model.schema_fingerprint, model.checksum(),
+    )
+    pre_latent = os.path.join(w, "prior_tract.psl")
+    training.save_latent(
+        training.init_latent(recipe["data"]["tract_households"], model.latent_dim,
+                             recipe["finetune"]["seed"]),
+        pre_latent, model.schema_fingerprint, model.checksum(),
+    )
+    gen_common = ["--model", model_path, "--schema", f"{data}/schema.json",
+                  "--seed", str(recipe["gen_seed"]), "--rules", f"{data}/rules.json"]
+    for latent, out in [(wide_latent, "syn_pre_wide"), (pre_latent, "syn_pre_tract"),
+                        (latent_path, "syn_tuned")]:
+        sh(f"generate {out}",
+           ["generate", *gen_common, "--latent", latent, "--out-dir", f"{w}/{out}"])
+
+    sh("evaluate report_pre", [
+        "evaluate", *micro,
+        "--syn-hh", f"{w}/syn_pre_wide/households.csv",
+        "--syn-p", f"{w}/syn_pre_wide/persons.csv",
+        "--out-dir", f"{w}/report_pre",
+    ])
+    sh("evaluate report_tuned", [
+        "evaluate", *micro,
+        "--syn-hh", f"{w}/syn_tuned/households.csv",
+        "--syn-p", f"{w}/syn_tuned/persons.csv",
+        "--tract-marginals", f"{data}/tract_marginals.csv",
+        "--out-dir", f"{w}/report_tuned",
+    ])
+    sh("privacy", [
+        "privacy", *micro,
+        "--a-hh", f"{w}/syn_pre_tract/households.csv",
+        "--a-p", f"{w}/syn_pre_tract/persons.csv",
+        "--b-hh", f"{w}/syn_tuned/households.csv",
+        "--b-p", f"{w}/syn_tuned/persons.csv",
+        "--out-dir", f"{w}/privacy",
+    ])
+    return seconds
+
+
+def read_report(path) -> dict[str, dict[str, float]]:
     with open(path, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     out = {}
@@ -80,91 +161,12 @@ def main() -> None:
     args = ap.parse_args()
 
     w = args.work_dir
-    os.makedirs(w, exist_ok=True)
+    try:
+        run_chain(w)
+    except CommandFailed as exc:
+        print(exc, file=sys.stderr)
+        sys.exit(exc.rc)
     data = os.path.join(w, "data")
-    model_path = os.path.join(w, "model.psv")
-    latent_path = os.path.join(w, "latent.psl")
-
-    sh([
-        "oracle-make", "--out-dir", data,
-        "--households", str(N_HOUSEHOLDS),
-        "--tract-households", str(N_TRACT),
-        "--seed", str(DATA_SEED),
-    ])
-    micro = [
-        "--schema", f"{data}/schema.json",
-        "--microdata-hh", f"{data}/households.csv",
-        "--microdata-p", f"{data}/persons.csv",
-    ]
-    sh([
-        "pretrain", *micro, "--out", model_path,
-        "--seed", str(PRETRAIN["seed"]),
-        "--epochs", str(PRETRAIN["epochs"]),
-        "--decay-start", str(PRETRAIN["decay_start"]),
-        "--batch-size", str(PRETRAIN["batch_size"]),
-        "--hidden-widths", HIDDEN_WIDTHS,
-        "--latent-dim", str(LATENT_DIM),
-        "--kl-weight", str(PRETRAIN["kl_weight"]),
-        "--focal-gamma", str(PRETRAIN["focal_gamma"]),
-        "--lr", str(PRETRAIN["lr"]),
-        "--min-lr", str(PRETRAIN["min_lr"]),
-    ])
-    sh([
-        "finetune", *micro, "--model", model_path,
-        "--tract-marginals", f"{data}/tract_marginals.csv",
-        "--out-latent", latent_path,
-        "--seed", str(FINETUNE["seed"]),
-        "--epochs", str(FINETUNE["epochs"]),
-        "--decay-start", str(FINETUNE["decay_start"]),
-        "--lr", str(FINETUNE["lr"]),
-        "--min-lr", str(FINETUNE["min_lr"]),
-        "--w-marginal", str(FINETUNE["w_marginal"]),
-        "--w-dbce", str(FINETUNE["w_dbce"]),
-        "--w-normkl", str(FINETUNE["w_normkl"]),
-        "--temperature", str(FINETUNE["temperature"]),
-    ])
-
-    # inventories: wide prior sample (pretrain fidelity), tract-sized prior
-    # sample (privacy reference, same latents fine-tuning started from) and
-    # the fine-tuned tract
-    model = vae.load_model(model_path)
-    wide_latent = os.path.join(w, "prior_wide.psl")
-    training.save_latent(
-        training.init_latent(WIDE_SAMPLE, model.latent_dim, WIDE_SEED),
-        wide_latent, model.schema_fingerprint, model.checksum(),
-    )
-    pre_latent = os.path.join(w, "prior_tract.psl")
-    training.save_latent(
-        training.init_latent(N_TRACT, model.latent_dim, FINETUNE["seed"]),
-        pre_latent, model.schema_fingerprint, model.checksum(),
-    )
-    gen_common = ["--model", model_path, "--schema", f"{data}/schema.json",
-                  "--seed", str(GEN_SEED), "--rules", f"{data}/rules.json"]
-    sh(["generate", *gen_common, "--latent", wide_latent, "--out-dir", f"{w}/syn_pre_wide"])
-    sh(["generate", *gen_common, "--latent", pre_latent, "--out-dir", f"{w}/syn_pre_tract"])
-    sh(["generate", *gen_common, "--latent", latent_path, "--out-dir", f"{w}/syn_tuned"])
-
-    sh([
-        "evaluate", *micro,
-        "--syn-hh", f"{w}/syn_pre_wide/households.csv",
-        "--syn-p", f"{w}/syn_pre_wide/persons.csv",
-        "--out-dir", f"{w}/report_pre",
-    ])
-    sh([
-        "evaluate", *micro,
-        "--syn-hh", f"{w}/syn_tuned/households.csv",
-        "--syn-p", f"{w}/syn_tuned/persons.csv",
-        "--tract-marginals", f"{data}/tract_marginals.csv",
-        "--out-dir", f"{w}/report_tuned",
-    ])
-    sh([
-        "privacy", *micro,
-        "--a-hh", f"{w}/syn_pre_tract/households.csv",
-        "--a-p", f"{w}/syn_pre_tract/persons.csv",
-        "--b-hh", f"{w}/syn_tuned/households.csv",
-        "--b-p", f"{w}/syn_tuned/persons.csv",
-        "--out-dir", f"{w}/privacy",
-    ])
 
     print("\n== pretrain fidelity (prior sample vs microdata) ==")
     pre = read_report(f"{w}/report_pre/marginals_report.csv")
@@ -180,7 +182,7 @@ def main() -> None:
         print(f"  {name:10s} rmse_t={row['rmse_vs_target']:.4f} "
               f"baseline={row['baseline_rmse']:.4f} p_t={row['p_vs_target']:.3f}")
 
-    with open(f"{latent_path}.history.csv", encoding="utf-8") as fh:
+    with open(f"{w}/latent.psl.history.csv", encoding="utf-8") as fh:
         hist = list(csv.DictReader(fh))
     d0, d1 = float(hist[0]["dbce"]), float(hist[-1]["dbce"])
     print(f"\n== realism == dbce start={d0:.4f} end={d1:.4f} ratio={d1 / d0:.3f}")

@@ -27,6 +27,7 @@ from .schema import (
     EncodedMatrix,
     RestructuredTable,
     SchemaError,
+    _strings,
     decode_onehot_with_stats,
     labels,
     write_csv,
@@ -145,21 +146,31 @@ class SanityRule:
 
 
 def load_rules(path) -> list[SanityRule]:
+    """The rules of a rules file. A field of the wrong JSON type is an
+    error that names the field, not a coercion."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         entries = raw["rules"] if isinstance(raw, dict) else raw
-        return [
-            SanityRule(
+        rules = []
+        for e in entries:
+            for key in ("id", "household_var", "household_value", "person_var", "direction"):
+                if not isinstance(e.get(key, ""), str):
+                    raise DataError(f"rules file {path}: {key!r} must be a string, not {e[key]!r}")
+            if not _strings(e["person_categories"]):
+                raise DataError(
+                    f"rules file {path}: 'person_categories' must be a list of strings, "
+                    f"not {e['person_categories']!r}"
+                )
+            rules.append(SanityRule(
                 rule_id=e["id"],
                 household_var=e["household_var"],
                 household_value=e["household_value"],
                 person_var=e["person_var"],
                 person_categories=tuple(e["person_categories"]),
                 direction=e.get("direction", "both"),
-            )
-            for e in entries
-        ]
+            ))
+        return rules
     except json.JSONDecodeError as exc:
         raise DataError(f"could not parse rules file {path}: {exc}") from None
     except (KeyError, TypeError, AttributeError) as exc:

@@ -128,6 +128,10 @@ class Schema:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise SchemaError(f"duplicate variable name(s): {sorted(dupes)}")
+        if "household_id" in names:
+            raise SchemaError(
+                "'household_id' is the key column of the microdata files, not a variable name"
+            )
         for var in self.variables:
             if not var.categories:
                 raise SchemaError(f"variable {var.name!r} has no categories")
@@ -647,14 +651,12 @@ def _whole(raw: str, what: str) -> int:
 def load_target_marginals(path, schema: Schema) -> TargetMarginals:
     rows = _read_rows(path, ["variable", "category", "count_or_proportion"])
     by_var: dict[str, dict[str, float]] = {}
-    n_households = None
-    n_persons = None
+    totals: dict[str, int] = {}
     for var, cat, raw in rows:
-        if var == N_HOUSEHOLDS_KEY:
-            n_households = _whole(raw, f"{path}: {N_HOUSEHOLDS_KEY}")
-            continue
-        if var == N_PERSONS_KEY:
-            n_persons = _whole(raw, f"{path}: {N_PERSONS_KEY}")
+        if var in (N_HOUSEHOLDS_KEY, N_PERSONS_KEY):
+            if var in totals:
+                raise DataError(f"duplicate {var} row in {path}")
+            totals[var] = _whole(raw, f"{path}: {var}")
             continue
         value = _number(raw, f"{path}: count for {var!r}/{cat!r}")
         by_var.setdefault(var, {})
@@ -662,6 +664,7 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
             raise DataError(f"duplicate row for {var!r}/{cat!r} in {path}")
         by_var[var][cat] = value
 
+    n_households = totals.get(N_HOUSEHOLDS_KEY)
     if n_households is None:
         raise DataError(f"{path}: missing {N_HOUSEHOLDS_KEY} row")
     if n_households <= 0:
@@ -687,7 +690,7 @@ def load_target_marginals(path, schema: Schema) -> TargetMarginals:
         proportions[v.name] = vec / total if abs(total - 1.0) > 1e-9 else vec
     if by_var:
         raise DataError(f"{path}: rows for unknown variable(s) {sorted(by_var)}")
-    return TargetMarginals(proportions, n_households, n_persons)
+    return TargetMarginals(proportions, n_households, totals.get(N_PERSONS_KEY))
 
 
 def write_target_marginals(targets: TargetMarginals, schema: Schema, path) -> None:

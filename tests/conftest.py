@@ -15,7 +15,7 @@ from popsynth.schema import (
 
 def load_desk_script():
     """A fresh module of scripts/run_desk_pipeline.py, which holds the one
-    copy of the desk recipe."""
+    copy of the desk recipe and chain."""
     script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
     spec = importlib.util.spec_from_file_location("run_desk_pipeline", script)
     module = importlib.util.module_from_spec(spec)

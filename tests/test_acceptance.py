@@ -3,21 +3,22 @@
 Nine end-to-end criteria, one test each. Every test records a single
 PASS/FAIL line with the measured numbers; the lines are replayed in the
 terminal summary (see conftest) so a full run prints a compact scorecard.
-The desk-scale criteria (4-7) share one session-scoped pipeline run built
-entirely through the CLI entry points.
+The desk-scale criteria (4-8) share one session-scoped run of the chain in
+scripts/run_desk_pipeline.py (``run_chain``), which goes entirely through
+the CLI entry points; criterion 9 runs that chain twice at a smaller size.
 """
 
 import csv
+import hashlib
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import load_desk_script
-from popsynth import cli, evaluation, generation, losses, nn, training, vae
+from popsynth import evaluation, generation, losses, nn, training, vae
 from popsynth.schema import (
     column_layout,
     RestructuredTable,
@@ -25,24 +26,15 @@ from popsynth.schema import (
     encode_onehot,
     load_microdata,
     load_schema,
-    load_target_marginals,
     restructure,
 )
 
-# the frozen desk-scale recipe of scripts/run_desk_pipeline.py: every stage
-# is seeded, so these numbers are reproduced bit-for-bit on every run
+# the desk-scale recipe and chain of scripts/run_desk_pipeline.py: every
+# stage is seeded, so these numbers are reproduced bit-for-bit on every run
 # (criterion 9 checks that directly)
-_desk = load_desk_script()
-DATA_SEED = _desk.DATA_SEED
-N_HOUSEHOLDS = _desk.N_HOUSEHOLDS
-N_TRACT = _desk.N_TRACT
-LATENT_DIM = _desk.LATENT_DIM
-HIDDEN_WIDTHS = _desk.HIDDEN_WIDTHS
-PRETRAIN = _desk.PRETRAIN
-FINETUNE = _desk.FINETUNE
-WIDE_SAMPLE = _desk.WIDE_SAMPLE  # prior draws for the pretrain fidelity comparison
-WIDE_SEED = _desk.WIDE_SEED
-GEN_SEED = _desk.GEN_SEED
+DESK = load_desk_script()
+RECIPE = DESK.RECIPE
+read_report = DESK.read_report
 
 
 @pytest.fixture(scope="session")
@@ -60,112 +52,20 @@ def verdict(request):
     return record
 
 
-def run_ok(args):
-    rc = cli.run([str(a) for a in args])
-    assert rc == 0, f"command failed: {args}"
-
-
 @pytest.fixture(scope="session")
 def desk(tmp_path_factory):
-    """One full desk-scale pipeline: ground truth, pretrain, fine-tune,
+    """One run of the script's desk chain: ground truth, pretrain, fine-tune,
     three inventories, fidelity reports and the privacy comparison."""
     w = tmp_path_factory.mktemp("desk")
+    seconds = DESK.run_chain(str(w))
     data = w / "data"
-    timings = {}
-
-    t0 = time.perf_counter()
-    run_ok(["oracle-make", "--out-dir", data, "--households", N_HOUSEHOLDS,
-            "--tract-households", N_TRACT, "--seed", DATA_SEED])
-    timings["oracle_make"] = time.perf_counter() - t0
-
-    micro = ["--schema", data / "schema.json",
-             "--microdata-hh", data / "households.csv",
-             "--microdata-p", data / "persons.csv"]
-    model_path = w / "model.psv"
-    t0 = time.perf_counter()
-    run_ok(["pretrain", *micro, "--out", model_path,
-            "--seed", PRETRAIN["seed"], "--epochs", PRETRAIN["epochs"],
-            "--decay-start", PRETRAIN["decay_start"],
-            "--batch-size", PRETRAIN["batch_size"],
-            "--latent-dim", LATENT_DIM, "--hidden-widths", HIDDEN_WIDTHS,
-            "--reparam-mode", "standard", "--kl-weight", PRETRAIN["kl_weight"],
-            "--focal-gamma", PRETRAIN["focal_gamma"],
-            "--lr", PRETRAIN["lr"], "--min-lr", PRETRAIN["min_lr"]])
-    timings["pretrain"] = time.perf_counter() - t0
-
-    model = vae.load_model(model_path)
     schema = load_schema(data / "schema.json")
     table = restructure(
         load_microdata(data / "households.csv", data / "persons.csv", schema),
         schema,
     )
-
-    # wide prior sample for pretrain fidelity
-    wide_latent = w / "prior_wide.psl"
-    training.save_latent(
-        training.init_latent(WIDE_SAMPLE, model.latent_dim, WIDE_SEED),
-        wide_latent, model.schema_fingerprint, model.checksum(),
-    )
-    # tract-sized prior sample: the exact rows fine-tuning starts from
-    pre_latent = w / "prior_tract.psl"
-    training.save_latent(
-        training.init_latent(N_TRACT, model.latent_dim, FINETUNE["seed"]),
-        pre_latent, model.schema_fingerprint, model.checksum(),
-    )
-
-    gen = ["--model", model_path, "--schema", data / "schema.json",
-           "--seed", GEN_SEED, "--rules", data / "rules.json"]
-    t0 = time.perf_counter()
-    run_ok(["generate", *gen, "--latent", wide_latent, "--out-dir", w / "syn_wide"])
-    run_ok(["evaluate", *micro,
-            "--syn-hh", w / "syn_wide" / "households.csv",
-            "--syn-p", w / "syn_wide" / "persons.csv",
-            "--out-dir", w / "report_pre"])
-    timings["pretrain_eval"] = time.perf_counter() - t0
-
-    latent_path = w / "latent.psl"
-    t0 = time.perf_counter()
-    run_ok(["finetune", *micro, "--model", model_path,
-            "--tract-marginals", data / "tract_marginals.csv",
-            "--out-latent", latent_path,
-            "--seed", FINETUNE["seed"], "--epochs", FINETUNE["epochs"],
-            "--decay-start", FINETUNE["decay_start"],
-            "--lr", FINETUNE["lr"], "--min-lr", FINETUNE["min_lr"],
-            "--w-marginal", FINETUNE["w_marginal"],
-            "--w-dbce", FINETUNE["w_dbce"],
-            "--w-normkl", FINETUNE["w_normkl"],
-            "--temperature", FINETUNE["temperature"]])
-    timings["finetune"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    run_ok(["generate", *gen, "--latent", pre_latent, "--out-dir", w / "syn_pre"])
-    run_ok(["generate", *gen, "--latent", latent_path, "--out-dir", w / "syn_tuned"])
-    run_ok(["evaluate", *micro,
-            "--syn-hh", w / "syn_tuned" / "households.csv",
-            "--syn-p", w / "syn_tuned" / "persons.csv",
-            "--tract-marginals", data / "tract_marginals.csv",
-            "--out-dir", w / "report_tuned"])
-    run_ok(["privacy", *micro,
-            "--a-hh", w / "syn_pre" / "households.csv",
-            "--a-p", w / "syn_pre" / "persons.csv",
-            "--b-hh", w / "syn_tuned" / "households.csv",
-            "--b-p", w / "syn_tuned" / "persons.csv",
-            "--out-dir", w / "privacy"])
-    timings["tuned_eval"] = time.perf_counter() - t0
-
-    return dict(w=w, data=data, schema=schema, table=table, model=model,
-                model_path=model_path, latent_path=latent_path,
-                pre_latent=pre_latent, timings=timings)
-
-
-def read_report(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    out = {}
-    for row in rows:
-        name = row.pop("variable")
-        out[name] = {k: float(v) for k, v in row.items() if v != ""}
-    return out
+    return dict(w=w, data=data, schema=schema, table=table,
+                model=vae.load_model(w / "model.psv"), seconds=seconds)
 
 
 # --- criterion 1: gradient correctness -------------------------------------
@@ -336,8 +236,8 @@ def test_pretrain_recovery(verdict, desk):
     rows = {k: v for k, v in report.items() if k != "__mean__"}
     worst_rmse = max(r["rmse_vs_microdata"] for r in rows.values())
     worst_kl = max(r["kl_vs_microdata"] for r in rows.values())
-    t = desk["timings"]
-    took = t["oracle_make"] + t["pretrain"] + t["pretrain_eval"]
+    took = sum(desk["seconds"][k] for k in
+               ("oracle-make", "pretrain", "generate syn_pre_wide", "evaluate report_pre"))
     ok = worst_rmse <= 0.03 and worst_kl <= 0.05 and took <= 600
     assert verdict(4, "pretrain recovery", ok,
                    f"worst RMSE {worst_rmse:.4f} (<=0.03), worst KL "
@@ -355,11 +255,12 @@ def test_finetune_distribution_shift(verdict, desk):
 
     # the latent header pins the decoder it was tuned through; the model on
     # disk must still hash to the same state
-    _, header = training.load_latent(desk["latent_path"])
+    _, header = training.load_latent(desk["w"] / "latent.psl")
     decoder_intact = header["model_fingerprint"] == desk["model"].checksum()
 
-    t = desk["timings"]
-    took = t["finetune"] + t["tuned_eval"]
+    took = sum(desk["seconds"][k] for k in
+               ("finetune", "generate syn_pre_tract", "generate syn_tuned",
+                "evaluate report_tuned", "privacy"))
     ok = (worst_rmse <= 0.01 and beats and min_p >= 0.9
           and decoder_intact and took <= 600)
     assert verdict(5, "fine-tune distribution shift", ok,
@@ -373,9 +274,9 @@ def test_finetune_distribution_shift(verdict, desk):
 def test_realism_preservation(verdict, desk):
     model = desk["model"]
     micro = encode_onehot(desk["table"]).values
-    z0, _ = training.load_latent(desk["pre_latent"])
-    z1, _ = training.load_latent(desk["latent_path"])
-    tau = FINETUNE["temperature"]
+    z0, _ = training.load_latent(desk["w"] / "prior_tract.psl")
+    z1, _ = training.load_latent(desk["w"] / "latent.psl")
+    tau = RECIPE["finetune"]["temperature"]
     d_start = losses.dbce(model.decode(z0.z, train=False), micro, temperature=tau)
     d_end = losses.dbce(model.decode(z1.z, train=False), micro, temperature=tau)
     ratio = d_end.dbce_loss / d_start.dbce_loss
@@ -475,43 +376,33 @@ def test_structural_suite(verdict, desk, tmp_path):
 # --- criterion 9: reproducibility --------------------------------------------
 
 def test_reproducibility(verdict, tmp_path):
-    def pipeline(root: Path) -> dict[str, bytes]:
-        data = root / "data"
-        run_ok(["oracle-make", "--out-dir", data, "--households", 120,
-                "--tract-households", 40, "--seed", 13])
-        micro = ["--schema", data / "schema.json",
-                 "--microdata-hh", data / "households.csv",
-                 "--microdata-p", data / "persons.csv"]
-        model = root / "model.psv"
-        run_ok(["pretrain", *micro, "--out", model, "--seed", 3,
-                "--epochs", 40, "--decay-start", 10,
-                "--latent-dim", 3, "--hidden-widths", "16,14,12,12,10,8",
-                "--reparam-mode", "standard", "--kl-weight", 0.3,
-                "--focal-gamma", 0])
-        latent = root / "tract.psl"
-        run_ok(["finetune", *micro, "--model", model,
-                "--tract-marginals", data / "tract_marginals.csv",
-                "--out-latent", latent, "--seed", 4, "--epochs", 40,
-                "--decay-start", 10, "--temperature", 0.1])
-        run_ok(["generate", "--model", model, "--schema", data / "schema.json",
-                "--latent", latent, "--out-dir", root / "inv",
-                "--seed", 6, "--rules", data / "rules.json"])
-        run_ok(["evaluate", *micro,
-                "--syn-hh", root / "inv" / "households.csv",
-                "--syn-p", root / "inv" / "persons.csv",
-                "--tract-marginals", data / "tract_marginals.csv",
-                "--out-dir", root / "report"])
-        out = {}
-        for path in sorted(root.rglob("*")):
-            if path.is_file() and path.name != "manifest.json" \
-                    and not path.name.endswith(".manifest.json"):
-                out[str(path.relative_to(root))] = path.read_bytes()
-        return out
-
-    a = pipeline(tmp_path / "a")
-    b = pipeline(tmp_path / "b")
+    # the desk chain at C9's sizes, run twice; every output it writes, prior
+    # inventories, reports and privacy included, must match byte for byte
+    small = RECIPE | {
+        "data": RECIPE["data"] | dict(households=120, tract_households=40),
+        "pretrain": RECIPE["pretrain"] | dict(epochs=40, decay_start=10,
+                                              hidden_widths="16,14,12,12,10,8"),
+        "finetune": RECIPE["finetune"] | dict(epochs=40, decay_start=10),
+        "wide_sample": 300,
+    }
+    digests = []
+    complete = True
+    for root in (tmp_path / "a", tmp_path / "b"):
+        DESK.run_chain(str(root), small)
+        DESK.write_digests(str(root))
+        digests.append(json.loads((root / "digests.json").read_text()))
+        on_disk = {
+            str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*")
+            if p.is_file() and not p.name.endswith("manifest.json")
+            and p.name != "digests.json"
+        }
+        complete = complete and digests[-1] == on_disk
+    a, b = digests
     same_names = set(a) == set(b)
-    diffs = [k for k in a if same_names and a[k] != b[k]]
-    ok = same_names and not diffs
+    diffs = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
+    key_outputs = {"model.psv", "latent.psl", "syn_tuned/households.csv"} <= set(a)
+    ok = same_names and not diffs and complete and key_outputs
     assert verdict(9, "reproducibility", ok,
-                   f"{len(a)} files compared, mismatches: {diffs or 'none'}")
+                   f"{len(a)} files compared, mismatches: {diffs or 'none'}, "
+                   f"digests match the files {complete}, key outputs {key_outputs}")

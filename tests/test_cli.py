@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import popsynth
-from conftest import load_desk_script
 from popsynth import training, vae
 from popsynth.cli import _load_tables, run
 from popsynth.schema import DataError, HouseholdRecord
@@ -321,26 +320,6 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_desk_script_writes_the_digest_of_every_output(tmp_path, monkeypatch):
-    desk = load_desk_script()
-    # the script's recipe, shrunk to seconds
-    for name, value in [("N_HOUSEHOLDS", 60), ("N_TRACT", 20), ("WIDE_SAMPLE", 50),
-                        ("PRETRAIN", desk.PRETRAIN | dict(epochs=4, decay_start=1, batch_size=30)),
-                        ("FINETUNE", desk.FINETUNE | dict(epochs=4, decay_start=1))]:
-        monkeypatch.setattr(desk, name, value)
-    work = tmp_path / "desk"
-    monkeypatch.setattr(sys, "argv", [desk.__file__, "--work-dir", str(work)])
-    desk.main()
-    digests = json.loads((work / "digests.json").read_text())
-    on_disk = {
-        str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in work.rglob("*")
-        if p.is_file() and not p.name.endswith("manifest.json") and p.name != "digests.json"
-    }
-    assert digests == on_disk
-    assert {"model.psv", "latent.psl", "syn_tuned/households.csv"} <= set(digests)
-
-
 def test_finetune_rejects_foreign_schema(data_dir, tmp_path):
     model = tmp_path / "model.psv"
     assert cli_pretrain(data_dir, model) == 0
@@ -553,6 +532,8 @@ BAD_RULES = {
     "unknown-direction": json.dumps([GOOD_RULE | {"direction": "sideways"}]),
     "household-value-typo": json.dumps([GOOD_RULE | {"household_value": "yes"}]),
     "person-category-typo": json.dumps([GOOD_RULE | {"person_categories": ["65-74", "75+"]}]),
+    "categories-a-string": json.dumps([GOOD_RULE | {"person_categories": "65-74"}]),
+    "id-a-number": json.dumps([GOOD_RULE | {"id": 5}]),
 }
 
 
@@ -569,6 +550,39 @@ def test_bad_rules_exit_1_before_writing(data_dir, artifacts, tmp_path, case, ca
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_second_household_total_is_exit_1_before_finetune_writes(data_dir, artifacts, tmp_path, capsys):
+    marginals = tmp_path / "tract_marginals.csv"
+    marginals.write_text((data_dir / "tract_marginals.csv").read_text() + "__n_households__,,999\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = valid_command("finetune", data_dir, artifacts[0] / "model.psv", out)
+    argv[argv.index("--tract-marginals") + 1] = str(marginals)
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "duplicate __n_households__ row" in err
+    assert not any(out.iterdir())
+
+
+def test_household_id_variable_is_exit_1_naming_the_key_column(data_dir, tmp_path, capsys):
+    raw = json.loads((data_dir / "schema.json").read_text())
+    raw["person"][-1]["name"] = "household_id"
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(raw))
+    out = tmp_path / "rows"
+    capsys.readouterr()
+    rc = run(["restructure", "--schema", str(schema),
+              "--microdata-hh", str(data_dir / "households.csv"),
+              "--microdata-p", str(data_dir / "persons.csv"), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "key column" in err
     assert not out.exists()
 
 

@@ -231,6 +231,29 @@ def test_load_rules_rejects_bad_direction(tmp_path):
         load_rules(p)
 
 
+WRONG_RULE_TYPES = {
+    "categories-a-string": ("person_categories", "old"),
+    "categories-not-strings": ("person_categories", ["old", 3]),
+    "id-a-number": ("id", 5),
+    "household-var-null": ("household_var", None),
+    "household-value-a-bool": ("household_value", True),
+    "person-var-a-list": ("person_var", ["AGE"]),
+    "direction-a-number": ("direction", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_RULE_TYPES))
+def test_load_rules_rejects_a_field_of_the_wrong_type(senior_rule, tmp_path, case):
+    key, value = WRONG_RULE_TYPES[case]
+    p = tmp_path / "rules.json"
+    write_rules([senior_rule], p)
+    raw = json.loads(p.read_text())
+    raw["rules"][0][key] = value
+    p.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=f"'{key}' must be a"):
+        load_rules(p)
+
+
 def test_sanity_report_file(tiny_schema, senior_rule, tmp_path):
     table = restructure(fixture_records(), tiny_schema)
     report = sanity_check(table, [senior_rule])

@@ -259,6 +259,9 @@ STRICT_CASES = {
     "anchor-false": ({"slot_anchor": False}, "slot_anchor must be a string"),
     "anchor-null": ({"slot_anchor": None}, "slot_anchor must be a string"),
     "name-a-number": ({"household": [{"name": 5, "categories": ["a"]}]}, "must be a string"),
+    "household-id-variable": (
+        {"household": [{"name": "household_id", "categories": ["a"]}]}, "key column"
+    ),
 }
 
 
@@ -335,6 +338,15 @@ def test_target_marginals_accepts_counts(tiny_schema, tmp_path):
     np.testing.assert_allclose(t.proportions["OWN"], [0.75, 0.25])
     np.testing.assert_allclose(t.proportions["AGE"], [0.25, 0.5, 0.25])
     assert t.n_households == 40
+
+
+@pytest.mark.parametrize("key", ["__n_households__", "__n_persons__"])
+def test_target_marginals_reject_a_second_total(tiny_schema, tiny_table, tmp_path, key):
+    p = tmp_path / "targets.csv"
+    write_target_marginals(empirical_marginals(tiny_table), tiny_schema, p)
+    p.write_text(p.read_text() + f"{key},,3\n{key},,999\n")
+    with pytest.raises(DataError, match=f"duplicate {key} row"):
+        load_target_marginals(p, tiny_schema)
 
 
 def test_write_restructured_format(tiny_table, tmp_path):
