@@ -25,7 +25,7 @@ import sys
 import time
 
 from popsynth import cli, evaluation, training, vae
-from popsynth.schema import load_microdata, load_schema, restructure, write_json
+from popsynth.schema import load_schema, load_tables, write_json
 
 # each of "data", "pretrain" and "finetune" is the flag set of one command
 RECIPE = {
@@ -193,9 +193,8 @@ def main() -> None:
         print(f"== privacy == {level}: KS={row['ks_statistic']:.4f} "
               f"p={row['ks_p_value']:.4f}")
 
-    schema = load_schema(f"{data}/schema.json")
-    table = restructure(
-        load_microdata(f"{data}/households.csv", f"{data}/persons.csv", schema), schema
+    [table] = load_tables(
+        load_schema(f"{data}/schema.json"), (f"{data}/households.csv", f"{data}/persons.csv")
     )
     m = evaluation.household_matrix(table)
     print(f"== privacy == microdata self-DCR max={evaluation.dcr(m, m).max():.2e}")

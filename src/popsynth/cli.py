@@ -17,6 +17,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,10 +28,9 @@ from .schema import (
     DataError,
     SchemaError,
     encode_onehot,
-    load_microdata,
     load_schema,
+    load_tables,
     load_target_marginals,
-    restructure,
     write_csv,
     write_encoded,
     write_json,
@@ -40,6 +40,7 @@ from .schema import (
 )
 
 DCR_BINS = 20  # bins of each privacy DCR histogram
+TRAIN_FIELDS = {f.name for f in fields(training.TrainConfig)}
 
 
 class UsageError(ValueError):
@@ -92,18 +93,6 @@ def _config_dict(args) -> dict:
     }
 
 
-def _load_tables(schema, *path_pairs):
-    """One restructured table per (household CSV, person CSV) pair. An open
-    n_window is pinned to the largest household in any of them (at least 1),
-    so that every table has one layout."""
-    record_sets = [load_microdata(hh, p, schema) for hh, p in path_pairs]
-    if schema.n_window is None:
-        schema = schema.with_n_window(
-            max([1, *(len(r.persons) for records in record_sets for r in records)])
-        )
-    return [restructure(records, schema) for records in record_sets]
-
-
 @contextlib.contextmanager
 def _usage_errors():
     """Re-raise a ValueError as a UsageError. Commands build their settings
@@ -114,17 +103,9 @@ def _usage_errors():
         raise UsageError(str(exc)) from None
 
 
-def _train_config(args, **overrides) -> training.TrainConfig:
-    fields = dict(
-        epochs=args.epochs,
-        initial_lr=args.lr,
-        min_lr=args.min_lr,
-        decay_start_epoch=args.decay_start,
-        batch_size=getattr(args, "batch_size", None),
-        seed=args.seed,
-    )
-    fields.update(overrides)
-    return training.TrainConfig(**fields)
+def _train_config(args) -> training.TrainConfig:
+    """The TrainConfig of the command's flags, which carry the field names."""
+    return training.TrainConfig(**{k: v for k, v in vars(args).items() if k in TRAIN_FIELDS})
 
 
 def _require_parent_dir(path, flag) -> None:
@@ -141,11 +122,25 @@ def _require_counts(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
 
 
-def _add_train_flags(p, epochs):
-    p.add_argument("--epochs", type=int, default=epochs)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--min-lr", type=float, default=1e-4, dest="min_lr")
-    p.add_argument("--decay-start", type=int, default=1000, dest="decay_start")
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {seed}")
+    return seed
+
+
+def _add_train_flags(p, *names):
+    """``--seed`` and one flag per TrainConfig field in ``names``, named
+    after the field and defaulting to the field's default."""
+    p.add_argument("--seed", type=_seed, required=True)
+    for name in names:
+        default = getattr(training.TrainConfig, name)
+        p.add_argument(
+            f"--{name.replace('_', '-')}",
+            type=float if isinstance(default, float) else int,
+            default=default,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,7 @@ def _add_train_flags(p, epochs):
 
 
 def _cmd_restructure(args):
-    [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
+    [table] = load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     out = _out_path(args, "restructured.csv")
     write_restructured(table, out)
     outputs = [out]
@@ -169,14 +164,12 @@ def _cmd_pretrain(args):
         widths = (
             tuple(int(w) for w in args.hidden_widths.split(","))
             if args.hidden_widths
-            else vae.DEFAULT_ENCODER_WIDTHS
+            else vae.VaeHyperparams.encoder_widths
         )
         hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
-        config = _train_config(
-            args, kl_weight=args.kl_weight, focal_gamma=args.focal_gamma
-        )
+        config = _train_config(args)
     _require_parent_dir(args.out, "--out")
-    [table] = _load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
+    [table] = load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     if table.n_rows < 2:
         raise DataError(
             f"pretraining needs at least 2 households; {args.microdata_hh} has {table.n_rows}"
@@ -198,17 +191,11 @@ def _cmd_pretrain(args):
 
 def _cmd_finetune(args):
     with _usage_errors():
-        config = _train_config(
-            args,
-            w_marginal=args.w_marginal,
-            w_dbce=args.w_dbce,
-            w_normkl=args.w_normkl,
-            softmin_temperature=args.temperature,
-        )
+        config = _train_config(args)
     _require_parent_dir(args.out_latent, "--out-latent")
     model = vae.load_model(args.model)
     schema = model.schema_for(load_schema(args.schema))
-    [table] = _load_tables(schema, (args.microdata_hh, args.microdata_p))
+    [table] = load_tables(schema, (args.microdata_hh, args.microdata_p))
     data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
@@ -268,7 +255,7 @@ def _cmd_generate(args):
 
 
 def _cmd_evaluate(args):
-    micro, syn = _load_tables(
+    micro, syn = load_tables(
         load_schema(args.schema), (args.microdata_hh, args.microdata_p), (args.syn_hh, args.syn_p)
     )
     schema = micro.schema
@@ -342,7 +329,7 @@ def _cmd_evaluate(args):
 
 def _cmd_privacy(args):
     pairs = [(args.microdata_hh, args.microdata_p), (args.a_hh, args.a_p), (args.b_hh, args.b_p)]
-    tables = _load_tables(load_schema(args.schema), *pairs)
+    tables = load_tables(load_schema(args.schema), *pairs)
     for (hh, p), table in zip(pairs, tables):
         if not table.occupied.any():
             raise DataError(f"{hh} and {p} hold no persons; privacy compares persons too")
@@ -457,10 +444,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="fit the autoencoder to microdata")
     microdata_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p, epochs=4000)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--latent-dim", type=int, default=vae.DEFAULT_LATENT_DIM, dest="latent_dim")
+    _add_train_flags(
+        p, "epochs", "lr", "min_lr", "decay_start", "batch_size", "kl_weight", "focal_gamma"
+    )
+    p.add_argument("--latent-dim", type=int, default=vae.VaeHyperparams.latent_dim)
     p.add_argument(
         "--hidden-widths",
         default=None,
@@ -472,8 +459,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--reparam-mode", choices=["standard"], default="standard", dest="reparam_mode"
     )
-    p.add_argument("--kl-weight", type=float, default=1.0, dest="kl_weight")
-    p.add_argument("--focal-gamma", type=float, default=2.0, dest="focal_gamma")
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fit a latent matrix to tract marginals")
@@ -481,12 +466,10 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--tract-marginals", required=True, dest="tract_marginals")
     p.add_argument("--out-latent", required=True, dest="out_latent")
-    p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p, epochs=4000)
-    p.add_argument("--w-marginal", type=float, default=1.0, dest="w_marginal")
-    p.add_argument("--w-dbce", type=float, default=1.0, dest="w_dbce")
-    p.add_argument("--w-normkl", type=float, default=0.1, dest="w_normkl")
-    p.add_argument("--temperature", type=float, default=1.0)
+    _add_train_flags(
+        p, "epochs", "lr", "min_lr", "decay_start", "w_marginal", "w_dbce", "w_normkl",
+        "temperature",
+    )
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("generate", help="decode a latent matrix into an inventory")
@@ -495,7 +478,7 @@ def build_parser() -> _Parser:
     p.add_argument("--latent", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--mode", choices=["argmax", "sample"], default="argmax")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tract-id", default=None, dest="tract_id")
     p.add_argument("--rules", default=None)
     p.set_defaults(func=_cmd_generate)
@@ -520,7 +503,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle-make", help="desk-scale ground-truth dataset")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--households", type=int, default=2000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tract-households", type=int, default=400, dest="tract_households")
     p.set_defaults(func=_cmd_oracle_make)
 

@@ -23,6 +23,7 @@ import scipy.special
 
 from .losses import clamp01
 from .schema import (
+    DataError,
     RestructuredTable,
     encode_onehot,
     marginal_counts,
@@ -144,7 +145,7 @@ def joint_pair_metrics(
         c_syn = _pair_counts(table_syn, var_a, var_b).ravel()
         c_ref = _pair_counts(table_ref, var_a, var_b).ravel()
         if c_syn.sum() == 0 or c_ref.sum() == 0:
-            raise ValueError(f"no observations for pair ({var_a}, {var_b})")
+            raise DataError(f"no observations for pair ({var_a}, {var_b})")
         p_syn = c_syn / c_syn.sum()
         p_ref = c_ref / c_ref.sum()
         key = (var_a, var_b)

@@ -77,9 +77,8 @@ def generate_inventory(
     """Decode the latent matrix with the frozen decoder (eval-mode batch norm)
     and the model's own schema; return the kept table and its provenance."""
     probs = model.decode(np.asarray(latent.z, dtype=np.float64), train=False)
-    matrix = EncodedMatrix(probs, model.groups, model.schema_fingerprint)
     decoded, forced_na_cells = decode_onehot_with_stats(
-        matrix, model.schema, mode=mode, seed=seed
+        EncodedMatrix(probs, model.schema), mode=mode, seed=seed
     )
     table = inventory_from_table(decoded)
     provenance = Provenance(

@@ -128,10 +128,9 @@ class Schema:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise SchemaError(f"duplicate variable name(s): {sorted(dupes)}")
-        if "household_id" in names:
-            raise SchemaError(
-                "'household_id' is the key column of the microdata files, not a variable name"
-            )
+        for key in ("household_id", "person_id"):  # id columns of the CSV files
+            if key in names:
+                raise SchemaError(f"{key!r} is a key column of the CSV files, not a variable name")
         for var in self.variables:
             if not var.categories:
                 raise SchemaError(f"variable {var.name!r} has no categories")
@@ -142,7 +141,7 @@ class Schema:
                         f"duplicate category {c!r} in variable {var.name!r}"
                     )
         for var in self.household_vars:
-            if NA in var.categories:
+            if var.has_na or NA in var.categories:
                 raise SchemaError(
                     f"household variable {var.name!r} must not carry an NA category"
                 )
@@ -288,17 +287,23 @@ class RestructuredTable:
 
 @dataclass
 class EncodedMatrix:
+    """Rows in the column layout of ``schema``: one-hot codes, or a category
+    distribution per column group."""
+
     values: np.ndarray
-    groups: tuple[ColumnGroup, ...]
-    schema_fingerprint: str
+    schema: Schema
+
+    @property
+    def groups(self) -> tuple[ColumnGroup, ...]:
+        return column_layout(self.schema)[0]
+
+    @property
+    def d(self) -> int:
+        return column_layout(self.schema)[1]
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -479,15 +484,13 @@ def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredT
     """Fold person records into one fixed-width row of codes per household.
 
     This is where category strings become codes, so an unknown category is a
-    ``DataError``. Resolves n_window to the observed maximum household size
-    when the schema leaves it open; a pinned n_window smaller than some
-    household is an error.
+    ``DataError``. The schema's n_window must be pinned (``load_tables`` pins
+    an open one); a household larger than it is an error.
     """
-    sizes = np.array([len(r.persons) for r in records], dtype=np.int64)
-    max_size = int(sizes.max(initial=0))
     if schema.n_window is None:
-        schema = schema.with_n_window(max(max_size, 1))
-    elif max_size > schema.n_window:
+        raise SchemaError("restructure needs a pinned n_window; load_tables pins an open one")
+    sizes = np.array([len(r.persons) for r in records], dtype=np.int64)
+    if int(sizes.max(initial=0)) > schema.n_window:
         offender = records[int(np.argmax(sizes > schema.n_window))]
         raise DataError(
             f"household {offender.household_id!r} has {len(offender.persons)} "
@@ -514,6 +517,18 @@ def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredT
     )
 
 
+def load_tables(schema: Schema, *path_pairs) -> list[RestructuredTable]:
+    """One restructured table per (household CSV, person CSV) pair. An open
+    n_window is pinned to the largest household in any of them (at least 1),
+    so that every table has one layout."""
+    record_sets = [load_microdata(hh, p, schema) for hh, p in path_pairs]
+    if schema.n_window is None:
+        schema = schema.with_n_window(
+            max([1, *(len(r.persons) for records in record_sets for r in records)])
+        )
+    return [restructure(records, schema) for records in record_sets]
+
+
 # ---------------------------------------------------------------------------
 # one-hot codec
 
@@ -529,7 +544,7 @@ def encode_onehot(table: RestructuredTable) -> EncodedMatrix:
     """One row per household; one-hot per variable per slot, padding hits NA."""
     groups, d = column_layout(table.schema)
     x = one_hot(table.codes, [g.start for g in groups], d)
-    return EncodedMatrix(x, groups, table.schema.fingerprint())
+    return EncodedMatrix(x, table.schema)
 
 
 def _draw_categories(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -543,12 +558,11 @@ def _draw_categories(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def decode_onehot_with_stats(
     matrix: EncodedMatrix,
-    schema: Schema,
     mode: str = "argmax",
     seed: int | None = None,
 ) -> tuple[RestructuredTable, int]:
-    """Map probability rows back to category codes; also return the number of
-    forced-NA cells.
+    """Map probability rows back to category codes of the matrix's schema;
+    also return the number of forced-NA cells.
 
     argmax ties break toward the lowest category index; "sample" draws one
     category per group from its probabilities, group by group in column
@@ -557,12 +571,11 @@ def decode_onehot_with_stats(
     unoccupied slot is forced to NA and each decode that disagreed with the
     forced value is counted. Row ids are "0".."n-1".
     """
-    if matrix.schema_fingerprint != schema.fingerprint():
-        raise DataError("encoded matrix does not match the supplied schema")
     if mode not in ("argmax", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs a seed")
+    schema = matrix.schema
     x = np.asarray(matrix.values, dtype=np.float64)
     n = x.shape[0]
     rng = np.random.default_rng(seed) if mode == "sample" else None

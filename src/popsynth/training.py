@@ -1,7 +1,7 @@
 """Training loops: focal+KL pretraining and marginal-targeted latent fine-tuning.
 
 Both loops use the Lion optimizer (sign of an interpolated momentum) with a
-two-phase learning-rate schedule: constant until ``decay_start_epoch``, then
+two-phase learning-rate schedule: constant until ``decay_start``, then
 exponential decay that lands exactly on ``min_lr`` at the final epoch.
 
 Fine-tuning freezes the whole model: the decoder runs its batch norms in eval
@@ -44,9 +44,9 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 4000
-    initial_lr: float = 1e-3
+    lr: float = 1e-3
     min_lr: float = 1e-4
-    decay_start_epoch: int = 1000
+    decay_start: int = 1000
     batch_size: int | None = None  # None: full batch (dataset size)
     seed: int = 0
     kl_weight: float = 1.0
@@ -54,7 +54,7 @@ class TrainConfig:
     w_marginal: float = 1.0
     w_dbce: float = 1.0
     w_normkl: float = 0.1
-    softmin_temperature: float = 1.0
+    temperature: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -66,17 +66,17 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.initial_lr <= 0 or self.min_lr <= 0:
+        if self.lr <= 0 or self.min_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if self.min_lr > self.initial_lr:
-            raise ValueError("min_lr cannot exceed initial_lr")
-        if self.decay_start_epoch < 0:
-            raise ValueError("decay_start_epoch must be >= 0")
+        if self.min_lr > self.lr:
+            raise ValueError("min_lr cannot exceed lr")
+        if self.decay_start < 0:
+            raise ValueError("decay_start must be >= 0")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
         if self.focal_gamma < 0:
             raise ValueError("focal gamma must be >= 0")
-        if self.softmin_temperature <= 0:
+        if self.temperature <= 0:
             raise ValueError("softmin temperature must be positive")
 
 
@@ -85,10 +85,10 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     if epoch < 0 or epoch >= config.epochs:
         raise ValueError(f"epoch {epoch} outside [0, {config.epochs})")
     last = config.epochs - 1
-    if epoch <= config.decay_start_epoch or last <= config.decay_start_epoch:
-        return config.initial_lr
-    frac = (epoch - config.decay_start_epoch) / (last - config.decay_start_epoch)
-    lr = config.initial_lr * (config.min_lr / config.initial_lr) ** frac
+    if epoch <= config.decay_start or last <= config.decay_start:
+        return config.lr
+    frac = (epoch - config.decay_start) / (last - config.decay_start)
+    lr = config.lr * (config.min_lr / config.lr) ** frac
     return max(lr, config.min_lr)
 
 
@@ -132,7 +132,7 @@ class PretrainResult:
 def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
     """Fit encoder and decoder to the microdata with focal reconstruction
     plus KL regularisation; fresh noise per epoch from a per-epoch stream."""
-    if data.schema_fingerprint != model.schema_fingerprint:
+    if data.schema != model.schema:
         raise ValueError("encoded data does not match the model's schema")
     x = np.asarray(data.values, dtype=np.float64)
     n = x.shape[0]
@@ -220,7 +220,7 @@ def finetune(
     against every distinct microdata row, found once before the first epoch
     and weighted by its count, which gives the loss of the full table at a
     fraction of the work."""
-    if data.schema_fingerprint != model.schema_fingerprint:
+    if data.schema != model.schema:
         raise ValueError("encoded microdata does not match the model's schema")
     if latent.z.shape[1] != model.latent_dim:
         raise ValueError(
@@ -241,7 +241,7 @@ def finetune(
     def losses_and_grad(probs):
         mres = marginal_rmse_loss(probs, targets, model.groups)
         dres = dbce(
-            probs, rows, config.softmin_temperature, counts,
+            probs, rows, config.temperature, counts,
             w_dbce=config.w_dbce, w_normkl=config.w_normkl,
         )
         total = (

@@ -34,8 +34,6 @@ from .schema import DataError, Schema, column_layout, schema_dict, schema_from_d
 MODEL_MAGIC = b"PSVAE01\n"
 MODEL_VERSION = 3
 
-DEFAULT_ENCODER_WIDTHS = (512, 384, 256, 192, 128, 96)
-DEFAULT_LATENT_DIM = 64
 N_BLOCKS = 6
 
 
@@ -45,8 +43,8 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class VaeHyperparams:
-    latent_dim: int = DEFAULT_LATENT_DIM
-    encoder_widths: tuple[int, ...] = DEFAULT_ENCODER_WIDTHS  # reversed by the decoder
+    latent_dim: int = 64
+    encoder_widths: tuple[int, ...] = (512, 384, 256, 192, 128, 96)  # reversed by the decoder
     init_seed: int = 0
 
     def __post_init__(self):
@@ -90,11 +88,11 @@ class VaeModel:
         for i, w in enumerate(reversed(hyper.encoder_widths)):
             layers.extend(_block(width, w, rng, f"dec{i}"))
             width = w
-        self.decoder = nn.Chain(layers)
         self.out_affine = nn.Affine(width, self.d, rng, "out.affine")
         self.out_softmax = nn.GroupSoftmax(
             [(g.start, g.stop) for g in self.groups], "out.softmax"
         )
+        self.decoder = nn.Chain([*layers, self.out_affine, self.out_softmax])
         self._pack()
 
     @property
@@ -119,14 +117,10 @@ class VaeModel:
         return self.encoder.backward(dh, with_params=with_params)
 
     def decode(self, z: np.ndarray, train: bool = False) -> np.ndarray:
-        h = self.decoder.forward(z, train=train)
-        return self.out_softmax.forward(self.out_affine.forward(h, train), train)
+        return self.decoder.forward(z, train=train)
 
     def decode_backward(self, dprobs, with_params: bool = True):
-        dh = self.out_affine.backward(
-            self.out_softmax.backward(dprobs, with_params), with_params
-        )
-        return self.decoder.backward(dh, with_params=with_params)
+        return self.decoder.backward(dprobs, with_params=with_params)
 
     # -- state ---------------------------------------------------------------
 
@@ -155,7 +149,7 @@ class VaeModel:
 
     def _layers(self) -> list:
         heads = [self.mu_affine, self.mu_bn, self.logsig_affine, self.logsig_bn]
-        return [*self.encoder.layers, *heads, *self.decoder.layers, self.out_affine]
+        return [*self.encoder.layers, *heads, *self.decoder.layers]
 
     def parameters(self) -> list[nn.Param]:
         return [p for layer in self._layers() for p in layer.params()]

@@ -24,9 +24,8 @@ from popsynth.schema import (
     RestructuredTable,
     decode_onehot_with_stats,
     encode_onehot,
-    load_microdata,
     load_schema,
-    restructure,
+    load_tables,
 )
 
 # the desk-scale recipe and chain of scripts/run_desk_pipeline.py: every
@@ -60,10 +59,7 @@ def desk(tmp_path_factory):
     seconds = DESK.run_chain(str(w))
     data = w / "data"
     schema = load_schema(data / "schema.json")
-    table = restructure(
-        load_microdata(data / "households.csv", data / "persons.csv", schema),
-        schema,
-    )
+    [table] = load_tables(schema, (data / "households.csv", data / "persons.csv"))
     return dict(w=w, data=data, schema=schema, table=table,
                 model=vae.load_model(w / "model.psv"), seconds=seconds)
 
@@ -318,15 +314,13 @@ def test_structural_suite(verdict, desk, tmp_path):
     (tmp_path / "roundtrip").mkdir()
     generation.write_inventory(
         generation.inventory_from_table(table), prov, tmp_path / "roundtrip")
-    table2 = restructure(
-        load_microdata(tmp_path / "roundtrip" / "households.csv",
-                       tmp_path / "roundtrip" / "persons.csv", schema),
-        schema)
+    [table2] = load_tables(
+        schema, (tmp_path / "roundtrip" / "households.csv", tmp_path / "roundtrip" / "persons.csv"))
     round_trip = (np.array_equal(table.households, table2.households)
                   and np.array_equal(table.persons, table2.persons))
 
     # encode -> argmax decode identity
-    decoded, _ = decode_onehot_with_stats(encode_onehot(table), schema, mode="argmax")
+    decoded, _ = decode_onehot_with_stats(encode_onehot(table), mode="argmax")
     encode_identity = (np.array_equal(decoded.households, table.households)
                        and np.array_equal(decoded.persons, table.persons))
 

@@ -13,8 +13,8 @@ import pytest
 
 import popsynth
 from popsynth import training, vae
-from popsynth.cli import _load_tables, run
-from popsynth.schema import DataError, HouseholdRecord
+from popsynth.cli import run
+from popsynth.schema import DataError, HouseholdRecord, load_tables
 
 TINY_WIDTHS = "16,14,12,12,10,8"
 
@@ -450,16 +450,16 @@ def write_records(tmp_path, name, records):
 def test_open_window_resolves_over_all_record_sets(tiny_schema, tmp_path):
     open_schema = tiny_schema.with_n_window(None)
     none = write_records(tmp_path, "none", [])
-    tables = _load_tables(open_schema, none, none)
+    tables = load_tables(open_schema, none, none)
     assert [t.schema.n_window for t in tables] == [1, 1]
     three = write_records(tmp_path, "three", [HouseholdRecord("h", ("yes", "0"), [("kid", "none")] * 3)])
     empty = write_records(tmp_path, "empty", [HouseholdRecord("e", ("no", "1"), [])])
-    tables = _load_tables(open_schema, empty, three, none)
+    tables = load_tables(open_schema, empty, three, none)
     assert [t.schema.n_window for t in tables] == [3, 3, 3]
     assert [t.n_rows for t in tables] == [1, 1, 0]
     # a pinned window is never widened
     with pytest.raises(DataError, match="n_window is 2"):
-        _load_tables(tiny_schema, three)
+        load_tables(tiny_schema, three)
 
 
 def replace_first(var, value):
@@ -569,9 +569,10 @@ def test_second_household_total_is_exit_1_before_finetune_writes(data_dir, artif
     assert not any(out.iterdir())
 
 
-def test_household_id_variable_is_exit_1_naming_the_key_column(data_dir, tmp_path, capsys):
+def assert_key_column_name_is_exit_1(data_dir, tmp_path, capsys, name):
+    """restructure with the last person variable renamed to ``name``."""
     raw = json.loads((data_dir / "schema.json").read_text())
-    raw["person"][-1]["name"] = "household_id"
+    raw["person"][-1]["name"] = name
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(raw))
     out = tmp_path / "rows"
@@ -586,6 +587,36 @@ def test_household_id_variable_is_exit_1_naming_the_key_column(data_dir, tmp_pat
     assert not out.exists()
 
 
+def test_household_id_variable_is_exit_1_naming_the_key_column(data_dir, tmp_path, capsys):
+    assert_key_column_name_is_exit_1(data_dir, tmp_path, capsys, "household_id")
+
+
+def test_person_id_variable_is_exit_1_naming_the_key_column(data_dir, tmp_path, capsys):
+    # generate writes person_id as the first column of persons.csv
+    assert_key_column_name_is_exit_1(data_dir, tmp_path, capsys, "person_id")
+
+
+def test_pair_without_co_observed_persons_is_exit_1(tmp_path, capsys):
+    """No person has both B and C set, so the joint (B, C) table is empty."""
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "household": [{"name": "H", "categories": ["a", "b"]}],
+        "person": [{"name": n, "categories": cats}
+                   for n, cats in (("A", ["x", "y"]), ("B", ["u", "v"]), ("C", ["s", "t"]))],
+    }))
+    hh, pp = tmp_path / "households.csv", tmp_path / "persons.csv"
+    hh.write_text("household_id,H\nh1,a\nh2,b\n")
+    pp.write_text("household_id,A,B,C\nh1,x,u,NA\nh1,y,NA,s\nh2,x,v,NA\nh2,y,NA,t\n")
+    out = tmp_path / "report"
+    capsys.readouterr()
+    rc = run(["evaluate", "--schema", str(tmp_path / "schema.json"), "--microdata-hh", str(hh),
+              "--microdata-p", str(pp), "--syn-hh", str(hh), "--syn-p", str(pp),
+              "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: no observations for pair (B, C)\n"
+    assert not out.exists()
+
+
 def micro_flags(data_dir):
     return [
         "--schema", str(data_dir / "schema.json"),
@@ -595,7 +626,8 @@ def micro_flags(data_dir):
 
 
 def valid_command(sub, data_dir, model, out):
-    """A quick, valid ``sub`` run that writes only into the directory ``out``."""
+    """A quick, valid ``sub`` run that writes only into the directory ``out``;
+    ``model`` sits next to a latent.psl fitted for it."""
     hh, p = str(data_dir / "households.csv"), str(data_dir / "persons.csv")
     return {
         "pretrain": ["pretrain", *micro_flags(data_dir), "--out", str(out / "model.psv"),
@@ -604,6 +636,9 @@ def valid_command(sub, data_dir, model, out):
         "finetune": ["finetune", *micro_flags(data_dir), "--model", str(model),
                      "--tract-marginals", str(data_dir / "tract_marginals.csv"),
                      "--out-latent", str(out / "latent.psl"), "--seed", "2", "--epochs", "2"],
+        "generate": ["generate", "--model", str(model), "--schema", str(data_dir / "schema.json"),
+                     "--latent", str(model.with_name("latent.psl")), "--out-dir", str(out / "inv"),
+                     "--mode", "sample", "--seed", "4"],
         "oracle-make": ["oracle-make", "--out-dir", str(out / "data"), "--households", "20",
                         "--tract-households", "10", "--seed", "3"],
         "privacy": ["privacy", *micro_flags(data_dir), "--a-hh", hh, "--a-p", p,
@@ -611,7 +646,7 @@ def valid_command(sub, data_dir, model, out):
     }[sub]
 
 
-@pytest.mark.parametrize("sub", ["pretrain", "finetune", "oracle-make", "privacy"])
+@pytest.mark.parametrize("sub", ["pretrain", "finetune", "generate", "oracle-make", "privacy"])
 def test_valid_command_writes(data_dir, artifacts, tmp_path, sub):
     assert run(valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)) == 0
     assert any(tmp_path.iterdir())
@@ -642,6 +677,11 @@ BAD_NUMBERS = [
     ("finetune", "--epochs", "0"),
     ("oracle-make", "--households", "0"),
     ("oracle-make", "--tract-households", "0"),
+    # seeds are checked by the parser, so these print its usage too
+    ("pretrain", "--seed", "-1"),
+    ("finetune", "--seed", "-1"),
+    ("generate", "--seed", "-1"),
+    ("oracle-make", "--seed", "-1"),
 ]
 
 
@@ -651,7 +691,11 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     rc = run([*valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path), flag, value])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:") and err.count("\n") == 1
+    if flag == "--seed":
+        assert f"argument --seed: must be a non-negative integer, not {value}" in err
+        assert err.count("usage:") == 1
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 

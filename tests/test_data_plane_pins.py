@@ -19,9 +19,8 @@ from popsynth.schema import (
     EncodedMatrix,
     column_layout,
     decode_onehot_with_stats,
-    load_microdata,
     load_schema,
-    restructure,
+    load_tables,
 )
 
 RESTRUCTURE_PINS = {
@@ -83,7 +82,7 @@ def probability_matrix(schema, n_rows, seed):
         if g.slot is not None and g.var == schema.slot_anchor:
             block[:, -1] += 2.0 * (rng.random(n_rows) < 0.5)
         x[:, g.start : g.stop] = block / block.sum(axis=1, keepdims=True)
-    return EncodedMatrix(x, groups, schema.fingerprint())
+    return EncodedMatrix(x, schema)
 
 
 def test_restructure_outputs_are_pinned(oracle_dir, tmp_path):
@@ -96,11 +95,12 @@ def test_restructure_outputs_are_pinned(oracle_dir, tmp_path):
 
 def write_decoded_inventory(oracle_dir, out_dir, mode):
     """Decode the fixed probability matrix and write the inventory to out_dir."""
-    schema = load_schema(oracle_dir / "schema.json")
-    records = load_microdata(oracle_dir / "households.csv", oracle_dir / "persons.csv", schema)
-    schema = restructure(records, schema).schema
-    matrix = probability_matrix(schema, 50, seed=3)
-    table, forced_na_cells = decode_onehot_with_stats(matrix, schema, mode=mode, seed=17)
+    [micro] = load_tables(
+        load_schema(oracle_dir / "schema.json"),
+        (oracle_dir / "households.csv", oracle_dir / "persons.csv"),
+    )
+    matrix = probability_matrix(micro.schema, 50, seed=3)
+    table, forced_na_cells = decode_onehot_with_stats(matrix, mode=mode, seed=17)
     kept = generation.inventory_from_table(table)
     prov = generation.Provenance(
         mode=mode, dropped_households=table.n_rows - kept.n_rows, forced_na_cells=forced_na_cells

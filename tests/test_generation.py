@@ -28,8 +28,8 @@ def trained_model(schema, encoded):
     pretrain(
         model,
         encoded,
-        TrainConfig(epochs=30, decay_start_epoch=10, seed=2, kl_weight=0.1,
-                    focal_gamma=0.0, initial_lr=3e-3),
+        TrainConfig(epochs=30, decay_start=10, seed=2, kl_weight=0.1,
+                    focal_gamma=0.0, lr=3e-3),
     )
     return model
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from popsynth import __version__, vae
-from popsynth.cli import _load_tables, run
+from popsynth.cli import run
 from popsynth.losses import distinct_rows
-from popsynth.schema import encode_onehot, load_schema
+from popsynth.schema import encode_onehot, load_schema, load_tables
 
 TINY_WIDTHS = "16,14,12,12,10,8"
 VARIABLES = ("AGEP", "EDU", "R65", "TEN", "VEH")
@@ -55,7 +55,7 @@ def chain(tmp_path_factory):
         micro | {"out_dir": str(d / "rows"), "write_encoded": True},
         [d / "rows" / "restructured.csv", d / "rows" / "encoded.csv"])
 
-    [table] = _load_tables(load_schema(schema), (hh, pp))
+    [table] = load_tables(load_schema(schema), (hh, pp))
     x = encode_onehot(table).values
     cli(["pretrain", *flags, "--out", model, "--seed", 1, "--epochs", 4, "--decay-start", 2,
          "--latent-dim", 3, "--hidden-widths", TINY_WIDTHS, "--reparam-mode", "standard"],

@@ -32,8 +32,8 @@ from popsynth.evaluation import _pair_counts
 # AGE kid=0 adult=1 old=2 NA=3; JOB none=0 part=1 full=2 NA=3
 
 
-def decode(matrix, schema, **kwargs):
-    return decode_onehot_with_stats(matrix, schema, **kwargs)[0]
+def decode(matrix, **kwargs):
+    return decode_onehot_with_stats(matrix, **kwargs)[0]
 
 
 def same_table(a, b):
@@ -58,6 +58,15 @@ def test_schema_rejects_household_na():
     with pytest.raises(SchemaError):
         Schema(
             household_vars=(Variable("H", ("a", "NA")),),
+            person_vars=(Variable("P", ("x", "NA"), has_na=True),),
+        )
+
+
+def test_schema_rejects_household_na_flag():
+    # levels would drop the last category of a household variable that says it has NA
+    with pytest.raises(SchemaError, match="must not carry an NA category"):
+        Schema(
+            household_vars=(Variable("X", ("a", "b"), has_na=True),),
             person_vars=(Variable("P", ("x", "NA"), has_na=True),),
         )
 
@@ -126,16 +135,10 @@ def test_restructure_round_trip(tiny_schema, tiny_records):
         assert occupied_codes(table, row) == record_codes(tiny_schema, orig.persons)
 
 
-def test_restructure_resolves_open_n_window(tiny_records):
-    s = Schema(
-        household_vars=(Variable("OWN", ("yes", "no")), Variable("CAR", ("0", "1", "2+"))),
-        person_vars=(
-            Variable("AGE", ("kid", "adult", "old", "NA"), has_na=True),
-            Variable("JOB", ("none", "part", "full", "NA"), has_na=True),
-        ),
-    )
-    table = restructure(tiny_records, s)
-    assert table.schema.n_window == 2
+def test_restructure_rejects_open_n_window(tiny_schema, tiny_records):
+    # load_tables pins an open window over every table it loads
+    with pytest.raises(SchemaError, match="pinned n_window"):
+        restructure(tiny_records, tiny_schema.with_n_window(None))
 
 
 def test_restructure_rejects_oversized_household(tiny_schema):
@@ -168,7 +171,7 @@ def test_encode_rows_are_group_one_hot(tiny_encoded):
 
 
 def test_encode_decode_identity(tiny_schema, tiny_table, tiny_encoded):
-    back = decode(tiny_encoded, tiny_schema)
+    back = decode(tiny_encoded)
     assert same_table(back, tiny_table)
 
 
@@ -179,9 +182,9 @@ def test_decode_argmax_is_onehot_fixed_point(tiny_schema, tiny_encoded, rng):
         block = soft[:, g.start : g.stop]
         mix = rng.uniform(0.0, 0.4)
         soft[:, g.start : g.stop] = (1 - mix) * block + mix / g.width
-    jittered = EncodedMatrix(soft, tiny_encoded.groups, tiny_encoded.schema_fingerprint)
-    a = decode(jittered, tiny_schema)
-    b = decode(tiny_encoded, tiny_schema)
+    jittered = EncodedMatrix(soft, tiny_schema)
+    a = decode(jittered)
+    b = decode(tiny_encoded)
     assert same_table(a, b)
 
 
@@ -193,17 +196,15 @@ def test_decode_forces_na_alignment(tiny_schema, tiny_table):
     row = tiny_table.household_ids.index("h2")
     x[row, job_slot1.start : job_slot1.stop] = 0.0
     x[row, job_slot1.start + 2] = 1.0
-    table, forced_na_cells = decode_onehot_with_stats(
-        EncodedMatrix(x, enc.groups, enc.schema_fingerprint), tiny_schema
-    )
+    table, forced_na_cells = decode_onehot_with_stats(EncodedMatrix(x, tiny_schema))
     assert not table.occupied[row, 1]
     assert table.persons[row, 1].tolist() == [3, 3]
     assert forced_na_cells == 1
 
 
 def test_decode_sample_mode_deterministic(tiny_schema, tiny_encoded):
-    a = decode(tiny_encoded, tiny_schema, mode="sample", seed=7)
-    b = decode(tiny_encoded, tiny_schema, mode="sample", seed=7)
+    a = decode(tiny_encoded, mode="sample", seed=7)
+    b = decode(tiny_encoded, mode="sample", seed=7)
     assert same_table(a, b)
 
 
@@ -261,6 +262,9 @@ STRICT_CASES = {
     "name-a-number": ({"household": [{"name": 5, "categories": ["a"]}]}, "must be a string"),
     "household-id-variable": (
         {"household": [{"name": "household_id", "categories": ["a"]}]}, "key column"
+    ),
+    "person-id-variable": (
+        {"person": [{"name": "person_id", "categories": ["x"]}]}, "key column"
     ),
 }
 
@@ -423,7 +427,7 @@ def test_property_encode_decode_round_trip(recs):
         slot_anchor="AGE",
     )
     table = restructure(recs, schema)
-    back = decode(encode_onehot(table), schema)
+    back = decode(encode_onehot(table))
     assert same_table(back, table)
     # multisets of persons survive the round trip through sorting
     for row, orig in enumerate(recs):

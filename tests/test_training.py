@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,11 +38,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(min_lr=1e-2, initial_lr=1e-3)
+        TrainConfig(min_lr=1e-2, lr=1e-3)
 
 
 def test_lr_schedule_reference_points():
-    cfg = TrainConfig(epochs=4000, initial_lr=1e-3, min_lr=1e-4, decay_start_epoch=1000)
+    cfg = TrainConfig(epochs=4000, lr=1e-3, min_lr=1e-4, decay_start=1000)
     assert lr_schedule(0, cfg) == 1e-3
     assert lr_schedule(999, cfg) == 1e-3
     assert lr_schedule(1000, cfg) == 1e-3
@@ -50,14 +52,14 @@ def test_lr_schedule_reference_points():
 
 
 def test_lr_schedule_is_monotone_nonincreasing():
-    cfg = TrainConfig(epochs=200, decay_start_epoch=50)
+    cfg = TrainConfig(epochs=200, decay_start=50)
     lrs = [lr_schedule(e, cfg) for e in range(200)]
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
 def test_lr_schedule_constant_when_decay_never_starts():
-    cfg = TrainConfig(epochs=100, decay_start_epoch=100)
-    assert lr_schedule(99, cfg) == cfg.initial_lr
+    cfg = TrainConfig(epochs=100, decay_start=100)
+    assert lr_schedule(99, cfg) == cfg.lr
 
 
 def test_lr_schedule_rejects_out_of_range():
@@ -91,7 +93,7 @@ def test_lion_hand_computed_steps():
 def pretrain_setup(tiny_schema, tiny_encoded, seed=5):
     model = small_model(tiny_schema, seed=seed)
     cfg = TrainConfig(
-        epochs=40, initial_lr=3e-3, min_lr=1e-4, decay_start_epoch=10, seed=seed,
+        epochs=40, lr=3e-3, min_lr=1e-4, decay_start=10, seed=seed,
         kl_weight=0.1, focal_gamma=0.0,
     )
     return model, cfg
@@ -119,7 +121,7 @@ def test_pretrain_seed_changes_outcome(tiny_schema, tiny_encoded):
     m1, cfg1 = pretrain_setup(tiny_schema, tiny_encoded, seed=5)
     m2 = small_model(tiny_schema, seed=5)
     cfg2 = TrainConfig(
-        epochs=40, initial_lr=3e-3, min_lr=1e-4, decay_start_epoch=10, seed=6,
+        epochs=40, lr=3e-3, min_lr=1e-4, decay_start=10, seed=6,
         kl_weight=0.1, focal_gamma=0.0,
     )
     pretrain(m1, tiny_encoded, cfg1)
@@ -143,7 +145,7 @@ def test_pretrain_history_lr_matches_schedule(tiny_schema, tiny_encoded):
 def test_pretrain_minibatch_runs(tiny_schema, tiny_encoded):
     model, cfg = pretrain_setup(tiny_schema, tiny_encoded)
     cfg = TrainConfig(
-        epochs=10, seed=1, batch_size=2, kl_weight=0.1, decay_start_epoch=5
+        epochs=10, seed=1, batch_size=2, kl_weight=0.1, decay_start=5
     )
     res = pretrain(model, tiny_encoded, cfg)
     assert len(res.history) == 10
@@ -151,7 +153,7 @@ def test_pretrain_minibatch_runs(tiny_schema, tiny_encoded):
 
 def test_pretrain_rejects_fingerprint_mismatch(tiny_schema, tiny_encoded):
     model = small_model(tiny_schema)
-    bad = EncodedMatrix(tiny_encoded.values, tiny_encoded.groups, "deadbeef")
+    bad = EncodedMatrix(tiny_encoded.values, replace(tiny_schema, sort_keys=("JOB", "AGE")))
     with pytest.raises(ValueError):
         pretrain(model, bad, TrainConfig(epochs=1))
 
@@ -184,14 +186,14 @@ def finetune_setup(tiny_schema, tiny_encoded, tiny_table, epochs=60):
     pretrain(
         model,
         tiny_encoded,
-        TrainConfig(epochs=60, decay_start_epoch=20, seed=2, kl_weight=0.1,
-                    focal_gamma=0.0, initial_lr=3e-3),
+        TrainConfig(epochs=60, decay_start=20, seed=2, kl_weight=0.1,
+                    focal_gamma=0.0, lr=3e-3),
     )
     targets = empirical_marginals(tiny_table)
     latent = init_latent(targets.n_households, model.latent_dim, seed=7)
     cfg = TrainConfig(
-        epochs=epochs, initial_lr=1e-2, min_lr=1e-3, decay_start_epoch=20,
-        seed=7, softmin_temperature=0.1,
+        epochs=epochs, lr=1e-2, min_lr=1e-3, decay_start=20,
+        seed=7, temperature=0.1,
     )
     return model, latent, targets, cfg
 
@@ -266,11 +268,9 @@ def test_non_finite_gradient_is_divergence(tiny_schema, tiny_encoded, tiny_table
 
 def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
     """The matcher sees the distinct rows of the whole table, found once."""
-    repeated = EncodedMatrix(
-        np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.groups, tiny_encoded.schema_fingerprint
-    )
+    repeated = EncodedMatrix(np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.schema)
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    cfg = TrainConfig(epochs=3, decay_start_epoch=1, seed=7)
+    cfg = TrainConfig(epochs=3, decay_start=1, seed=7)
     seen, weights, loss_weights_seen = [], [], []
     real_distinct_rows, real_dbce = training.distinct_rows, training.dbce
 
