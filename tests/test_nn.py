@@ -147,11 +147,12 @@ def textbook_batchnorm(layer, x, dy, train):
     return y, dx, running_mean, running_var, (dy * xhat).sum(axis=0), dy.sum(axis=0)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_batchnorm_matches_the_textbook_form_bit_for_bit():
     rng = np.random.default_rng(7)
-
-    def same_bits(a, b):
-        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     for trial in range(400):
         n = 2 if trial % 5 == 0 else int(rng.integers(2, 300))
@@ -220,6 +221,56 @@ def test_group_softmax_stable_at_large_logits():
     y = layer.forward(np.array([[1000.0, 0.0]]))
     assert np.isfinite(y).all()
     assert y[0, 0] == pytest.approx(1.0)
+
+
+def textbook_group_softmax(slices, x, dy):
+    """GroupSoftmax forward and input gradient, one group at a time."""
+    y = np.empty_like(x)
+    dx = np.empty_like(dy)
+    for start, stop in slices:
+        block = x[:, start:stop]
+        e = np.exp(block - block.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        y[:, start:stop] = p
+        g = dy[:, start:stop]
+        dx[:, start:stop] = p * (g - (g * p).sum(axis=1, keepdims=True))
+    return y, dx
+
+
+def test_group_softmax_matches_the_textbook_form_bit_for_bit():
+    """Widths 1-20 cover numpy's sequential (< 8) and eight-accumulator sums,
+    127-130 and 257 its split above 128; zeros of both signs in dy and
+    underflowing probabilities pin the sign of every zero sum."""
+    rng = np.random.default_rng(11)
+    wide = (127, 128, 129, 130, 257)
+    for trial in range(400):
+        n = 1 if trial % 9 == 0 else int(rng.integers(1, 301))
+        palette = rng.integers(1, 21, size=int(rng.integers(1, 5)))
+        if trial % 10 == 0:
+            palette = np.append(palette, rng.choice(wide))
+        widths = rng.choice(palette, size=int(rng.integers(1, 13)))
+        stops = np.cumsum(widths)
+        slices = [(int(b - w), int(b)) for w, b in zip(widths, stops)]
+        rng.shuffle(slices)
+        d = int(stops[-1])
+        x = rng.normal(scale=rng.choice([0.1, 3.0, 400.0]), size=(n, d))
+        dy = rng.normal(size=(n, d))
+        dy[rng.uniform(size=dy.shape) < 0.3] = 0.0
+        dy[rng.uniform(size=dy.shape) < 0.3] = -0.0
+        if trial % 4 == 1:
+            start, stop = slices[0]
+            dy[:, start:stop] = np.where(rng.uniform(size=(n, stop - start)) < 0.5, -0.0, 0.0)
+        if trial % 8 == 3:
+            bad = rng.uniform(size=x.shape) < 0.02
+            x[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+        layer = GroupSoftmax(slices)
+        with np.errstate(invalid="ignore"):
+            want = textbook_group_softmax(slices, x, dy)
+            got = (layer.forward(x), layer.backward(dy))
+        for label, a, b in zip(("y", "dx"), got, want):
+            nan = np.isnan(b)
+            assert np.array_equal(np.isnan(a), nan), (trial, label)
+            assert same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b)), (trial, label)
 
 
 def test_group_softmax_rejects_gap():
