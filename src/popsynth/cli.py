@@ -49,7 +49,8 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+        # one line, like every other exit-1 path; -h prints the usage
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +516,7 @@ def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     started = time.time()
     try:

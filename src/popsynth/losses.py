@@ -29,16 +29,6 @@ def _check_shapes(pred, target):
         raise ValueError("expected 2-d batches")
 
 
-def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Binary cross-entropy, summed over columns and averaged over rows."""
-    _check_shapes(pred, target)
-    n = pred.shape[0]
-    p = clamp01(pred)
-    loss = -(target * np.log(p) + (1 - target) * np.log1p(-p)).sum() / n
-    grad = (p - target) / (p * (1 - p)) / n
-    return float(loss), grad
-
-
 @dataclass(frozen=True)
 class FocalParams:
     alpha: float
@@ -56,7 +46,8 @@ def focal_loss(
 ) -> tuple[float, np.ndarray]:
     """Class-balanced focal reweighting of the binary cross-entropy.
 
-    Reduces to 0.5 * bce_loss at gamma=0, alpha=0.5. alpha weights the
+    Reduces to half the binary cross-entropy, summed over columns and
+    averaged over rows, at gamma=0, alpha=0.5. alpha weights the
     positive (target=1) term, so setting it to the fraction of zeros in the
     encoded data upweights the sparse ones.
     """

@@ -134,58 +134,130 @@ class BatchNorm:
 class Relu:
     def __init__(self, name: str = "relu"):
         self.name = name
-        self._mask = None
+        self._y = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._mask = x > 0
         # np.maximum keeps NaN, so divergence stays visible downstream
-        return np.maximum(x, 0.0)
+        self._y = np.maximum(x, 0.0)
+        return self._y
 
     def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
-        return np.where(self._mask, dy, 0.0)
+        # y > 0 exactly where x > 0, NaN included
+        return np.where(self._y > 0, dy, 0.0)
 
     def params(self) -> list[Param]:
         return []
 
 
+def _pairwise_sum0(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` in the order that numpy's ``pairwise_sum`` takes
+    along a contiguous axis, so every result has the bits of the row sums of
+    ``a``'s C-ordered transpose. numpy sums an outer axis sequentially from
+    its add identity 0.0 (so a sum of -0.0s is +0.0), which is the pairwise
+    order below 8 terms. Up to 128 terms, eight interleaved accumulators are
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before a sequential
+    tail; the ``+ 0.0`` stands for the identity there. Above 128 terms the
+    halves split at a multiple of 8."""
+    w = a.shape[0]
+    if w > 128:
+        half = w // 2 - (w // 2) % 8
+        return _pairwise_sum0(a[:half]) + _pairwise_sum0(a[half:])
+    if w < 8:
+        return a.sum(axis=0)
+    acc = a[:8] + 0.0
+    body = w - w % 8
+    for i in range(8, body, 8):
+        acc += a[i : i + 8]
+    # row by row: strided views of acc overlap in memory, which numpy
+    # resolves with temporary copies
+    r = list(acc)
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[i] += r[j]
+    s = r[0]
+    for row in a[body:]:
+        s += row
+    return s
+
+
 class GroupSoftmax:
-    """Independent softmax over each (start, stop) column slice."""
+    """Independent softmax over each (start, stop) column slice.
+
+    The groups are processed by width class: the ``k`` groups of width ``w``
+    form one class. The forward pass gathers its input transposed, as one
+    C-ordered ``(columns, n)`` array whose rows are ordered by class, so each
+    class is one contiguous ``(w, k, n)`` block with row ``j`` of group ``i``
+    at ``[j, i]``. Each max, exp, sum and division is then one vector
+    operation over ``k * n`` contiguous values, and the rows go back to
+    column order once at the end. The backward pass gathers only ``dy * p``
+    that way, for its group sums. The sums reproduce numpy's pairwise order,
+    so every bit equals the per-group ``block - max``, ``exp``,
+    ``/ sum(axis=1)`` form and its gradient (``tests/test_nn.py`` pins
+    this). Only the C-ordered output is cached.
+    """
 
     def __init__(self, slices: list[tuple[int, int]], name: str = "gsoftmax"):
+        if not slices:
+            raise ValueError(f"{name}: no groups")
         for start, stop in slices:
             if stop <= start:
                 raise ValueError(f"{name}: empty group ({start}, {stop})")
         ordered = sorted(slices)
-        if any(a[1] != b[0] for a, b in zip(ordered, ordered[1:])) or (
-            ordered and ordered[0][0] != 0
-        ):
+        if any(a[1] != b[0] for a, b in zip(ordered, ordered[1:])) or ordered[0][0] != 0:
             raise ValueError(f"{name}: slices must tile the row without gaps")
         self.name = name
-        self.slices = [(int(a), int(b)) for a, b in slices]
-        self.width = ordered[-1][1] if ordered else 0
+        self.width = ordered[-1][1]
+        by_width: dict[int, list[int]] = {}
+        for start, stop in ordered:
+            by_width.setdefault(int(stop - start), []).append(int(start))
+        self._classes = []  # (w, k) per width class
+        order = []  # the columns in class order
+        # each column's group, numbered in class order like the rows of sums
+        self._group = np.empty(self.width, dtype=np.intp)
+        n_groups = 0
+        for w, starts in sorted(by_width.items()):
+            self._classes.append((w, len(starts)))
+            order += [s + j for j in range(w) for s in starts]
+            for s in starts:
+                self._group[s : s + w] = n_groups
+                n_groups += 1
+        self._order = np.array(order)
+        self._inverse = np.argsort(self._order)
         self._probs = None
+
+    def _blocks(self, t: np.ndarray):
+        """The ``(w, k, n)`` view of each width class in a class-ordered
+        transposed array ``t``."""
+        row = 0
+        for w, k in self._classes:
+            yield t[row : row + w * k].reshape(w, k, t.shape[1])
+            row += w * k
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.shape[1] != self.width:
             raise ValueError(
                 f"{self.name}: input width {x.shape[1]} != slice cover {self.width}"
             )
-        out = np.empty_like(x)
-        for start, stop in self.slices:
-            block = x[:, start:stop]
-            shifted = block - block.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            out[:, start:stop] = e / e.sum(axis=1, keepdims=True)
-        self._probs = out
-        return out
+        xt = x.T[self._order]
+        for g in self._blocks(xt):
+            g -= g.max(axis=0)
+            np.exp(g, out=g)
+            g /= _pairwise_sum0(g)
+        t = xt[self._inverse]
+        # xt's buffer is free again: the output reuses it
+        self._probs = xt.reshape(x.shape)
+        self._probs[...] = t.T
+        return self._probs
 
     def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
         p = self._probs
-        dx = np.empty_like(dy)
-        for start, stop in self.slices:
-            pb = p[:, start:stop]
-            dyb = dy[:, start:stop]
-            dx[:, start:stop] = pb * (dyb - (dyb * pb).sum(axis=1, keepdims=True))
+        dx = dy * p
+        dyp = dx.T[self._order]
+        sums = np.concatenate([_pairwise_sum0(g) for g in self._blocks(dyp)])
+        # dx and dyp are free again: dyp takes each column's group sum (mode
+        # "clip" writes straight into it, "raise" would buffer), dx the result
+        np.take(sums, self._group, axis=0, out=dyp, mode="clip")
+        np.subtract(dy, dyp.T, out=dx)
+        dx *= p
         return dx
 
     def params(self) -> list[Param]:
@@ -231,47 +303,3 @@ def reparameterize_backward(
     dz: np.ndarray, logsig: np.ndarray, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     return dz, dz * noise * 0.5 * np.exp(0.5 * logsig)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def check_gradients(
-    f,
-    x0: np.ndarray,
-    step: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between f's analytic gradient and central differences.
-
-    ``f`` maps a flat float64 vector to ``(value, gradient)`` and must be
-    deterministic (fix any noise outside). When ``max_coords`` is given, a
-    random subset of coordinates is probed (seeded via ``rng``).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    value, grad = f(x0)
-    grad = np.asarray(grad, dtype=np.float64).ravel()
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite value or gradient at the base point")
-    coords = np.arange(x0.size)
-    if max_coords is not None and max_coords < x0.size:
-        rng = rng or np.random.default_rng(0)
-        coords = rng.choice(x0.size, size=max_coords, replace=False)
-    worst = 0.0
-    for i in coords:
-        xp = x0.copy()
-        xp[i] += step
-        vp, _ = f(xp)
-        xm = x0.copy()
-        xm[i] -= step
-        vm, _ = f(xm)
-        if not (np.isfinite(vp) and np.isfinite(vm)):
-            raise FloatingPointError(f"non-finite perturbed value at coordinate {i}")
-        numeric = (vp - vm) / (2 * step)
-        denom = max(abs(grad[i]), abs(numeric), 1e-6)
-        worst = max(worst, abs(grad[i] - numeric) / denom)
-    return worst

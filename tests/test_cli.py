@@ -128,7 +128,8 @@ def test_paper_literal_sampler_is_a_usage_error(data_dir, tmp_path, capsys):
     capsys.readouterr()
     assert cli_pretrain(data_dir, tmp_path / "model.psv", "--reparam-mode", "paper-literal") == 1
     err = capsys.readouterr().err
-    assert "invalid choice: 'paper-literal'" in err and err.count("usage:") == 1
+    assert err.startswith("error: popsynth pretrain: argument --reparam-mode: invalid choice: 'paper-literal'")
+    assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 
@@ -677,7 +678,7 @@ BAD_NUMBERS = [
     ("finetune", "--epochs", "0"),
     ("oracle-make", "--households", "0"),
     ("oracle-make", "--tract-households", "0"),
-    # seeds are checked by the parser, so these print its usage too
+    # seeds are checked by the parser
     ("pretrain", "--seed", "-1"),
     ("finetune", "--seed", "-1"),
     ("generate", "--seed", "-1"),
@@ -691,11 +692,9 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     rc = run([*valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path), flag, value])
     err = capsys.readouterr().err
     assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
     if flag == "--seed":
         assert f"argument --seed: must be a non-negative integer, not {value}" in err
-        assert err.count("usage:") == 1
-    else:
-        assert err.startswith("error:") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 
@@ -821,7 +820,7 @@ def test_removed_flag_is_a_usage_error(data_dir, artifacts, tmp_path, sub, flag,
     rc = run([*valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path), flag, value])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"unrecognized arguments: {flag} {value}" in err and "usage:" in err
+    assert err == f"error: popsynth: unrecognized arguments: {flag} {value}\n"
     assert not any(tmp_path.iterdir())
 
 

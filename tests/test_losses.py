@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from oracles import bce_loss
 from popsynth.losses import (
     FocalParams,
-    bce_loss,
     clamp01,
     dbce,
     distinct_rows,
