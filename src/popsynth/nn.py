@@ -237,7 +237,11 @@ class GroupSoftmax:
             raise ValueError(
                 f"{self.name}: input width {x.shape[1]} != slice cover {self.width}"
             )
-        xt = x.T[self._order]
+        # the transposed input in class order. The class blocks and the
+        # output below must be views of it, so it must be C-ordered; numpy
+        # does not promise an order for a gather, and ascontiguousarray
+        # copies only when the gather is not C-ordered already
+        xt = np.ascontiguousarray(x.T[self._order])
         for g in self._blocks(xt):
             g -= g.max(axis=0)
             np.exp(g, out=g)
@@ -251,7 +255,7 @@ class GroupSoftmax:
     def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
         p = self._probs
         dx = dy * p
-        dyp = dx.T[self._order]
+        dyp = np.ascontiguousarray(dx.T[self._order])  # C-ordered, as in forward
         sums = np.concatenate([_pairwise_sum0(g) for g in self._blocks(dyp)])
         # dx and dyp are free again: dyp takes each column's group sum (mode
         # "clip" writes straight into it, "raise" would buffer), dx the result

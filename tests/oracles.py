@@ -2,15 +2,12 @@
 
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
-exceptions are ``bce_loss``, the vectorised closed form that the focal loss
-reduces to, and the finite-difference gradient checker at the end.
+exception is the finite-difference gradient checker at the end.
 """
 
 import math
 
 import numpy as np
-
-from popsynth.losses import clamp01
 
 CLAMP = 1e-7
 KL_EPS = 1e-6
@@ -30,18 +27,6 @@ def brute_bce(pred, target) -> float:
             t = target[i, j]
             total -= t * math.log(p) + (1.0 - t) * math.log1p(-p)
     return total / n
-
-
-def bce_loss(pred, target):
-    """Binary cross-entropy, summed over columns and averaged over rows,
-    with its gradient."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    n = pred.shape[0]
-    p = clamp01(pred)
-    loss = -(target * np.log(p) + (1 - target) * np.log1p(-p)).sum() / n
-    grad = (p - target) / (p * (1 - p)) / n
-    return float(loss), grad
 
 
 def brute_focal(pred, target, alpha: float, gamma: float) -> float:
@@ -165,7 +150,23 @@ def central_difference(f, x0, step: float = 1e-5):
 
 
 def max_rel_error(analytic, numeric, floor: float = 1e-6) -> float:
+    """Max over entries of |analytic - numeric| / max(|analytic|, |numeric|,
+    floor). A non-finite entry raises FloatingPointError: as a NaN error it
+    would compare False against every bound and drop out of a running max."""
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)
+    if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))):
+        raise FloatingPointError("non-finite analytic or numeric gradient")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def worst_rel_error(f, x0) -> float:
+    """Max relative error between the gradient that ``f`` returns with its
+    value and central differences of the value, over every coordinate. A
+    non-finite value at ``x0`` raises FloatingPointError."""
+    value, grad = f(x0)
+    if not np.isfinite(value):
+        raise FloatingPointError("non-finite value at the base point")
+    numeric = central_difference(lambda v: f(v)[0], x0)
+    return max_rel_error(np.ravel(grad), np.ravel(numeric))

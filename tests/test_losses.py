@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from oracles import bce_loss
 from popsynth.losses import (
     FocalParams,
     clamp01,
@@ -31,6 +30,15 @@ def random_onehot(rng, n, widths):
 
 
 # -- bce ---------------------------------------------------------------------
+
+# the library's binary cross-entropy is the focal loss at gamma=0, alpha=0.5,
+# halved
+HALF_BCE = FocalParams(alpha=0.5, gamma=0.0)
+
+
+def bce_loss(pred, target):
+    loss, grad = focal_loss(pred, target, HALF_BCE)
+    return 2.0 * loss, 2.0 * grad
 
 
 def test_bce_zero_on_exact_match(rng):
@@ -63,6 +71,8 @@ def test_bce_shape_mismatch():
 
 
 def test_bce_gradient(rng):
+    """The gamma=0 branch of the focal gradient, which test_focal_gradient
+    does not reach."""
     pred = rng.uniform(0.05, 0.95, size=(4, 6))
     target = (rng.random((4, 6)) < 0.4).astype(float)
     _, grad = bce_loss(pred, target)
@@ -92,8 +102,8 @@ def test_focal_gamma0_halves_bce(rng):
     for _ in range(100):
         pred = rng.uniform(0.01, 0.99, size=(3, 8))
         target = (rng.random((3, 8)) < 0.4).astype(float)
-        f, _ = focal_loss(pred, target, FocalParams(alpha=0.5, gamma=0.0))
-        b, _ = bce_loss(pred, target)
+        f, _ = focal_loss(pred, target, HALF_BCE)
+        b = oracles.brute_bce(pred, target)
         assert f == pytest.approx(0.5 * b, rel=1e-9)
 
 
@@ -109,7 +119,7 @@ def test_focal_matches_oracle(rng):
 def test_focal_well_classified_vanishes_faster():
     t = np.array([[1.0]])
     f_raw, _ = focal_loss(np.array([[0.999]]), t, FocalParams(alpha=0.5, gamma=2.0))
-    b_raw, _ = bce_loss(np.array([[0.999]]), t)
+    b_raw = oracles.brute_bce(np.array([[0.999]]), t)
     assert f_raw < 0.5 * b_raw * 1e-4
 
 
@@ -216,7 +226,7 @@ def test_dbce_single_pair_equals_bce(rng):
     pred = rng.uniform(0.05, 0.95, size=(1, 6))
     micro = (rng.random((1, 6)) < 0.5).astype(float)
     res = dbce(pred, micro, temperature=1.0)
-    b, _ = bce_loss(pred, micro)
+    b = oracles.brute_bce(pred, micro)
     assert res.dbce_loss == pytest.approx(b / 6, rel=1e-12)
 
 
@@ -387,7 +397,7 @@ def test_pairwise_mean_bce_matches_bce_rows(rng):
     b = pairwise_mean_bce(pred, micro)
     for i in range(3):
         for j in range(2):
-            loss, _ = bce_loss(pred[i : i + 1], micro[j : j + 1])
+            loss = oracles.brute_bce(pred[i : i + 1], micro[j : j + 1])
             assert b[i, j] == pytest.approx(loss / 4, rel=1e-12)
 
 

@@ -347,3 +347,27 @@ def test_central_difference_flags_wrong_gradient(rng):
     numeric = oracles.central_difference(lambda x: float((x**2).sum()), x0)
     assert oracles.max_rel_error(2 * x0, numeric) < 1e-6
     assert oracles.max_rel_error(2.5 * x0, numeric) > 0.1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradient_checker_rejects_a_non_finite_gradient(rng, bad):
+    x0 = rng.normal(size=4)
+
+    def f(x):
+        grad = 2 * x
+        grad[1] = bad
+        return float((x**2).sum()), grad
+
+    with pytest.raises(FloatingPointError):
+        oracles.worst_rel_error(f, x0)
+
+
+def test_gradient_checker_rejects_a_non_finite_value(rng):
+    x0 = rng.normal(size=4)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        oracles.worst_rel_error(lambda x: (float(np.log(x[0] - x0[0])), x), x0)
+    # and a value that turns non-finite at a perturbed point only
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        oracles.worst_rel_error(
+            lambda x: (float(np.log(x[0] - x0[0] + 5e-6)), x), x0
+        )
