@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -54,7 +55,9 @@ def flags(settings: dict) -> list[str]:
 def run_chain(work_dir: str, recipe: dict = RECIPE) -> dict[str, float]:
     """Run the desk chain under ``work_dir`` and return the seconds each
     command took, keyed by its label ("pretrain", "generate syn_tuned",
-    ...). A command that exits non-zero raises ``CommandFailed``."""
+    ...). Each command's line also prints the process's peak RSS so far, the
+    figure its manifest records. A command that exits non-zero raises
+    ``CommandFailed``."""
     seconds = {}
 
     def sh(label: str, args: list[str]) -> None:
@@ -62,7 +65,8 @@ def run_chain(work_dir: str, recipe: dict = RECIPE) -> dict[str, float]:
         t0 = time.perf_counter()
         rc = cli.run(args)
         seconds[label] = time.perf_counter() - t0
-        print(f"  -> rc={rc} ({seconds[label]:.1f}s)")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"  -> rc={rc} ({seconds[label]:.1f}s, peak RSS {peak:.1f} MB)")
         if rc != 0:
             raise CommandFailed(label, rc)
 

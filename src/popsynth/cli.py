@@ -2,10 +2,10 @@
 
 Subcommands: restructure, pretrain, finetune, generate, evaluate, privacy,
 oracle-make. Every run that succeeds writes a manifest (resolved
-configuration, fingerprints, wall-clock timings, sha256 of every emitted
-file) atomically next to its outputs. Exit codes: 0 success, 1 usage or
-validation failure (a malformed or mismatched model or latent file included),
-2 runtime failure. Seeds are explicit flags; nothing is
+configuration, fingerprints, wall-clock timings, the process's peak RSS,
+sha256 of every emitted file) atomically next to its outputs. Exit codes:
+0 success, 1 usage or validation failure (a malformed or mismatched model or
+latent file included), 2 runtime failure. Seeds are explicit flags; nothing is
 seeded from the clock.
 """
 
@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import os
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -75,6 +76,8 @@ def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
         "started_unix": started,
         "finished_unix": finished,
         "duration_s": finished - started,
+        # the process's peak so far (KiB on Linux): a running maximum in-process
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     write_json(path, manifest)

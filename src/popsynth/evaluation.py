@@ -32,6 +32,7 @@ from .schema import (
 )
 
 KL_EPS = 1e-6
+DCR_BLOCK_VALUES = 2**20  # pairwise sums per block of dcr: 8 MB of float64
 
 
 def rmse_metric(a: np.ndarray, b: np.ndarray) -> float:
@@ -159,9 +160,7 @@ def joint_pair_metrics(
 # distance to closest record
 
 
-def dcr(
-    syn: np.ndarray, micro: np.ndarray, chunk: int = 1024
-) -> np.ndarray:
+def dcr(syn: np.ndarray, micro: np.ndarray) -> np.ndarray:
     """Distance of each synthetic row to its closest microdata row: minimum
     column-mean BCE, treating the clamped synthetic row as probabilities.
     Every row of ``micro`` is compared; a caller that passes only the distinct
@@ -172,22 +171,25 @@ def dcr(
     match the identity's two terms are about +16k and -16k for a row with k
     ones, while the distance is about 1e-7, so it would lose the leading
     digits of exactly the minima this function reports, and rows tied at
-    an exact match would get different distances."""
+    an exact match would get different distances. The synthetic rows go in
+    even blocks of at most ``DCR_BLOCK_VALUES`` sums, which bounds the working
+    set, and a block's minimum is ``-(max of its sums) / d``: as negation and
+    division by ``d > 0`` are monotone, it has the bits of ``min(-sums / d)``."""
     syn = np.asarray(syn, dtype=np.float64)
     micro = np.asarray(micro, dtype=np.float64)
     if syn.shape[1] != micro.shape[1]:
         raise ValueError("row widths differ")
     if syn.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty input")
-    out = np.empty(syn.shape[0])
     p = clamp01(syn)
-    d = p.shape[1]
     absent = (1.0 - micro).T
-    for start in range(0, p.shape[0], chunk):
-        block = p[start : start + chunk]
-        bce = -(np.log(block) @ micro.T + np.log1p(-block) @ absent) / d
-        out[start : start + chunk] = bce.min(axis=1)
-    return out
+    rows = max(1, DCR_BLOCK_VALUES // micro.shape[0])
+    out = []
+    for block in np.array_split(p, -(-p.shape[0] // rows)):
+        s = np.log(block) @ micro.T
+        s += np.log1p(-block) @ absent
+        out.append(-s.max(axis=1) / p.shape[1])
+    return np.concatenate(out)
 
 
 def person_level_matrix(table: RestructuredTable) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Small differentiable-computation core.
 
-Forward passes cache whatever their hand-derived backward pass needs; a
-backward call must follow the forward call it differentiates. ``Chain`` runs
-layers in order and replays them in exact reverse for the backward pass,
-accumulating parameter gradients additively into each ``Param``. No general
-autodiff: the primitive set is closed (affine, batch norm, ReLU, group
-softmax, reparameterisation) and every gradient is checked against central
-finite differences in the test suite. A layer may reuse in place only arrays
-it allocated itself: its input, the ``dy`` it is handed and the activations it
-cached are never written.
+A backward call must follow the forward call it differentiates, whose
+``train`` flag is the one mode switch. Train mode uses batch statistics and
+its backward accumulates parameter gradients additively into each ``Param``:
+``Affine`` caches its input, ``BatchNorm`` ``xhat`` and ``inv_std``. Eval mode
+is frozen, with running statistics and a backward that returns only the input
+gradient: ``Affine`` caches nothing, ``BatchNorm`` only ``inv_std``. ``Relu``
+caches its output in train mode and a boolean mask in eval mode, and
+``GroupSoftmax`` its output in both. No general autodiff: the primitive set is
+closed (affine, batch norm, ReLU, group softmax, reparameterisation) and every
+gradient is checked against central finite differences in the test suite. A
+layer may reuse in place only arrays it allocated itself: its input, the
+``dy`` it is handed and the activations it cached are never written.
 """
 
 from __future__ import annotations
@@ -50,13 +53,13 @@ class Affine:
             raise ValueError(
                 f"{self.name}: input width {x.shape[1]} != {self.w.value.shape[1]}"
             )
-        self._x = x
+        self._x = x if train else None
         y = x @ self.w.value.T
         y += self.b.value
         return y
 
-    def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
-        if with_params:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        if self._x is not None:  # train mode
             self.w.grad += dy.T @ self._x
             self.b.grad += dy.sum(axis=0)
         return dy @ self.w.value
@@ -102,20 +105,18 @@ class BatchNorm:
             inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = x - self.running_mean
             xhat *= inv_std
-        self._ctx = (xhat, inv_std, train)
+        self._ctx = (xhat if train else None, inv_std)
         y = xhat * self.scale.value
         y += self.shift.value
         return y
 
-    def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
-        xhat, inv_std, train = self._ctx
-        if with_params:
-            self.scale.grad += (dy * xhat).sum(axis=0)
-            self.shift.grad += dy.sum(axis=0)
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        xhat, inv_std = self._ctx
         dxhat = dy * self.scale.value
-        if not train:
-            dxhat *= inv_std
-            return dxhat
+        if xhat is None:  # eval mode
+            return np.multiply(dxhat, inv_std, out=dxhat)
+        self.scale.grad += (dy * xhat).sum(axis=0)
+        self.shift.grad += dy.sum(axis=0)
         # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # built in dxhat with the same rounding
         n = dy.shape[0]
@@ -134,16 +135,17 @@ class BatchNorm:
 class Relu:
     def __init__(self, name: str = "relu"):
         self.name = name
-        self._y = None
+        self._ctx = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         # np.maximum keeps NaN, so divergence stays visible downstream
-        self._y = np.maximum(x, 0.0)
-        return self._y
+        y = np.maximum(x, 0.0)
+        self._ctx = y if train else x > 0  # train: the next Affine holds y too
+        return y
 
-    def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
-        # y > 0 exactly where x > 0, NaN included
-        return np.where(self._y > 0, dy, 0.0)
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        # y > 0 exactly where x > 0, NaN included, and a mask > 0 is the mask
+        return np.where(self._ctx > 0, dy, 0.0)
 
     def params(self) -> list[Param]:
         return []
@@ -252,7 +254,7 @@ class GroupSoftmax:
         self._probs[...] = t.T
         return self._probs
 
-    def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         p = self._probs
         dx = dy * p
         dyp = np.ascontiguousarray(dx.T[self._order])  # C-ordered, as in forward
@@ -279,9 +281,9 @@ class Chain:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, dy: np.ndarray, with_params: bool = True) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
-            dy = layer.backward(dy, with_params=with_params)
+            dy = layer.backward(dy)
         return dy
 
     def params(self) -> list[Param]:

@@ -4,9 +4,9 @@ Both loops use the Lion optimizer (sign of an interpolated momentum) with a
 two-phase learning-rate schedule: constant until ``decay_start``, then
 exponential decay that lands exactly on ``min_lr`` at the final epoch.
 
-Fine-tuning freezes the whole model: the decoder runs its batch norms in eval
-mode (running statistics) and gradients reach only the trainable latent
-matrix, one row per target household.
+Fine-tuning freezes the whole model: the decoder runs in eval mode (running
+statistics, caches for the input gradient only) and gradients reach only the
+trainable latent matrix, one row per target household.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def finetune(
         mres, dres, total, dprobs = losses_and_grad(probs)
         _assert_finite(total, epoch, "fine-tuning loss")
         z_param.zero_grad()
-        z_param.grad += model.decode_backward(dprobs, with_params=False)
+        z_param.grad += model.decode_backward(dprobs)
         _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
         opt.step(lr)
         history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))

@@ -107,20 +107,16 @@ class VaeModel:
         logsig = self.logsig_bn.forward(self.logsig_affine.forward(h, train), train)
         return mu, logsig
 
-    def encode_backward(self, dmu, dlogsig, with_params: bool = True):
-        dh = self.mu_affine.backward(
-            self.mu_bn.backward(dmu, with_params), with_params
-        )
-        dh += self.logsig_affine.backward(
-            self.logsig_bn.backward(dlogsig, with_params), with_params
-        )
-        return self.encoder.backward(dh, with_params=with_params)
+    def encode_backward(self, dmu, dlogsig):
+        dh = self.mu_affine.backward(self.mu_bn.backward(dmu))
+        dh += self.logsig_affine.backward(self.logsig_bn.backward(dlogsig))
+        return self.encoder.backward(dh)
 
     def decode(self, z: np.ndarray, train: bool = False) -> np.ndarray:
         return self.decoder.forward(z, train=train)
 
-    def decode_backward(self, dprobs, with_params: bool = True):
-        return self.decoder.backward(dprobs, with_params=with_params)
+    def decode_backward(self, dprobs):
+        return self.decoder.backward(dprobs)
 
     # -- state ---------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
-exception is the finite-difference gradient checker at the end.
+exceptions are ``two_product_dcr``, which pins bits rather than a formula,
+and the finite-difference gradient checker at the end.
 """
 
 import math
@@ -131,6 +132,20 @@ def brute_dcr(row, reference) -> float:
             acc -= t * math.log(p) + (1.0 - t) * math.log1p(-p)
         best = min(best, acc / d)
     return best
+
+
+def two_product_dcr(syn, micro, blocks: int = 1):
+    """``evaluation.dcr`` in its earlier form, on the synthetic rows split
+    into ``blocks`` even blocks: per block, the minimum over reference rows
+    of ``-(log p @ t.T + log1p(-p) @ (1 - t).T) / d``. Vectorised like the
+    library, since BLAS may round a sum differently in a block of another
+    row count, so a test can require dcr's bits to equal it."""
+    out = []
+    for block in np.array_split(syn, blocks):
+        p = np.clip(block, CLAMP, 1.0 - CLAMP)
+        bce = -(np.log(p) @ micro.T + np.log1p(-p) @ (1.0 - micro).T) / p.shape[1]
+        out.append(bce.min(axis=1))
+    return np.concatenate(out)
 
 
 def central_difference(f, x0, step: float = 1e-5):

@@ -144,7 +144,7 @@ def test_gradient_correctness(verdict):
         def f_enc(v):
             mu, logsig = model.encode(v.reshape(x.shape), train=False)
             loss = float((mu * w_mu).sum() + (logsig * w_ls).sum())
-            dx = model.encode_backward(w_mu, w_ls, with_params=False)
+            dx = model.encode_backward(w_mu, w_ls)
             return loss, dx
 
         worst = max(worst, oracles.worst_rel_error(f_enc, x.ravel()))
@@ -155,7 +155,7 @@ def test_gradient_correctness(verdict):
         def f_dec(v):
             probs = model.decode(v.reshape(z.shape), train=False)
             loss = float((probs * w_out).sum())
-            dz = model.decode_backward(w_out, with_params=False)
+            dz = model.decode_backward(w_out)
             return loss, dz
 
         worst = max(worst, oracles.worst_rel_error(f_dec, z.ravel()))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from popsynth import evaluation
 from popsynth.evaluation import (
     chi_square_test,
     dcr,
@@ -117,24 +118,26 @@ def test_chi_square_rejects_zero_total():
         chi_square_test(np.zeros(3), np.array([0.5, 0.3, 0.2]))
 
 
-def test_dcr_matches_brute_force(rng):
+def test_dcr_matches_brute_force(rng, monkeypatch):
+    monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 10)  # three blocks of two rows
     syn = rng.uniform(0.05, 0.95, size=(6, 8))
     micro = (rng.random((5, 8)) < 0.5).astype(float)
-    fast = dcr(syn, micro, chunk=2)
+    fast = dcr(syn, micro)
     brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
     np.testing.assert_allclose(fast, brute, atol=1e-12)
 
 
-def test_dcr_with_repeated_rows_matches_brute_force(rng):
+def test_dcr_with_repeated_rows_matches_brute_force(rng, monkeypatch):
+    monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 90)  # blocks of 3, 2 and 2 rows
     syn = rng.uniform(0.05, 0.95, size=(7, 8))
     base = (rng.random((4, 8)) < 0.5).astype(float)
     micro = base[rng.integers(0, 4, size=30)]
-    fast = dcr(syn, micro, chunk=3)
+    fast = dcr(syn, micro)
     brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
     np.testing.assert_allclose(fast, brute, atol=1e-12)
 
 
-def test_dcr_exact_copies_at_census_width_match_brute_force(rng):
+def test_dcr_exact_copies_at_census_width_match_brute_force(rng, monkeypatch):
     """Synthetic rows that copy a microdata row exactly sit at a distance of
     about 1e-7, so only a relative tolerance sees their error. The one-GEMM
     identity of ``losses.pairwise_mean_bce`` cancels terms of about 16 per
@@ -147,10 +150,28 @@ def test_dcr_exact_copies_at_census_width_match_brute_force(rng):
         micro[np.arange(40), start + rng.integers(0, w, size=40)] = 1.0
         start += w
     syn = micro[rng.integers(0, 40, size=12)]
-    fast = dcr(syn, micro, chunk=5)
+    monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 200)  # three blocks of four rows
+    fast = dcr(syn, micro)
     brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
     assert brute.max() < 1e-6
     np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=0)
+
+
+def test_dcr_has_the_bits_of_its_earlier_form(monkeypatch):
+    """The max form of the minimum and the in-place sum keep every distance's
+    bits, in blocks of every size from one row up."""
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n, m, d = (int(v) for v in rng.integers(1, (90, 60, 50)))
+        micro = (rng.random((m, d)) < rng.uniform(0.1, 0.6)).astype(float)
+        syn = rng.uniform(-0.1, 1.1, size=(n, d))
+        copies = rng.random(n) < 0.3
+        syn[copies] = micro[rng.integers(0, m, size=int(copies.sum()))]
+        rows = int(rng.integers(1, n + 1))
+        monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", m * rows)
+        want = oracles.two_product_dcr(syn, micro, blocks=-(-n // rows))
+        got = dcr(syn, micro)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (trial, n, m, d)
 
 
 def test_dcr_self_distance_is_tiny(tiny_encoded):

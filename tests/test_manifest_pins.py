@@ -4,7 +4,8 @@ One small oracle set goes through all seven subcommands once. For each run
 the manifest must sit at its documented path, name its subcommand, record
 every resolved flag (plus the command's own extra keys) as ``config``, carry
 the schema and model fingerprints, list exactly the files the command wrote
-with their sha256, and give a duration that is its two timestamps apart.
+with their sha256, give a duration that is its two timestamps apart and a
+positive peak RSS.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ TINY_WIDTHS = "16,14,12,12,10,8"
 VARIABLES = ("AGEP", "EDU", "R65", "TEN", "VEH")
 MANIFEST_KEYS = {
     "subcommand", "toolkit_version", "config", "fingerprints",
-    "started_unix", "finished_unix", "duration_s", "outputs",
+    "started_unix", "finished_unix", "duration_s", "peak_rss_mb", "outputs",
 }
 
 
@@ -127,3 +128,5 @@ def test_manifest_pins(chain, sub):
     }
     assert manifest["started_unix"] <= manifest["finished_unix"]
     assert manifest["duration_s"] == manifest["finished_unix"] - manifest["started_unix"]
+    peak = manifest["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from popsynth import oracle
 from popsynth.nn import (
     Affine,
     BatchNorm,
@@ -13,12 +15,13 @@ from popsynth.nn import (
     reparameterize,
     reparameterize_backward,
 )
+from popsynth.vae import VaeHyperparams, VaeModel
 
 
 def layer_input_grad(layer, x, train=True):
     """Analytic input gradient of sum(forward(x)) via backward of ones."""
     y = layer.forward(x, train=train)
-    return layer.backward(np.ones_like(y), with_params=True)
+    return layer.backward(np.ones_like(y))
 
 
 def fd_ok(layer, x, train=True, tol=1e-5):
@@ -175,9 +178,75 @@ def test_batchnorm_matches_the_textbook_form_bit_for_bit():
             layer.scale.grad,
             layer.shift.grad,
         )
+        if not train:  # eval mode is frozen: no parameter gradient
+            want = (*want[:4], np.zeros(width), np.zeros(width))
         labels = ("y", "dx", "running_mean", "running_var", "dscale", "dshift")
         for label, a, b in zip(labels, got, want):
             assert same_bits(a, b), (trial, n, width, train, label)
+
+
+def held_arrays(layer):
+    """The arrays that a layer holds outside its Params, tuples unpacked."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, tuple):
+            return [a for item in value for a in arrays(item)]
+        return []
+
+    return [a for value in vars(layer).values() for a in arrays(value)]
+
+
+def test_eval_mode_keeps_only_input_gradient_state(rng):
+    affine, bn, relu = Affine(5, 4, rng, "a"), BatchNorm(4), Relu()
+    bn.scale.value[...] = rng.normal(size=4)
+    bn.forward(rng.normal(size=(8, 4)), train=True)
+    x = rng.normal(size=(6, 5))
+    y = relu.forward(bn.forward(affine.forward(x, train=False), train=False), train=False)
+    assert held_arrays(affine) == []
+    assert all(a.shape == (4,) for a in held_arrays(bn))
+    [mask] = held_arrays(relu)
+    assert mask.dtype == bool and mask.shape == y.shape
+    dx = affine.backward(bn.backward(relu.backward(rng.normal(size=y.shape))))
+    assert dx.shape == x.shape and np.isfinite(dx).all()
+    for p in affine.params() + bn.params():
+        assert same_bits(p.grad, np.zeros_like(p.grad)), p.name
+
+
+def test_eval_backward_of_a_model_leaves_every_gradient_zero(rng):
+    model = VaeModel(oracle.desk_schema(), VaeHyperparams(3, (12, 12, 10, 10, 8, 8)))
+    model.encode(rng.random((16, model.d)), train=True)  # running statistics move
+    z = rng.normal(size=(5, 3))
+    probs = model.decode(z, train=False)
+    dz = model.decode_backward(rng.normal(size=probs.shape))
+    mu, logsig = model.encode(probs, train=False)
+    dx = model.encode_backward(rng.normal(size=mu.shape), rng.normal(size=logsig.shape))
+    assert dz.shape == z.shape and dx.shape == probs.shape
+    assert same_bits(model.flat.grad, np.zeros_like(model.flat.grad))
+
+
+def test_eval_decode_holds_little_more_than_its_output():
+    """An eval decode of 8,000 rows of a desk-shaped model stays under the
+    traced bound of its output, three of the widest activations
+    (GroupSoftmax's input and its two transposed copies, or a BatchNorm's
+    input, xhat and output) and one byte per hidden value for the Relu masks.
+    A decode that kept every layer's backward cache would need nearly three
+    times as much."""
+    widths = (48, 48, 40, 40, 32, 32)  # the desk recipe
+    model = VaeModel(oracle.desk_schema(), VaeHyperparams(3, widths))
+    n = 8000
+    z = np.random.default_rng(0).standard_normal((n, 3))
+    model.decode(z[:100])  # first-call allocations are not the decode's
+    bound = 8 * n * model.d + 3 * 8 * n * max(model.d, *widths) + n * sum(widths)
+    tracemalloc.start()
+    try:
+        probs = model.decode(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (n, model.d)
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def test_encoder_gradient(small_model, tiny_encoded, rng):
         return float((mu * w_mu).sum() + (logsig * w_ls).sum())
 
     f(x0)
-    dx = small_model.encode_backward(w_mu, w_ls, with_params=False)
+    dx = small_model.encode_backward(w_mu, w_ls)
     numeric = oracles.central_difference(f, x0, step=1e-6)
     assert oracles.max_rel_error(dx, numeric, floor=1e-4) < 1e-4
 
@@ -92,7 +92,7 @@ def test_decoder_gradient(small_model, rng):
         return float((small_model.decode(z, train=True) * w).sum())
 
     f(z0)
-    dz = small_model.decode_backward(w, with_params=False)
+    dz = small_model.decode_backward(w)
     numeric = oracles.central_difference(f, z0, step=1e-6)
     assert oracles.max_rel_error(dz, numeric, floor=1e-4) < 1e-4
 
@@ -102,7 +102,7 @@ def test_decoder_param_gradient(small_model, rng):
     w = rng.normal(size=(6, small_model.d))
     small_model.decode(z, train=True)
     small_model.zero_grads()
-    small_model.decode_backward(w, with_params=True)
+    small_model.decode_backward(w)
     p = small_model.out_affine.b
     grad = p.grad.copy()
     v0 = p.value.copy()
