@@ -117,13 +117,12 @@ class JointPairReport:
     p_value: dict[tuple[str, str], float]
 
 
-def _pair_counts(table: RestructuredTable, var_a: str, var_b: str) -> np.ndarray:
-    """Joint category counts; household pairs count households, any pair
-    involving a person variable counts persons (non-NA in every person
-    variable involved)."""
-    schema = table.schema
-    households_only = {var_a, var_b} <= set(schema.household_names)
-    view = table.households if households_only else table.person_codes()
+def _pair_counts(view: np.ndarray, schema, var_a: str, var_b: str) -> np.ndarray:
+    """Joint category counts of two variables over the rows of ``view``,
+    whose columns are the schema's variables in order: a table's
+    ``households`` for a household pair (counting households), its
+    ``person_codes()`` for a pair involving a person variable (counting
+    persons, non-NA in every person variable involved)."""
     names = [v.name for v in schema.variables]
     ka, kb = names.index(var_a), names.index(var_b)
     wa, wb = (len(schema.variables[k].levels) for k in (ka, kb))
@@ -136,15 +135,18 @@ def _pair_counts(table: RestructuredTable, var_a: str, var_b: str) -> np.ndarray
 def joint_pair_metrics(
     table_syn: RestructuredTable, table_ref: RestructuredTable
 ) -> JointPairReport:
-    """RMSE, KL and chi-square p for every unordered variable pair."""
+    """RMSE, KL and chi-square p for every unordered variable pair. Each
+    table's person view is built once, not once per pair."""
     if table_syn.schema.fingerprint() != table_ref.schema.fingerprint():
         raise ValueError("tables use different schemas")
     schema = table_syn.schema
     variables = schema.household_names + schema.person_names
+    views = [(t.households, t.person_codes()) for t in (table_syn, table_ref)]
+    household_names = set(schema.household_names)
     rmse, kl, pv = {}, {}, {}
     for var_a, var_b in itertools.combinations(variables, 2):
-        c_syn = _pair_counts(table_syn, var_a, var_b).ravel()
-        c_ref = _pair_counts(table_ref, var_a, var_b).ravel()
+        k = 0 if {var_a, var_b} <= household_names else 1
+        c_syn, c_ref = (_pair_counts(v[k], schema, var_a, var_b).ravel() for v in views)
         if c_syn.sum() == 0 or c_ref.sum() == 0:
             raise DataError(f"no observations for pair ({var_a}, {var_b})")
         p_syn = c_syn / c_syn.sum()

@@ -2,10 +2,11 @@
 
 An inventory is a ``RestructuredTable``, the one record of a population: the
 kept households, with sequential integer ids "1".."k". ``generate_inventory``
-decodes with the model's own schema and returns that table with its
-provenance record. Households whose decode produced zero occupied person
-slots are dropped and counted there. The CSV files (households, persons) are
-the only place where the codes become category strings again.
+decodes with the model's own schema, in bounded row blocks, and returns that
+table with its provenance record. Households whose decode produced zero
+occupied person slots are dropped and counted there. The CSV files
+(households, persons) are the only place where the codes become category
+strings again.
 
 Sanity rules are data, not code: each rule links a household flag value to a
 set of person categories and is checked in one or both directions per
@@ -36,6 +37,8 @@ from .schema import (
 )
 
 DIRECTIONS = ("flag_implies_member", "member_implies_flag", "both")
+DECODE_BLOCK_VALUES = 2**17  # largest layer output of one decode block: 1 MB of float64
+DECODE_MIN_ROWS = 256  # no smaller block; the GEMM's bits hold on row blocks this tall
 
 
 @dataclass
@@ -66,6 +69,29 @@ def inventory_from_table(table: RestructuredTable) -> RestructuredTable:
     )
 
 
+def decode_latent(model, z: np.ndarray) -> np.ndarray:
+    """The frozen decoder's probabilities for the rows of ``z``, decoded in
+    even row blocks into one preallocated array, so the working set beyond
+    that array is one block's, whatever the number of rows.
+
+    A block's widest layer output holds at most ``DECODE_BLOCK_VALUES``
+    values, but never fewer than ``2 * DECODE_MIN_ROWS`` rows are asked for,
+    so the even split leaves every block at least ``DECODE_MIN_ROWS``. The
+    eval-mode layers work row by row except the Affine GEMMs, which give a
+    block of that height the bits of the whole product on the BLAS this is
+    tested with (``tests/test_generation.py``); a one-block decode is the
+    whole product."""
+    n = z.shape[0]
+    widest = max(model.d, *model.hyper.encoder_widths)
+    rows = max(2 * DECODE_MIN_ROWS, DECODE_BLOCK_VALUES // widest)
+    probs = np.empty((n, model.d))
+    start = 0
+    for block in np.array_split(z, max(1, -(-n // rows))):
+        probs[start : start + block.shape[0]] = model.decode(block, train=False)
+        start += block.shape[0]
+    return probs
+
+
 def generate_inventory(
     model,
     latent,
@@ -74,9 +100,10 @@ def generate_inventory(
     tract_id: str | None = None,
     toolkit_version: str = "",
 ) -> tuple[RestructuredTable, Provenance]:
-    """Decode the latent matrix with the frozen decoder (eval-mode batch norm)
-    and the model's own schema; return the kept table and its provenance."""
-    probs = model.decode(np.asarray(latent.z, dtype=np.float64), train=False)
+    """Decode the latent matrix with the frozen decoder (eval-mode batch norm,
+    in row blocks) and the model's own schema; return the kept table and its
+    provenance."""
+    probs = decode_latent(model, np.asarray(latent.z, dtype=np.float64))
     decoded, forced_na_cells = decode_onehot_with_stats(
         EncodedMatrix(probs, model.schema), mode=mode, seed=seed
     )

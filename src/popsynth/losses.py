@@ -131,14 +131,16 @@ def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each occurs.
 
     Rows are compared by their bytes, so equality is exact and -0.0 differs
-    from 0.0. When every row is distinct the rows come back in input order
-    with unit counts.
+    from 0.0. When every row is distinct the rows come back as ``x`` itself
+    (a C-ordered ``x``, not a copy) with unit counts.
     """
     x = np.ascontiguousarray(x)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a 2-d array with at least one column")
     keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if first.size == x.shape[0]:
+        return x, counts
     order = np.argsort(first)
     return x[first[order]], counts[order]
 

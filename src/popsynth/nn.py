@@ -239,6 +239,7 @@ class GroupSoftmax:
             raise ValueError(
                 f"{self.name}: input width {x.shape[1]} != slice cover {self.width}"
             )
+        self._probs = None  # the last forward's output is not held through this one
         # the transposed input in class order. The class blocks and the
         # output below must be views of it, so it must be C-ordered; numpy
         # does not promise an order for a gather, and ascontiguousarray

@@ -30,7 +30,8 @@ needs at least one other category. Any other key is an error.
 Microdata: two CSV files with header rows. The household file needs
 ``household_id`` plus one column per household variable; the person file needs
 ``household_id`` plus one column per person variable. Extra columns are
-ignored.
+ignored; a header that names a column twice, or a row with more or fewer
+fields than the header, is an error. ``load_tables`` reads them by column.
 
 A marginal is one vector per variable over its ``levels``: every category of
 a household variable, every category but the trailing ``NA`` of a person
@@ -55,9 +56,12 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -411,62 +415,112 @@ def write_schema(schema: Schema, path) -> None:
 
 
 def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:
-    """The ``required`` columns of every non-blank row, as tuples."""
+    """The ``required`` columns of every non-blank row, as tuples. A header
+    that names a column twice, or a row with more or fewer fields than the
+    header, is an error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
+        twice = [c for c, k in Counter(header).items() if k > 1]
+        if twice:
+            raise DataError(f"{path}: the header names column {twice[0]!r} more than once")
         pick = itemgetter(*(header.index(c) for c in required))
         rows = []
         for row in reader:
-            if len(row) < len(header):
+            if len(row) != len(header):
                 if not row:
                     continue
+                which = "more" if len(row) > len(header) else "fewer"
                 raise DataError(
-                    f"{path}: line {reader.line_num} has fewer fields than the header"
+                    f"{path}: line {reader.line_num} has {which} fields than the header"
                 )
             rows.append(pick(row))
         return rows
 
 
+def _columns(rows, width: int) -> list[tuple]:
+    """``rows`` of ``width`` fields as ``width`` column tuples."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _read_microdata(household_path, person_path, schema: Schema):
+    """One CSV pair by column: the household ids, the household variables'
+    columns, each person row's household index and the person variables'
+    columns. Ids are validated here, categories where ``_code`` codes them."""
+    hid, *households = _columns(
+        _read_rows(household_path, ["household_id", *schema.household_names]),
+        1 + len(schema.household_vars),
+    )
+    pid, *persons = _columns(
+        _read_rows(person_path, ["household_id", *schema.person_names]),
+        1 + len(schema.person_vars),
+    )
+    index = dict(zip(hid, range(len(hid))))
+    if len(index) < len(hid):
+        seen = set()
+        twice = next(h for h in hid if h in seen or seen.add(h))
+        raise DataError(f"duplicate household_id {twice!r} in {household_path}")
+    owner = np.fromiter(map(index.get, pid, repeat(-1)), np.intp, len(pid))
+    if (owner < 0).any():
+        raise DataError(
+            f"person row references unknown household_id {pid[np.argmax(owner < 0)]!r} "
+            f"in {person_path}"
+        )
+    return list(hid), households, owner, persons
+
+
 def load_microdata(household_path, person_path, schema: Schema) -> list[HouseholdRecord]:
-    """Read and join the two microdata tables; validates ids. Categories are
-    checked where ``restructure`` codes them."""
-    hh_rows = _read_rows(household_path, ["household_id", *schema.household_names])
-    p_rows = _read_rows(person_path, ["household_id", *schema.person_names])
-
-    records: dict[str, HouseholdRecord] = {}
-    for hid, *values in hh_rows:
-        if hid in records:
-            raise DataError(f"duplicate household_id {hid!r} in {household_path}")
-        records[hid] = HouseholdRecord(hid, tuple(values), [])
-
-    for hid, *values in p_rows:
-        if hid not in records:
-            raise DataError(
-                f"person row references unknown household_id {hid!r} in {person_path}"
-            )
-        records[hid].persons.append(tuple(values))
-    return list(records.values())
+    """Read and join the two microdata tables as records; validates ids.
+    Categories are checked where ``restructure`` codes them. ``load_tables``
+    reads the same files without building records."""
+    ids, households, owner, persons = _read_microdata(household_path, person_path, schema)
+    records = [HouseholdRecord(h, values, []) for h, values in zip(ids, zip(*households))]
+    for i, person in zip(owner.tolist(), zip(*persons)):
+        records[i].persons.append(person)
+    return records
 
 
 # ---------------------------------------------------------------------------
 # restructuring
 
 
-def _code_columns(variables, rows) -> np.ndarray:
-    """(len(rows), len(variables)) codes of string rows, one dict lookup per cell."""
-    out = np.empty((len(rows), len(variables)), dtype=np.int64)
-    for k, var in enumerate(variables):
-        try:
-            out[:, k] = [var.codes[row[k]] for row in rows]
-        except KeyError as exc:
-            raise DataError(
-                f"unknown category {exc.args[0]!r} for variable {var.name!r}"
-            ) from None
-    return out
+class _Coded(NamedTuple):
+    """One table's codes before its persons take slots."""
+
+    ids: list[str]
+    sizes: np.ndarray  # persons per household
+    households: np.ndarray  # (n, H)
+    people: np.ndarray  # (m, P), grouped by household, in input order within one
+    unknown: str | None  # the error naming the first unknown category
+
+
+def _code_columns(variables, columns, order: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """Codes of string columns, one dict lookup per cell, with the rows taken
+    in ``order``; an unknown category codes as -1. Also the error that names
+    the first unknown category, variable by variable, in that row order."""
+    codes = np.empty((len(order), len(variables)), dtype=np.int64)
+    for k, (var, column) in enumerate(zip(variables, columns)):
+        codes[:, k] = np.fromiter(map(var.codes.get, column, repeat(-1)), np.int64, len(order))
+    codes = codes[order]
+    for var, column, code in zip(variables, columns, codes.T):
+        bad = np.flatnonzero(code < 0)
+        if bad.size:
+            return codes, f"unknown category {column[order[bad[0]]]!r} for variable {var.name!r}"
+    return codes, None
+
+
+def _code(schema: Schema, ids, households, owner: np.ndarray, persons) -> _Coded:
+    """Code one table's columns; person rows are grouped by ``owner``, their
+    household's index, with a stable sort."""
+    households, unknown = _code_columns(schema.household_vars, households, np.arange(len(ids)))
+    people, person_unknown = _code_columns(
+        schema.person_vars, persons, np.argsort(owner, kind="stable")
+    )
+    sizes = np.bincount(owner, minlength=len(ids))
+    return _Coded(ids, sizes, households, people, unknown or person_unknown)
 
 
 def _sort_slots(persons: np.ndarray, schema: Schema) -> np.ndarray:
@@ -480,53 +534,64 @@ def _sort_slots(persons: np.ndarray, schema: Schema) -> np.ndarray:
     return np.take_along_axis(persons, order[:, :, None], axis=1)
 
 
+def _fold(coded: _Coded, schema: Schema) -> RestructuredTable:
+    """Fold each household's persons into its row of ``schema.n_window``
+    slots. A household larger than the window, an unknown category and a
+    person with an NA anchor are errors, checked in that order."""
+    sizes = coded.sizes
+    if int(sizes.max(initial=0)) > schema.n_window:
+        i = int(np.argmax(sizes > schema.n_window))
+        raise DataError(
+            f"household {coded.ids[i]!r} has {int(sizes[i])} "
+            f"persons but n_window is {schema.n_window}"
+        )
+    if coded.unknown:
+        raise DataError(coded.unknown)
+    owner = np.repeat(np.arange(len(coded.ids)), sizes)
+    anchor = schema.person_names.index(schema.slot_anchor)
+    unanchored = coded.people[:, anchor] == schema.person_vars[anchor].na_index
+    if unanchored.any():
+        raise DataError(
+            f"household {coded.ids[owner[np.argmax(unanchored)]]!r} has a "
+            f"person with NA {schema.slot_anchor!r}; the anchor variable marks slot occupancy"
+        )
+    persons = np.empty((len(coded.ids), schema.n_window, len(schema.person_vars)), np.int64)
+    persons[:] = [v.na_index for v in schema.person_vars]
+    # each person goes to the next free slot of its household, then rows are sorted
+    first = np.cumsum(sizes) - sizes
+    persons[owner, np.arange(owner.size) - first[owner]] = coded.people
+    return RestructuredTable(schema, coded.ids, coded.households, _sort_slots(persons, schema))
+
+
 def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredTable:
     """Fold person records into one fixed-width row of codes per household.
 
     This is where category strings become codes, so an unknown category is a
     ``DataError``. The schema's n_window must be pinned (``load_tables`` pins
-    an open one); a household larger than it is an error.
+    an open one); a household larger than it is an error. ``load_tables``
+    codes CSV files through the same core without records.
     """
     if schema.n_window is None:
         raise SchemaError("restructure needs a pinned n_window; load_tables pins an open one")
-    sizes = np.array([len(r.persons) for r in records], dtype=np.int64)
-    if int(sizes.max(initial=0)) > schema.n_window:
-        offender = records[int(np.argmax(sizes > schema.n_window))]
-        raise DataError(
-            f"household {offender.household_id!r} has {len(offender.persons)} "
-            f"persons but n_window is {schema.n_window}"
-        )
-
-    households = _code_columns(schema.household_vars, [r.values for r in records])
-    people = _code_columns(schema.person_vars, [p for r in records for p in r.persons])
-    owner = np.repeat(np.arange(len(records)), sizes)
-    anchor = schema.person_names.index(schema.slot_anchor)
-    unanchored = people[:, anchor] == schema.person_vars[anchor].na_index
-    if unanchored.any():
-        raise DataError(
-            f"household {records[owner[np.argmax(unanchored)]].household_id!r} has a "
-            f"person with NA {schema.slot_anchor!r}; the anchor variable marks slot occupancy"
-        )
-    persons = np.empty((len(records), schema.n_window, len(schema.person_vars)), np.int64)
-    persons[:] = [v.na_index for v in schema.person_vars]
-    # each person goes to the next free slot of its household, then rows are sorted
-    first = np.cumsum(sizes) - sizes
-    persons[owner, np.arange(owner.size) - first[owner]] = people
-    return RestructuredTable(
-        schema, [r.household_id for r in records], households, _sort_slots(persons, schema)
+    coded = _code(
+        schema,
+        [r.household_id for r in records],
+        _columns([r.values for r in records], len(schema.household_vars)),
+        np.repeat(np.arange(len(records)), [len(r.persons) for r in records]),
+        _columns([p for r in records for p in r.persons], len(schema.person_vars)),
     )
+    return _fold(coded, schema)
 
 
 def load_tables(schema: Schema, *path_pairs) -> list[RestructuredTable]:
-    """One restructured table per (household CSV, person CSV) pair. An open
-    n_window is pinned to the largest household in any of them (at least 1),
-    so that every table has one layout."""
-    record_sets = [load_microdata(hh, p, schema) for hh, p in path_pairs]
+    """One restructured table per (household CSV, person CSV) pair, read by
+    column and coded without building records. An open n_window is pinned to
+    the largest household in any of them (at least 1), so that every table
+    has one layout."""
+    coded = [_code(schema, *_read_microdata(hh, p, schema)) for hh, p in path_pairs]
     if schema.n_window is None:
-        schema = schema.with_n_window(
-            max([1, *(len(r.persons) for records in record_sets for r in records)])
-        )
-    return [restructure(records, schema) for records in record_sets]
+        schema = schema.with_n_window(max([1, *(int(c.sizes.max(initial=0)) for c in coded)]))
+    return [_fold(c, schema) for c in coded]
 
 
 # ---------------------------------------------------------------------------

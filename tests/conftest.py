@@ -13,14 +13,22 @@ from popsynth.schema import (
 )
 
 
-def load_desk_script():
-    """A fresh module of scripts/run_desk_pipeline.py, which holds the one
-    copy of the desk recipe and chain."""
-    script = Path(__file__).parents[1] / "scripts" / "run_desk_pipeline.py"
-    spec = importlib.util.spec_from_file_location("run_desk_pipeline", script)
+def _load_module(name, relative):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_desk_script():
+    """A fresh module of scripts/run_desk_pipeline.py, which holds the one
+    copy of the desk recipe and chain."""
+    return _load_module("run_desk_pipeline", "scripts/run_desk_pipeline.py")
+
+
+def load_census_module():
+    """perfbench/census.py, the writer of the benchmark's census-like inputs."""
+    return _load_module("census", "perfbench/census.py")
 
 
 @pytest.fixture

@@ -1,13 +1,17 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import load_census_module
+from popsynth import generation
 from popsynth.generation import (
     Provenance,
     SanityRule,
+    decode_latent,
     generate_inventory,
     inventory_from_table,
     load_rules,
@@ -78,6 +82,64 @@ def test_generate_inventory_leaves_model_untouched(tiny_schema, tiny_encoded):
     before = model.checksum()
     generate_inventory(model, init_latent(10, model.latent_dim, seed=1))
     assert model.checksum() == before
+
+
+def census_shaped_model():
+    """The benchmark's census model: 360 columns in 42 groups, widths 48-32."""
+    schema = load_census_module().census_schema()
+    return VaeModel(schema, VaeHyperparams(3, (48, 48, 40, 40, 32, 32), 1))
+
+
+def test_decode_in_blocks_has_the_bits_of_one_block(monkeypatch):
+    """Forced down to the 512-row block target, 1,537 rows decode in four
+    even blocks, none under the 256-row floor, with every bit of one decode
+    of the whole matrix: eval-mode layers work row by row, and the GEMMs
+    keep their bits on row blocks this tall."""
+    model = census_shaped_model()
+    z = 2.0 * np.random.default_rng(3).standard_normal((1537, 3))
+    whole = model.decode(z, train=False).copy()
+    decode, blocks = model.decode, []
+
+    def spy(x, train):
+        blocks.append(x.shape[0])
+        return decode(x, train=train)
+
+    monkeypatch.setattr(model, "decode", spy)
+    monkeypatch.setattr(generation, "DECODE_BLOCK_VALUES", 1)
+    probs = decode_latent(model, z)
+    assert blocks == [385, 384, 384, 384]
+    assert probs.tobytes() == whole.tobytes()
+
+    latent = init_latent(1537, 3, seed=8)
+    for mode, seed in (("argmax", None), ("sample", 11)):
+        monkeypatch.setattr(generation, "DECODE_BLOCK_VALUES", 1)
+        blocked, prov = generate_inventory(model, latent, mode=mode, seed=seed)
+        monkeypatch.setattr(generation, "DECODE_BLOCK_VALUES", 2**62)  # one block
+        one, prov_one = generate_inventory(model, latent, mode=mode, seed=seed)
+        assert blocked.household_ids == one.household_ids
+        assert np.array_equal(blocked.households, one.households)
+        assert np.array_equal(blocked.persons, one.persons)
+        assert prov == prov_one
+
+
+def test_generate_peak_is_bounded_by_its_blocks():
+    """8,000 census-shaped rows: the traced peak of ``generate_inventory`` is
+    its probability array, one 500-row block's activations and the decoded
+    codes, about 1.6 n*d floats. One decode of the whole matrix holds the
+    array's input and two transposed copies in GroupSoftmax too, about
+    3.1 n*d."""
+    model = census_shaped_model()
+    n = 8000
+    latent = init_latent(n, model.latent_dim, seed=4)
+    generate_inventory(model, init_latent(300, model.latent_dim, seed=5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        table, _ = generate_inventory(model, latent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n_rows > 0
+    assert peak < 2.2 * n * model.d * 8, peak / (n * model.d * 8)
 
 
 def test_write_inventory_files(tiny_table, tmp_path):

@@ -444,6 +444,9 @@ def test_property_encode_decode_round_trip(recs):
     names = schema.household_names + schema.person_names
     for i, var_a in enumerate(names):
         for var_b in names[i + 1 :]:
+            households_only = {var_a, var_b} <= set(schema.household_names)
+            view = table.households if households_only else table.person_codes()
             np.testing.assert_array_equal(
-                _pair_counts(table, var_a, var_b), brute_pair_counts(schema, recs, var_a, var_b)
+                _pair_counts(view, schema, var_a, var_b),
+                brute_pair_counts(schema, recs, var_a, var_b),
             )
