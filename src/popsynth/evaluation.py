@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .losses import clamp01
 from .schema import (
@@ -102,6 +101,10 @@ def chi_square_test(
         return ChiSquareResult(0.0, 1.0, 0, merged)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = obs.size - 1
+    # imported here, not at module level, so that only the commands that
+    # report p-values (evaluate, privacy) pay for loading scipy
+    import scipy.special
+
     return ChiSquareResult(stat, float(scipy.special.chdtrc(dof, stat)), dof, merged)
 
 
@@ -227,6 +230,8 @@ def ks_test(a: np.ndarray, b: np.ndarray) -> KsResult:
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.abs(cdf_a - cdf_b).max())
     en = math.sqrt(a.size * b.size / (a.size + b.size))
+    import scipy.special  # see chi_square_test
+
     p = float(scipy.special.kolmogorov(en * stat))
     return KsResult(stat, min(max(p, 0.0), 1.0))
 

@@ -12,6 +12,9 @@ tract whose targets are attainable by reweighting the learned population.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 from .generation import SanityRule
@@ -130,39 +133,83 @@ def _normalize_weights(weights: dict[str, float] | None) -> dict[str, float]:
     return {k: v / total for k, v in w.items()}
 
 
-def _draw(rng: np.random.Generator, dist: dict[str, float]) -> str:
-    labels = list(dist)
-    probs = np.array([dist[k] for k in labels], dtype=np.float64)
-    return labels[rng.choice(len(labels), p=probs / probs.sum())]
+# the tolerance ``Generator.choice`` allows a float64 ``p`` off a sum of 1
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _kahan_sum(values: list[float]) -> float:
+    """The compensated sum ``Generator.choice`` checks ``p`` by; an inf among
+    several entries turns it NaN, as there."""
+    total, carry = values[0], 0.0
+    for v in values[1:]:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def _cdf(p: np.ndarray) -> list[float]:
+    """The cumulative table that ``Generator.choice(len(p), p=p)`` searches
+    with one ``random()`` double, after the checks it applies to ``p``, which
+    raise its ``ValueError``s."""
+    total = _kahan_sum(p.tolist())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def sample_records(n_households: int, seed: int) -> list[HouseholdRecord]:
     """Draw households from the ``DEFAULT_TYPE_WEIGHTS`` mix; deterministic in
-    the seed."""
+    the seed.
+
+    Every categorical draw takes the next double of one ``rng.random`` stream
+    and looks it up in the table's cdf, exactly as ``rng.choice(k, p=p)``
+    would: household type, composition, then age and education per member,
+    tenure, vehicles. Each table is normalised by its sum, checked and
+    accumulated on first use, once per call."""
     if n_households < 1:
         raise ValueError("n_households must be >= 1")
     weights = _normalize_weights(DEFAULT_TYPE_WEIGHTS)
     rng = np.random.default_rng(seed)
     names = list(weights)
-    probs = np.array([weights[k] for k in names])
+    type_cdf = _cdf(np.array([weights[k] for k in names]))
+    longest = max(len(m) for t in HOUSEHOLD_TYPES.values() for m, _ in t["compositions"])
+    # type and composition, age and education per member, tenure and vehicles
+    uniforms = iter(rng.random((2 + 2 * longest + 2) * n_households).tolist())
+    tables: dict[int, tuple[list, list[float]]] = {}
+
+    def draw(table):
+        """One draw from a ``{label: weight}`` dict or ``[(label, weight)]``
+        list. Tables are module constants, so an id names one for the call;
+        one first met here is checked here, so a table no draw reaches
+        raises nothing, as with one ``choice`` per draw."""
+        entry = tables.get(id(table))
+        if entry is None:
+            pairs = list(table.items() if isinstance(table, dict) else table)
+            probs = np.array([w for _, w in pairs], dtype=np.float64)
+            entry = tables[id(table)] = ([k for k, _ in pairs], _cdf(probs / probs.sum()))
+        labels, cdf = entry
+        return labels[bisect.bisect_right(cdf, next(uniforms))]
+
     records = []
     for i in range(n_households):
-        t = HOUSEHOLD_TYPES[names[rng.choice(len(names), p=probs)]]
-        comps = t["compositions"]
-        comp_probs = np.array([p for _, p in comps])
-        members = comps[rng.choice(len(comps), p=comp_probs / comp_probs.sum())][0]
+        t = HOUSEHOLD_TYPES[names[bisect.bisect_right(type_cdf, next(uniforms))]]
         persons = []
         any_senior = False
-        for profile in members:
-            age = _draw(rng, MEMBER_AGES[profile])
-            edu = _draw(rng, EDU_GIVEN_AGE[age])
+        for profile in draw(t["compositions"]):
+            age = draw(MEMBER_AGES[profile])
+            persons.append((age, draw(EDU_GIVEN_AGE[age])))
             any_senior = any_senior or age in SENIOR_AGES
-            persons.append((age, edu))
-        values = (
-            _draw(rng, t["TEN"]),
-            _draw(rng, t["VEH"]),
-            "Yes" if any_senior else "No",
-        )
+        values = (draw(t["TEN"]), draw(t["VEH"]), "Yes" if any_senior else "No")
         records.append(HouseholdRecord(f"H{i + 1:05d}", values, persons))
     return records
 

@@ -3,12 +3,16 @@
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
 exceptions are ``two_product_dcr``, which pins bits rather than a formula,
-and the finite-difference gradient checker at the end.
+``choice_sample_records``, which pins a random stream, and the
+finite-difference gradient checker at the end.
 """
 
 import math
 
 import numpy as np
+
+from popsynth import oracle
+from popsynth.schema import HouseholdRecord
 
 CLAMP = 1e-7
 KL_EPS = 1e-6
@@ -146,6 +150,44 @@ def two_product_dcr(syn, micro, blocks: int = 1):
         bce = -(np.log(p) @ micro.T + np.log1p(-p) @ (1.0 - micro).T) / p.shape[1]
         out.append(bce.min(axis=1))
     return np.concatenate(out)
+
+
+def _choice_draw(rng, dist):
+    labels = list(dist)
+    probs = np.array([dist[k] for k in labels], dtype=np.float64)
+    return labels[rng.choice(len(labels), p=probs / probs.sum())]
+
+
+def choice_sample_records(n_households: int, seed: int):
+    """``oracle.sample_records`` written as one ``rng.choice`` per draw, each
+    table rebuilt and normalised where it is drawn from; reads the oracle's
+    tables at call time, so a monkeypatched table reaches both."""
+    if n_households < 1:
+        raise ValueError("n_households must be >= 1")
+    weights = oracle._normalize_weights(oracle.DEFAULT_TYPE_WEIGHTS)
+    rng = np.random.default_rng(seed)
+    names = list(weights)
+    probs = np.array([weights[k] for k in names])
+    records = []
+    for i in range(n_households):
+        t = oracle.HOUSEHOLD_TYPES[names[rng.choice(len(names), p=probs)]]
+        comps = t["compositions"]
+        comp_probs = np.array([p for _, p in comps])
+        members = comps[rng.choice(len(comps), p=comp_probs / comp_probs.sum())][0]
+        persons = []
+        any_senior = False
+        for profile in members:
+            age = _choice_draw(rng, oracle.MEMBER_AGES[profile])
+            edu = _choice_draw(rng, oracle.EDU_GIVEN_AGE[age])
+            any_senior = any_senior or age in oracle.SENIOR_AGES
+            persons.append((age, edu))
+        values = (
+            _choice_draw(rng, t["TEN"]),
+            _choice_draw(rng, t["VEH"]),
+            "Yes" if any_senior else "No",
+        )
+        records.append(HouseholdRecord(f"H{i + 1:05d}", values, persons))
+    return records
 
 
 def central_difference(f, x0, step: float = 1e-5):

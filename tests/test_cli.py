@@ -312,13 +312,24 @@ def test_evaluate_requires_out_dir(data_dir):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all until evaluate or privacy needs a p-value; the
+    # package's own submodules stay eager, since a popsynth module first
+    # imported inside perfbench's span wrapping would keep stale wrappers
     src = os.path.dirname(os.path.dirname(popsynth.__file__))
-    code = "import sys; import popsynth.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import json, sys; import popsynth; eager = sorted(sys.modules); "
+        "import popsynth.cli; "
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "print(json.dumps([eager, scipy]))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "False"
+    eager, scipy = json.loads(proc.stdout)
+    assert scipy == []
+    for name in ("evaluation", "generation", "losses", "nn", "schema", "training", "vae"):
+        assert f"popsynth.{name}" in eager
 
 
 def test_finetune_rejects_foreign_schema(data_dir, tmp_path):
