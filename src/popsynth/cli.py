@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: restructure, pretrain, finetune, generate, evaluate, privacy,
-oracle-make. Every run that succeeds writes a manifest (resolved
-configuration, fingerprints, wall-clock timings, the process's peak RSS,
-sha256 of every emitted file) atomically next to its outputs. Exit codes:
-0 success, 1 usage or validation failure (a malformed or mismatched model or
-latent file included), 2 runtime failure. Seeds are explicit flags; nothing is
-seeded from the clock.
+oracle-make. Every input file is read whole as UTF-8 text (a model or latent
+as bytes) through ``schema.read_input``. Every run that succeeds writes a
+manifest (resolved configuration, fingerprints, wall-clock timings, the
+process's peak RSS, sha256 of every emitted file) atomically next to its
+outputs. Exit codes: 0 success; 1 bad flags, unreadable, undecodable or
+malformed inputs and mismatched artifacts (every ``DataError``); 2 divergence,
+a model that changed during fine-tuning and write failures. Seeds are explicit
+flags; nothing is seeded from the clock.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import evaluation, generation, oracle, training, vae
 from .losses import distinct_rows
 from .schema import (
     DataError,
-    SchemaError,
     encode_onehot,
     load_schema,
     load_tables,
@@ -44,7 +45,7 @@ DCR_BINS = 20  # bins of each privacy DCR histogram
 TRAIN_FIELDS = {f.name for f in fields(training.TrainConfig)}
 
 
-class UsageError(ValueError):
+class UsageError(DataError):
     pass
 
 
@@ -83,18 +84,40 @@ def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
     write_json(path, manifest)
 
 
-def _out_path(args, *name) -> str:
-    """``name`` under ``--out-dir`` (the directory itself without a name).
-    The directory is made on first use, so a command that checks its input
-    before it asks for a path writes nothing when a check fails."""
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, *name)
+class _Outputs(list):
+    """The files a command writes, in order; the manifest lists them.
 
+    ``--out-dir`` is checked when the list is built: it, or the part of it
+    that exists, must be a directory. ``out(name)`` is ``name`` under it,
+    made on first use, so a command that checks its input before it asks
+    for a path writes nothing when a check fails. ``out.file(path, flag)``
+    is a ``--out`` or ``--out-latent`` file, checked when it is recorded: a
+    command records those before it reads any data."""
 
-def _config_dict(args) -> dict:
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
-    }
+    def __init__(self, out_dir=None):
+        super().__init__()
+        self.out_dir = existing = out_dir
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise UsageError(f"--out-dir: {existing} is not a directory")
+
+    def directory(self) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        return self.out_dir
+
+    def __call__(self, name) -> str:
+        self.append(os.path.join(self.directory(), name))
+        return self[-1]
+
+    def file(self, path, flag) -> str:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"{flag}: directory {parent} does not exist")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag}: {path} is a directory")
+        self.append(path)
+        return path
 
 
 @contextlib.contextmanager
@@ -112,26 +135,20 @@ def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(**{k: v for k, v in vars(args).items() if k in TRAIN_FIELDS})
 
 
-def _require_parent_dir(path, flag) -> None:
-    """Fail before any data is read, not after training, when the file
-    ``path`` cannot be written because its directory does not exist."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise UsageError(f"{flag}: directory {parent} does not exist")
-
-
-def _require_counts(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
-
-
 def _seed(text: str) -> int:
     """A --seed value: numpy seeds are non-negative integers."""
     seed = int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {seed}")
     return seed
+
+
+def _count(text: str) -> int:
+    """A --households or --tract-households value: a positive integer."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
+    return count
 
 
 def _add_train_flags(p, *names):
@@ -151,19 +168,15 @@ def _add_train_flags(p, *names):
 # subcommands
 
 
-def _cmd_restructure(args):
+def _cmd_restructure(args, out):
     [table] = load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
-    out = _out_path(args, "restructured.csv")
-    write_restructured(table, out)
-    outputs = [out]
+    write_restructured(table, out("restructured.csv"))
     if args.write_encoded:
-        enc_path = _out_path(args, "encoded.csv")
-        write_encoded(table, enc_path)
-        outputs.append(enc_path)
-    return outputs, {"schema": table.schema.fingerprint()}
+        write_encoded(table, out("encoded.csv"))
+    return {"schema": table.schema.fingerprint()}, {}
 
 
-def _cmd_pretrain(args):
+def _cmd_pretrain(args, out):
     with _usage_errors():
         widths = (
             tuple(int(w) for w in args.hidden_widths.split(","))
@@ -172,7 +185,8 @@ def _cmd_pretrain(args):
         )
         hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
         config = _train_config(args)
-    _require_parent_dir(args.out, "--out")
+    model_path = out.file(args.out, "--out")
+    history_path = out.file(f"{args.out}.history.csv", "--out")
     [table] = load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
     if table.n_rows < 2:
         raise DataError(
@@ -181,22 +195,21 @@ def _cmd_pretrain(args):
     data = encode_onehot(table)
     model = vae.VaeModel(table.schema, hyper)
     result = training.pretrain(model, data, config)
-    vae.save_model(model, args.out)
-    history_path = f"{args.out}.history.csv"
-    training.write_history(
-        history_path, training.PRETRAIN_HISTORY_COLUMNS, result.history
-    )
+    vae.save_model(model, model_path)
+    training.write_history(history_path, training.PRETRAIN_HISTORY_COLUMNS, result.history)
     return (
-        [args.out, history_path],
         {"schema": table.schema.fingerprint(), "model": model.checksum()},
         {"focal_alpha_used": result.focal_alpha},
     )
 
 
-def _cmd_finetune(args):
+def _cmd_finetune(args, out):
     with _usage_errors():
         config = _train_config(args)
-    _require_parent_dir(args.out_latent, "--out-latent")
+    latent_path, history_path, marg_path = (
+        out.file(f"{args.out_latent}{suffix}", "--out-latent")
+        for suffix in ("", ".history.csv", ".soft_marginals.json")
+    )
     model = vae.load_model(args.model)
     schema = model.schema_for(load_schema(args.schema))
     [table] = load_tables(schema, (args.microdata_hh, args.microdata_p))
@@ -207,12 +220,8 @@ def _cmd_finetune(args):
     result = training.finetune(model, latent, targets, data, config)
     if model.checksum() != fingerprint:
         raise RuntimeError("model changed during fine-tuning")
-    training.save_latent(latent, args.out_latent, model.schema_fingerprint, fingerprint)
-    history_path = f"{args.out_latent}.history.csv"
-    training.write_history(
-        history_path, training.FINETUNE_HISTORY_COLUMNS, result.history
-    )
-    marg_path = f"{args.out_latent}.soft_marginals.json"
+    training.save_latent(latent, latent_path, model.schema_fingerprint, fingerprint)
+    training.write_history(history_path, training.FINETUNE_HISTORY_COLUMNS, result.history)
     write_json(
         marg_path,
         {
@@ -222,7 +231,6 @@ def _cmd_finetune(args):
         },
     )
     return (
-        [args.out_latent, history_path, marg_path],
         {"schema": schema.fingerprint(), "model": fingerprint},
         {
             "reference_rows": result.reference_rows,
@@ -231,7 +239,7 @@ def _cmd_finetune(args):
     )
 
 
-def _cmd_generate(args):
+def _cmd_generate(args, out):
     model = vae.load_model(args.model)
     schema = model.schema_for(load_schema(args.schema))
     latent, header = training.load_latent(args.latent)
@@ -250,46 +258,37 @@ def _cmd_generate(args):
     )
     # a rule naming an unknown variable or category fails here, before any write
     report = generation.sanity_check(table, rules) if rules is not None else None
-    outputs = list(generation.write_inventory(table, provenance, _out_path(args)).values())
+    out.extend(generation.write_inventory(table, provenance, out.directory()).values())
     if report is not None:
-        report_path = _out_path(args, "sanity_report.json")
-        generation.write_sanity_report(report, report_path)
-        outputs.append(report_path)
-    return outputs, {"schema": schema.fingerprint(), "model": fingerprint}
+        generation.write_sanity_report(report, out("sanity_report.json"))
+    return {"schema": schema.fingerprint(), "model": fingerprint}, {}
 
 
-def _cmd_evaluate(args):
+def _cmd_evaluate(args, out):
     micro, syn = load_tables(
         load_schema(args.schema), (args.microdata_hh, args.microdata_p), (args.syn_hh, args.syn_p)
     )
     schema = micro.schema
-    targets = (
-        load_target_marginals(args.tract_marginals, schema)
-        if args.tract_marginals
-        else None
-    )
+    tract = args.tract_marginals
+    targets = load_target_marginals(tract, schema) if tract else None
     report = evaluation.marginal_report(syn, micro, targets)
     joint = evaluation.joint_pair_metrics(syn, micro)
     joint_metrics = (("rmse", joint.rmse), ("kl", joint.kl), ("chi2_p", joint.p_value))
 
-    report_path = _out_path(args, "marginals_report.csv")
     keys = list(report.means)
     rows = [
         [name, *[f"{row[k]:.12g}" if k in row else "" for k in keys]]
         for name, row in report.rows.items()
     ]
     rows.append(["__mean__", *[f"{report.means[k]:.12g}" for k in keys]])
-    write_csv(report_path, ["variable", *keys], rows)
-    outputs = [report_path]
+    write_csv(out("marginals_report.csv"), ["variable", *keys], rows)
 
     for metric_name, values in joint_metrics:
-        path = _out_path(args, f"joint_{metric_name}.csv")
         write_csv(
-            path,
+            out(f"joint_{metric_name}.csv"),
             ["variable_a", "variable_b", metric_name],
             ([a, b, f"{v:.12g}"] for (a, b), v in values.items()),
         )
-        outputs.append(path)
 
     variables = {
         var.name: {
@@ -310,15 +309,12 @@ def _cmd_evaluate(args):
         },
         "n_households": {"microdata": micro.n_rows, "synthetic": syn.n_rows},
     }
-    summary_path = _out_path(args, "summary.json")
-    write_json(summary_path, summary)
-    outputs.append(summary_path)
+    write_json(out("summary.json"), summary)
     for name, entry in variables.items():
         # one CSV per variable: category, microdata, synthetic, target proportions
-        path = _out_path(args, f"hist_{name}.csv")
         target = entry["target"] or [None] * len(entry["categories"])
         write_csv(
-            path,
+            out(f"hist_{name}.csv"),
             ["category", "microdata", "synthetic", "target"],
             (
                 [cat, f"{m:.12g}", f"{syn:.12g}", "" if t is None else f"{t:.12g}"]
@@ -327,11 +323,10 @@ def _cmd_evaluate(args):
                 )
             ),
         )
-        outputs.append(path)
-    return outputs, {"schema": schema.fingerprint()}
+    return {"schema": schema.fingerprint()}, {}
 
 
-def _cmd_privacy(args):
+def _cmd_privacy(args, out):
     pairs = [(args.microdata_hh, args.microdata_p), (args.a_hh, args.a_p), (args.b_hh, args.b_p)]
     tables = load_tables(load_schema(args.schema), *pairs)
     for (hh, p), table in zip(pairs, tables):
@@ -339,7 +334,6 @@ def _cmd_privacy(args):
             raise DataError(f"{hh} and {p} hold no persons; privacy compares persons too")
     schema = tables[0].schema
 
-    outputs = []
     summary = {"levels": {}}
     rows = []
     for level, matrix in (
@@ -368,48 +362,37 @@ def _cmd_privacy(args):
         edges = np.linspace(lo, hi if hi > lo else lo + 1e-12, DCR_BINS + 1)
         hist_a, _ = np.histogram(da, bins=edges)
         hist_b, _ = np.histogram(db, bins=edges)
-        hist_path = _out_path(args, f"dcr_histogram_{level}.csv")
         write_csv(
-            hist_path,
+            out(f"dcr_histogram_{level}.csv"),
             ["bin_low", "bin_high", "count_a", "count_b"],
             (
                 [f"{edges[i]:.12g}", f"{edges[i + 1]:.12g}", hist_a[i], hist_b[i]]
                 for i in range(DCR_BINS)
             ),
         )
-        outputs.append(hist_path)
-    dist_path = _out_path(args, "dcr_distances.csv")
     write_csv(
-        dist_path,
+        out("dcr_distances.csv"),
         ["level", "inventory", "row", "distance"],
         ([level, inv, i, f"{d:.12g}"] for level, inv, i, d in rows),
     )
-    outputs.append(dist_path)
-
-    summary_path = _out_path(args, "privacy_summary.json")
-    write_json(summary_path, summary)
-    outputs.append(summary_path)
-    return outputs, {"schema": schema.fingerprint()}
+    write_json(out("privacy_summary.json"), summary)
+    return {"schema": schema.fingerprint()}, {}
 
 
-def _cmd_oracle_make(args):
+def _cmd_oracle_make(args, out):
     """Microdata from the default household-type mix, and the marginals of a
     tract with the shifted mix."""
-    _require_counts(args, "households", "tract_households")
     schema = oracle.desk_schema()
     records = oracle.sample_records(args.households, args.seed)
 
-    schema_path = _out_path(args, "schema.json")
-    write_schema(schema, schema_path)
-    hh_path = _out_path(args, "households.csv")
-    p_path = _out_path(args, "persons.csv")
+    write_schema(schema, out("schema.json"))
     write_csv(
-        hh_path,
+        out("households.csv"),
         ["household_id", *schema.household_names],
         ([rec.household_id, *rec.values] for rec in records),
     )
     write_csv(
-        p_path,
+        out("persons.csv"),
         ["household_id", *schema.person_names],
         ([rec.household_id, *p] for rec in records for p in rec.persons),
     )
@@ -417,12 +400,9 @@ def _cmd_oracle_make(args):
     targets = oracle.analytic_marginals(
         oracle.SHIFTED_TYPE_WEIGHTS, n_households=args.tract_households
     )
-    tract_path = _out_path(args, "tract_marginals.csv")
-    write_target_marginals(targets, schema, tract_path)
-
-    rules_path = _out_path(args, "rules.json")
-    generation.write_rules(oracle.desk_rules(), rules_path)
-    return [schema_path, hh_path, p_path, tract_path, rules_path], {"schema": schema.fingerprint()}
+    write_target_marginals(targets, schema, out("tract_marginals.csv"))
+    generation.write_rules(oracle.desk_rules(), out("rules.json"))
+    return {"schema": schema.fingerprint()}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +486,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-make", help="desk-scale ground-truth dataset")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--households", type=int, default=2000)
+    p.add_argument("--households", type=_count, default=2000)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--tract-households", type=int, default=400, dest="tract_households")
+    p.add_argument("--tract-households", type=_count, default=400, dest="tract_households")
     p.set_defaults(func=_cmd_oracle_make)
 
     return parser
@@ -516,26 +496,21 @@ def build_parser() -> _Parser:
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    try:
-        args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     started = time.time()
     try:
-        # a command returns its outputs, its fingerprints and, optionally,
-        # config keys of its own; the manifest goes in --out-dir when the
-        # command has one, else next to its first output
-        outputs, fingerprints, *extra = args.func(args)
+        args = build_parser().parse_args(argv)
+        out = _Outputs(getattr(args, "out_dir", None))
+        # a command records its files in ``out`` and returns its fingerprints
+        # and the config keys of its own; the manifest goes in --out-dir when
+        # the command has one, else next to its first output
+        fingerprints, extra = args.func(args, out)
         manifest = (
-            os.path.join(args.out_dir, "manifest.json")
-            if "out_dir" in vars(args)
-            else f"{outputs[0]}.manifest.json"
+            os.path.join(out.out_dir, "manifest.json") if out.out_dir else f"{out[0]}.manifest.json"
         )
-        config = _config_dict(args) | dict(*extra)
-        _write_manifest(manifest, args.subcommand, config, outputs, started, fingerprints)
+        config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+        _write_manifest(manifest, args.subcommand, config | extra, out, started, fingerprints)
         return 0
-    except (UsageError, SchemaError, DataError, vae.ModelFormatError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (training.TrainingDivergedError, OSError, RuntimeError, ValueError) as exc:

@@ -27,10 +27,10 @@ from .schema import (
     DataError,
     EncodedMatrix,
     RestructuredTable,
-    SchemaError,
     _strings,
     decode_onehot_with_stats,
     labels,
+    read_input,
     write_csv,
     write_json,
     write_text,
@@ -175,8 +175,7 @@ def load_rules(path) -> list[SanityRule]:
     """The rules of a rules file. A field of the wrong JSON type is an
     error that names the field, not a coercion."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(read_input(path))
         entries = raw["rules"] if isinstance(raw, dict) else raw
         rules = []
         for e in entries:
@@ -247,7 +246,7 @@ def _rule_masks(table: RestructuredTable, rule: SanityRule) -> tuple[np.ndarray,
         pv = schema.person_var(rule.person_var)
         flag_code = hv.index(rule.household_value)
         wanted = [pv.index(c) for c in rule.person_categories]
-    except (SchemaError, DataError) as exc:
+    except DataError as exc:
         raise DataError(f"rule {rule.rule_id!r}: {exc}") from None
     flag = table.households[:, schema.household_names.index(hv.name)] == flag_code
     qualifies = np.isin(table.persons[:, :, schema.person_names.index(pv.name)], wanted)

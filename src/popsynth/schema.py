@@ -45,12 +45,14 @@ household count (a positive integer; optionally ``__n_persons__``, a
 non-negative integer). Counts must be finite and non-negative; they are
 normalised to proportions per variable.
 
-Every file is written through ``write_atomic``: to ``<path>.tmp``, then
-renamed over ``path``.
+Every input file is read whole through ``read_input``, as UTF-8 text or as
+bytes. Every file is written through ``write_atomic``: to ``<path>.tmp``,
+then renamed over ``path``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -73,12 +75,13 @@ N_HOUSEHOLDS_KEY = "__n_households__"
 N_PERSONS_KEY = "__n_persons__"
 
 
-class SchemaError(ValueError):
-    """Raised when a schema file or schema object is structurally invalid."""
-
-
 class DataError(ValueError):
-    """Raised when data does not conform to its schema."""
+    """Bad input: a file that cannot be read or decoded, or data that does
+    not conform to its schema. The CLI exits 1 on it and its subclasses."""
+
+
+class SchemaError(DataError):
+    """Raised when a schema file or schema object is structurally invalid."""
 
 
 @dataclass(frozen=True)
@@ -401,10 +404,22 @@ def schema_dict(schema: Schema) -> dict:
     }
 
 
+def read_input(path, text: bool = True) -> str | bytes:
+    """The whole input file at ``path``, as UTF-8 text or as bytes. A file
+    that cannot be read or is not UTF-8 text is a ``DataError`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return blob.decode("utf-8") if text else blob
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_schema(path) -> Schema:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"could not parse schema file {path}: {exc}") from None
     return schema_from_dict(raw)
@@ -418,27 +433,24 @@ def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:
     """The ``required`` columns of every non-blank row, as tuples. A header
     that names a column twice, or a row with more or fewer fields than the
     header, is an error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {missing}")
-        twice = [c for c, k in Counter(header).items() if k > 1]
-        if twice:
-            raise DataError(f"{path}: the header names column {twice[0]!r} more than once")
-        pick = itemgetter(*(header.index(c) for c in required))
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                which = "more" if len(row) > len(header) else "fewer"
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {which} fields than the header"
-                )
-            rows.append(pick(row))
-        return rows
+    reader = csv.reader(io.StringIO(read_input(path), newline=""))
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing column(s) {missing}")
+    twice = [c for c, k in Counter(header).items() if k > 1]
+    if twice:
+        raise DataError(f"{path}: the header names column {twice[0]!r} more than once")
+    pick = itemgetter(*(header.index(c) for c in required))
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            if not row:
+                continue
+            which = "more" if len(row) > len(header) else "fewer"
+            raise DataError(f"{path}: line {reader.line_num} has {which} fields than the header")
+        rows.append(pick(row))
+    return rows
 
 
 def _columns(rows, width: int) -> list[tuple]:
@@ -788,11 +800,17 @@ def write_target_marginals(targets: TargetMarginals, schema: Schema, path) -> No
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``."""
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``. When
+    either step fails, the temporary file is removed."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_text(path, text: str) -> None:

@@ -29,7 +29,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .schema import DataError, Schema, column_layout, schema_dict, schema_from_dict, write_atomic
+from .schema import (
+    DataError, Schema, column_layout, read_input, schema_dict, schema_from_dict, write_atomic,
+)
 
 MODEL_MAGIC = b"PSVAE01\n"
 MODEL_VERSION = 3
@@ -37,7 +39,7 @@ MODEL_VERSION = 3
 N_BLOCKS = 6
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(DataError):
     """Raised when a model or latent file is malformed or from an unknown version."""
 
 
@@ -195,11 +197,10 @@ def write_blob(path, magic: bytes, version: int, header: dict, payload: np.ndarr
 
 
 def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndarray]:
-    """Read a ``write_blob`` file into (header, payload). Any defect, including
-    a payload that does not fill the rest of the file in the shape
-    ``shape_of(header)``, raises ``ModelFormatError``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a ``write_blob`` file into (header, payload). Any defect of a
+    readable file, including a payload that does not fill the rest of the
+    file in the shape ``shape_of(header)``, raises ``ModelFormatError``."""
+    blob = read_input(path, text=False)
     start = len(magic) + 4
     if blob[: len(magic)] != magic:
         raise ModelFormatError(f"{path}: bad magic, not a {magic.decode().strip()} file")

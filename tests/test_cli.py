@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import popsynth
-from popsynth import training, vae
+from popsynth import oracle, schema, training, vae
 from popsynth.cli import run
 from popsynth.schema import DataError, HouseholdRecord, load_tables
 
@@ -642,6 +642,7 @@ def valid_command(sub, data_dir, model, out):
     ``model`` sits next to a latent.psl fitted for it."""
     hh, p = str(data_dir / "households.csv"), str(data_dir / "persons.csv")
     return {
+        "restructure": ["restructure", *micro_flags(data_dir), "--out-dir", str(out / "rows")],
         "pretrain": ["pretrain", *micro_flags(data_dir), "--out", str(out / "model.psv"),
                      "--seed", "1", "--epochs", "2", "--latent-dim", "3",
                      "--hidden-widths", TINY_WIDTHS],
@@ -651,6 +652,9 @@ def valid_command(sub, data_dir, model, out):
         "generate": ["generate", "--model", str(model), "--schema", str(data_dir / "schema.json"),
                      "--latent", str(model.with_name("latent.psl")), "--out-dir", str(out / "inv"),
                      "--mode", "sample", "--seed", "4"],
+        "evaluate": ["evaluate", *micro_flags(data_dir), "--syn-hh", hh, "--syn-p", p,
+                     "--tract-marginals", str(data_dir / "tract_marginals.csv"),
+                     "--out-dir", str(out / "report")],
         "oracle-make": ["oracle-make", "--out-dir", str(out / "data"), "--households", "20",
                         "--tract-households", "10", "--seed", "3"],
         "privacy": ["privacy", *micro_flags(data_dir), "--a-hh", hh, "--a-p", p,
@@ -658,7 +662,9 @@ def valid_command(sub, data_dir, model, out):
     }[sub]
 
 
-@pytest.mark.parametrize("sub", ["pretrain", "finetune", "generate", "oracle-make", "privacy"])
+@pytest.mark.parametrize(
+    "sub", ["restructure", "pretrain", "finetune", "generate", "evaluate", "oracle-make", "privacy"]
+)
 def test_valid_command_writes(data_dir, artifacts, tmp_path, sub):
     assert run(valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)) == 0
     assert any(tmp_path.iterdir())
@@ -709,31 +715,114 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("sub", ["pretrain", "finetune"])
+# an output path that cannot be written, as (command, flag, path under
+# tmp_path): "pretrain" and "finetune" name a --out / --out-latent file in a
+# missing directory; the others plant "taken", a directory for --out and
+# --out-latent, a file for --out-dir
+OUTPUT_PATH_CASES = {
+    "pretrain": ("pretrain", None, None),
+    "finetune": ("finetune", None, None),
+    "pretrain-out-is-a-directory": ("pretrain", "--out", "taken"),
+    "finetune-out-latent-is-a-directory": ("finetune", "--out-latent", "taken"),
+    **{f"{sub}-out-dir-is-a-file": (sub, "--out-dir", "taken")
+       for sub in ("restructure", "generate", "evaluate", "privacy", "oracle-make")},
+    "restructure-out-dir-below-a-file": ("restructure", "--out-dir", "taken/rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PATH_CASES))
 def test_missing_output_directory_is_exit_1_before_training(
-    data_dir, artifacts, tmp_path, sub, capsys, monkeypatch
+    data_dir, artifacts, tmp_path, case, capsys, monkeypatch
 ):
-    trained = []
+    """A bad output path exits 1 before any data is read, any training or
+    sampling runs, or anything is created."""
+    called = []
 
-    def spy(name):
-        real = getattr(training, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
-        def called(*args, **kwargs):
-            trained.append(name)
+        def wrapper(*args, **kwargs):
+            called.append(name)
             return real(*args, **kwargs)
 
-        return called
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("pretrain", "finetune"):
-        monkeypatch.setattr(training, name, spy(name))
+    for module, name in ((training, "pretrain"), (training, "finetune"), (schema, "read_input"),
+                         (vae, "read_input"), (oracle, "sample_records")):
+        spy(module, name)
+    sub, flag, path = OUTPUT_PATH_CASES[case]
+    if flag is None:
+        argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path / "nodir")
+        named = "nodir"
+    else:
+        argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)
+        argv[argv.index(flag) + 1] = str(tmp_path / path)
+        taken = tmp_path / "taken"
+        taken.mkdir() if flag != "--out-dir" else taken.write_text("kept")
+        named = str(taken)
     capsys.readouterr()
-    rc = run(valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path / "nodir"))
+    rc = run(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "nodir" in err
-    assert trained == []
-    assert not any(tmp_path.iterdir())
+    assert named in err
+    assert called == []
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if flag is None else ["taken"])
+    if flag == "--out-dir":
+        assert (tmp_path / "taken").read_text() == "kept"
+
+
+# every flag that names an input file, per command; the model and the latent
+# are binary, the rest UTF-8 text
+INPUT_FLAGS = {
+    "restructure": ["--schema", "--microdata-hh", "--microdata-p"],
+    "pretrain": ["--schema", "--microdata-hh", "--microdata-p"],
+    "finetune": ["--schema", "--microdata-hh", "--microdata-p", "--model", "--tract-marginals"],
+    "generate": ["--model", "--schema", "--latent", "--rules"],
+    "evaluate": ["--schema", "--microdata-hh", "--microdata-p", "--syn-hh", "--syn-p",
+                 "--tract-marginals"],
+    "privacy": ["--schema", "--microdata-hh", "--microdata-p", "--a-hh", "--a-p", "--b-hh",
+                "--b-p"],
+}
+UNREADABLE = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b"household_id\xff\n"),
+}
+UNREADABLE_INPUTS = [
+    (sub, flag, case)
+    for sub, flags in INPUT_FLAGS.items()
+    for flag in flags
+    for case in UNREADABLE
+    if not (case == "not-utf8" and flag in ("--model", "--latent"))
+]
+
+
+@pytest.mark.parametrize(
+    "sub,flag,case", UNREADABLE_INPUTS, ids=[" ".join(c) for c in UNREADABLE_INPUTS]
+)
+def test_unreadable_input_is_exit_1_naming_it(
+    data_dir, artifacts, tmp_path, sub, flag, case, capsys
+):
+    """A missing file, a directory or a text input that is not UTF-8, given
+    to any input flag, exits 1 with one line that names it and writes
+    nothing. (An unreadable file is not tested: root may read any file.)"""
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "bad_input"
+    UNREADABLE[case](bad)
+    argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", out)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err
+    assert not any(out.iterdir())
 
 
 def test_finetune_that_changes_the_model_fails(data_dir, artifacts, tmp_path, capsys, monkeypatch):
