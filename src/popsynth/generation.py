@@ -196,7 +196,7 @@ def load_rules(path) -> list[SanityRule]:
                 direction=e.get("direction", "both"),
             ))
         return rules
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"could not parse rules file {path}: {exc}") from None
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed rules file {path}: {exc!r}") from None

@@ -151,7 +151,7 @@ class DbceResult:
     norm_kl: float
     soft_index: np.ndarray
     per_row_softmin: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None  # None from a loss-only call
 
 
 def dbce(
@@ -162,6 +162,7 @@ def dbce(
     *,
     w_dbce: float = 1.0,
     w_normkl: float = 1.0,
+    with_grad: bool = True,
 ) -> DbceResult:
     """Decoupled BCE: realism of generated rows without a fixed row pairing.
 
@@ -175,7 +176,8 @@ def dbce(
     ``grad`` is the gradient of ``w_dbce * dbce_loss + w_normkl * norm_kl``
     with respect to ``pred``: the weighted sum is the only one training
     needs, and it costs one product with ``micro`` instead of two. Weights
-    (1, 0) or (0, 1) give the gradient of one term alone.
+    (1, 0) or (0, 1) give the gradient of one term alone. ``with_grad=False``
+    skips the gradient, leaving ``grad`` None, and changes no other bit.
 
     ``counts[j]`` says how many microdata records row j stands for (None:
     one each), so the distinct rows of ``distinct_rows`` with their counts
@@ -205,6 +207,8 @@ def dbce(
     u = 1.0 / n
     ratio = (u + KL_EPS) / (q + KL_EPS)
     norm_kl = float((c * (u + KL_EPS) * np.log(ratio)).sum())
+    if not with_grad:
+        return DbceResult(loss, norm_kl, soft_index, per_row, None)
 
     # d(w_dbce * loss + w_normkl * norm_kl) / dB through the softmin Jacobian
     # (the counts only shift the softmin logits, so it keeps its form):
@@ -258,6 +262,11 @@ def marginal_rmse_loss(
     for g in groups:
         by_var.setdefault(g.var, []).append(g)
 
+    # every level sum is a slice of one column-sum pass. numpy sums a slice
+    # two or more columns wide row by row, as it sums every column here, but
+    # a one-column slice pairwise along its rows, so a one-level block keeps
+    # its own sum
+    col_sums = pred.sum(axis=0)
     diffs = []
     marginals: dict[str, np.ndarray] = {}
     state = {}
@@ -273,9 +282,9 @@ def marginal_rmse_loss(
                 raise ValueError(
                     f"target for {var!r} has {target.size} levels; its group has {g.width} columns"
                 )
-            block = pred[:, g.start : g.stop]
-            numer += block[:, : target.size].sum(axis=0)
-            denom += n_t if g.slot is None else (1.0 - block[:, -1]).sum()
+            levels = slice(g.start, g.start + target.size)
+            numer += col_sums[levels] if target.size > 1 else pred[:, levels].sum(axis=0)
+            denom += n_t if g.slot is None else (1.0 - pred[:, g.stop - 1]).sum()
         if denom < 1e-6:
             raise ValueError(f"variable {var!r} has no expected non-NA mass")
         marginals[var] = numer / denom
@@ -286,7 +295,8 @@ def marginal_rmse_loss(
     m_total = flat.size
     rmse = float(np.sqrt((flat**2).mean()))
 
-    grad = np.zeros_like(pred)
+    # the gradient is the same for every row: one row, broadcast once
+    row = np.zeros(pred.shape[1])
     scale = 1.0 / (m_total * max(rmse, 1e-12))
     k = 0
     for var, var_groups in by_var.items():
@@ -294,8 +304,9 @@ def marginal_rmse_loss(
         dv = flat[k : k + numer.size] * scale
         d_na = float((dv * numer).sum()) / denom**2
         for g in var_groups:
-            grad[:, g.start : g.start + numer.size] += dv[None, :] / denom
+            row[g.start : g.start + numer.size] += dv / denom
             if g.slot is not None:
-                grad[:, g.stop - 1] += d_na
+                row[g.stop - 1] += d_na
         k += numer.size
+    grad = np.broadcast_to(row, pred.shape).copy()
     return MarginalRmseResult(rmse, grad, marginals)

@@ -7,11 +7,14 @@ its backward accumulates parameter gradients additively into each ``Param``:
 is frozen, with running statistics and a backward that returns only the input
 gradient: ``Affine`` caches nothing, ``BatchNorm`` only ``inv_std``. ``Relu``
 caches its output in train mode and a boolean mask in eval mode, and
-``GroupSoftmax`` its output in both. No general autodiff: the primitive set is
-closed (affine, batch norm, ReLU, group softmax, reparameterisation) and every
-gradient is checked against central finite differences in the test suite. A
-layer may reuse in place only arrays it allocated itself: its input, the
-``dy`` it is handed and the activations it cached are never written.
+``GroupSoftmax`` its output in both. ``Relu``'s backward multiplies ``dy`` by
+that mask, so a non-finite ``dy`` at a dead unit comes out as NaN rather than
+being masked to ``0.0``, and the training loops' gradient checks see it. No
+general autodiff: the primitive set is closed (affine, batch norm, ReLU, group
+softmax, reparameterisation) and every gradient is checked against central
+finite differences in the test suite. A layer may reuse in place only arrays
+it allocated itself: its input, the ``dy`` it is handed and the activations it
+cached are never written.
 """
 
 from __future__ import annotations
@@ -133,6 +136,11 @@ class BatchNorm:
 
 
 class Relu:
+    """``max(x, 0)``, whose backward is the mask product ``dy * (x > 0)``
+    plus ``0.0``. Every finite ``dy`` gives the bits of the masked select
+    ``where(x > 0, dy, 0.0)``, except that a ``-0.0`` at a live unit becomes
+    ``0.0``; a non-finite ``dy`` at a dead unit gives NaN, not ``0.0``."""
+
     def __init__(self, name: str = "relu"):
         self.name = name
         self._ctx = None
@@ -144,8 +152,12 @@ class Relu:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        # y > 0 exactly where x > 0, NaN included, and a mask > 0 is the mask
-        return np.where(self._ctx > 0, dy, 0.0)
+        # y > 0 exactly where x > 0, NaN included. The + 0.0 turns the -0.0
+        # of a dead unit's negative dy, and a live unit's -0.0 dy, into 0.0
+        mask = self._ctx if self._ctx.dtype == bool else self._ctx > 0
+        dx = np.multiply(dy, mask)
+        dx += 0.0
+        return dx
 
     def params(self) -> list[Param]:
         return []

@@ -420,7 +420,7 @@ def read_input(path, text: bool = True) -> str | bytes:
 def load_schema(path) -> Schema:
     try:
         raw = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"could not parse schema file {path}: {exc}") from None
     return schema_from_dict(raw)
 

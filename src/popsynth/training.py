@@ -238,32 +238,32 @@ def finetune(
     opt = Lion([z_param])
     history = []
 
-    def losses_and_grad(probs):
+    def losses(probs, with_grad=True):
         mres = marginal_rmse_loss(probs, targets, model.groups)
         dres = dbce(
             probs, rows, config.temperature, counts,
-            w_dbce=config.w_dbce, w_normkl=config.w_normkl,
+            w_dbce=config.w_dbce, w_normkl=config.w_normkl, with_grad=with_grad,
         )
         total = (
             config.w_marginal * mres.loss
             + config.w_dbce * dres.dbce_loss
             + config.w_normkl * dres.norm_kl
         )
-        return mres, dres, total, config.w_marginal * mres.grad + dres.grad
+        return mres, dres, total
 
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config)
         probs = model.decode(z_param.value, train=False)
-        mres, dres, total, dprobs = losses_and_grad(probs)
+        mres, dres, total = losses(probs)
         _assert_finite(total, epoch, "fine-tuning loss")
         z_param.zero_grad()
-        z_param.grad += model.decode_backward(dprobs)
+        z_param.grad += model.decode_backward(config.w_marginal * mres.grad + dres.grad)
         _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
         opt.step(lr)
         history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))
 
-    probs = model.decode(z_param.value, train=False)
-    mres, dres, total, _ = losses_and_grad(probs)
+    # the final state's losses and marginals: no gradient is needed
+    mres, dres, total = losses(model.decode(z_param.value, train=False), with_grad=False)
     latent.z = z_param.value
     return FinetuneResult(
         history=history,

@@ -207,7 +207,7 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
     try:
         (size,) = struct.unpack_from("<I", blob, len(magic))
         header = json.loads(blob[start : start + size])
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"{path}: corrupt header: {exc}") from None
     found = header.get("version") if isinstance(header, dict) else None
     if found != version:

@@ -2,7 +2,8 @@
 
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
-exceptions are ``two_product_dcr``, which pins bits rather than a formula,
+exceptions are ``two_product_dcr``, ``where_relu_backward`` and
+``per_group_marginal_rmse``, which pin bits rather than a formula,
 ``choice_sample_records``, which pins a random stream, and the
 finite-difference gradient checker at the end.
 """
@@ -118,6 +119,50 @@ def brute_marginal_rmse(pred, hh_targets, person_targets, groups) -> float:
         for c in range(num.size):
             diffs.append(num[c] / person_den[var] - person_targets[var][c])
     return math.sqrt(sum(d * d for d in diffs) / len(diffs))
+
+
+def where_relu_backward(mask_or_output, dy):
+    """``nn.Relu.backward`` in its earlier form, the masked select: ``dy``
+    where the cached mask, or the cached output, is > 0, and 0.0 elsewhere."""
+    return np.where(mask_or_output > 0, dy, 0.0)
+
+
+def per_group_marginal_rmse(pred, targets, groups):
+    """``losses.marginal_rmse_loss`` in its earlier form, one block sum and
+    one gradient column-slice add per group; returns (loss, grad,
+    marginals). Vectorised like the library, so a test can require its
+    bits."""
+    n_t = pred.shape[0]
+    by_var = {}
+    for g in groups:
+        by_var.setdefault(g.var, []).append(g)
+    diffs, marginals, state = [], {}, {}
+    for var, var_groups in by_var.items():
+        target = targets.proportions[var]
+        numer = np.zeros(target.size)
+        denom = 0.0
+        for g in var_groups:
+            block = pred[:, g.start : g.stop]
+            numer += block[:, : target.size].sum(axis=0)
+            denom += n_t if g.slot is None else (1.0 - block[:, -1]).sum()
+        marginals[var] = numer / denom
+        state[var] = (numer, denom)
+        diffs.append(marginals[var] - target)
+    flat = np.concatenate(diffs)
+    rmse = float(np.sqrt((flat**2).mean()))
+    grad = np.zeros_like(pred)
+    scale = 1.0 / (flat.size * max(rmse, 1e-12))
+    k = 0
+    for var, var_groups in by_var.items():
+        numer, denom = state[var]
+        dv = flat[k : k + numer.size] * scale
+        d_na = float((dv * numer).sum()) / denom**2
+        for g in var_groups:
+            grad[:, g.start : g.start + numer.size] += dv[None, :] / denom
+            if g.slot is not None:
+                grad[:, g.stop - 1] += d_na
+        k += numer.size
+    return rmse, grad, marginals
 
 
 def brute_dcr(row, reference) -> float:

@@ -825,6 +825,38 @@ def test_unreadable_input_is_exit_1_naming_it(
     assert not any(out.iterdir())
 
 
+DEEP = 100_000  # nested JSON arrays, past the parser's recursion limit
+NESTED_TOO_DEEP = {
+    "--schema": (b"[" * DEEP, "could not parse schema file"),
+    "--rules": (b"[" * DEEP, "could not parse rules file"),
+    "--model": (vae.MODEL_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP, "corrupt header"),
+    "--latent": (training.LATENT_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP, "corrupt header"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NESTED_TOO_DEEP))
+def test_deeply_nested_json_is_exit_1(data_dir, artifacts, tmp_path, flag, capsys):
+    """A schema, rules file or blob header nested too deep for the JSON
+    parser is bad input, reported by its reader, not a runtime failure."""
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "deep"
+    content, message = NESTED_TOO_DEEP[flag]
+    bad.write_bytes(content)
+    argv = valid_command("generate", data_dir, artifacts[0] / "model.psv", out)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and message in err
+    assert not any(out.iterdir())
+
+
 def test_finetune_that_changes_the_model_fails(data_dir, artifacts, tmp_path, capsys, monkeypatch):
     """Fine-tuning must leave the whole model as it was, encoder included:
     the latent records the fingerprint taken before training."""

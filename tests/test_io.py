@@ -3,13 +3,15 @@ reader of input files and ``schema.write_atomic`` the only writer, and every
 bad input is a ``DataError``."""
 
 import ast
+import struct
 from pathlib import Path
 
 import pytest
 
 import popsynth
-from popsynth import cli, vae
-from popsynth.schema import DataError, SchemaError, read_input, write_atomic
+from popsynth import cli, training, vae
+from popsynth.generation import load_rules
+from popsynth.schema import DataError, SchemaError, load_schema, read_input, write_atomic
 
 # the functions of src/popsynth allowed to call open(): the input reader, the
 # atomic writer and the manifest hasher, which streams the files just written
@@ -70,6 +72,22 @@ def test_read_input_failure_is_a_data_error_naming_the_path(tmp_path, case):
     with pytest.raises(DataError) as info:
         read_input(path)
     assert str(path) in str(info.value)
+
+
+def test_json_nested_too_deep_is_each_readers_own_error(tmp_path):
+    """The recursion limit of the JSON parser is bad input to every reader
+    of JSON, raised as that reader's own error class and message."""
+    deep = b"[" * 100_000
+    path = tmp_path / "deep"
+    path.write_bytes(deep)
+    with pytest.raises(SchemaError, match="could not parse schema file"):
+        load_schema(path)
+    with pytest.raises(DataError, match="could not parse rules file"):
+        load_rules(path)
+    for magic, load in ((vae.MODEL_MAGIC, vae.load_model), (training.LATENT_MAGIC, training.load_latent)):
+        path.write_bytes(magic + struct.pack("<I", len(deep)) + deep)
+        with pytest.raises(vae.ModelFormatError, match="corrupt header"):
+            load(path)
 
 
 def test_every_bad_input_error_is_a_data_error():

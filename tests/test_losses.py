@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from conftest import load_census_module
+from popsynth import oracle
 from popsynth.losses import (
     FocalParams,
     clamp01,
@@ -368,6 +370,18 @@ def test_dbce_unit_counts_are_bitwise_the_default(rng, tau):
             assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
 
 
+@pytest.mark.parametrize("tau", [0.05, 1.0])
+def test_dbce_loss_only_call_keeps_every_other_bit(rng, tau):
+    pred = rng.uniform(0.02, 0.98, size=(9, 7))
+    micro = (rng.random((6, 7)) < 0.5).astype(float)
+    counts = rng.integers(1, 4, size=6)
+    full = dbce(pred, micro, tau, counts, w_dbce=0.5, w_normkl=0.1)
+    loss_only = dbce(pred, micro, tau, counts, w_dbce=0.5, w_normkl=0.1, with_grad=False)
+    assert full.grad is not None and loss_only.grad is None
+    for field in ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin"):
+        assert np.asarray(getattr(full, field)).tobytes() == np.asarray(getattr(loss_only, field)).tobytes()
+
+
 def test_dbce_rejects_bad_counts(rng):
     pred = np.full((2, 3), 0.5)
     micro = np.eye(3)
@@ -474,6 +488,51 @@ def test_marginal_rmse_matches_oracle(tiny_schema, rng):
         [(g.var, g.slot, g.start, g.stop) for g in groups],
     )
     assert res.loss == pytest.approx(brute, rel=1e-10)
+
+
+def _one_level_schema():
+    from popsynth.schema import Schema, Variable
+
+    return Schema(
+        household_vars=(Variable("H", ("a", "b", "c")), Variable("ONE", ("only",))),
+        person_vars=(
+            Variable("P", ("x", "y", "NA"), has_na=True),
+            Variable("Q", ("q", "NA"), has_na=True),
+        ),
+        n_window=3,
+    )
+
+
+MARGINAL_LAYOUTS = {
+    "desk": lambda: oracle.desk_schema(),
+    "census": lambda: load_census_module().census_schema(),
+    "one-level": _one_level_schema,
+}
+
+
+@pytest.mark.parametrize("n_t", [1, 9, 400])
+@pytest.mark.parametrize("layout", sorted(MARGINAL_LAYOUTS))
+def test_marginal_rmse_has_the_bits_of_the_per_group_form(layout, n_t):
+    """Loss, gradient and soft marginals equal the per-group block sums and
+    column-slice adds bit for bit: over the desk layout, a census-like one
+    (42 groups, each person variable over six slots) and one whose
+    variables include a one-level household variable and a one-level
+    person variable."""
+    from conftest import random_simplex_batch
+
+    schema = MARGINAL_LAYOUTS[layout]()
+    groups, _ = column_layout(schema)
+    rng = np.random.default_rng(n_t)
+    pred = random_simplex_batch(rng, groups, n_t)
+    proportions = {v.name: rng.dirichlet(np.ones(len(v.levels)))
+                   for v in schema.household_vars + schema.person_vars}
+    targets = TargetMarginals(proportions, n_households=n_t)
+    res = marginal_rmse_loss(pred, targets, groups)
+    loss, grad, marginals = oracles.per_group_marginal_rmse(pred, targets, groups)
+    assert np.float64(res.loss).tobytes() == np.float64(loss).tobytes()
+    assert res.grad.shape == pred.shape and res.grad.tobytes() == grad.tobytes()
+    assert list(res.marginals) == list(marginals)
+    assert all(res.marginals[v].tobytes() == marginals[v].tobytes() for v in marginals)
 
 
 def test_marginal_rmse_row_shuffle_invariant(tiny_schema, rng):

@@ -69,6 +69,47 @@ def test_relu_masks_negative(rng):
     np.testing.assert_array_equal(dx, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def relu_input(rng, shape):
+    """Normal values with exact zeros and a NaN among them: dead, live and
+    boundary units."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x.flat[0] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (125, 48), (400, 48), (513, 33)])
+def test_relu_backward_has_the_bits_of_the_masked_select(train, shape):
+    """For every finite dy without -0.0 the mask product gives the masked
+    select's bits, in both modes; the negative dy that meets dead units here
+    would come out as -0.0 without the + 0.0."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    layer = Relu()
+    layer.forward(relu_input(rng, shape), train=train)
+    dy = rng.normal(size=shape)
+    dy[rng.random(shape) < 0.1] = 0.0
+    assert (layer._ctx.dtype == bool) != train
+    want = oracles.where_relu_backward(layer._ctx, dy)
+    assert layer.backward(dy).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_relu_backward_differs_from_the_select_only_as_documented(train):
+    """Two differences from ``where(x > 0, dy, 0.0)``: a -0.0 dy at a live
+    unit gives 0.0, not -0.0, and a non-finite dy at a dead unit gives NaN,
+    not 0.0, so a divergence upstream cannot be masked away."""
+    layer = Relu()
+    layer.forward(np.array([[1.0, -1.0, -1.0, -1.0, 0.0, np.nan]]), train=train)
+    dy = np.array([[-0.0, np.inf, -np.inf, np.nan, np.inf, -0.0]])
+    with np.errstate(invalid="ignore"):  # inf * 0
+        dx = layer.backward(dy)
+    want = oracles.where_relu_backward(layer._ctx, dy)
+    assert np.signbit(want[0, 0]) and not np.signbit(dx[0, 0]) and dx[0, 0] == 0.0
+    assert np.isnan(dx[0, 1:5]).all() and (want[0, 1:5] == 0.0).all()
+    assert dx[0, 5].tobytes() == want[0, 5].tobytes() == np.float64(0.0).tobytes()
+
+
 def test_batchnorm_train_normalizes(rng):
     layer = BatchNorm(3)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))

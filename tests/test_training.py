@@ -5,7 +5,7 @@ import pytest
 
 from popsynth import training
 from popsynth.losses import MarginalRmseResult
-from popsynth.nn import Param
+from popsynth.nn import Param, Relu
 from popsynth.schema import EncodedMatrix, empirical_marginals
 from popsynth.training import (
     FINETUNE_HISTORY_COLUMNS,
@@ -266,6 +266,31 @@ def test_non_finite_gradient_is_divergence(tiny_schema, tiny_encoded, tiny_table
     assert np.isfinite(latent.z).all()
 
 
+def test_non_finite_gradient_at_dead_units_is_divergence(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
+    """An infinite gradient that reaches only the dead units of the
+    decoder's last ReLU is divergence: ReLU's backward carries it on as NaN
+    rather than masking it to 0.0."""
+    model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table, epochs=1)
+    relu = [layer for layer in model.decoder.layers if isinstance(layer, Relu)][-1]
+    real_backward = model.out_affine.backward
+    dead_units = []
+
+    def backward(dy):
+        dx = real_backward(dy)
+        dead = ~relu._ctx  # the eval-mode mask
+        dead_units.append(int(dead.sum()))
+        dx[dead] = np.inf
+        return dx
+
+    monkeypatch.setattr(model.out_affine, "backward", backward)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        TrainingDivergedError, match="fine-tuning gradient became non-finite at epoch 0"
+    ):
+        finetune(model, latent, targets, tiny_encoded, cfg)
+    assert dead_units and 0 < dead_units[0] < relu._ctx.size
+    assert np.isfinite(latent.z).all()
+
+
 def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
     """The matcher sees the distinct rows of the whole table, found once."""
     repeated = EncodedMatrix(np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.schema)
@@ -290,8 +315,12 @@ def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, ti
     np.testing.assert_array_equal(seen[0], repeated.values)
     assert len(weights) == cfg.epochs + 1
     assert all(np.array_equal(c, [3, 3, 3, 3]) for c in weights)
-    # the matcher's one gradient carries the config's two weights
-    assert all(w == {"w_dbce": cfg.w_dbce, "w_normkl": cfg.w_normkl} for w in loss_weights_seen)
+    # the matcher's one gradient carries the config's two weights; the
+    # final evaluation after the loop asks for the losses alone
+    weighted = {"w_dbce": cfg.w_dbce, "w_normkl": cfg.w_normkl}
+    assert loss_weights_seen == [{**weighted, "with_grad": True}] * cfg.epochs + [
+        {**weighted, "with_grad": False}
+    ]
     assert res.reference_rows == 12
     assert res.distinct_reference_rows == 4
 
