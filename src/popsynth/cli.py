@@ -235,6 +235,7 @@ def _cmd_finetune(args, out):
         {
             "reference_rows": result.reference_rows,
             "distinct_reference_rows": result.distinct_reference_rows,
+            "matcher_workers": result.matcher_workers,
         },
     )
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rowpool
 from .schema import TargetMarginals, ColumnGroup
 
 CLAMP = 1e-7
@@ -58,12 +59,21 @@ def focal_loss(
     q = 1.0 - p
     log_p = np.log(p)
     log_q = np.log1p(-p)
-    pos = target * (q**g) * log_p
-    neg = (1 - target) * (p**g) * log_q
+    neg_target = 1 - target
+    if g == 0:
+        # x**0 is 1.0 and 0.0 * log x is -0.0, so dropping them keeps every bit
+        pos = target * log_p
+        neg = neg_target * log_q
+        dpos = target * (1.0 / p)
+        dneg = neg_target * (-1.0 / q)
+    else:
+        q_g, p_g = q**g, p**g
+        pos = target * q_g * log_p
+        neg = neg_target * p_g * log_q
+        # d/dp of the two terms
+        dpos = target * (q_g / p - g * q ** (g - 1) * log_p)
+        dneg = neg_target * (g * p ** (g - 1) * log_q - p_g / q)
     loss = -(a * pos + (1 - a) * neg).sum() / n
-    # d/dp of the two terms; the g * x**(g-1) factors vanish exactly at g=0
-    dpos = target * (q**g / p - (g * q ** (g - 1) if g != 0 else 0.0) * log_p)
-    dneg = (1 - target) * ((g * p ** (g - 1) if g != 0 else 0.0) * log_q - p**g / q)
     grad = -(a * dpos + (1 - a) * dneg) / n
     return float(loss), grad
 
@@ -94,12 +104,21 @@ def softmin(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     v = np.asarray(values, dtype=np.float64)
-    # in place on one fresh array; x / -T has the bits of -x / T
-    e = v - v.min(axis=-1, keepdims=True)
-    e /= -temperature
-    np.exp(e, out=e)
-    e *= weights
-    e /= e.sum(axis=-1, keepdims=True)
+    e = np.empty(v.shape)
+    v2, e2 = v.reshape(-1, v.shape[-1]), e.reshape(-1, v.shape[-1])
+    w2 = np.broadcast_to(weights, v.shape).reshape(v2.shape)
+
+    def rows(lo, hi):
+        # in place on e's rows; x / -T has the bits of -x / T
+        for a, b in rowpool.blocks(lo, hi, v2.shape[1]):
+            x = e2[a:b]
+            np.subtract(v2[a:b], v2[a:b].min(axis=-1, keepdims=True), out=x)
+            x /= -temperature
+            np.exp(x, out=x)
+            x *= w2[a:b]
+            x /= x.sum(axis=-1, keepdims=True)
+
+    rowpool.split_rows(rows, *v2.shape)
     return e
 
 
@@ -115,14 +134,28 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """
     if pred.shape[1] != target.shape[1]:
         raise ValueError("prediction and target widths differ")
-    p = clamp01(pred)
-    d = pred.shape[1]
-    log_q = np.log1p(-p)
-    logit = np.log(p)
-    logit -= log_q
-    out = logit @ target.T
-    out += log_q.sum(axis=1)[:, None]
-    out /= -d
+    n_p, d = pred.shape
+    n = target.shape[0]
+    # the product first: allocated after the smaller arrays, it raised the
+    # peak RSS of repeated census fine-tunes by 9 MB
+    out = np.empty((n_p, n))
+    logit, log_q = np.empty(pred.shape), np.empty(pred.shape)
+    log_q_sum = np.empty(n_p)
+
+    def rows(lo, hi):
+        for a, b in rowpool.blocks(lo, hi, d):
+            p = np.clip(pred[a:b], CLAMP, 1.0 - CLAMP, out=logit[a:b])  # logit's rows hold p
+            np.negative(p, out=log_q[a:b])
+            np.log1p(log_q[a:b], out=log_q[a:b])
+            np.log(p, out=p)
+            p -= log_q[a:b]
+            log_q_sum[a:b] = log_q[a:b].sum(axis=1)
+        np.matmul(logit[lo:hi], target.T, out=out[lo:hi])
+        for a, b in rowpool.blocks(lo, hi, n):
+            out[a:b] += log_q_sum[a:b, None]
+            out[a:b] /= -d
+
+    rowpool.split_rows(rows, n_p, n)
     return out
 
 
@@ -131,18 +164,60 @@ def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each occurs.
 
     Rows are compared by their bytes, so equality is exact and -0.0 differs
-    from 0.0. When every row is distinct the rows come back as ``x`` itself
-    (a C-ordered ``x``, not a copy) with unit counts.
+    from 0.0. They are grouped by a 64-bit hash of their bytes, and each row
+    is checked against the first row with its hash; rows that share a hash
+    but not their bytes are regrouped by their bytes. Hashing and checking
+    go in row blocks, so no copy of ``x`` is made. When every row is
+    distinct the rows come back as ``x`` itself (a C-ordered ``x``, not a
+    copy) with unit counts.
     """
     x = np.ascontiguousarray(x)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a 2-d array with at least one column")
-    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if first.size == x.shape[0]:
+    n = x.shape[0]
+    words = x.view(np.uint8).reshape(n, x.shape[1] * x.itemsize)
+    if words.shape[1] % 8 == 0:
+        words = words.view(np.uint64)
+    _, first, label, counts = np.unique(
+        _row_hashes(words), return_index=True, return_inverse=True, return_counts=True
+    )
+    # every row that is not the first with its hash, against that first row
+    rep = first[label]
+    later = np.flatnonzero(rep != np.arange(n))
+    clash = []
+    for a, b in rowpool.blocks(0, later.size, words.shape[1]):
+        rows = later[a:b]
+        clash.extend(rows[(words[rows] != words[rep[rows]]).any(axis=1)])
+    if clash:
+        by_bytes: dict[bytes, int] = {}
+        for i in np.flatnonzero(np.isin(label, label[clash])):
+            label[i] = by_bytes.setdefault(words[i].tobytes(), n + len(by_bytes))
+        _, first, counts = np.unique(label, return_index=True, return_counts=True)
+    if first.size == n:
         return x, counts
     order = np.argsort(first)
     return x[first[order]], counts[order]
+
+
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), np.uint64(0x9E3779B97F4A7C15))
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of unsigned ``words``: each word, salted by
+    its column, goes through the splitmix64 finaliser, and a row's mixed
+    words are summed modulo 2**64."""
+    n, k = words.shape
+    salt = np.arange(1, k + 1, dtype=np.uint64) * _MIX[2]
+    keys = np.empty(n, dtype=np.uint64)
+    for a, b in rowpool.blocks(0, n, k):
+        h = words[a:b] ^ salt
+        h ^= h >> np.uint64(30)
+        h *= _MIX[0]
+        h ^= h >> np.uint64(27)
+        h *= _MIX[1]
+        h ^= h >> np.uint64(31)
+        h.sum(axis=1, out=keys[a:b])
+    return keys
 
 
 @dataclass
@@ -197,9 +272,16 @@ def dbce(
     n = c.sum()
     p = clamp01(pred)
 
+    n_m = micro.shape[0]
     b = pairwise_mean_bce(p, micro)
     s = softmin(b, temperature, c)
-    per_row = np.einsum("ij,ij->i", s, b)
+    per_row = np.empty(n_t)
+
+    def scores(lo, hi):
+        for i, j in rowpool.blocks(lo, hi, n_m):
+            np.einsum("ij,ij->i", s[i:j], b[i:j], out=per_row[i:j])
+
+    rowpool.split_rows(scores, n_t, n_m)
     loss = float(per_row.mean())
 
     soft_index = s.sum(axis=0)
@@ -213,16 +295,26 @@ def dbce(
     # d(w_dbce * loss + w_normkl * norm_kl) / dB through the softmin Jacobian
     # (the counts only shift the softmin logits, so it keeps its form):
     #   g_ij = s_ij * (row_i + col_j - kappa * b_ij)
-    # built in b's buffer, which is not read again
+    # built in b's buffer, block by block: from then on b holds g
     kappa = w_dbce / (n_t * temperature)
-    row = w_dbce / n_t + (w_dbce * per_row - w_normkl * (s @ ratio)) / (n_t * temperature)
     col = w_normkl * ratio / (n_t * temperature)
-    g = b
-    g *= -kappa
-    g += row[:, None]
-    g += col
-    g *= s
-    grad = (g.sum(axis=1)[:, None] * p - g @ micro) / (d * (p * (1.0 - p)))
+    row, g_sum, g_micro = np.empty(n_t), np.empty(n_t), np.empty(p.shape)
+
+    def gradient_rows(lo, hi):
+        row[lo:hi] = w_dbce / n_t + (
+            w_dbce * per_row[lo:hi] - w_normkl * (s[lo:hi] @ ratio)
+        ) / (n_t * temperature)
+        for i, j in rowpool.blocks(lo, hi, n_m):
+            g = b[i:j]
+            g *= -kappa
+            g += row[i:j, None]
+            g += col
+            g *= s[i:j]
+            g_sum[i:j] = g.sum(axis=1)
+        np.matmul(b[lo:hi], micro, out=g_micro[lo:hi])
+
+    rowpool.split_rows(gradient_rows, n_t, n_m)
+    grad = (g_sum[:, None] * p - g_micro) / (d * (p * (1.0 - p)))
 
     return DbceResult(
         dbce_loss=loss,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import nn
+from . import nn, rowpool
 from .losses import (
     FocalParams,
     dbce,
@@ -204,6 +204,7 @@ class FinetuneResult:
     marginals: dict[str, np.ndarray]
     reference_rows: int  # microdata rows the matcher compares against
     distinct_reference_rows: int  # of which distinct
+    matcher_workers: int  # row ranges the matcher ran on; 1 below rowpool.THRESHOLD
 
 
 def finetune(
@@ -219,7 +220,11 @@ def finetune(
     marginals are those of the final latent state. The matcher compares
     against every distinct microdata row, found once before the first epoch
     and weighted by its count, which gives the loss of the full table at a
-    fraction of the work."""
+    fraction of the work. From ``rowpool.THRESHOLD`` tract-by-distinct-row
+    values on, the epochs and the final loss run with numpy's OpenBLAS
+    parked at one thread and the matcher split over row ranges
+    (``rowpool.parked``); the thread count in force before is restored on
+    the way out."""
     if data.schema != model.schema:
         raise ValueError("encoded microdata does not match the model's schema")
     if latent.z.shape[1] != model.latent_dim:
@@ -251,19 +256,21 @@ def finetune(
         )
         return mres, dres, total
 
-    for epoch in range(config.epochs):
-        lr = lr_schedule(epoch, config)
-        probs = model.decode(z_param.value, train=False)
-        mres, dres, total = losses(probs)
-        _assert_finite(total, epoch, "fine-tuning loss")
-        z_param.zero_grad()
-        z_param.grad += model.decode_backward(config.w_marginal * mres.grad + dres.grad)
-        _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
-        opt.step(lr)
-        history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))
+    with rowpool.parked(targets.n_households * rows.shape[0]):
+        workers = rowpool.ranges(targets.n_households, rows.shape[0])
+        for epoch in range(config.epochs):
+            lr = lr_schedule(epoch, config)
+            probs = model.decode(z_param.value, train=False)
+            mres, dres, total = losses(probs)
+            _assert_finite(total, epoch, "fine-tuning loss")
+            z_param.zero_grad()
+            z_param.grad += model.decode_backward(config.w_marginal * mres.grad + dres.grad)
+            _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
+            opt.step(lr)
+            history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))
 
-    # the final state's losses and marginals: no gradient is needed
-    mres, dres, total = losses(model.decode(z_param.value, train=False), with_grad=False)
+        # the final state's losses and marginals: no gradient is needed
+        mres, dres, total = losses(model.decode(z_param.value, train=False), with_grad=False)
     latent.z = z_param.value
     return FinetuneResult(
         history=history,
@@ -276,6 +283,7 @@ def finetune(
         marginals=mres.marginals,
         reference_rows=micro.shape[0],
         distinct_reference_rows=rows.shape[0],
+        matcher_workers=workers,
     )
 
 

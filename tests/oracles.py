@@ -2,10 +2,11 @@
 
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
-exceptions are ``two_product_dcr``, ``where_relu_backward`` and
-``per_group_marginal_rmse``, which pin bits rather than a formula,
-``choice_sample_records``, which pins a random stream, and the
-finite-difference gradient checker at the end.
+exceptions are ``two_product_dcr``, ``where_relu_backward``,
+``per_group_marginal_rmse``, ``power_focal_loss``,
+``sorted_key_distinct_rows`` and the ``one_call_`` matcher forms, which pin
+bits rather than a formula, ``choice_sample_records``, which pins a random
+stream, and the finite-difference gradient checker at the end.
 """
 
 import math
@@ -195,6 +196,88 @@ def two_product_dcr(syn, micro, blocks: int = 1):
         bce = -(np.log(p) @ micro.T + np.log1p(-p) @ (1.0 - micro).T) / p.shape[1]
         out.append(bce.min(axis=1))
     return np.concatenate(out)
+
+
+def power_focal_loss(pred, target, alpha: float, gamma: float):
+    """``losses.focal_loss`` in its earlier form, each power taken where it
+    is used, the ones of ``x**0`` at gamma 0 included; returns (loss, grad)."""
+    a, g = alpha, gamma
+    n = pred.shape[0]
+    p = np.clip(pred, CLAMP, 1.0 - CLAMP)
+    q = 1.0 - p
+    log_p = np.log(p)
+    log_q = np.log1p(-p)
+    pos = target * (q**g) * log_p
+    neg = (1 - target) * (p**g) * log_q
+    loss = -(a * pos + (1 - a) * neg).sum() / n
+    dpos = target * (q**g / p - (g * q ** (g - 1) if g != 0 else 0.0) * log_p)
+    dneg = (1 - target) * ((g * p ** (g - 1) if g != 0 else 0.0) * log_q - p**g / q)
+    grad = -(a * dpos + (1 - a) * dneg) / n
+    return float(loss), grad
+
+
+def sorted_key_distinct_rows(x):
+    """``losses.distinct_rows`` in its earlier form: ``np.unique`` over
+    whole-row byte keys, then the rows in order of first occurrence."""
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if first.size == x.shape[0]:
+        return x, counts
+    order = np.argsort(first)
+    return x[first[order]], counts[order]
+
+
+def one_call_pairwise_mean_bce(pred, target):
+    """``losses.pairwise_mean_bce`` in its earlier form, one call on all rows."""
+    p = np.clip(pred, CLAMP, 1.0 - CLAMP)
+    d = pred.shape[1]
+    log_q = np.log1p(-p)
+    logit = np.log(p)
+    logit -= log_q
+    out = logit @ target.T
+    out += log_q.sum(axis=1)[:, None]
+    out /= -d
+    return out
+
+
+def one_call_softmin(values, temperature: float = 1.0, weights=1.0):
+    """``losses.softmin`` in its earlier form, one call on all rows."""
+    v = np.asarray(values, dtype=np.float64)
+    e = v - v.min(axis=-1, keepdims=True)
+    e /= -temperature
+    np.exp(e, out=e)
+    e *= weights
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def one_call_dbce(pred, micro, temperature, counts, w_dbce, w_normkl):
+    """``losses.dbce`` in its earlier form, each pass one call on all rows;
+    returns (dbce_loss, norm_kl, soft_index, per_row_softmin, grad)."""
+    n_t, d = pred.shape
+    c = np.asarray(counts, dtype=np.float64)
+    n = c.sum()
+    p = np.clip(pred, CLAMP, 1.0 - CLAMP)
+    b = one_call_pairwise_mean_bce(p, micro)
+    s = one_call_softmin(b, temperature, c)
+    per_row = np.einsum("ij,ij->i", s, b)
+    loss = float(per_row.mean())
+    soft_index = s.sum(axis=0)
+    q = soft_index / (n_t * c)
+    u = 1.0 / n
+    ratio = (u + KL_EPS) / (q + KL_EPS)
+    norm_kl = float((c * (u + KL_EPS) * np.log(ratio)).sum())
+    kappa = w_dbce / (n_t * temperature)
+    row = w_dbce / n_t + (w_dbce * per_row - w_normkl * (s @ ratio)) / (n_t * temperature)
+    col = w_normkl * ratio / (n_t * temperature)
+    g = b
+    g *= -kappa
+    g += row[:, None]
+    g += col
+    g *= s
+    grad = (g.sum(axis=1)[:, None] * p - g @ micro) / (d * (p * (1.0 - p)))
+    return loss, norm_kl, soft_index, per_row, grad
 
 
 def _choice_draw(rng, dist):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import load_census_module
-from popsynth import oracle
+from popsynth import losses, oracle, rowpool
 from popsynth.losses import (
     FocalParams,
     clamp01,
@@ -134,6 +136,22 @@ def test_focal_gradient(rng):
         lambda p: focal_loss(p, target, params)[0], pred
     )
     assert oracles.max_rel_error(grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("d", [40, 360])
+def test_focal_loss_has_the_bits_of_the_power_form(gamma, d):
+    """Without the ones of x**0 at gamma 0, and with each power taken once
+    above it, the loss and its gradient keep the earlier form's bits."""
+    rng = np.random.default_rng(d)
+    pred = rng.uniform(0.0, 1.0, size=(125, d))
+    pred[:, :4] = [0.0, 1.0, 1e-9, 1.0 - 1e-9]  # on and near the clamp
+    for target in ((rng.random((125, d)) < 0.3).astype(float), rng.random((125, d))):
+        params = FocalParams(alpha=0.7, gamma=gamma)
+        loss, grad = focal_loss(pred, target, params)
+        want_loss, want_grad = oracles.power_focal_loss(pred, target, 0.7, gamma)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 # -- latent kl ---------------------------------------------------------------
@@ -405,6 +423,43 @@ def test_distinct_rows_of_distinct_rows_is_identity(rng):
     assert counts.tolist() == [1] * 50
 
 
+def test_distinct_rows_regroups_rows_whose_hashes_collide(monkeypatch):
+    """Rows that share a hash but not their bytes are told apart, and the
+    rows, counts and order are those of the earlier sort of whole-row keys."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 2, size=(300, 12)).astype(float)[rng.integers(0, 40, size=300)]
+    x[7, 3] = -0.0  # a -0.0 row stays apart from the 0.0 one
+    want_rows, want_counts = oracles.sorted_key_distinct_rows(x)
+    real_hashes = losses._row_hashes
+    for collide in (lambda w: np.zeros(w.shape[0], np.uint64), lambda w: real_hashes(w) % 3):
+        monkeypatch.setattr(losses, "_row_hashes", collide)
+        rows, counts = distinct_rows(x)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert counts.tolist() == want_counts.tolist()
+    # distinct rows that all collide come back as the input itself
+    y = rng.random((30, 4))
+    rows, counts = distinct_rows(y)
+    assert rows is y and counts.tolist() == [1] * 30
+
+
+@pytest.mark.parametrize("distinct", [4000, 117])
+def test_distinct_rows_holds_no_copy_of_census_rows(distinct):
+    """4,000 census-like rows 360 wide: the earlier sort of whole-row byte
+    keys traced about 33 MB; hashing in row blocks stays near one block."""
+    widths = [2, 3, 5, 7, 9, 12, 16] * 6 + [3, 4, 5, 6, 7, 11]
+    rng = np.random.default_rng(3)
+    x = random_onehot(rng, distinct, widths)[rng.permutation(4000) % distinct]
+    want_rows, want_counts = oracles.sorted_key_distinct_rows(x)
+    tracemalloc.start()
+    try:
+        rows, counts = distinct_rows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.tobytes() == want_rows.tobytes() and counts.tolist() == want_counts.tolist()
+    assert peak - rows.nbytes * (distinct < 4000) < 2 * 2**20
+
+
 def test_pairwise_mean_bce_matches_bce_rows(rng):
     pred = rng.uniform(0.1, 0.9, size=(3, 4))
     micro = (rng.random((2, 4)) < 0.5).astype(float)
@@ -433,6 +488,67 @@ def test_pairwise_mean_bce_matches_two_products_at_census_width(rng):
     micro[:5] = (pred[:5] > 0.5).astype(float)  # near-matches as well
     want = -(np.log(pred) @ micro.T + np.log1p(-pred) @ (1.0 - micro).T) / 360
     np.testing.assert_allclose(pairwise_mean_bce(pred, micro), want, rtol=0, atol=1e-12)
+
+
+# tract rows x distinct microdata rows x columns: the census workload's
+# matcher and two smaller ones
+MATCHER_SHAPES = {"census": (400, 4000, 360), "desk": (400, 114, 40), "tiny": (12, 40, 30)}
+
+
+def matcher_inputs(n_t, n, d):
+    """Predictions, 0/1 microdata rows and their counts, seeded by ``n``."""
+    rng = np.random.default_rng(n)
+    pred = 1.0 / (1.0 + np.exp(-3.0 * rng.standard_normal((n_t, d))))
+    micro = (rng.random((n, d)) < 0.12).astype(float)
+    return pred, micro, rng.integers(1, 4, size=n)
+
+
+def test_threshold_splits_the_census_matcher_and_not_desk():
+    assert 400 * 114 < rowpool.THRESHOLD <= 400 * 4000
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("shape", sorted(MATCHER_SHAPES))
+def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, workers):
+    """Parked and split over row ranges, the matcher's every output keeps
+    the bits of the one-call form at the unparked BLAS thread count."""
+    if rowpool.openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found: nothing is split")
+    n_t, n, d = MATCHER_SHAPES[shape]
+    pred, micro, counts = matcher_inputs(n_t, n, d)
+    tau, kw = 0.05, dict(w_dbce=0.5, w_normkl=0.1)
+    want = oracles.one_call_dbce(pred, micro, tau, counts, **kw)
+    want_b = oracles.one_call_pairwise_mean_bce(pred, micro)
+    want_s = oracles.one_call_softmin(want_b, tau, counts)
+    monkeypatch.setattr(rowpool, "THRESHOLD", 0)
+    monkeypatch.setattr(rowpool, "max_workers", lambda: workers)
+    with rowpool.parked(n_t * n):
+        assert rowpool.ranges(n_t, n) == min(workers, n_t // 4)
+        got = dbce(pred, micro, tau, counts, **kw)
+        b = pairwise_mean_bce(pred, micro)
+        s = softmin(b, tau, counts)
+    fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
+    for field, value in zip(fields, want):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(value).tobytes(), field
+    assert b.tobytes() == want_b.tobytes()
+    assert s.tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(128, 500, 64), (300, 1500, 200), (40, 60, 40)])
+def test_split_matcher_agrees_to_rounding_where_the_blas_moves_bits(monkeypatch, shape):
+    """At these shapes OpenBLAS rounds some elements of a one-thread product
+    on a range's rows differently from the whole product, so the split
+    moves low bits; its outputs still agree with the one-call form."""
+    n_t, n, d = shape
+    pred, micro, counts = matcher_inputs(n_t, n, d)
+    want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
+    monkeypatch.setattr(rowpool, "THRESHOLD", 0)
+    monkeypatch.setattr(rowpool, "max_workers", lambda: 2)
+    with rowpool.parked(n_t * n):
+        got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
+    fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
+    for field, value in zip(fields, want):
+        np.testing.assert_allclose(getattr(got, field), value, rtol=1e-10, atol=0, err_msg=field)
 
 
 # -- marginal rmse -----------------------------------------------------------

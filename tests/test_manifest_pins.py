@@ -73,7 +73,8 @@ def chain(tmp_path_factory):
                  "out_latent": str(latent), "seed": 2, "epochs": 3, "decay_start": 1000,
                  "lr": 1e-3, "min_lr": 1e-4, "w_marginal": 1.0, "w_dbce": 1.0,
                  "w_normkl": 0.1, "temperature": 0.5, "reference_rows": 40,
-                 "distinct_reference_rows": int(distinct_rows(x)[0].shape[0])},
+                 "distinct_reference_rows": int(distinct_rows(x)[0].shape[0]),
+                 "matcher_workers": 1},
         [latent, d / "latent.psl.history.csv", d / "latent.psl.soft_marginals.json"],
         with_model=True)
     cli(["generate", "--model", model, "--schema", schema, "--latent", latent,

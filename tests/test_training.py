@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from popsynth import training
+from popsynth import rowpool, training
 from popsynth.losses import MarginalRmseResult
 from popsynth.nn import Param, Relu
 from popsynth.schema import EncodedMatrix, empirical_marginals
@@ -323,6 +323,46 @@ def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, ti
     ]
     assert res.reference_rows == 12
     assert res.distinct_reference_rows == 4
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_finetune_parks_the_blas_threads_and_restores_them(
+    tiny_schema, tiny_encoded, tiny_table, monkeypatch, diverge
+):
+    """Above the threshold every matcher call runs with one BLAS thread, and
+    the count in force before comes back after the loop, also when it
+    raises ``TrainingDivergedError``."""
+    blas = rowpool.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found: nothing is parked")
+    get, _ = blas
+    model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    cfg = TrainConfig(epochs=3, decay_start=1, seed=7)
+    threads_seen, real_dbce = [], training.dbce
+
+    def spy_dbce(*args, **kwargs):
+        threads_seen.append(get())
+        return real_dbce(*args, **kwargs)
+
+    monkeypatch.setattr(rowpool, "THRESHOLD", 0)
+    monkeypatch.setattr(training, "dbce", spy_dbce)
+    before = get()
+    if diverge:
+        latent.z[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            finetune(model, latent, targets, tiny_encoded, cfg)
+        assert threads_seen == [1]
+    else:
+        res = finetune(model, latent, targets, tiny_encoded, cfg)
+        assert threads_seen == [1] * (cfg.epochs + 1)
+        assert res.matcher_workers == min(rowpool.max_workers(), -(-targets.n_households // 4))
+    assert get() == before
+
+
+def test_finetune_below_the_threshold_is_not_parked(tiny_schema, tiny_encoded, tiny_table):
+    model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    res = finetune(model, latent, targets, tiny_encoded, TrainConfig(epochs=2, decay_start=1))
+    assert res.matcher_workers == 1
 
 
 # -- persistence -----------------------------------------------------------------
