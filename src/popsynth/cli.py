@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from . import evaluation, generation, oracle, training, vae
-from .losses import distinct_rows
 from .schema import (
     DataError,
+    distinct_rows,
     encode_onehot,
     load_schema,
     load_tables,
@@ -87,15 +87,18 @@ def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
 class _Outputs(list):
     """The files a command writes, in order; the manifest lists them.
 
-    ``--out-dir`` is checked when the list is built: it, or the part of it
-    that exists, must be a directory. ``out(name)`` is ``name`` under it,
-    made on first use, so a command that checks its input before it asks
-    for a path writes nothing when a check fails. ``out.file(path, flag)``
-    is a ``--out`` or ``--out-latent`` file, checked when it is recorded: a
-    command records those before it reads any data."""
+    ``--out-dir`` is checked when the list is built: it must not be empty,
+    and it, or the part of it that exists, must be a directory. ``out(name)``
+    is ``name`` under it, made on first use, so a command that checks its
+    input before it asks for a path writes nothing when a check fails.
+    ``out.file(path, flag)`` is a ``--out`` or ``--out-latent`` file, checked
+    when it is recorded (it too must not be empty): a command records those
+    before it reads any data."""
 
     def __init__(self, out_dir=None):
         super().__init__()
+        if out_dir == "":
+            raise UsageError("--out-dir: the path is empty")
         self.out_dir = existing = out_dir
         while existing and not os.path.exists(existing):
             existing = os.path.dirname(existing)
@@ -111,6 +114,8 @@ class _Outputs(list):
         return self[-1]
 
     def file(self, path, flag) -> str:
+        if not path:
+            raise UsageError(f"{flag}: the path is empty")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise UsageError(f"{flag}: directory {parent} does not exist")
@@ -213,11 +218,10 @@ def _cmd_finetune(args, out):
     model = vae.load_model(args.model)
     schema = model.schema_for(load_schema(args.schema))
     [table] = load_tables(schema, (args.microdata_hh, args.microdata_p))
-    data = encode_onehot(table)
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
     fingerprint = model.checksum()
-    result = training.finetune(model, latent, targets, data, config)
+    result = training.finetune(model, latent, targets, table, config)
     if model.checksum() != fingerprint:
         raise RuntimeError("model changed during fine-tuning")
     training.save_latent(latent, latent_path, model.schema_fingerprint, fingerprint)
@@ -333,16 +337,21 @@ def _cmd_privacy(args, out):
     for (hh, p), table in zip(pairs, tables):
         if not table.occupied.any():
             raise DataError(f"{hh} and {p} hold no persons; privacy compares persons too")
-    schema = tables[0].schema
+    micro = tables[0]
 
     summary = {"levels": {}}
     rows = []
-    for level, matrix in (
-        ("household", evaluation.household_matrix),
-        ("person", evaluation.person_level_matrix),
+    # a level's codes are built only to be deduplicated, so dcr runs without them
+    for level, matrix, codes in (
+        ("household", evaluation.household_matrix, lambda t: t.codes),
+        ("person", evaluation.person_level_matrix, lambda t: t.person_codes()),
     ):
         m, xa, xb = (matrix(table) for table in tables)
-        m = distinct_rows(m)[0]  # a repeated row cannot change a minimum
+        # a repeated row cannot change a minimum; rows that are all distinct,
+        # as census rows are, are kept without a copy
+        first = distinct_rows(codes(micro))[0]
+        if first.size < len(m):
+            m = m[first]
         da = evaluation.dcr(xa, m)
         db = evaluation.dcr(xb, m)
         ks = evaluation.ks_test(da, db)
@@ -377,7 +386,7 @@ def _cmd_privacy(args, out):
         ([level, inv, i, f"{d:.12g}"] for level, inv, i, d in rows),
     )
     write_json(out("privacy_summary.json"), summary)
-    return {"schema": schema.fingerprint()}, {}
+    return {"schema": micro.schema.fingerprint()}, {}
 
 
 def _cmd_oracle_make(args, out):

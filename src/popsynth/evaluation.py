@@ -31,6 +31,7 @@ from .schema import (
 )
 
 KL_EPS = 1e-6
+MIN_EXPECTED = 5.0  # chi-square buckets expected below this are merged
 DCR_BLOCK_VALUES = 2**20  # pairwise sums per block of dcr: 8 MB of float64
 
 
@@ -42,14 +43,14 @@ def rmse_metric(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(((a - b) ** 2).mean()))
 
 
-def kl_metric(syn: np.ndarray, ref: np.ndarray, epsilon: float = KL_EPS) -> float:
-    """Smoothed divergence of the synthetic proportions from the reference;
-    not symmetric."""
+def kl_metric(syn: np.ndarray, ref: np.ndarray) -> float:
+    """Divergence of the synthetic proportions from the reference, both
+    smoothed by ``KL_EPS``; not symmetric."""
     syn = np.asarray(syn, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if syn.shape != ref.shape:
         raise ValueError(f"shape mismatch: {syn.shape} vs {ref.shape}")
-    return float(((syn + epsilon) * np.log((syn + epsilon) / (ref + epsilon))).sum())
+    return float(((syn + KL_EPS) * np.log((syn + KL_EPS) / (ref + KL_EPS))).sum())
 
 
 @dataclass
@@ -61,15 +62,12 @@ class ChiSquareResult:
 
 
 def chi_square_test(
-    observed_counts: np.ndarray,
-    expected_proportions: np.ndarray,
-    epsilon: float = KL_EPS,
-    min_expected: float = 5.0,
+    observed_counts: np.ndarray, expected_proportions: np.ndarray
 ) -> ChiSquareResult:
     """Pearson goodness of fit with (k - 1) degrees of freedom.
 
-    Expected proportions are epsilon-smoothed and scaled to the observed
-    total; categories whose expected count falls below ``min_expected`` are
+    Expected proportions are smoothed by ``KL_EPS`` and scaled to the observed
+    total; categories whose expected count falls below ``MIN_EXPECTED`` are
     merged into a single tail bucket (folded into the smallest surviving
     bucket if still too small).
     """
@@ -80,15 +78,15 @@ def chi_square_test(
     total = obs.sum()
     if total <= 0:
         raise ValueError("observed counts sum to zero")
-    p = (exp_p + epsilon) / (exp_p + epsilon).sum()
+    p = (exp_p + KL_EPS) / (exp_p + KL_EPS).sum()
     exp = p * total
 
-    small = exp < min_expected
+    small = exp < MIN_EXPECTED
     merged = int(small.sum())
     if merged and merged < obs.size:
         obs = np.append(obs[~small], obs[small].sum())
         exp = np.append(exp[~small], exp[small].sum())
-        while obs.size > 1 and exp[-1] < min_expected:
+        while obs.size > 1 and exp[-1] < MIN_EXPECTED:
             k = int(np.argmin(exp[:-1]))
             exp[k] += exp[-1]
             obs[k] += obs[-1]

@@ -159,67 +159,6 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return out
 
 
-def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``x`` in order of first occurrence, and how often
-    each occurs.
-
-    Rows are compared by their bytes, so equality is exact and -0.0 differs
-    from 0.0. They are grouped by a 64-bit hash of their bytes, and each row
-    is checked against the first row with its hash; rows that share a hash
-    but not their bytes are regrouped by their bytes. Hashing and checking
-    go in row blocks, so no copy of ``x`` is made. When every row is
-    distinct the rows come back as ``x`` itself (a C-ordered ``x``, not a
-    copy) with unit counts.
-    """
-    x = np.ascontiguousarray(x)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError("expected a 2-d array with at least one column")
-    n = x.shape[0]
-    words = x.view(np.uint8).reshape(n, x.shape[1] * x.itemsize)
-    if words.shape[1] % 8 == 0:
-        words = words.view(np.uint64)
-    _, first, label, counts = np.unique(
-        _row_hashes(words), return_index=True, return_inverse=True, return_counts=True
-    )
-    # every row that is not the first with its hash, against that first row
-    rep = first[label]
-    later = np.flatnonzero(rep != np.arange(n))
-    clash = []
-    for a, b in rowpool.blocks(0, later.size, words.shape[1]):
-        rows = later[a:b]
-        clash.extend(rows[(words[rows] != words[rep[rows]]).any(axis=1)])
-    if clash:
-        by_bytes: dict[bytes, int] = {}
-        for i in np.flatnonzero(np.isin(label, label[clash])):
-            label[i] = by_bytes.setdefault(words[i].tobytes(), n + len(by_bytes))
-        _, first, counts = np.unique(label, return_index=True, return_counts=True)
-    if first.size == n:
-        return x, counts
-    order = np.argsort(first)
-    return x[first[order]], counts[order]
-
-
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), np.uint64(0x9E3779B97F4A7C15))
-
-
-def _row_hashes(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of unsigned ``words``: each word, salted by
-    its column, goes through the splitmix64 finaliser, and a row's mixed
-    words are summed modulo 2**64."""
-    n, k = words.shape
-    salt = np.arange(1, k + 1, dtype=np.uint64) * _MIX[2]
-    keys = np.empty(n, dtype=np.uint64)
-    for a, b in rowpool.blocks(0, n, k):
-        h = words[a:b] ^ salt
-        h ^= h >> np.uint64(30)
-        h *= _MIX[0]
-        h ^= h >> np.uint64(27)
-        h *= _MIX[1]
-        h ^= h >> np.uint64(31)
-        h.sum(axis=1, out=keys[a:b])
-    return keys
-
-
 @dataclass
 class DbceResult:
     dbce_loss: float
@@ -255,11 +194,11 @@ def dbce(
     skips the gradient, leaving ``grad`` None, and changes no other bit.
 
     ``counts[j]`` says how many microdata records row j stands for (None:
-    one each), so the distinct rows of ``distinct_rows`` with their counts
-    give the result of the full table: row j enters the softmin with weight
-    ``counts[j]``, ``soft_index[j]`` is the mass over all its records, and
-    ``norm_kl`` sums over records. With unit counts every bit equals the
-    unweighted formula.
+    one each), so a table's distinct rows (``schema.distinct_rows``) with
+    their counts give the result of the full table: row j enters the softmin
+    with weight ``counts[j]``, ``soft_index[j]`` is the mass over all its
+    records, and ``norm_kl`` sums over records. With unit counts every bit
+    equals the unweighted formula.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")

@@ -610,6 +610,20 @@ def load_tables(schema: Schema, *path_pairs) -> list[RestructuredTable]:
 # one-hot codec
 
 
+def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row of ``codes`` at its first occurrence,
+    in that order, and how often the row occurs. One-hot encoding is
+    injective, so the encoded rows at ``first`` are the distinct rows of the
+    whole table's encoding, in the same order. Rows compare by their bytes
+    in the narrowest unsigned type that holds the codes, which are
+    non-negative: census rows take 42 bytes, not 42 int64 codes."""
+    codes = np.ascontiguousarray(codes, dtype=np.min_scalar_type(codes.max(initial=0)))
+    keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def one_hot(codes: np.ndarray, starts, width: int) -> np.ndarray:
     """Rows of ``width`` zeros with a one at ``starts[k] + codes[:, k]``."""
     x = np.zeros((codes.shape[0], width), dtype=np.float64)
@@ -661,7 +675,7 @@ def decode_onehot_with_stats(
     for j, g in enumerate(matrix.groups):
         block = x[:, g.start : g.stop]
         sums = block.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_SUM_TOL))  # a NaN sum is bad too
         if bad.size:
             raise DataError(
                 f"group {g.var!r} (slot {g.slot}) row {bad[0]} sums to "

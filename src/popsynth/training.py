@@ -16,15 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn, rowpool
-from .losses import (
-    FocalParams,
-    dbce,
-    distinct_rows,
-    focal_loss,
-    latent_kl,
-    marginal_rmse_loss,
+from .losses import FocalParams, dbce, focal_loss, latent_kl, marginal_rmse_loss
+from .schema import (
+    EncodedMatrix, RestructuredTable, TargetMarginals, distinct_rows, one_hot, write_csv,
 )
-from .schema import EncodedMatrix, TargetMarginals, write_csv
 from .vae import ModelFormatError, read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
@@ -211,22 +206,23 @@ def finetune(
     model,
     latent: LatentMatrix,
     targets: TargetMarginals,
-    data: EncodedMatrix,
+    table: RestructuredTable,
     config: TrainConfig,
 ) -> FinetuneResult:
     """Optimise the latent matrix against tract marginals through the frozen
     decoder. The loss mixes marginal RMSE, decoupled BCE realism against the
     microdata and the softmin-mass uniformity penalty; the recorded soft
     marginals are those of the final latent state. The matcher compares
-    against every distinct microdata row, found once before the first epoch
-    and weighted by its count, which gives the loss of the full table at a
-    fraction of the work. From ``rowpool.THRESHOLD`` tract-by-distinct-row
+    against every distinct microdata row, weighted by its count, which gives
+    the loss of the full table at a fraction of the work: the table's code
+    rows are deduplicated once before the first epoch, and only the distinct
+    ones are one-hot encoded. From ``rowpool.THRESHOLD`` tract-by-distinct-row
     values on, the epochs and the final loss run with numpy's OpenBLAS
     parked at one thread and the matcher split over row ranges
     (``rowpool.parked``); the thread count in force before is restored on
     the way out."""
-    if data.schema != model.schema:
-        raise ValueError("encoded microdata does not match the model's schema")
+    if table.schema != model.schema:
+        raise ValueError("microdata does not match the model's schema")
     if latent.z.shape[1] != model.latent_dim:
         raise ValueError(
             f"latent width {latent.z.shape[1]} != decoder input {model.latent_dim}"
@@ -236,8 +232,9 @@ def finetune(
             f"latent rows {latent.z.shape[0]} != target households "
             f"{targets.n_households}"
         )
-    micro = np.asarray(data.values, dtype=np.float64)
-    rows, counts = distinct_rows(micro)
+    # table.codes is built twice so that the epochs hold no copy of it
+    first, counts = distinct_rows(table.codes)
+    rows = one_hot(table.codes[first], [g.start for g in model.groups], model.d)
 
     z_param = nn.Param(latent.z, "latent.z")
     opt = Lion([z_param])
@@ -281,7 +278,7 @@ def finetune(
             "total": total,
         },
         marginals=mres.marginals,
-        reference_rows=micro.shape[0],
+        reference_rows=table.n_rows,
         distinct_reference_rows=rows.shape[0],
         matcher_workers=workers,
     )

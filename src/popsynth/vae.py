@@ -199,7 +199,8 @@ def write_blob(path, magic: bytes, version: int, header: dict, payload: np.ndarr
 def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndarray]:
     """Read a ``write_blob`` file into (header, payload). Any defect of a
     readable file, including a payload that does not fill the rest of the
-    file in the shape ``shape_of(header)``, raises ``ModelFormatError``."""
+    file in the shape ``shape_of(header)`` or that holds a NaN or an
+    infinity, raises ``ModelFormatError``."""
     blob = read_input(path, text=False)
     start = len(magic) + 4
     if blob[: len(magic)] != magic:
@@ -218,6 +219,8 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
         payload = np.frombuffer(blob, "<f8", offset=start + size).reshape(shape_of(header))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: payload does not match its header: {exc}") from None
+    if not np.isfinite(payload).all():
+        raise ModelFormatError(f"{path}: payload holds a value that is not finite")
     return header, payload.astype(np.float64)
 
 

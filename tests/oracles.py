@@ -217,8 +217,9 @@ def power_focal_loss(pred, target, alpha: float, gamma: float):
 
 
 def sorted_key_distinct_rows(x):
-    """``losses.distinct_rows`` in its earlier form: ``np.unique`` over
-    whole-row byte keys, then the rows in order of first occurrence."""
+    """The matcher's dedup of one-hot rows in an earlier form: ``np.unique``
+    over whole-row byte keys, then the rows in order of first occurrence.
+    ``schema.distinct_rows`` finds the same rows on the integer codes."""
     x = np.ascontiguousarray(x)
     keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)

@@ -7,8 +7,9 @@ prefix or the JSON header may still describe a usable file (exit 0, with the
 untouched run's inventory) or not (exit 1 with one ``error:`` line), but
 never a runtime failure (exit 2) or an uncaught exception. A bit flipped in
 the model's float payload changes its fingerprint, which no longer matches
-the one the latent records, so it exits 1. The latent's own payload has no
-checksum, so flips there are not tested.
+the one the latent records, or makes a value NaN or infinite, which the
+reader rejects; either way it exits 1. The latent's own payload has no
+checksum, so flips there are not tested; a NaN or infinite latent cell is.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,4 +156,50 @@ def test_model_payload_bit_flip_is_exit_1(artifacts, data):
     blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
     rc, err, _ = generate_with(artifacts, "model.psv", bytes(blob))
     assert_one_error_line(rc, err)
-    assert "was fitted for another model" in err
+    assert "was fitted for another model" in err or "holds a value that is not finite" in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_latent_cell_is_exit_1(artifacts, tmp_path, value):
+    """A latent with one NaN or infinite cell, saved for the model, is
+    rejected by the reader; it used to decode to an inventory."""
+    latent, header = training.load_latent(artifacts / "latent.psl")
+    latent.z[2, 1] = value
+    path = tmp_path / "latent.psl"
+    training.save_latent(latent, path, header["schema_fingerprint"], header["model_fingerprint"])
+    rc, err, files = generate_with(artifacts, "latent.psl", path.read_bytes())
+    assert_one_error_line(rc, err)
+    assert "latent.psl: payload holds a value that is not finite" in err
+    assert files == {}
+
+
+@pytest.fixture
+def nan_model(artifacts, tmp_path):
+    """A model with one NaN decoder weight, and a latent saved for it."""
+    model = vae.load_model(artifacts / "model.psv")
+    dict(model.arrays)["dec0.affine.w"][0, 0] = np.nan
+    vae.save_model(model, tmp_path / "model.psv")
+    training.save_latent(training.init_latent(6, model.latent_dim, 3), tmp_path / "latent.psl",
+                         model.schema_fingerprint, model.checksum())
+    return tmp_path
+
+
+def test_non_finite_model_weight_is_exit_1_in_generate(artifacts, nan_model):
+    rc, err, files = generate_with(nan_model, "model.psv", (nan_model / "model.psv").read_bytes())
+    assert_one_error_line(rc, err)
+    assert "model.psv: payload holds a value that is not finite" in err
+    assert files == {}
+
+
+def test_non_finite_model_weight_is_exit_1_in_finetune(artifacts, nan_model, capsys):
+    capsys.readouterr()
+    rc = run(["finetune", "--schema", str(artifacts / "schema.json"),
+              "--microdata-hh", str(artifacts / "households.csv"),
+              "--microdata-p", str(artifacts / "persons.csv"),
+              "--model", str(nan_model / "model.psv"),
+              "--tract-marginals", str(artifacts / "tract_marginals.csv"),
+              "--out-latent", str(nan_model / "tuned.psl"), "--seed", "2", "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert_one_error_line(rc, err)
+    assert "model.psv: payload holds a value that is not finite" in err
+    assert not (nan_model / "tuned.psl").exists()

@@ -717,8 +717,8 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
 
 # an output path that cannot be written, as (command, flag, path under
 # tmp_path): "pretrain" and "finetune" name a --out / --out-latent file in a
-# missing directory; the others plant "taken", a directory for --out and
-# --out-latent, a file for --out-dir
+# missing directory; the empty cases pass "" as the path; the others plant
+# "taken", a directory for --out and --out-latent, a file for --out-dir
 OUTPUT_PATH_CASES = {
     "pretrain": ("pretrain", None, None),
     "finetune": ("finetune", None, None),
@@ -727,6 +727,10 @@ OUTPUT_PATH_CASES = {
     **{f"{sub}-out-dir-is-a-file": (sub, "--out-dir", "taken")
        for sub in ("restructure", "generate", "evaluate", "privacy", "oracle-make")},
     "restructure-out-dir-below-a-file": ("restructure", "--out-dir", "taken/rows"),
+    "pretrain-out-is-empty": ("pretrain", "--out", ""),
+    "finetune-out-latent-is-empty": ("finetune", "--out-latent", ""),
+    **{f"{sub}-out-dir-is-empty": (sub, "--out-dir", "")
+       for sub in ("restructure", "generate", "evaluate", "privacy", "oracle-make")},
 }
 
 
@@ -754,6 +758,10 @@ def test_missing_output_directory_is_exit_1_before_training(
     if flag is None:
         argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path / "nodir")
         named = "nodir"
+    elif not path:
+        argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)
+        argv[argv.index(flag) + 1] = ""
+        named = f"{flag}: the path is empty"
     else:
         argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)
         argv[argv.index(flag) + 1] = str(tmp_path / path)
@@ -767,8 +775,8 @@ def test_missing_output_directory_is_exit_1_before_training(
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
     assert called == []
-    assert [p.name for p in tmp_path.rglob("*")] == ([] if flag is None else ["taken"])
-    if flag == "--out-dir":
+    assert [p.name for p in tmp_path.rglob("*")] == (["taken"] if path else [])
+    if flag == "--out-dir" and path:
         assert (tmp_path / "taken").read_text() == "kept"
 
 
@@ -1000,3 +1008,32 @@ def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, case, capsys):
     assert rc == 1
     assert err.startswith("error:") and message in err and err.count("\n") == 1
     assert not (tmp_path / "inv").exists()
+
+
+def test_privacy_ignores_repeated_microdata_households(data_dir, artifacts, tmp_path):
+    """Privacy compares against the distinct microdata rows at both levels,
+    so every household appended again under a new id changes no output."""
+    doubled = tmp_path / "doubled"
+    doubled.mkdir()
+    for name in ("households.csv", "persons.csv"):
+        header, *rows = list(csv.reader((data_dir / name).open(newline="")))
+        with (doubled / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows, *([f"{r[0]}-again", *r[1:]] for r in rows)])
+    assert cli_generate(data_dir, artifacts[0] / "model.psv", artifacts[0] / "latent.psl",
+                        tmp_path / "inv") == 0
+    a = ["--a-hh", str(data_dir / "households.csv"), "--a-p", str(data_dir / "persons.csv")]
+    b = ["--b-hh", str(tmp_path / "inv" / "households.csv"),
+         "--b-p", str(tmp_path / "inv" / "persons.csv")]
+    names = ("dcr_distances.csv", "dcr_histogram_household.csv", "dcr_histogram_person.csv",
+             "privacy_summary.json")
+    outputs = []
+    for micro in (data_dir, doubled):
+        out = tmp_path / f"privacy_{micro.name}"
+        assert run(["privacy", "--schema", str(data_dir / "schema.json"),
+                    "--microdata-hh", str(micro / "households.csv"),
+                    "--microdata-p", str(micro / "persons.csv"), *a, *b,
+                    "--out-dir", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0]["privacy_summary.json"])
+    assert summary["levels"]["household"]["a_mean"] < summary["levels"]["household"]["b_mean"]

@@ -8,19 +8,20 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import load_census_module
-from popsynth import losses, oracle, rowpool
+from popsynth import oracle, rowpool
 from popsynth.losses import (
     FocalParams,
     clamp01,
     dbce,
-    distinct_rows,
     focal_loss,
     latent_kl,
     marginal_rmse_loss,
     pairwise_mean_bce,
     softmin,
 )
-from popsynth.schema import TargetMarginals, column_layout
+from popsynth.schema import (
+    TargetMarginals, column_layout, distinct_rows, load_schema, load_tables, one_hot, restructure,
+)
 
 
 def random_onehot(rng, n, widths):
@@ -408,56 +409,87 @@ def test_dbce_rejects_bad_counts(rng):
             dbce(pred, micro, 1.0, np.array(counts))
 
 
+# -- distinct reference rows -------------------------------------------------
+# the matcher's rows: ``schema.distinct_rows`` of a table's codes, encoded
+
+
+def onehot_of_codes(codes, widths):
+    return one_hot(codes, np.cumsum([0, *widths[:-1]]), sum(widths))
+
+
+def assert_distinct_like_the_onehot_rows(codes, widths):
+    """The code rows at ``first`` encode to the distinct one-hot rows of the
+    whole table, and ``counts`` are theirs, as the earlier sort of whole-row
+    one-hot keys finds them."""
+    first, counts = distinct_rows(codes)
+    want_rows, want_counts = oracles.sorted_key_distinct_rows(onehot_of_codes(codes, widths))
+    assert onehot_of_codes(codes[first], widths).tobytes() == want_rows.tobytes()
+    assert counts.tolist() == want_counts.tolist()
+
+
 def test_distinct_rows_keeps_first_occurrence_order():
-    x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-    rows, counts = distinct_rows(x)
-    # -0.0 and 0.0 have different bytes and stay apart
-    assert rows.tobytes() == x[[0, 1, 3, 5]].tobytes()
+    codes = np.array([[0, 1], [1, 0], [0, 1], [2, 1], [1, 0], [0, 300]])
+    first, counts = distinct_rows(codes)
+    assert first.tolist() == [0, 1, 3, 5]
     assert counts.tolist() == [2, 2, 1, 1]
 
 
 def test_distinct_rows_of_distinct_rows_is_identity(rng):
-    x = rng.random((50, 9))
-    rows, counts = distinct_rows(x)
-    assert rows.tobytes() == x.tobytes()
+    codes = rng.permutation(450).reshape(50, 9)
+    first, counts = distinct_rows(codes)
+    assert first.tolist() == list(range(50))
     assert counts.tolist() == [1] * 50
 
 
-def test_distinct_rows_regroups_rows_whose_hashes_collide(monkeypatch):
-    """Rows that share a hash but not their bytes are told apart, and the
-    rows, counts and order are those of the earlier sort of whole-row keys."""
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 2, size=(300, 12)).astype(float)[rng.integers(0, 40, size=300)]
-    x[7, 3] = -0.0  # a -0.0 row stays apart from the 0.0 one
-    want_rows, want_counts = oracles.sorted_key_distinct_rows(x)
-    real_hashes = losses._row_hashes
-    for collide in (lambda w: np.zeros(w.shape[0], np.uint64), lambda w: real_hashes(w) % 3):
-        monkeypatch.setattr(losses, "_row_hashes", collide)
-        rows, counts = distinct_rows(x)
-        assert rows.tobytes() == want_rows.tobytes()
-        assert counts.tolist() == want_counts.tolist()
-    # distinct rows that all collide come back as the input itself
-    y = rng.random((30, 4))
-    rows, counts = distinct_rows(y)
-    assert rows is y and counts.tolist() == [1] * 30
+@pytest.fixture(scope="module")
+def census_table(tmp_path_factory):
+    out = tmp_path_factory.mktemp("census")
+    load_census_module().write_census(out, 3, 4000, 400)
+    [table] = load_tables(load_schema(out / "schema.json"),
+                          (out / "households.csv", out / "persons.csv"))
+    return table
+
+
+def widths_of(table):
+    return [g.width for g in column_layout(table.schema)[0]]
+
+
+def test_distinct_rows_match_the_onehot_rows_on_desk_and_census(census_table):
+    desk = oracle.desk_schema()
+    desk_table = restructure(oracle.sample_records(2000, seed=42), desk)
+    assert_distinct_like_the_onehot_rows(desk_table.codes, widths_of(desk_table))
+    assert distinct_rows(desk_table.codes)[0].size < 200  # desk rows repeat heavily
+    assert_distinct_like_the_onehot_rows(census_table.codes, widths_of(census_table))
+    person_widths = [v.width for v in census_table.schema.variables]
+    assert_distinct_like_the_onehot_rows(census_table.person_codes(), person_widths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distinct_rows_match_the_onehot_rows_with_repeats(data):
+    widths = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    base = np.array(
+        data.draw(st.lists(st.tuples(*(st.integers(0, w - 1) for w in widths)), min_size=1, max_size=8))
+    )
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
+    assert_distinct_like_the_onehot_rows(base[picks], widths)
 
 
 @pytest.mark.parametrize("distinct", [4000, 117])
-def test_distinct_rows_holds_no_copy_of_census_rows(distinct):
-    """4,000 census-like rows 360 wide: the earlier sort of whole-row byte
-    keys traced about 33 MB; hashing in row blocks stays near one block."""
-    widths = [2, 3, 5, 7, 9, 12, 16] * 6 + [3, 4, 5, 6, 7, 11]
-    rng = np.random.default_rng(3)
-    x = random_onehot(rng, distinct, widths)[rng.permutation(4000) % distinct]
-    want_rows, want_counts = oracles.sorted_key_distinct_rows(x)
+def test_distinct_rows_holds_no_copy_of_census_rows(census_table, distinct):
+    """The code dedup of 4,000 census rows allocates less than a quarter of
+    their one-hot matrix (11.5 MB): the earlier dedup of the one-hot rows
+    traced 33 MB as a sort of whole-row keys and 2 MB as a row hash."""
+    codes = census_table.codes[np.random.default_rng(3).permutation(4000) % distinct]
+    widths = widths_of(census_table)
     tracemalloc.start()
     try:
-        rows, counts = distinct_rows(x)
+        distinct_rows(codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.tobytes() == want_rows.tobytes() and counts.tolist() == want_counts.tolist()
-    assert peak - rows.nbytes * (distinct < 4000) < 2 * 2**20
+    assert peak < codes.shape[0] * sum(widths) * 8 / 4
+    assert_distinct_like_the_onehot_rows(codes, widths)
 
 
 def test_pairwise_mean_bce_matches_bce_rows(rng):

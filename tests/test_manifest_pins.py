@@ -16,8 +16,7 @@ import pytest
 
 from popsynth import __version__, vae
 from popsynth.cli import run
-from popsynth.losses import distinct_rows
-from popsynth.schema import encode_onehot, load_schema, load_tables
+from popsynth.schema import distinct_rows, encode_onehot, load_schema, load_tables
 
 TINY_WIDTHS = "16,14,12,12,10,8"
 VARIABLES = ("AGEP", "EDU", "R65", "TEN", "VEH")
@@ -73,7 +72,7 @@ def chain(tmp_path_factory):
                  "out_latent": str(latent), "seed": 2, "epochs": 3, "decay_start": 1000,
                  "lr": 1e-3, "min_lr": 1e-4, "w_marginal": 1.0, "w_dbce": 1.0,
                  "w_normkl": 0.1, "temperature": 0.5, "reference_rows": 40,
-                 "distinct_reference_rows": int(distinct_rows(x)[0].shape[0]),
+                 "distinct_reference_rows": int(distinct_rows(table.codes)[0].size),
                  "matcher_workers": 1},
         [latent, d / "latent.psl.history.csv", d / "latent.psl.soft_marginals.json"],
         with_model=True)

@@ -202,6 +202,17 @@ def test_decode_forces_na_alignment(tiny_schema, tiny_table):
     assert forced_na_cells == 1
 
 
+@pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+def test_decode_rejects_a_group_that_does_not_sum_to_one(tiny_schema, tiny_encoded, value, mode):
+    """A NaN sum fails the check too; argmax would read it as category 0."""
+    x = tiny_encoded.values.copy()
+    g = tiny_encoded.groups[1]
+    x[2, g.start] = value
+    with pytest.raises(DataError, match=f"group 'CAR' \\(slot None\\) row 2 sums to {1 + value:.8f}"):
+        decode(EncodedMatrix(x, tiny_schema), mode=mode, seed=1)
+
+
 def test_decode_sample_mode_deterministic(tiny_schema, tiny_encoded):
     a = decode(tiny_encoded, mode="sample", seed=7)
     b = decode(tiny_encoded, mode="sample", seed=7)

@@ -202,7 +202,7 @@ def test_finetune_moves_latents_not_decoder(tiny_schema, tiny_encoded, tiny_tabl
     model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     z0 = latent.z.copy()
     model_before = model.checksum()
-    res = finetune(model, latent, targets, tiny_encoded, cfg)
+    res = finetune(model, latent, targets, tiny_table, cfg)
     assert model.checksum() == model_before
     assert not np.array_equal(latent.z, z0)
     assert len(res.history) == cfg.epochs
@@ -211,15 +211,15 @@ def test_finetune_moves_latents_not_decoder(tiny_schema, tiny_encoded, tiny_tabl
 
 def test_finetune_improves_marginal_fit(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    res = finetune(model, latent, targets, tiny_encoded, cfg)
+    res = finetune(model, latent, targets, tiny_table, cfg)
     assert res.final_losses["marginal_rmse"] < res.history[0][2]
 
 
 def test_finetune_is_deterministic(tiny_schema, tiny_encoded, tiny_table):
     m1, l1, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    r1 = finetune(m1, l1, targets, tiny_encoded, cfg)
+    r1 = finetune(m1, l1, targets, tiny_table, cfg)
     m2, l2, _, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    r2 = finetune(m2, l2, targets, tiny_encoded, cfg)
+    r2 = finetune(m2, l2, targets, tiny_table, cfg)
     np.testing.assert_array_equal(l1.z, l2.z)
     assert r1.history == r2.history
 
@@ -228,21 +228,21 @@ def test_finetune_rejects_row_mismatch(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     bad = LatentMatrix(z=latent.z[:-1], seed=latent.seed)
     with pytest.raises(ValueError):
-        finetune(model, bad, targets, tiny_encoded, cfg)
+        finetune(model, bad, targets, tiny_table, cfg)
 
 
 def test_finetune_rejects_width_mismatch(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     bad = LatentMatrix(z=np.hstack([latent.z, latent.z[:, :1]]), seed=latent.seed)
     with pytest.raises(ValueError):
-        finetune(model, bad, targets, tiny_encoded, cfg)
+        finetune(model, bad, targets, tiny_table, cfg)
 
 
 def test_finetune_flags_divergence(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, cfg = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     latent.z[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError):
-        finetune(model, latent, targets, tiny_encoded, cfg)
+        finetune(model, latent, targets, tiny_table, cfg)
 
 
 NAN_GRADIENT_HEADS = {
@@ -261,7 +261,7 @@ def test_non_finite_gradient_is_divergence(tiny_schema, tiny_encoded, tiny_table
         if head == "focal_loss":
             pretrain(model, tiny_encoded, TrainConfig(epochs=1, seed=2))
         else:
-            finetune(model, latent, targets, tiny_encoded, cfg)
+            finetune(model, latent, targets, tiny_table, cfg)
     assert np.isfinite(model.flat.value).all()
     assert np.isfinite(latent.z).all()
 
@@ -286,24 +286,31 @@ def test_non_finite_gradient_at_dead_units_is_divergence(tiny_schema, tiny_encod
     with np.errstate(invalid="ignore"), pytest.raises(
         TrainingDivergedError, match="fine-tuning gradient became non-finite at epoch 0"
     ):
-        finetune(model, latent, targets, tiny_encoded, cfg)
+        finetune(model, latent, targets, tiny_table, cfg)
     assert dead_units and 0 < dead_units[0] < relu._ctx.size
     assert np.isfinite(latent.z).all()
 
 
 def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, tiny_table, monkeypatch):
-    """The matcher sees the distinct rows of the whole table, found once."""
-    repeated = EncodedMatrix(np.repeat(tiny_encoded.values, 3, axis=0), tiny_encoded.schema)
+    """The matcher sees the distinct rows of the whole table, found once on
+    its codes, and only those rows are one-hot encoded."""
+    repeated = replace(
+        tiny_table,
+        household_ids=[f"{h}-{k}" for k in range(3) for h in tiny_table.household_ids],
+        households=np.tile(tiny_table.households, (3, 1)),
+        persons=np.tile(tiny_table.persons, (3, 1, 1)),
+    )
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
     cfg = TrainConfig(epochs=3, decay_start=1, seed=7)
-    seen, weights, loss_weights_seen = [], [], []
+    seen, matched, weights, loss_weights_seen = [], [], [], []
     real_distinct_rows, real_dbce = training.distinct_rows, training.dbce
 
-    def spy_distinct_rows(x):
-        seen.append(x.copy())
-        return real_distinct_rows(x)
+    def spy_distinct_rows(codes):
+        seen.append(codes.copy())
+        return real_distinct_rows(codes)
 
     def spy_dbce(pred, rows, temperature, counts, **loss_weights):
+        matched.append(rows)
         weights.append(counts)
         loss_weights_seen.append(loss_weights)
         return real_dbce(pred, rows, temperature, counts, **loss_weights)
@@ -312,7 +319,8 @@ def test_finetune_deduplicates_the_full_table_once(tiny_schema, tiny_encoded, ti
     monkeypatch.setattr(training, "dbce", spy_dbce)
     res = finetune(model, latent, targets, repeated, cfg)
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], repeated.values)
+    np.testing.assert_array_equal(seen[0], repeated.codes)
+    assert all(rows.tobytes() == tiny_encoded.values.tobytes() for rows in matched)
     assert len(weights) == cfg.epochs + 1
     assert all(np.array_equal(c, [3, 3, 3, 3]) for c in weights)
     # the matcher's one gradient carries the config's two weights; the
@@ -350,10 +358,10 @@ def test_finetune_parks_the_blas_threads_and_restores_them(
     if diverge:
         latent.z[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
-            finetune(model, latent, targets, tiny_encoded, cfg)
+            finetune(model, latent, targets, tiny_table, cfg)
         assert threads_seen == [1]
     else:
-        res = finetune(model, latent, targets, tiny_encoded, cfg)
+        res = finetune(model, latent, targets, tiny_table, cfg)
         assert threads_seen == [1] * (cfg.epochs + 1)
         assert res.matcher_workers == min(rowpool.max_workers(), -(-targets.n_households // 4))
     assert get() == before
@@ -361,7 +369,7 @@ def test_finetune_parks_the_blas_threads_and_restores_them(
 
 def test_finetune_below_the_threshold_is_not_parked(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
-    res = finetune(model, latent, targets, tiny_encoded, TrainConfig(epochs=2, decay_start=1))
+    res = finetune(model, latent, targets, tiny_table, TrainConfig(epochs=2, decay_start=1))
     assert res.matcher_workers == 1
 
 
