@@ -2,8 +2,12 @@
 
 A backward call must follow the forward call it differentiates, whose
 ``train`` flag is the one mode switch. Train mode uses batch statistics and
-its backward accumulates parameter gradients additively into each ``Param``:
-``Affine`` caches its input, ``BatchNorm`` ``xhat`` and ``inv_std``. Eval mode
+its backward sets each ``Param``'s gradient to that backward's own, written
+in place, so no step needs the gradients zeroed first: ``Affine`` caches its
+input, ``BatchNorm`` ``xhat`` and ``inv_std``. A train-mode ``BatchNorm``
+forward writes its batch mean and variance to its ``batch`` vector;
+``update_running`` folds them into the running statistics, once per step
+for a whole model (``VaeModel.update_running_stats``). Eval mode
 is frozen, with running statistics and a backward that returns only the input
 gradient: ``Affine`` caches nothing, ``BatchNorm`` only ``inv_std``. ``Relu``
 caches its output in train mode and a boolean mask in eval mode, and
@@ -24,7 +28,8 @@ import math
 import numpy as np
 
 class Param:
-    """A trainable array with an additively accumulated gradient."""
+    """A trainable array and its gradient. A train-mode backward sets the
+    gradient, overwriting the last one in place; it never adds to it."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -32,9 +37,6 @@ class Param:
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -61,11 +63,12 @@ class Affine:
         y += self.b.value
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The input gradient, or None when ``input_grad`` is False."""
         if self._x is not None:  # train mode
-            self.w.grad += dy.T @ self._x
-            self.b.grad += dy.sum(axis=0)
-        return dy @ self.w.value
+            np.matmul(dy.T, self._x, out=self.w.grad)
+            np.add.reduce(dy, axis=0, out=self.b.grad)
+        return dy @ self.w.value if input_grad else None
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
@@ -74,36 +77,50 @@ class Affine:
 class BatchNorm:
     """Batch normalisation with learned scale/shift and running statistics.
 
-    Train mode normalises by biased batch variance and updates the running
-    statistics (unbiased variance) with momentum ``MOMENTUM``; eval mode
-    normalises by the running statistics. Both modes are differentiable.
+    Train mode normalises by biased batch variance and writes the batch mean
+    and variance to ``batch``; eval mode normalises by the running
+    statistics. Both modes are differentiable. ``running`` and ``batch`` are
+    ``[mean, var]`` vectors of length ``2 * dim``, with ``running_mean`` and
+    ``running_var`` the halves of ``running``. A standalone layer folds its
+    batch statistics into its running ones in each train-mode forward
+    (``update_running``); one built with ``deferred=True`` leaves that to its
+    owner, whose ``bind`` makes both vectors views into its own buffers.
     """
 
     EPS = 1e-5
     MOMENTUM = 0.1
 
-    def __init__(self, dim: int, name: str = "bn"):
+    def __init__(self, dim: int, name: str = "bn", deferred: bool = False):
         self.name = name
+        self.deferred = deferred
         self.scale = Param(np.ones(dim), f"{name}.scale")
         self.shift = Param(np.zeros(dim), f"{name}.shift")
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.is_var = np.repeat([False, True], dim)  # the variance half of [mean, var]
+        self.bind(np.concatenate([np.zeros(dim), np.ones(dim)]), np.zeros(2 * dim))
         self._ctx = None
+
+    def bind(self, running: np.ndarray, batch: np.ndarray) -> None:
+        """Hold the running and batch statistics in ``running`` and ``batch``."""
+        dim = self.scale.value.size
+        self.running, self.batch = running, batch
+        self.running_mean, self.running_var = running[:dim], running[dim:]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if train:
             n = x.shape[0]
             if n < 2:
                 raise ValueError(f"{self.name}: train mode needs a batch of >= 2 rows")
-            mean = x.sum(axis=0) / n
+            dim = self.scale.value.size
+            mean, var = self.batch[:dim], self.batch[dim:]
+            np.add.reduce(x, axis=0, out=mean)
+            mean /= n
             xhat = x - mean
-            var = (xhat * xhat).sum(axis=0) / n
+            np.add.reduce(xhat * xhat, axis=0, out=var)
+            var /= n
             inv_std = 1.0 / np.sqrt(var + self.EPS)
             xhat *= inv_std
-            m = self.MOMENTUM
-            # in place: the statistics may be views into a model's state vector
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mean
-            self.running_var[...] = (1 - m) * self.running_var + m * var * n / (n - 1)
+            if not self.deferred:
+                update_running(self.running, self.batch, self.is_var, n)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = x - self.running_mean
@@ -118,8 +135,8 @@ class BatchNorm:
         dxhat = dy * self.scale.value
         if xhat is None:  # eval mode
             return np.multiply(dxhat, inv_std, out=dxhat)
-        self.scale.grad += (dy * xhat).sum(axis=0)
-        self.shift.grad += dy.sum(axis=0)
+        np.add.reduce(dy * xhat, axis=0, out=self.scale.grad)
+        np.add.reduce(dy, axis=0, out=self.shift.grad)
         # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # built in dxhat with the same rounding
         n = dy.shape[0]
@@ -133,6 +150,21 @@ class BatchNorm:
 
     def params(self) -> list[Param]:
         return [self.scale, self.shift]
+
+
+def update_running(running: np.ndarray, batch: np.ndarray, is_var: np.ndarray, n: int) -> None:
+    """Fold batch statistics from ``n`` rows into running ones, in place:
+    ``(1 - m) * r + m * mean`` where ``is_var`` is False and
+    ``(1 - m) * r + m * var * n / (n - 1)`` (the unbiased variance) where it
+    is True, with ``m = BatchNorm.MOMENTUM``. ``running`` and ``batch`` may
+    hold the ``[mean, var]`` vectors of many layers end to end; ``batch`` is
+    overwritten."""
+    m = BatchNorm.MOMENTUM
+    batch *= m
+    np.multiply(batch, n, out=batch, where=is_var)
+    np.divide(batch, n - 1, out=batch, where=is_var)
+    running *= 1 - m
+    running += batch
 
 
 class Relu:
@@ -294,10 +326,13 @@ class Chain:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The input gradient. ``input_grad=False`` returns None, and the
+        first layer, which must then be an ``Affine``, skips its product."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        return first.backward(dy) if input_grad else first.backward(dy, input_grad=False)
 
     def params(self) -> list[Param]:
         out = []

@@ -147,17 +147,18 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
         n_batches = 0
         for start in range(0, n - batch + 1, batch):
             xb = x[order[start : start + batch]]
-            model.zero_grads()
             mu, logsig = model.encode(xb, train=True)
             noise = rng.standard_normal(mu.shape)
             z = nn.reparameterize(mu, logsig, noise)
             probs = model.decode(z, train=True)
+            model.update_running_stats(batch)
             fl, dprobs = focal_loss(probs, xb, focal)
             kl, dmu_kl, dls_kl = latent_kl(mu, logsig)
             dz = model.decode_backward(dprobs)
             dmu, dls = nn.reparameterize_backward(dz, logsig, noise)
             model.encode_backward(
-                dmu + config.kl_weight * dmu_kl, dls + config.kl_weight * dls_kl
+                dmu + config.kl_weight * dmu_kl, dls + config.kl_weight * dls_kl,
+                input_grad=False,
             )
             _assert_finite(model.flat.grad, epoch, "pretraining gradient")
             opt.step(lr)
@@ -260,8 +261,7 @@ def finetune(
             probs = model.decode(z_param.value, train=False)
             mres, dres, total = losses(probs)
             _assert_finite(total, epoch, "fine-tuning loss")
-            z_param.zero_grad()
-            z_param.grad += model.decode_backward(config.w_marginal * mres.grad + dres.grad)
+            z_param.grad = model.decode_backward(config.w_marginal * mres.grad + dres.grad)
             _assert_finite(z_param.grad, epoch, "fine-tuning gradient")
             opt.step(lr)
             history.append((epoch, lr, mres.loss, dres.dbce_loss, dres.norm_kl, total))

@@ -61,7 +61,7 @@ class VaeHyperparams:
 def _block(in_dim, out_dim, rng, name):
     return [
         nn.Affine(in_dim, out_dim, rng, f"{name}.affine"),
-        nn.BatchNorm(out_dim, f"{name}.bn"),
+        nn.BatchNorm(out_dim, f"{name}.bn", deferred=True),
         nn.Relu(f"{name}.relu"),
     ]
 
@@ -81,9 +81,9 @@ class VaeModel:
             width = w
         self.encoder = nn.Chain(layers)
         self.mu_affine = nn.Affine(width, hyper.latent_dim, rng, "mu.affine")
-        self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn")
+        self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn", deferred=True)
         self.logsig_affine = nn.Affine(width, hyper.latent_dim, rng, "logsig.affine")
-        self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn")
+        self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn", deferred=True)
 
         layers = []
         width = hyper.latent_dim
@@ -109,10 +109,12 @@ class VaeModel:
         logsig = self.logsig_bn.forward(self.logsig_affine.forward(h, train), train)
         return mu, logsig
 
-    def encode_backward(self, dmu, dlogsig):
+    def encode_backward(self, dmu, dlogsig, input_grad: bool = True):
+        """The gradient with respect to the encoder's input, or None when
+        ``input_grad`` is False: then the first layer skips that product."""
         dh = self.mu_affine.backward(self.mu_bn.backward(dmu))
         dh += self.logsig_affine.backward(self.logsig_bn.backward(dlogsig))
-        return self.encoder.backward(dh)
+        return self.encoder.backward(dh, input_grad)
 
     def decode(self, z: np.ndarray, train: bool = False) -> np.ndarray:
         return self.decoder.forward(z, train=train)
@@ -120,29 +122,45 @@ class VaeModel:
     def decode_backward(self, dprobs):
         return self.decoder.backward(dprobs)
 
+    def update_running_stats(self, n: int) -> None:
+        """Fold the batch statistics of the last train-mode encode and
+        decode, over ``n`` rows, into the running statistics: one
+        ``nn.update_running`` over the whole tail of ``state``. The layers'
+        train-mode forwards leave the running statistics alone."""
+        nn.update_running(self._running, self._batch, self._is_var, n)
+
     # -- state ---------------------------------------------------------------
 
     def _pack(self) -> None:
         """View every parameter and running statistic into ``state`` (in file
-        order), and every gradient into ``flat``, a Param over the parameters."""
+        order), and every gradient into ``flat``, a Param over the parameters.
+        The running statistics, each batch norm's ``[mean, var]`` in layer
+        order, are the tail of ``state``; the batch statistics live in a
+        buffer of the same layout, so one call updates them all."""
         params = self.parameters()
-        slots = [(p, "value", p.name) for p in params] + [
-            (bn, key, f"{bn.name}.{key}")
-            for bn in self._layers()
-            if isinstance(bn, nn.BatchNorm)
-            for key in ("running_mean", "running_var")
-        ]
-        self.state = np.concatenate([getattr(o, key).ravel() for o, key, _ in slots])
-        self.flat = nn.Param(self.state[: sum(p.value.size for p in params)], "params")
+        bns = [layer for layer in self._layers() if isinstance(layer, nn.BatchNorm)]
+        self.state = np.concatenate(
+            [p.value.ravel() for p in params] + [bn.running for bn in bns]
+        )
+        n_params = sum(p.value.size for p in params)
+        self.flat = nn.Param(self.state[:n_params], "params")
+        self._running = self.state[n_params:]
+        self._batch = np.zeros_like(self._running)
+        self._is_var = np.concatenate([bn.is_var for bn in bns])
         self.arrays = []  # (name, view into state), in file order
         offset = 0
-        for owner, key, name in slots:
-            arr = getattr(owner, key)
-            span = slice(offset, offset + arr.size)
-            setattr(owner, key, self.state[span].reshape(arr.shape))
-            if key == "value":
-                owner.grad = self.flat.grad[span].reshape(arr.shape)
-            self.arrays.append((name, getattr(owner, key)))
+        for p in params:
+            span = slice(offset, offset + p.value.size)
+            shape = p.value.shape
+            p.value = self.state[span].reshape(shape)
+            p.grad = self.flat.grad[span].reshape(shape)
+            self.arrays.append((p.name, p.value))
+            offset = span.stop
+        for bn in bns:
+            span = slice(offset, offset + bn.running.size)
+            bn.bind(self.state[span], self._batch[span.start - n_params : span.stop - n_params])
+            self.arrays += [(f"{bn.name}.running_mean", bn.running_mean),
+                            (f"{bn.name}.running_var", bn.running_var)]
             offset = span.stop
 
     def _layers(self) -> list:
@@ -151,9 +169,6 @@ class VaeModel:
 
     def parameters(self) -> list[nn.Param]:
         return [p for layer in self._layers() for p in layer.params()]
-
-    def zero_grads(self) -> None:
-        self.flat.zero_grad()
 
     def header(self) -> dict:
         """The file header: the schema, the hyperparameters and the array

@@ -5,7 +5,7 @@ import pytest
 
 from popsynth import rowpool, training
 from popsynth.losses import MarginalRmseResult
-from popsynth.nn import Param, Relu
+from popsynth.nn import Affine, Param, Relu
 from popsynth.schema import EncodedMatrix, empirical_marginals
 from popsynth.training import (
     FINETUNE_HISTORY_COLUMNS,
@@ -149,6 +149,24 @@ def test_pretrain_minibatch_runs(tiny_schema, tiny_encoded):
     )
     res = pretrain(model, tiny_encoded, cfg)
     assert len(res.history) == 10
+
+
+def test_pretrain_skips_the_first_input_gradient(tiny_schema, tiny_encoded, monkeypatch):
+    """Pretraining discards the encoder's input gradient, so enc0's affine
+    layer never forms its ``dy @ W`` product; every other layer does."""
+    backward = Affine.backward
+    returned = {}
+
+    def spy(layer, dy, *args, **kwargs):
+        dx = backward(layer, dy, *args, **kwargs)
+        returned.setdefault(layer.name, set()).add(dx is None)
+        return dx
+
+    monkeypatch.setattr(Affine, "backward", spy)
+    model, cfg = pretrain_setup(tiny_schema, tiny_encoded)
+    pretrain(model, tiny_encoded, replace(cfg, epochs=3))
+    assert returned.pop("enc0.affine") == {True}
+    assert returned and all(v == {False} for v in returned.values())
 
 
 def test_pretrain_rejects_fingerprint_mismatch(tiny_schema, tiny_encoded):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from popsynth import vae
+from popsynth.nn import BatchNorm
 from popsynth.training import Lion
 from popsynth.vae import (
     ModelFormatError,
@@ -64,9 +65,51 @@ def test_eval_decode_is_stateless(small_model, rng):
 
 
 def test_train_mode_updates_running_stats(small_model, tiny_encoded):
+    """A train-mode pass leaves the running statistics to
+    ``update_running_stats``, which moves them."""
     before = small_model.checksum()
-    small_model.encode(tiny_encoded.values, train=True)
+    mu, _ = small_model.encode(tiny_encoded.values, train=True)
+    small_model.decode(mu, train=True)
+    assert small_model.checksum() == before
+    small_model.update_running_stats(mu.shape[0])
     assert small_model.checksum() != before
+
+
+def test_running_stats_follow_the_per_layer_recurrence_bit_for_bit(
+    small_model, tiny_encoded, rng, monkeypatch
+):
+    """k train-mode steps, each folded in by one ``update_running_stats``,
+    give every batch norm the textbook per-layer recurrence on the mean and
+    variance of its input, bit for bit."""
+    inputs = []  # (layer, train-mode input), in call order
+    forward = BatchNorm.forward
+
+    def spy(layer, x, train=True):
+        if train:
+            inputs.append((layer, x.copy()))
+        return forward(layer, x, train)
+
+    monkeypatch.setattr(BatchNorm, "forward", spy)
+    bns = [layer for layer in small_model._layers() if isinstance(layer, BatchNorm)]
+    want = {bn.name: (bn.running_mean.copy(), bn.running_var.copy()) for bn in bns}
+    m = BatchNorm.MOMENTUM
+    for _ in range(5):
+        x = tiny_encoded.values[rng.permutation(4)[:3]]
+        mu, logsig = small_model.encode(x, train=True)
+        small_model.decode(mu + logsig, train=True)
+        small_model.update_running_stats(x.shape[0])
+        assert len(inputs) == len(bns)
+        for bn, h in inputs:
+            n = h.shape[0]
+            r_mean, r_var = want[bn.name]
+            want[bn.name] = (
+                (1 - m) * r_mean + m * h.mean(axis=0),
+                (1 - m) * r_var + m * h.var(axis=0) * n / (n - 1),
+            )
+        inputs.clear()
+    for bn in bns:
+        assert bn.running_mean.tobytes() == want[bn.name][0].tobytes(), bn.name
+        assert bn.running_var.tobytes() == want[bn.name][1].tobytes(), bn.name
 
 
 def test_encoder_gradient(small_model, tiny_encoded, rng):
@@ -101,7 +144,6 @@ def test_decoder_param_gradient(small_model, rng):
     z = rng.normal(size=(6, 3))
     w = rng.normal(size=(6, small_model.d))
     small_model.decode(z, train=True)
-    small_model.zero_grads()
     small_model.decode_backward(w)
     p = small_model.out_affine.b
     grad = p.grad.copy()
@@ -191,14 +233,27 @@ def test_state_vector_backs_every_array(small_model):
 
 def test_flat_lion_step_moves_the_layer_views(small_model, tiny_encoded):
     mu, logsig = small_model.encode(tiny_encoded.values, train=True)
-    small_model.zero_grads()
     small_model.encode_backward(np.ones_like(mu), np.ones_like(logsig))
     w = small_model.mu_affine.w
     expected = w.value - 0.1 * np.sign(0.1 * w.grad)
     Lion([small_model.flat]).step(0.1)
     np.testing.assert_array_equal(w.value, expected)
-    small_model.zero_grads()
-    assert not small_model.flat.grad.any() and not w.grad.any()
+
+
+def test_train_backward_sets_the_gradients(small_model, tiny_encoded, rng):
+    """A second train-mode forward and backward of the same batch leaves
+    ``flat.grad`` with the first one's bytes: gradients are set, not added."""
+    z = rng.normal(size=(4, 3))
+    w = rng.normal(size=(4, small_model.d))
+    grads = []
+    for _ in range(2):
+        mu, logsig = small_model.encode(tiny_encoded.values, train=True)
+        small_model.decode(z, train=True)
+        small_model.decode_backward(w)
+        small_model.encode_backward(mu, logsig)
+        grads.append(small_model.flat.grad.tobytes())
+    assert np.frombuffer(grads[0]).any()
+    assert grads[1] == grads[0]
 
 
 def test_running_stats_stay_in_the_state_vector(small_model, tiny_encoded):
