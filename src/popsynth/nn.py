@@ -45,12 +45,16 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 class Affine:
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str):
+    """``x @ w.T + b``. ``bias=False`` drops ``b``, for a layer whose output
+    a batch norm centres, which cancels any bias."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str,
+                 bias: bool = True):
         if in_dim < 1 or out_dim < 1:
             raise ValueError("affine dimensions must be >= 1")
         self.name = name
         self.w = Param(glorot_uniform(rng, out_dim, in_dim), f"{name}.w")
-        self.b = Param(np.zeros(out_dim), f"{name}.b")
+        self.b = Param(np.zeros(out_dim), f"{name}.b") if bias else None
         self._x = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -60,18 +64,20 @@ class Affine:
             )
         self._x = x if train else None
         y = x @ self.w.value.T
-        y += self.b.value
+        if self.b is not None:
+            y += self.b.value
         return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """The input gradient, or None when ``input_grad`` is False."""
         if self._x is not None:  # train mode
             np.matmul(dy.T, self._x, out=self.w.grad)
-            np.add.reduce(dy, axis=0, out=self.b.grad)
+            if self.b is not None:
+                np.add.reduce(dy, axis=0, out=self.b.grad)
         return dy @ self.w.value if input_grad else None
 
     def params(self) -> list[Param]:
-        return [self.w, self.b]
+        return [self.w] if self.b is None else [self.w, self.b]
 
 
 class BatchNorm:
@@ -132,21 +138,19 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._ctx
-        dxhat = dy * self.scale.value
         if xhat is None:  # eval mode
+            dxhat = dy * self.scale.value
             return np.multiply(dxhat, inv_std, out=dxhat)
-        np.add.reduce(dy * xhat, axis=0, out=self.scale.grad)
-        np.add.reduce(dy, axis=0, out=self.shift.grad)
-        # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        # built in dxhat with the same rounding
+        # (dy - sum(dy) / n - xhat * (sum(dy * xhat) / n)) * (scale * inv_std),
+        # from the two sums the parameter gradients take: seven array passes
         n = dy.shape[0]
-        sum_dxhat = dxhat.sum(axis=0)
-        proj = (dxhat * xhat).sum(axis=0)
-        dxhat *= n
-        dxhat -= sum_dxhat
-        dxhat -= xhat * proj
-        dxhat *= inv_std / n
-        return dxhat
+        dx = np.multiply(dy, xhat)
+        proj = np.add.reduce(dx, axis=0, out=self.scale.grad) / n
+        mean_dy = np.add.reduce(dy, axis=0, out=self.shift.grad) / n
+        np.subtract(dy, mean_dy, out=dx)
+        dx -= xhat * proj
+        dx *= self.scale.value * inv_std
+        return dx
 
     def params(self) -> list[Param]:
         return [self.scale, self.shift]

@@ -3,11 +3,14 @@
 Encoder: six affine+batchnorm+ReLU blocks, then separate affine+batchnorm
 heads for mu and logsig. Decoder: six blocks with the encoder's widths in
 reverse order, then an affine output head followed by a per-variable group
-softmax, so every decoded row is a stack of category distributions.
+softmax, so every decoded row is a stack of category distributions. Every
+affine layer that feeds a batch norm, all but the output head, has no bias:
+the batch norm subtracts the batch mean, which cancels it (Ioffe & Szegedy
+2015, section 3.2).
 
 ``VaeModel(schema, VaeHyperparams(...))`` is the one constructor, and the
-model keeps that resolved schema as its own. Weights are Glorot-uniform, biases
-and batch-norm shifts zero, deterministic in ``init_seed``.
+model keeps that resolved schema as its own. Weights are Glorot-uniform, the
+output head's bias and batch-norm shifts zero, deterministic in ``init_seed``.
 
 The layers' parameters and running statistics are views into one ``state``
 vector, and their gradients into one gradient vector. Persistence is a
@@ -34,7 +37,7 @@ from .schema import (
 )
 
 MODEL_MAGIC = b"PSVAE01\n"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 N_BLOCKS = 6
 
@@ -60,7 +63,7 @@ class VaeHyperparams:
 
 def _block(in_dim, out_dim, rng, name):
     return [
-        nn.Affine(in_dim, out_dim, rng, f"{name}.affine"),
+        nn.Affine(in_dim, out_dim, rng, f"{name}.affine", bias=False),
         nn.BatchNorm(out_dim, f"{name}.bn", deferred=True),
         nn.Relu(f"{name}.relu"),
     ]
@@ -80,9 +83,9 @@ class VaeModel:
             layers.extend(_block(width, w, rng, f"enc{i}"))
             width = w
         self.encoder = nn.Chain(layers)
-        self.mu_affine = nn.Affine(width, hyper.latent_dim, rng, "mu.affine")
+        self.mu_affine = nn.Affine(width, hyper.latent_dim, rng, "mu.affine", bias=False)
         self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn", deferred=True)
-        self.logsig_affine = nn.Affine(width, hyper.latent_dim, rng, "logsig.affine")
+        self.logsig_affine = nn.Affine(width, hyper.latent_dim, rng, "logsig.affine", bias=False)
         self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn", deferred=True)
 
         layers = []

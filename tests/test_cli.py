@@ -1010,6 +1010,36 @@ def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, case, capsys):
     assert not (tmp_path / "inv").exists()
 
 
+def format_3_model(model) -> bytes:
+    """``model``'s file as format 3 wrote it: a zero bias after the weights
+    of each affine layer that lacks one, and nothing after the payload."""
+    present = dict(model.arrays)
+    arrays, payload = [], []
+    for name, arr in model.arrays:
+        arrays.append([name, list(arr.shape)])
+        payload.append(arr.ravel())
+        if name.endswith(".affine.w") and name[:-1] + "b" not in present:
+            arrays.append([name[:-1] + "b", [arr.shape[0]]])
+            payload.append(np.zeros(arr.shape[0]))
+    header = model.header() | {"arrays": arrays, "version": 3, "dtype": "<f8"}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = np.concatenate(payload).astype("<f8").tobytes()
+    return vae.MODEL_MAGIC + struct.pack("<I", len(head)) + head + body
+
+
+def test_format_3_model_is_exit_1(data_dir, artifacts, tmp_path, capsys):
+    """A model from before format 4, which held the 14 affine biases that
+    the batch norms cancel, exits 1 with one line and writes nothing."""
+    old = tmp_path / "old.psv"
+    old.write_bytes(format_3_model(artifacts[1]))
+    capsys.readouterr()
+    rc = run(valid_command("finetune", data_dir, old, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "old.psv" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.psv"]
+
+
 def test_privacy_ignores_repeated_microdata_households(data_dir, artifacts, tmp_path):
     """Privacy compares against the distinct microdata rows at both levels,
     so every household appended again under a new id changes no output."""

@@ -61,6 +61,17 @@ def test_affine_param_gradients(rng):
     np.testing.assert_allclose(layer.b.grad, np.full(2, 6.0), atol=1e-9)
 
 
+def test_affine_without_bias(rng):
+    layer = Affine(3, 2, rng, "a", bias=False)
+    x = rng.normal(size=(4, 3))
+    assert layer.b is None and layer.params() == [layer.w]
+    assert layer.forward(x).tobytes() == (x @ layer.w.value.T).tobytes()
+    dy = rng.normal(size=(4, 2))
+    assert layer.backward(dy).tobytes() == (dy @ layer.w.value).tobytes()
+    assert layer.w.grad.tobytes() == (dy.T @ x).tobytes()
+    assert fd_ok(Affine(4, 3, rng, "a", bias=False), rng.normal(size=(5, 4)))
+
+
 def test_relu_masks_negative(rng):
     x = np.array([[-1.0, 0.5], [2.0, -3.0]])
     layer = Relu()
@@ -182,11 +193,10 @@ def textbook_batchnorm(layer, x, dy, train):
         inv_std = 1.0 / np.sqrt(running_var + eps)
         xhat = (x - running_mean) * inv_std
     y = xhat * scale + shift
-    dxhat = dy * scale
     if train:
-        dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        dx = (dy - dy.sum(axis=0) / n - xhat * ((dy * xhat).sum(axis=0) / n)) * (scale * inv_std)
     else:
-        dx = dxhat * inv_std
+        dx = dy * scale * inv_std
     return y, dx, running_mean, running_var, (dy * xhat).sum(axis=0), dy.sum(axis=0)
 
 

@@ -231,6 +231,13 @@ def test_state_vector_backs_every_array(small_model):
     assert sum(a.size for _, a in small_model.arrays) == small_model.state.size
 
 
+def test_only_the_output_head_has_a_bias(small_model):
+    """The 14 affine layers that feed a batch norm carry no bias."""
+    names = [name for name, _ in small_model.arrays]
+    assert sum(name.endswith(".affine.w") for name in names) == 15
+    assert [name for name in names if name.endswith(".b")] == ["out.affine.b"]
+
+
 def test_flat_lion_step_moves_the_layer_views(small_model, tiny_encoded):
     mu, logsig = small_model.encode(tiny_encoded.values, train=True)
     small_model.encode_backward(np.ones_like(mu), np.ones_like(logsig))
