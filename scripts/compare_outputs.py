@@ -9,8 +9,10 @@ CSV, JSON, ``.psl`` or ``.psv`` file the line also gives how many numbers
 differ and the largest absolute and relative difference among them
 (relative to the larger magnitude of the two), plus any non-numeric field or
 structure that differs. A ``.psl`` / ``.psv`` file is read as the popsynth
-blob: a magic line, a u32 header length, a JSON header and a float64
-payload. Timestamps in manifests differ on every run and are reported like
+blob: a magic line, a u32 header length, a JSON header, a float64 payload
+and the sha256 digest of those bytes, reported as a field when it differs.
+A file without a valid trailing digest (one written before model format 4
+or latent format 2) is read as all payload after the header. Timestamps in manifests differ on every run and are reported like
 any other number. The exit code is 0 whatever the comparison finds: the
 script reports, it does not judge. Wrong arguments exit 1.
 """
@@ -18,6 +20,7 @@ script reports, it does not judge. Wrong arguments exit 1.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -26,6 +29,9 @@ import struct
 import sys
 
 import numpy as np
+
+DIGEST_SIZE = 32  # a trailing sha256
+
 
 
 def _files(root: str) -> set[str]:
@@ -68,13 +74,19 @@ def _csv_cells(data: bytes):
 
 
 def _blob_cells(data: bytes):
-    """The header's JSON scalars and the payload's float64 values."""
+    """The header's JSON scalars, the payload's float64 values and the
+    trailing digest, if the file has one."""
+    cells = []
+    body, digest = data[:-DIGEST_SIZE], data[-DIGEST_SIZE:]
+    if len(data) > DIGEST_SIZE and hashlib.sha256(body).digest() == digest:
+        cells.append((("digest",), digest.hex()))
+        data = body
     magic_end = data.index(b"\n") + 1
     (size,) = struct.unpack_from("<I", data, magic_end)
     start = magic_end + 4
     header = json.loads(data[start : start + size])
     payload = np.frombuffer(data, "<f8", offset=start + size)
-    cells = [(("header", *p), v) for p, v in _leaves(header)]
+    cells += [(("header", *p), v) for p, v in _leaves(header)]
     cells += [(("payload", i), float(v)) for i, v in enumerate(payload)]
     return cells
 

@@ -23,7 +23,7 @@ from .schema import (
 from .vae import ModelFormatError, read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
-LATENT_VERSION = 1
+LATENT_VERSION = 2
 # every key of a latent header: save_latent's, then write_blob's
 LATENT_KEYS = {"format", "seed", "rows", "width", "schema_fingerprint", "model_fingerprint",
                "version", "dtype"}

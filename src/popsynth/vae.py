@@ -16,9 +16,9 @@ The layers' parameters and running statistics are views into one ``state``
 vector, and their gradients into one gradient vector. Persistence is a
 versioned binary format (the codec ``write_blob`` / ``read_blob``, shared with
 latent files): an 8-byte magic, a length-prefixed JSON header (the resolved
-schema, hyperparameters, array directory) and ``state`` as little-endian
-float64. Round trips are bit-exact. The model's fingerprint, ``checksum``,
-hashes that header and ``state``.
+schema, hyperparameters, array directory), ``state`` as little-endian
+float64 and the sha256 of all those bytes. Round trips are bit-exact. The
+model's fingerprint, ``checksum``, hashes that header and ``state``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .schema import (
 
 MODEL_MAGIC = b"PSVAE01\n"
 MODEL_VERSION = 4
+DIGEST_SIZE = 32  # the trailing sha256 of a model or latent file
 
 N_BLOCKS = 6
 
@@ -207,22 +208,31 @@ class VaeModel:
 
 def write_blob(path, magic: bytes, version: int, header: dict, payload: np.ndarray) -> None:
     """Write magic, the u32 length of the JSON header (``header`` plus version
-    and dtype), the header and the payload as little-endian float64, atomically."""
+    and dtype), the header, the payload as little-endian float64 and the
+    sha256 digest of all the bytes before it, atomically."""
     header = header | {"version": version, "dtype": "<f8"}
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = np.ascontiguousarray(payload, dtype="<f8").tobytes()
-    write_atomic(path, magic + struct.pack("<I", len(head)) + head + body)
+    body = magic + struct.pack("<I", len(head)) + head
+    body += np.ascontiguousarray(payload, dtype="<f8").tobytes()
+    write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndarray]:
-    """Read a ``write_blob`` file into (header, payload). Any defect of a
-    readable file, including a payload that does not fill the rest of the
-    file in the shape ``shape_of(header)`` or that holds a NaN or an
-    infinity, raises ``ModelFormatError``."""
+    """Read a ``write_blob`` file into (header, payload). The digest is
+    checked before anything else is read, so a flipped bit anywhere after
+    the magic is caught. Any defect of a readable file, including a payload
+    that does not fill the rest of the file in the shape ``shape_of(header)``
+    or that holds a NaN or an infinity, raises ``ModelFormatError``."""
     blob = read_input(path, text=False)
     start = len(magic) + 4
     if blob[: len(magic)] != magic:
         raise ModelFormatError(f"{path}: bad magic, not a {magic.decode().strip()} file")
+    blob, digest = blob[:-DIGEST_SIZE], blob[-DIGEST_SIZE:]
+    if hashlib.sha256(blob).digest() != digest:
+        raise ModelFormatError(
+            f"{path}: sha256 digest does not match the contents: "
+            "the file is damaged, or older than the digest"
+        )
     try:
         (size,) = struct.unpack_from("<I", blob, len(magic))
         header = json.loads(blob[start : start + size])

@@ -2,17 +2,17 @@
 
 A real model and a latent fitted for it are written once; each example
 corrupts one of them and runs ``generate`` through ``cli.run``. A file cut
-short at any length must exit 1. A bit flipped in the magic, the length
-prefix or the JSON header may still describe a usable file (exit 0, with the
-untouched run's inventory) or not (exit 1 with one ``error:`` line), but
-never a runtime failure (exit 2) or an uncaught exception. A bit flipped in
-the model's float payload changes its fingerprint, which no longer matches
-the one the latent records, or makes a value NaN or infinite, which the
-reader rejects; either way it exits 1. The latent's own payload has no
-checksum, so flips there are not tested; a NaN or infinite latent cell is.
+short at any length must exit 1. Both files end with the sha256 of every
+byte before it, so a bit flipped anywhere, in the magic, the length prefix,
+the JSON header, the float payload or the digest itself, exits 1 with one
+``error:`` line: never 0 with a wrong inventory, never a runtime failure
+(exit 2) or an uncaught exception. A header that a writer signed but that
+describes no usable model, and a NaN or infinite latent cell or model
+weight, exit 1 too.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import struct
@@ -77,26 +77,30 @@ def assert_one_error_line(rc: int, err: str) -> None:
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.fixture(scope="module")
-def untouched(artifacts):
-    """The inventory files of a run on the untouched artifacts."""
-    rc, err, files = generate_with(artifacts, "model.psv", (artifacts / "model.psv").read_bytes())
-    assert (rc, err, sorted(files)) == (0, "", sorted(INVENTORY))
-    return files
-
-
 def test_untouched_artifacts_generate(artifacts):
     for fmt in FORMATS:
-        assert generate_with(artifacts, fmt, (artifacts / fmt).read_bytes())[:2] == (0, "")
+        rc, err, files = generate_with(artifacts, fmt, (artifacts / fmt).read_bytes())
+        assert (rc, err, sorted(files)) == (0, "", sorted(INVENTORY))
+
+
+def flip_bit(blob: bytes, data, first: int, last: int) -> bytes:
+    """``blob`` with one drawn bit flipped in a drawn byte of [first, last]."""
+    blob = bytearray(blob)
+    pos = data.draw(st.integers(first, last), label="byte")
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    return bytes(blob)
 
 
 def with_schema(blob: bytes, change) -> bytes:
-    """A model file whose header holds ``change(schema)`` in place of its schema."""
+    """A model file whose header holds ``change(schema)`` in place of its
+    schema, signed again."""
+    blob = blob[: -vae.DIGEST_SIZE]
     (size,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + size])
     header["schema"] = change(header["schema"])
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]
+    blob = blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]
+    return blob + hashlib.sha256(blob).digest()
 
 
 HEADER_SCHEMAS = {
@@ -128,35 +132,50 @@ def test_truncated_artifact_is_exit_1(artifacts, fmt, data):
 
 @settings(max_examples=300, deadline=None)
 @given(fmt=st.sampled_from(FORMATS), data=st.data())
-def test_header_bit_flip_is_exit_0_or_1(artifacts, untouched, fmt, data):
-    blob = bytearray((artifacts / fmt).read_bytes())
-    pos = data.draw(st.integers(0, header_end(blob) - 1), label="byte")
-    blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    rc, err, files = generate_with(artifacts, fmt, bytes(blob))
-    assert rc in (0, 1)
-    lines = err.splitlines()
-    assert sum(line.startswith("error:") for line in lines) == rc
-    if rc == 1:
-        assert len(lines) == 1
-        return
-    assert files["households.csv"] == untouched["households.csv"]
-    assert files["persons.csv"] == untouched["persons.csv"]
-    if fmt == "model.psv":
-        assert files["provenance.json"] == untouched["provenance.json"]
-    else:  # a seed flipped from one digit to another is still an integer seed
-        got, want = (json.loads(f["provenance.json"]) for f in (files, untouched))
-        assert got | {"latent_seed": want["latent_seed"]} == want
+def test_header_bit_flip_is_exit_1(artifacts, fmt, data):
+    """A flip in the magic fails the magic check, any other the digest,
+    which is checked before the header is read. Without the digest, a
+    latent seed flipped from one digit to another exited 0."""
+    blob = (artifacts / fmt).read_bytes()
+    rc, err, files = generate_with(artifacts, fmt, flip_bit(blob, data, 0, header_end(blob) - 1))
+    assert_one_error_line(rc, err)
+    assert "bad magic" in err or "digest does not match" in err
+    assert files == {}
+
+
+def test_latent_seed_digit_flip_is_exit_1(artifacts):
+    """The header flip that exited 0 before the digest: the latent's seed
+    3 flipped to 2 still parsed, and provenance.json reported seed 2."""
+    blob = bytearray((artifacts / "latent.psl").read_bytes())
+    pos = blob.index(b'"seed":3,') + len(b'"seed":')
+    blob[pos] ^= 1  # "3" -> "2"
+    rc, err, files = generate_with(artifacts, "latent.psl", bytes(blob))
+    assert_one_error_line(rc, err)
+    assert "latent.psl: sha256 digest does not match" in err
+    assert files == {}
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_model_payload_bit_flip_is_exit_1(artifacts, data):
-    blob = bytearray((artifacts / "model.psv").read_bytes())
-    pos = data.draw(st.integers(header_end(blob), len(blob) - 1), label="byte")
-    blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    rc, err, _ = generate_with(artifacts, "model.psv", bytes(blob))
+    blob = (artifacts / "model.psv").read_bytes()
+    flipped = flip_bit(blob, data, header_end(blob), len(blob) - 1)
+    rc, err, _ = generate_with(artifacts, "model.psv", flipped)
     assert_one_error_line(rc, err)
-    assert "was fitted for another model" in err or "holds a value that is not finite" in err
+    assert "model.psv: sha256 digest does not match" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_latent_payload_bit_flip_is_exit_1(artifacts, data):
+    """A flipped latent cell still decodes to an inventory, so only the
+    digest can catch it."""
+    blob = (artifacts / "latent.psl").read_bytes()
+    flipped = flip_bit(blob, data, header_end(blob), len(blob) - 1)
+    rc, err, files = generate_with(artifacts, "latent.psl", flipped)
+    assert_one_error_line(rc, err)
+    assert "latent.psl: sha256 digest does not match" in err
+    assert files == {}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -833,12 +833,19 @@ def test_unreadable_input_is_exit_1_naming_it(
     assert not any(out.iterdir())
 
 
+def signed(blob: bytes) -> bytes:
+    """``blob`` with the trailing sha256 digest that ``write_blob`` appends."""
+    return blob + hashlib.sha256(blob).digest()
+
+
 DEEP = 100_000  # nested JSON arrays, past the parser's recursion limit
 NESTED_TOO_DEEP = {
     "--schema": (b"[" * DEEP, "could not parse schema file"),
     "--rules": (b"[" * DEEP, "could not parse rules file"),
-    "--model": (vae.MODEL_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP, "corrupt header"),
-    "--latent": (training.LATENT_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP, "corrupt header"),
+    "--model": (signed(vae.MODEL_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP), "corrupt header"),
+    "--latent": (
+        signed(training.LATENT_MAGIC + struct.pack("<I", DEEP) + b"[" * DEEP), "corrupt header"
+    ),
 }
 
 
@@ -965,12 +972,13 @@ def test_removed_flag_is_a_usage_error(data_dir, artifacts, tmp_path, sub, flag,
 
 
 def rewrite_header(src, dst, change):
-    """Copy a ``write_blob`` file with ``change(header)`` as its header."""
-    blob = src.read_bytes()
+    """Copy a ``write_blob`` file with ``change(header)`` as its header,
+    signed again."""
+    blob = src.read_bytes()[: -vae.DIGEST_SIZE]
     (size,) = struct.unpack_from("<I", blob, 8)
     header = change(json.loads(blob[12 : 12 + size]))
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    dst.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :])
+    dst.write_bytes(signed(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]))
 
 
 def with_keys(**changes):
@@ -984,6 +992,7 @@ FOREIGN_HEADERS = {
     "psl-dtype": ("latent.psl", with_keys(dtype=">f8"), "unsupported dtype '>f8'"),
     "psv-version-1": ("model.psv", with_keys(version=1), "unsupported version 1"),
     "psv-version-2": ("model.psv", with_keys(version=2), "unsupported version 2"),
+    "psl-version-1": ("latent.psl", with_keys(version=1), "unsupported version 1"),
     # provenance.json reports the latent's seed, so it is checked like the rest
     "psl-seed-renamed": (
         "latent.psl",

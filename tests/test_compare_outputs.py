@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 from pathlib import Path
@@ -43,7 +44,11 @@ def test_compare_outputs_reports_each_file_and_its_numbers(tmp_path):
         f"only in {b}: only_b.txt",
         "same     same.txt",
         "differs  sub/m.json  (1 numbers differ, max abs 1, max rel 0.25; 1 other fields differ)",
-        "differs  z.psl  (1 numbers differ, max abs 0.25, max rel 0.5)",
+        "differs  z.psl  (1 numbers differ, max abs 0.25, max rel 0.5; 1 other fields differ)",
     ]
+    blob = (b / "z.psl").read_bytes()
+    cells = dict(compare_outputs._blob_cells(blob))
+    assert cells[("digest",)] == hashlib.sha256(blob[: -vae.DIGEST_SIZE]).hexdigest()
+    assert cells[("payload", 1)] == 0.25
     assert compare_outputs.main([str(a), str(b)]) == 0
     assert compare_outputs.main([str(a)]) == 1

@@ -3,6 +3,7 @@ reader of input files and ``schema.write_atomic`` the only writer, and every
 bad input is a ``DataError``."""
 
 import ast
+import hashlib
 import struct
 from pathlib import Path
 
@@ -85,7 +86,8 @@ def test_json_nested_too_deep_is_each_readers_own_error(tmp_path):
     with pytest.raises(DataError, match="could not parse rules file"):
         load_rules(path)
     for magic, load in ((vae.MODEL_MAGIC, vae.load_model), (training.LATENT_MAGIC, training.load_latent)):
-        path.write_bytes(magic + struct.pack("<I", len(deep)) + deep)
+        blob = magic + struct.pack("<I", len(deep)) + deep
+        path.write_bytes(blob + hashlib.sha256(blob).digest())  # write_blob's digest
         with pytest.raises(vae.ModelFormatError, match="corrupt header"):
             load(path)
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -278,8 +279,11 @@ def _saved(model, tmp_path):
 
 
 def test_payload_is_the_state_vector(small_model, tmp_path):
-    p = _saved(small_model, tmp_path)
-    assert p.read_bytes().endswith(small_model.state.astype("<f8").tobytes())
+    """The state vector, then the sha256 of every byte before the digest."""
+    blob = _saved(small_model, tmp_path).read_bytes()
+    body, digest = blob[: -vae.DIGEST_SIZE], blob[-vae.DIGEST_SIZE :]
+    assert body.endswith(small_model.state.astype("<f8").tobytes())
+    assert digest == hashlib.sha256(body).digest()
 
 
 def test_load_rejects_foreign_directory(small_model, tmp_path):
