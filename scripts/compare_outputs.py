@@ -12,8 +12,8 @@ structure that differs. A ``.psl`` / ``.psv`` file is read as the popsynth
 blob: a magic line, a u32 header length, a JSON header, a float64 payload
 and the sha256 digest of those bytes, reported as a field when it differs.
 A file without a valid trailing digest (one written before model format 4
-or latent format 2) is read as all payload after the header. Timestamps in manifests differ on every run and are reported like
-any other number. The exit code is 0 whatever the comparison finds: the
+or latent format 2) is read as all payload after the header. Timestamps in
+manifests differ on every run and are reported like any other number. The exit code is 0 whatever the comparison finds: the
 script reports, it does not judge. Wrong arguments exit 1.
 """
 
@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 DIGEST_SIZE = 32  # a trailing sha256
-
 
 
 def _files(root: str) -> set[str]:

@@ -86,30 +86,37 @@ class BatchNorm:
     Train mode normalises by biased batch variance and writes the batch mean
     and variance to ``batch``; eval mode normalises by the running
     statistics. Both modes are differentiable. ``running`` and ``batch`` are
-    ``[mean, var]`` vectors of length ``2 * dim``, with ``running_mean`` and
-    ``running_var`` the halves of ``running``. A standalone layer folds its
-    batch statistics into its running ones in each train-mode forward
-    (``update_running``); one built with ``deferred=True`` leaves that to its
-    owner, whose ``bind`` makes both vectors views into its own buffers.
+    ``[mean, var]`` vectors of length ``2 * dim``. A standalone layer folds
+    its batch statistics into its running ones in each train-mode forward
+    (``update_running``); once an owner has ``bind``-ed both vectors into its
+    own buffers, that is left to the owner.
     """
 
     EPS = 1e-5
     MOMENTUM = 0.1
 
-    def __init__(self, dim: int, name: str = "bn", deferred: bool = False):
+    def __init__(self, dim: int, name: str = "bn"):
         self.name = name
-        self.deferred = deferred
         self.scale = Param(np.ones(dim), f"{name}.scale")
         self.shift = Param(np.zeros(dim), f"{name}.shift")
+        self.running = np.concatenate([np.zeros(dim), np.ones(dim)])
+        self.batch = np.zeros(2 * dim)
         self.is_var = np.repeat([False, True], dim)  # the variance half of [mean, var]
-        self.bind(np.concatenate([np.zeros(dim), np.ones(dim)]), np.zeros(2 * dim))
+        self.bound = False
         self._ctx = None
 
     def bind(self, running: np.ndarray, batch: np.ndarray) -> None:
-        """Hold the running and batch statistics in ``running`` and ``batch``."""
-        dim = self.scale.value.size
-        self.running, self.batch = running, batch
-        self.running_mean, self.running_var = running[:dim], running[dim:]
+        """Hold the statistics in views of an owner's buffers. The owner then
+        applies ``update_running`` to them; train-mode forwards no longer do."""
+        self.running, self.batch, self.bound = running, batch, True
+
+    @property
+    def running_mean(self) -> np.ndarray:
+        return self.running[: self.scale.value.size]
+
+    @property
+    def running_var(self) -> np.ndarray:
+        return self.running[self.scale.value.size :]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if train:
@@ -125,7 +132,7 @@ class BatchNorm:
             var /= n
             inv_std = 1.0 / np.sqrt(var + self.EPS)
             xhat *= inv_std
-            if not self.deferred:
+            if not self.bound:
                 update_running(self.running, self.batch, self.is_var, n)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)

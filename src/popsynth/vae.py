@@ -65,7 +65,7 @@ class VaeHyperparams:
 def _block(in_dim, out_dim, rng, name):
     return [
         nn.Affine(in_dim, out_dim, rng, f"{name}.affine", bias=False),
-        nn.BatchNorm(out_dim, f"{name}.bn", deferred=True),
+        nn.BatchNorm(out_dim, f"{name}.bn"),
         nn.Relu(f"{name}.relu"),
     ]
 
@@ -85,9 +85,9 @@ class VaeModel:
             width = w
         self.encoder = nn.Chain(layers)
         self.mu_affine = nn.Affine(width, hyper.latent_dim, rng, "mu.affine", bias=False)
-        self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn", deferred=True)
+        self.mu_bn = nn.BatchNorm(hyper.latent_dim, "mu.bn")
         self.logsig_affine = nn.Affine(width, hyper.latent_dim, rng, "logsig.affine", bias=False)
-        self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn", deferred=True)
+        self.logsig_bn = nn.BatchNorm(hyper.latent_dim, "logsig.bn")
 
         layers = []
         width = hyper.latent_dim
@@ -160,9 +160,10 @@ class VaeModel:
             p.grad = self.flat.grad[span].reshape(shape)
             self.arrays.append((p.name, p.value))
             offset = span.stop
+        offset = 0  # into the tail
         for bn in bns:
             span = slice(offset, offset + bn.running.size)
-            bn.bind(self.state[span], self._batch[span.start - n_params : span.stop - n_params])
+            bn.bind(self._running[span], self._batch[span])
             self.arrays += [(f"{bn.name}.running_mean", bn.running_mean),
                             (f"{bn.name}.running_var", bn.running_var)]
             offset = span.stop
