@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -29,6 +30,12 @@ def load_desk_script():
 def load_census_module():
     """perfbench/census.py, the writer of the benchmark's census-like inputs."""
     return _load_module("census", "perfbench/census.py")
+
+
+def signed(blob: bytes) -> bytes:
+    """``blob`` with the trailing sha256 digest that ``vae.write_blob``
+    appends, for tests that build or rewrite a model or latent file."""
+    return blob + hashlib.sha256(blob).digest()
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ weight, exit 1 too.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import struct
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import signed
 from popsynth import training, vae
 from popsynth.cli import run
 
@@ -99,8 +99,7 @@ def with_schema(blob: bytes, change) -> bytes:
     header = json.loads(blob[12 : 12 + size])
     header["schema"] = change(header["schema"])
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob = blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :]
-    return blob + hashlib.sha256(blob).digest()
+    return signed(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size :])
 
 
 HEADER_SCHEMAS = {

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import popsynth
+from conftest import signed
 from popsynth import oracle, schema, training, vae
 from popsynth.cli import run
 from popsynth.schema import DataError, HouseholdRecord, load_tables
@@ -831,11 +832,6 @@ def test_unreadable_input_is_exit_1_naming_it(
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err
     assert not any(out.iterdir())
-
-
-def signed(blob: bytes) -> bytes:
-    """``blob`` with the trailing sha256 digest that ``write_blob`` appends."""
-    return blob + hashlib.sha256(blob).digest()
 
 
 DEEP = 100_000  # nested JSON arrays, past the parser's recursion limit

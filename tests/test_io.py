@@ -3,13 +3,13 @@ reader of input files and ``schema.write_atomic`` the only writer, and every
 bad input is a ``DataError``."""
 
 import ast
-import hashlib
 import struct
 from pathlib import Path
 
 import pytest
 
 import popsynth
+from conftest import signed
 from popsynth import cli, training, vae
 from popsynth.generation import load_rules
 from popsynth.schema import DataError, SchemaError, load_schema, read_input, write_atomic
@@ -86,8 +86,7 @@ def test_json_nested_too_deep_is_each_readers_own_error(tmp_path):
     with pytest.raises(DataError, match="could not parse rules file"):
         load_rules(path)
     for magic, load in ((vae.MODEL_MAGIC, vae.load_model), (training.LATENT_MAGIC, training.load_latent)):
-        blob = magic + struct.pack("<I", len(deep)) + deep
-        path.write_bytes(blob + hashlib.sha256(blob).digest())  # write_blob's digest
+        path.write_bytes(signed(magic + struct.pack("<I", len(deep)) + deep))
         with pytest.raises(vae.ModelFormatError, match="corrupt header"):
             load(path)
 

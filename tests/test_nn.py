@@ -256,8 +256,8 @@ def test_eval_mode_keeps_only_input_gradient_state(rng):
     x = rng.normal(size=(6, 5))
     y = relu.forward(bn.forward(affine.forward(x, train=False), train=False), train=False)
     assert held_arrays(affine) == []
-    # per-feature vectors only: the statistics ([mean, var] and its halves)
-    # and inv_std, nothing with the batch's rows
+    # per-feature vectors only: the [mean, var] statistics, their variance
+    # mask and inv_std, nothing with the batch's rows
     assert all(a.shape in ((4,), (8,)) for a in held_arrays(bn))
     [mask] = held_arrays(relu)
     assert mask.dtype == bool and mask.shape == y.shape
