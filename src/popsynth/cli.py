@@ -7,8 +7,8 @@ manifest (resolved configuration, fingerprints, wall-clock timings, the
 process's peak RSS, sha256 of every emitted file) atomically next to its
 outputs. Exit codes: 0 success; 1 bad flags, unreadable, undecodable or
 malformed inputs and mismatched artifacts (every ``DataError``); 2 divergence,
-a model that changed during fine-tuning and write failures. Seeds are explicit
-flags; nothing is seeded from the clock.
+a model that changed during fine-tuning, write failures and running out of
+memory. Seeds are explicit flags; nothing is seeded from the clock.
 """
 
 from __future__ import annotations
@@ -525,6 +525,11 @@ def run(argv) -> int:
         return 1
     except (training.TrainingDivergedError, OSError, RuntimeError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate; Python's is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime failure: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -11,9 +11,11 @@ for a whole model (``VaeModel.update_running_stats``). Eval mode
 is frozen, with running statistics and a backward that returns only the input
 gradient: ``Affine`` caches nothing, ``BatchNorm`` only ``inv_std``. ``Relu``
 caches its output in train mode and a boolean mask in eval mode, and
-``GroupSoftmax`` its output in both. ``Relu``'s backward multiplies ``dy`` by
-that mask, so a non-finite ``dy`` at a dead unit comes out as NaN rather than
-being masked to ``0.0``, and the training loops' gradient checks see it. No
+``GroupSoftmax`` its output in both. ``Relu``'s backward is the one product of
+``dy`` and that mask, so a non-finite ``dy`` at a dead unit comes out as NaN
+rather than being masked to ``0.0``, and the training loops' gradient checks
+see it. ``GroupSoftmax`` takes its group sums with numpy's own
+``sum(axis=0)``, one call per width class. No
 general autodiff: the primitive set is closed (affine, batch norm, ReLU, group
 softmax, reparameterisation) and every gradient is checked against central
 finite differences in the test suite. A layer may reuse in place only arrays
@@ -179,10 +181,10 @@ def update_running(running: np.ndarray, batch: np.ndarray, is_var: np.ndarray, n
 
 
 class Relu:
-    """``max(x, 0)``, whose backward is the mask product ``dy * (x > 0)``
-    plus ``0.0``. Every finite ``dy`` gives the bits of the masked select
-    ``where(x > 0, dy, 0.0)``, except that a ``-0.0`` at a live unit becomes
-    ``0.0``; a non-finite ``dy`` at a dead unit gives NaN, not ``0.0``."""
+    """``max(x, 0)``, whose backward is the mask product ``dy * (x > 0)``.
+    Every finite ``dy`` gives the values of the masked select
+    ``where(x > 0, dy, 0.0)``; a negative ``dy`` at a dead unit gives
+    ``-0.0``, and a non-finite one NaN, not ``0.0``."""
 
     def __init__(self, name: str = "relu"):
         self.name = name
@@ -195,45 +197,12 @@ class Relu:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        # y > 0 exactly where x > 0, NaN included. The + 0.0 turns the -0.0
-        # of a dead unit's negative dy, and a live unit's -0.0 dy, into 0.0
+        # y > 0 exactly where x > 0, NaN included
         mask = self._ctx if self._ctx.dtype == bool else self._ctx > 0
-        dx = np.multiply(dy, mask)
-        dx += 0.0
-        return dx
+        return np.multiply(dy, mask)
 
     def params(self) -> list[Param]:
         return []
-
-
-def _pairwise_sum0(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0)`` in the order that numpy's ``pairwise_sum`` takes
-    along a contiguous axis, so every result has the bits of the row sums of
-    ``a``'s C-ordered transpose. numpy sums an outer axis sequentially from
-    its add identity 0.0 (so a sum of -0.0s is +0.0), which is the pairwise
-    order below 8 terms. Up to 128 terms, eight interleaved accumulators are
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before a sequential
-    tail; the ``+ 0.0`` stands for the identity there. Above 128 terms the
-    halves split at a multiple of 8."""
-    w = a.shape[0]
-    if w > 128:
-        half = w // 2 - (w // 2) % 8
-        return _pairwise_sum0(a[:half]) + _pairwise_sum0(a[half:])
-    if w < 8:
-        return a.sum(axis=0)
-    acc = a[:8] + 0.0
-    body = w - w % 8
-    for i in range(8, body, 8):
-        acc += a[i : i + 8]
-    # row by row: strided views of acc overlap in memory, which numpy
-    # resolves with temporary copies
-    r = list(acc)
-    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[i] += r[j]
-    s = r[0]
-    for row in a[body:]:
-        s += row
-    return s
 
 
 class GroupSoftmax:
@@ -246,10 +215,10 @@ class GroupSoftmax:
     at ``[j, i]``. Each max, exp, sum and division is then one vector
     operation over ``k * n`` contiguous values, and the rows go back to
     column order once at the end. The backward pass gathers only ``dy * p``
-    that way, for its group sums. The sums reproduce numpy's pairwise order,
-    so every bit equals the per-group ``block - max``, ``exp``,
-    ``/ sum(axis=1)`` form and its gradient (``tests/test_nn.py`` pins
-    this). Only the C-ordered output is cached.
+    that way, for its group sums. Each sum is numpy's ``sum(axis=0)`` over
+    the class block, whose bits may differ by a few ulps from a per-group
+    ``sum(axis=1)`` where a group is 8 or more columns wide. Only the
+    C-ordered output is cached.
     """
 
     def __init__(self, slices: list[tuple[int, int]], name: str = "gsoftmax"):
@@ -303,7 +272,7 @@ class GroupSoftmax:
         for g in self._blocks(xt):
             g -= g.max(axis=0)
             np.exp(g, out=g)
-            g /= _pairwise_sum0(g)
+            g /= g.sum(axis=0)
         t = xt[self._inverse]
         # xt's buffer is free again: the output reuses it
         self._probs = xt.reshape(x.shape)
@@ -314,7 +283,7 @@ class GroupSoftmax:
         p = self._probs
         dx = dy * p
         dyp = np.ascontiguousarray(dx.T[self._order])  # C-ordered, as in forward
-        sums = np.concatenate([_pairwise_sum0(g) for g in self._blocks(dyp)])
+        sums = np.concatenate([g.sum(axis=0) for g in self._blocks(dyp)])
         # dx and dyp are free again: dyp takes each column's group sum (mode
         # "clip" writes straight into it, "raise" would buffer), dx the result
         np.take(sums, self._group, axis=0, out=dyp, mode="clip")

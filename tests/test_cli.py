@@ -887,6 +887,32 @@ def test_finetune_that_changes_the_model_fails(data_dir, artifacts, tmp_path, ca
     assert not any(tmp_path.iterdir())
 
 
+def test_out_of_memory_is_one_runtime_failure_line(data_dir, artifacts, tmp_path, capsys, monkeypatch):
+    """A tract too large for this machine may fit on another: not bad input,
+    but one exit-2 line instead of a traceback. The fake allocation fails
+    without allocating."""
+    def init_latent(n_households, width, seed):
+        assert n_households == 10**12
+        raise MemoryError(f"Unable to allocate 21.8 TiB for an array with shape ({n_households}, {width})")
+
+    monkeypatch.setattr(training, "init_latent", init_latent)
+    with open(data_dir / "tract_marginals.csv", encoding="utf-8", newline="") as fh:
+        rows = replace_first("__n_households__", str(10**12))(list(csv.reader(fh)))
+    marginals = tmp_path / "tract_marginals.csv"
+    with open(marginals, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = valid_command("finetune", data_dir, artifacts[0] / "model.psv", out)
+    argv[argv.index("--tract-marginals") + 1] = str(marginals)
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("runtime failure: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def test_header_only_person_table_is_one_error_line_and_no_warning(data_dir, tmp_path, capsys):
     no_persons = header_only(data_dir / "persons.csv", tmp_path / "no_persons.csv")
     hh = str(data_dir / "households.csv")

@@ -92,33 +92,41 @@ def relu_input(rng, shape):
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (125, 48), (400, 48), (513, 33)])
 def test_relu_backward_has_the_bits_of_the_masked_select(train, shape):
-    """For every finite dy without -0.0 the mask product gives the masked
-    select's bits, in both modes; the negative dy that meets dead units here
-    would come out as -0.0 without the + 0.0."""
+    """For every finite dy the mask product equals the masked select, in
+    both modes, and has its bits at every live unit; at a dead unit it is
+    a zero of dy's sign."""
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     layer = Relu()
     layer.forward(relu_input(rng, shape), train=train)
     dy = rng.normal(size=shape)
     dy[rng.random(shape) < 0.1] = 0.0
+    dy[rng.random(shape) < 0.1] = -0.0
     assert (layer._ctx.dtype == bool) != train
     want = oracles.where_relu_backward(layer._ctx, dy)
-    assert layer.backward(dy).tobytes() == want.tobytes()
+    got = layer.backward(dy)
+    assert (got == want).all()
+    live = layer._ctx > 0
+    assert got[live].tobytes() == want[live].tobytes()
+    assert (np.signbit(got[~live]) == np.signbit(dy[~live])).all()
 
 
 @pytest.mark.parametrize("train", [True, False])
 def test_relu_backward_differs_from_the_select_only_as_documented(train):
-    """Two differences from ``where(x > 0, dy, 0.0)``: a -0.0 dy at a live
-    unit gives 0.0, not -0.0, and a non-finite dy at a dead unit gives NaN,
-    not 0.0, so a divergence upstream cannot be masked away."""
+    """The differences from ``where(x > 0, dy, 0.0)``: a negative dy at a
+    dead unit gives -0.0, not 0.0, and a non-finite dy at a dead unit gives
+    NaN, not 0.0, so a divergence upstream cannot be masked away. A -0.0 dy
+    at a live unit stays -0.0 in both."""
     layer = Relu()
-    layer.forward(np.array([[1.0, -1.0, -1.0, -1.0, 0.0, np.nan]]), train=train)
-    dy = np.array([[-0.0, np.inf, -np.inf, np.nan, np.inf, -0.0]])
+    layer.forward(np.array([[1.0, -1.0, -1.0, -1.0, 0.0, np.nan, -1.0]]), train=train)
+    dy = np.array([[-0.0, np.inf, -np.inf, np.nan, np.inf, -0.0, -2.5]])
     with np.errstate(invalid="ignore"):  # inf * 0
         dx = layer.backward(dy)
     want = oracles.where_relu_backward(layer._ctx, dy)
-    assert np.signbit(want[0, 0]) and not np.signbit(dx[0, 0]) and dx[0, 0] == 0.0
+    neg_zero = np.float64(-0.0).tobytes()
+    assert dx[0, 0].tobytes() == want[0, 0].tobytes() == neg_zero
     assert np.isnan(dx[0, 1:5]).all() and (want[0, 1:5] == 0.0).all()
-    assert dx[0, 5].tobytes() == want[0, 5].tobytes() == np.float64(0.0).tobytes()
+    assert dx[0, 5].tobytes() == dx[0, 6].tobytes() == neg_zero
+    assert want[0, 5].tobytes() == want[0, 6].tobytes() == np.float64(0.0).tobytes()
 
 
 def test_batchnorm_train_normalizes(rng):
@@ -344,24 +352,38 @@ def test_group_softmax_stable_at_large_logits():
     assert y[0, 0] == pytest.approx(1.0)
 
 
+def stacked(blocks):
+    """The ``(n, w)`` blocks as one C-ordered ``(w, k, n)`` array; np.stack
+    alone would keep the transposes' column order."""
+    return np.ascontiguousarray(np.stack([b.T for b in blocks], axis=1))
+
+
 def textbook_group_softmax(slices, x, dy):
-    """GroupSoftmax forward and input gradient, one group at a time."""
+    """GroupSoftmax forward and input gradient: ``exp`` one group at a time,
+    each sum numpy's ``sum(axis=0)`` over the groups of one width stacked as
+    ``(w, k, n)``, the layout whose iteration order the layer's sums take."""
+    by_width = {}
+    for start, stop in sorted(slices):
+        by_width.setdefault(stop - start, []).append(start)
     y = np.empty_like(x)
     dx = np.empty_like(dy)
-    for start, stop in slices:
-        block = x[:, start:stop]
-        e = np.exp(block - block.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        y[:, start:stop] = p
-        g = dy[:, start:stop]
-        dx[:, start:stop] = p * (g - (g * p).sum(axis=1, keepdims=True))
+    for w, starts in by_width.items():
+        blocks = [x[:, s : s + w] for s in starts]
+        e = stacked([np.exp(b - b.max(axis=1, keepdims=True)) for b in blocks])
+        p = e / e.sum(axis=0)
+        g = stacked([dy[:, s : s + w] for s in starts])
+        gp_sum = (g * p).sum(axis=0)
+        for i, s in enumerate(starts):
+            y[:, s : s + w] = p[:, i].T
+            dx[:, s : s + w] = (p[:, i] * (g[:, i] - gp_sum[i])).T
     return y, dx
 
 
 def test_group_softmax_matches_the_textbook_form_bit_for_bit():
     """Widths 1-20 cover numpy's sequential (< 8) and eight-accumulator sums,
-    127-130 and 257 its split above 128; zeros of both signs in dy and
-    underflowing probabilities pin the sign of every zero sum."""
+    127-130 and 257 its split above 128, single rows its pairwise sum over a
+    ``(w, 1, 1)`` block; zeros of both signs in dy and underflowing
+    probabilities pin the sign of every zero sum."""
     rng = np.random.default_rng(11)
     wide = (127, 128, 129, 130, 257)
     for trial in range(400):
@@ -430,7 +452,7 @@ def test_chain_backward_reverses_layers(rng):
     assert len(chain.params()) == 4
 
 
-def test_reparameterize_modes_differ(rng):
+def test_reparameterize_is_mu_plus_scaled_noise(rng):
     mu = rng.normal(size=(3, 4))
     logsig = rng.normal(size=(3, 4))
     eps = rng.normal(size=(3, 4))
