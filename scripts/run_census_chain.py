@@ -6,8 +6,9 @@ finetune, generate x3, evaluate x2, privacy) into ``<work-dir>/chain``,
 with every data and stage seed derived from ``--seed`` as the benchmark
 derives them. It then writes ``<work-dir>/digests.json`` with
 ``run_desk_pipeline.write_digests``: the sha256 of every file under the
-work directory except the manifests. Two checkouts compare by comparing
-their digests (or their trees, with ``scripts/compare_outputs.py``).
+work directory except the manifests. Its last line is the sha256 of
+``digests.json`` itself: two checkouts compare by that one value (or by
+their trees, with ``scripts/compare_outputs.py``).
 
 Usage: python scripts/run_census_chain.py --work-dir /tmp/census [--seed 3]
 

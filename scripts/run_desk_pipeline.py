@@ -3,8 +3,9 @@ generate -> evaluate -> privacy, printing a compact summary of the numbers
 the test suite checks. Everything goes through the CLI entry points, so a
 run of this script exercises the same paths as a user would. It ends by
 writing ``<work-dir>/digests.json``: the sha256 of every file it left under
-the work directory except the manifests, which hold timestamps. Two runs of
-the same arguments on two checkouts compare by comparing their digests.
+the work directory except the manifests, which hold timestamps. Its last
+line is the sha256 of ``digests.json`` itself, so two runs of the same
+arguments on two checkouts compare by that one value.
 
 Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk
 
@@ -145,18 +146,23 @@ def read_report(path) -> dict[str, dict[str, float]]:
     return out
 
 
+def _sha256(file: str) -> str:
+    with open(file, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def write_digests(work_dir: str) -> None:
+    """Write ``<work_dir>/digests.json`` and print its own sha256 last."""
     path = os.path.join(work_dir, "digests.json")
     digests = {}
     for root, _, names in os.walk(work_dir):
         for name in names:
             file = os.path.join(root, name)
             if file != path and not name.endswith("manifest.json"):
-                with open(file, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                digests[os.path.relpath(file, work_dir)] = digest
+                digests[os.path.relpath(file, work_dir)] = _sha256(file)
     write_json(path, digests)
     print(f"\n== digests == {len(digests)} files -> {path}")
+    print(f"== digests.json sha256 == {_sha256(path)}")
 
 
 def main() -> None:

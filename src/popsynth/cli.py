@@ -185,7 +185,7 @@ def _cmd_pretrain(args, out):
     with _usage_errors():
         widths = (
             tuple(int(w) for w in args.hidden_widths.split(","))
-            if args.hidden_widths
+            if args.hidden_widths is not None
             else vae.VaeHyperparams.encoder_widths
         )
         hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
@@ -252,6 +252,9 @@ def _cmd_generate(args, out):
     fitted_for = (header.get("schema_fingerprint"), header.get("model_fingerprint"))
     if fitted_for != (model.schema_fingerprint, fingerprint):
         raise DataError(f"{args.latent} was fitted for another model or schema than {args.model}")
+    if latent.z.shape[1] != model.latent_dim:
+        raise DataError(f"{args.latent} holds latents {latent.z.shape[1]} wide; "
+                        f"{args.model} decodes latents {model.latent_dim} wide")
     rules = generation.load_rules(args.rules) if args.rules else None
     table, provenance = generation.generate_inventory(
         model,

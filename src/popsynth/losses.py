@@ -99,7 +99,8 @@ def softmin(
 
     ``weights`` multiplies each entry's exponential before normalising, so an
     entry of weight c counts as c equal entries; the default 1.0 changes no
-    bit of the result.
+    bit of the result. Rows run on ``rowpool.split_rows`` ranges, each range
+    in place on its rows of the result.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -110,13 +111,12 @@ def softmin(
 
     def rows(lo, hi):
         # in place on e's rows; x / -T has the bits of -x / T
-        for a, b in rowpool.blocks(lo, hi, v2.shape[1]):
-            x = e2[a:b]
-            np.subtract(v2[a:b], v2[a:b].min(axis=-1, keepdims=True), out=x)
-            x /= -temperature
-            np.exp(x, out=x)
-            x *= w2[a:b]
-            x /= x.sum(axis=-1, keepdims=True)
+        x = e2[lo:hi]
+        np.subtract(v2[lo:hi], v2[lo:hi].min(axis=-1, keepdims=True), out=x)
+        x /= -temperature
+        np.exp(x, out=x)
+        x *= w2[lo:hi]
+        x /= x.sum(axis=-1, keepdims=True)
 
     rowpool.split_rows(rows, *v2.shape)
     return e
@@ -130,7 +130,8 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     GEMM and no ``1 - target`` copy. The identity is exact in real
     arithmetic, but for a row that matches a target almost exactly its terms
     cancel to a value far smaller than either, so ``evaluation.dcr``, which
-    needs those small distances, keeps the two-product form.
+    needs those small distances, keeps the two-product form. Each
+    ``rowpool.split_rows`` range runs every pass over all its rows at once.
     """
     if pred.shape[1] != target.shape[1]:
         raise ValueError("prediction and target widths differ")
@@ -140,20 +141,17 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     # peak RSS of repeated census fine-tunes by 9 MB
     out = np.empty((n_p, n))
     logit, log_q = np.empty(pred.shape), np.empty(pred.shape)
-    log_q_sum = np.empty(n_p)
 
     def rows(lo, hi):
-        for a, b in rowpool.blocks(lo, hi, d):
-            p = np.clip(pred[a:b], CLAMP, 1.0 - CLAMP, out=logit[a:b])  # logit's rows hold p
-            np.negative(p, out=log_q[a:b])
-            np.log1p(log_q[a:b], out=log_q[a:b])
-            np.log(p, out=p)
-            p -= log_q[a:b]
-            log_q_sum[a:b] = log_q[a:b].sum(axis=1)
-        np.matmul(logit[lo:hi], target.T, out=out[lo:hi])
-        for a, b in rowpool.blocks(lo, hi, n):
-            out[a:b] += log_q_sum[a:b, None]
-            out[a:b] /= -d
+        p = np.clip(pred[lo:hi], CLAMP, 1.0 - CLAMP, out=logit[lo:hi])  # logit's rows hold p
+        q = log_q[lo:hi]
+        np.negative(p, out=q)
+        np.log1p(q, out=q)
+        np.log(p, out=p)
+        p -= q
+        y = np.matmul(p, target.T, out=out[lo:hi])
+        y += q.sum(axis=1)[:, None]
+        y /= -d
 
     rowpool.split_rows(rows, n_p, n)
     return out
@@ -198,7 +196,8 @@ def dbce(
     their counts give the result of the full table: row j enters the softmin
     with weight ``counts[j]``, ``soft_index[j]`` is the mass over all its
     records, and ``norm_kl`` sums over records. With unit counts every bit
-    equals the unweighted formula.
+    equals the unweighted formula. The row-local passes run on
+    ``rowpool.split_rows`` ranges; ``soft_index``, a sum over rows, does not.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -217,8 +216,7 @@ def dbce(
     per_row = np.empty(n_t)
 
     def scores(lo, hi):
-        for i, j in rowpool.blocks(lo, hi, n_m):
-            np.einsum("ij,ij->i", s[i:j], b[i:j], out=per_row[i:j])
+        np.einsum("ij,ij->i", s[lo:hi], b[lo:hi], out=per_row[lo:hi])
 
     rowpool.split_rows(scores, n_t, n_m)
     loss = float(per_row.mean())
@@ -234,23 +232,22 @@ def dbce(
     # d(w_dbce * loss + w_normkl * norm_kl) / dB through the softmin Jacobian
     # (the counts only shift the softmin logits, so it keeps its form):
     #   g_ij = s_ij * (row_i + col_j - kappa * b_ij)
-    # built in b's buffer, block by block: from then on b holds g
+    # built in b's buffer: from then on b holds g
     kappa = w_dbce / (n_t * temperature)
     col = w_normkl * ratio / (n_t * temperature)
-    row, g_sum, g_micro = np.empty(n_t), np.empty(n_t), np.empty(p.shape)
+    g_sum, g_micro = np.empty(n_t), np.empty(p.shape)
 
     def gradient_rows(lo, hi):
-        row[lo:hi] = w_dbce / n_t + (
+        row = w_dbce / n_t + (
             w_dbce * per_row[lo:hi] - w_normkl * (s[lo:hi] @ ratio)
         ) / (n_t * temperature)
-        for i, j in rowpool.blocks(lo, hi, n_m):
-            g = b[i:j]
-            g *= -kappa
-            g += row[i:j, None]
-            g += col
-            g *= s[i:j]
-            g_sum[i:j] = g.sum(axis=1)
-        np.matmul(b[lo:hi], micro, out=g_micro[lo:hi])
+        g = b[lo:hi]
+        g *= -kappa
+        g += row[:, None]
+        g += col
+        g *= s[lo:hi]
+        g_sum[lo:hi] = g.sum(axis=1)
+        np.matmul(g, micro, out=g_micro[lo:hi])
 
     rowpool.split_rows(gradient_rows, n_t, n_m)
     grad = (g_sum[:, None] * p - g_micro) / (d * (p * (1.0 - p)))

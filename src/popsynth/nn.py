@@ -2,21 +2,21 @@
 
 A backward call must follow the forward call it differentiates, whose
 ``train`` flag is the one mode switch. Train mode uses batch statistics and
-its backward sets each ``Param``'s gradient to that backward's own, written
-in place, so no step needs the gradients zeroed first: ``Affine`` caches its
+its backward sets each ``Param``'s gradient to that backward's own, written in
+place, so no step needs the gradients zeroed first: ``Affine`` caches its
 input, ``BatchNorm`` ``xhat`` and ``inv_std``. A train-mode ``BatchNorm``
-forward writes its batch mean and variance to its ``batch`` vector;
-``update_running`` folds them into the running statistics, once per step
-for a whole model (``VaeModel.update_running_stats``). Eval mode
-is frozen, with running statistics and a backward that returns only the input
-gradient: ``Affine`` caches nothing, ``BatchNorm`` only ``inv_std``. ``Relu``
-caches its output in train mode and a boolean mask in eval mode, and
-``GroupSoftmax`` its output in both. ``Relu``'s backward is the one product of
-``dy`` and that mask, so a non-finite ``dy`` at a dead unit comes out as NaN
-rather than being masked to ``0.0``, and the training loops' gradient checks
-see it. ``GroupSoftmax`` takes its group sums with numpy's own
-``sum(axis=0)``, one call per width class. No
-general autodiff: the primitive set is closed (affine, batch norm, ReLU, group
+forward writes its batch mean and variance to its ``batch`` vector and leaves
+its running statistics alone: the caller folds them in with
+``update_running``, which ``VaeModel.update_running_stats`` calls once per
+step for a whole model. Eval mode is frozen, with running statistics and a
+backward that returns only the input gradient: ``Affine`` caches nothing,
+``BatchNorm`` only ``inv_std``. ``Relu`` caches its output in train mode and a
+boolean mask in eval mode, and ``GroupSoftmax`` its output in both. ``Relu``'s
+backward is the one product of ``dy`` and that mask, so a non-finite ``dy`` at
+a dead unit comes out as NaN rather than being masked to ``0.0``, and the
+training loops' gradient checks see it. ``GroupSoftmax`` takes its group sums
+with numpy's own ``sum(axis=0)``, one call per width class. No general
+autodiff: the primitive set is closed (affine, batch norm, ReLU, group
 softmax, reparameterisation) and every gradient is checked against central
 finite differences in the test suite. A layer may reuse in place only arrays
 it allocated itself: its input, the ``dy`` it is handed and the activations it
@@ -88,10 +88,8 @@ class BatchNorm:
     Train mode normalises by biased batch variance and writes the batch mean
     and variance to ``batch``; eval mode normalises by the running
     statistics. Both modes are differentiable. ``running`` and ``batch`` are
-    ``[mean, var]`` vectors of length ``2 * dim``. A standalone layer folds
-    its batch statistics into its running ones in each train-mode forward
-    (``update_running``); once an owner has ``bind``-ed both vectors into its
-    own buffers, that is left to the owner.
+    ``[mean, var]`` vectors of length ``2 * dim``. A train-mode forward
+    leaves ``running`` alone: ``update_running`` folds ``batch`` into it.
     """
 
     EPS = 1e-5
@@ -104,13 +102,7 @@ class BatchNorm:
         self.running = np.concatenate([np.zeros(dim), np.ones(dim)])
         self.batch = np.zeros(2 * dim)
         self.is_var = np.repeat([False, True], dim)  # the variance half of [mean, var]
-        self.bound = False
         self._ctx = None
-
-    def bind(self, running: np.ndarray, batch: np.ndarray) -> None:
-        """Hold the statistics in views of an owner's buffers. The owner then
-        applies ``update_running`` to them; train-mode forwards no longer do."""
-        self.running, self.batch, self.bound = running, batch, True
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -134,8 +126,6 @@ class BatchNorm:
             var /= n
             inv_std = 1.0 / np.sqrt(var + self.EPS)
             xhat *= inv_std
-            if not self.bound:
-                update_running(self.running, self.batch, self.is_var, n)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = x - self.running_mean

@@ -6,8 +6,8 @@ GEMM finds no free core. Inside a ``parked`` block, numpy's OpenBLAS runs
 one thread, and ``split_rows`` runs a function on even row ranges: the
 calling thread takes the first range and a module pool, created on first
 use, the others, ``min(4, CPUs)`` ranges in all. Each range runs its own
-one-thread GEMMs and its elementwise passes in cache-sized row blocks
-(``blocks``), so both use every core.
+one-thread GEMMs and its elementwise passes over all its rows, so both use
+every core.
 
 A split keeps every bit of a row-local function: each range computes its
 rows as the whole call would. Its GEMMs keep their bits only where the
@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from .schema import DataError, read_input
 
 THRESHOLD = 2**19  # values (rows x columns) from which a job is split
-BLOCK_VALUES = 2**16  # one row block's values: 512 kB of float64
 # every range but the last is a multiple of ALIGN rows: OpenBLAS's GEMV
 # kernel takes rows in fours, so such a range keeps its rows' bits
 ALIGN = 4
@@ -108,8 +107,8 @@ def split_rows(fn, rows: int, cols: int) -> None:
     worker, each starting on a multiple of ``ALIGN`` rows, and return when
     all are done; a job is ``rows * cols`` values.
     ``fn`` writes its rows into arrays the caller allocated, allocates
-    nothing larger than one of ``blocks``' blocks, and calls nothing the
-    benchmark traces: only the calling thread may record spans."""
+    nothing larger than one value per row of its range, and calls nothing
+    the benchmark traces: only the calling thread may record spans."""
     global _pool
     w = ranges(rows, cols)
     if w < 2:
@@ -125,10 +124,3 @@ def split_rows(fn, rows: int, cols: int) -> None:
         wait(futures)
     for f in futures:
         f.result()
-
-
-def blocks(lo: int, hi: int, cols: int):
-    """``range(lo, hi)`` as (start, stop) row blocks of about
-    ``BLOCK_VALUES`` values, for rows ``cols`` values wide."""
-    step = max(1, BLOCK_VALUES // max(cols, 1))
-    return ((a, min(a + step, hi)) for a in range(lo, hi, step))

@@ -163,7 +163,7 @@ class VaeModel:
         offset = 0  # into the tail
         for bn in bns:
             span = slice(offset, offset + bn.running.size)
-            bn.bind(self._running[span], self._batch[span])
+            bn.running, bn.batch = self._running[span], self._batch[span]
             self.arrays += [(f"{bn.name}.running_mean", bn.running_mean),
                             (f"{bn.name}.running_var", bn.running_var)]
             offset = span.stop

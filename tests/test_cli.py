@@ -412,6 +412,23 @@ def test_generate_rejects_latent_of_another_model(data_dir, artifacts, tmp_path,
     assert not (tmp_path / "inv" / "households.csv").exists()
 
 
+def test_generate_rejects_latent_of_another_width(data_dir, artifacts, tmp_path, capsys):
+    """A latent carrying the model's fingerprints but another width is a
+    data error, not a runtime failure in the decoder's first layer."""
+    d, model = artifacts
+    wide = tmp_path / "wide.psl"
+    training.save_latent(
+        training.init_latent(12, model.latent_dim + 2, 3), wide,
+        model.schema_fingerprint, model.checksum(),
+    )
+    capsys.readouterr()
+    assert cli_generate(data_dir, d / "model.psv", wide, tmp_path / "inv") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {wide} holds latents {model.latent_dim + 2} wide; "
+                   f"{d / 'model.psv'} decodes latents {model.latent_dim} wide\n")
+    assert not (tmp_path / "inv" / "households.csv").exists()
+
+
 def test_generate_rejects_foreign_schema(data_dir, artifacts, tmp_path, capsys):
     """generate decodes with the model's own schema; --schema must match it."""
     d, _ = artifacts
@@ -674,6 +691,7 @@ def test_valid_command_writes(data_dir, artifacts, tmp_path, sub):
 BAD_NUMBERS = [
     ("pretrain", "--hidden-widths", "8,8"),
     ("pretrain", "--hidden-widths", "a,b"),
+    ("pretrain", "--hidden-widths", ""),
     ("pretrain", "--latent-dim", "0"),
     ("pretrain", "--epochs", "0"),
     ("pretrain", "--lr", "-1"),

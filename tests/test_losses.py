@@ -566,6 +566,27 @@ def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, wor
     assert s.tobytes() == want_s.tobytes()
 
 
+def test_split_matcher_allocates_no_range_sized_temporary(monkeypatch):
+    """At the census shape on two ranges, a traced ``dbce`` (tracemalloc
+    sees every thread) holds its two tract x microdata matrices and a few
+    tract x column arrays, and nothing the size of a range's share of a
+    matrix: that alone (6.4 MB) would break the bound."""
+    if rowpool.openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found: nothing is split")
+    n_t, n, d = MATCHER_SHAPES["census"]
+    pred, micro, counts = matcher_inputs(n_t, n, d)
+    monkeypatch.setattr(rowpool, "max_workers", lambda: 2)
+    with rowpool.parked(n_t * n):
+        assert rowpool.ranges(n_t, n) == 2
+        tracemalloc.start()
+        try:
+            dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * n_t * n * 8 + 6 * n_t * d * 8, peak
+
+
 @pytest.mark.parametrize("shape", [(128, 500, 64), (300, 1500, 200), (40, 60, 40)])
 def test_split_matcher_agrees_to_rounding_where_the_blas_moves_bits(monkeypatch, shape):
     """At these shapes OpenBLAS rounds some elements of a one-thread product

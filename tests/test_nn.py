@@ -14,6 +14,7 @@ from popsynth.nn import (
     Relu,
     reparameterize,
     reparameterize_backward,
+    update_running,
 )
 from popsynth.vae import VaeHyperparams, VaeModel
 
@@ -141,6 +142,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
     layer = BatchNorm(2)
     for _ in range(200):
         layer.forward(rng.normal(loc=2.0, size=(32, 2)), train=True)
+        update_running(layer.running, layer.batch, layer.is_var, 32)
     x = np.array([[2.0, 2.0]])
     y = layer.forward(x, train=False)
     np.testing.assert_allclose(y, 0.0, atol=0.2)
@@ -149,6 +151,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
 def test_batchnorm_eval_is_deterministic_row_local(rng):
     layer = BatchNorm(2)
     layer.forward(rng.normal(size=(16, 2)), train=True)
+    update_running(layer.running, layer.batch, layer.is_var, 16)
     x = rng.normal(size=(4, 2))
     y_full = layer.forward(x, train=False)
     y_row = np.vstack([layer.forward(x[i : i + 1], train=False) for i in range(4)])
@@ -178,6 +181,7 @@ def test_batchnorm_train_gradient(rng):
 def test_batchnorm_eval_gradient(rng):
     layer = BatchNorm(3)
     layer.forward(rng.normal(size=(32, 3)), train=True)
+    update_running(layer.running, layer.batch, layer.is_var, 32)
     x = rng.normal(size=(5, 3))
     assert fd_ok(layer, x, train=False)
 
@@ -229,8 +233,11 @@ def test_batchnorm_matches_the_textbook_form_bit_for_bit():
             x = np.asfortranarray(x)
         dy = rng.normal(size=(n, width))
         want = textbook_batchnorm(layer, x, dy, train)
+        y = layer.forward(x, train=train)
+        if train:
+            update_running(layer.running, layer.batch, layer.is_var, n)
         got = (
-            layer.forward(x, train=train),
+            y,
             layer.backward(dy),
             layer.running_mean,
             layer.running_var,
@@ -326,6 +333,7 @@ def test_layers_write_neither_input_nor_dy_nor_their_cache(rng, make, train):
     if isinstance(layer, BatchNorm):
         layer.scale.value[...] = rng.normal(size=5)
         layer.forward(rng.normal(size=(8, 5)), train=True)
+        update_running(layer.running, layer.batch, layer.is_var, 8)
     x = rng.normal(size=(6, 5))
     x_before = x.copy()
     y = layer.forward(x, train=train)

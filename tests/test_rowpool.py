@@ -85,14 +85,6 @@ def test_split_rows_keeps_every_row_with_more_workers_than_cores(monkeypatch):
         rowpool._pool.shutdown(wait=True)
 
 
-def test_blocks_cover_a_range_in_cache_sized_steps():
-    step = rowpool.BLOCK_VALUES // 4000
-    blocks = list(rowpool.blocks(3, 200, 4000))
-    assert blocks[0] == (3, 3 + step) and blocks[-1][1] == 200
-    assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
-    assert list(rowpool.blocks(0, 5, 10**9)) == [(a, a + 1) for a in range(5)]
-
-
 def test_parked_sets_one_blas_thread_and_restores_the_count_on_error(monkeypatch):
     blas = rowpool.openblas_threads()
     if blas is None:
