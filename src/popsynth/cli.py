@@ -14,7 +14,6 @@ memory. Seeds are explicit flags; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import os
 import resource
@@ -125,16 +124,6 @@ class _Outputs(list):
         return path
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """Re-raise a ValueError as a UsageError. Commands build their settings
-    inside this block before they read any data, so a bad number exits 1."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _train_config(args) -> training.TrainConfig:
     """The TrainConfig of the command's flags, which carry the field names."""
     return training.TrainConfig(**{k: v for k, v in vars(args).items() if k in TRAIN_FIELDS})
@@ -154,6 +143,14 @@ def _count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
     return count
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    """A --hidden-widths value: comma-separated integers."""
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _add_train_flags(p, *names):
@@ -182,14 +179,9 @@ def _cmd_restructure(args, out):
 
 
 def _cmd_pretrain(args, out):
-    with _usage_errors():
-        widths = (
-            tuple(int(w) for w in args.hidden_widths.split(","))
-            if args.hidden_widths is not None
-            else vae.VaeHyperparams.encoder_widths
-        )
-        hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
-        config = _train_config(args)
+    widths = args.hidden_widths or vae.VaeHyperparams.encoder_widths
+    hyper = vae.VaeHyperparams(args.latent_dim, widths, args.seed)
+    config = _train_config(args)
     model_path = out.file(args.out, "--out")
     history_path = out.file(f"{args.out}.history.csv", "--out")
     [table] = load_tables(load_schema(args.schema), (args.microdata_hh, args.microdata_p))
@@ -209,8 +201,7 @@ def _cmd_pretrain(args, out):
 
 
 def _cmd_finetune(args, out):
-    with _usage_errors():
-        config = _train_config(args)
+    config = _train_config(args)
     latent_path, history_path, marg_path = (
         out.file(f"{args.out_latent}{suffix}", "--out-latent")
         for suffix in ("", ".history.csv", ".soft_marginals.json")
@@ -447,6 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--latent-dim", type=int, default=vae.VaeHyperparams.latent_dim)
     p.add_argument(
         "--hidden-widths",
+        type=_widths,
         default=None,
         dest="hidden_widths",
         help="six comma-separated encoder widths; decoder mirrors them",
@@ -526,7 +518,7 @@ def run(argv) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (training.TrainingDivergedError, OSError, RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class Provenance:
     dropped_households: int = 0
     forced_na_cells: int = 0
     toolkit_version: str = ""
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def inventory_from_table(table: RestructuredTable) -> RestructuredTable:
@@ -147,7 +144,7 @@ def write_inventory(table: RestructuredTable, provenance: Provenance, out_dir) -
             for pid, (i, row) in enumerate(zip(rows, people), start=1)
         ),
     )
-    write_json(paths["provenance.json"], provenance.to_dict())
+    write_json(paths["provenance.json"], asdict(provenance))
     return paths
 
 
@@ -232,10 +229,6 @@ class SanityReport:
     def rates(self) -> dict[str, float]:
         n = max(self.total_households, 1)
         return {rule: len(v) / n for rule, v in self.violations.items()}
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(v) for v in self.violations.values())
 
 
 def _rule_masks(table: RestructuredTable, rule: SanityRule) -> tuple[np.ndarray, np.ndarray]:

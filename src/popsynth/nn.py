@@ -304,12 +304,6 @@ class Chain:
             dy = layer.backward(dy)
         return first.backward(dy) if input_grad else first.backward(dy, input_grad=False)
 
-    def params(self) -> list[Param]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
 
 # ---------------------------------------------------------------------------
 # reparameterisation

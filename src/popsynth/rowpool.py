@@ -55,15 +55,21 @@ def max_workers() -> int:
 
 @functools.cache
 def openblas_threads():
-    """numpy's OpenBLAS thread-count getter and setter, or None: the mapped
-    library whose path names both ``openblas`` and ``numpy``."""
+    """numpy's OpenBLAS thread-count getter and setter, or None: the first
+    mapped library whose path names both ``openblas`` and ``numpy`` and that
+    ``ctypes`` can load."""
     try:
         maps = read_input("/proc/self/maps").splitlines()
     except DataError:  # no /proc: not Linux
         return None
-    libs = sorted({line.split()[-1] for line in maps if "openblas" in line and "numpy" in line})
+    # a maps line's sixth field, the path, may hold spaces
+    libs = sorted({line.split(maxsplit=5)[5] for line in maps
+                   if "openblas" in line and "numpy" in line})
     for lib in libs:
-        handle = ctypes.CDLL(lib)
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # not loadable here: parked runs unparked
+            continue
         for get_name, set_name in _BLAS_SYMBOLS:
             get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
             if get is not None and put is not None:

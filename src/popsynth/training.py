@@ -18,7 +18,7 @@ import numpy as np
 from . import nn, rowpool
 from .losses import FocalParams, dbce, focal_loss, latent_kl, marginal_rmse_loss
 from .schema import (
-    EncodedMatrix, RestructuredTable, TargetMarginals, distinct_rows, one_hot, write_csv,
+    DataError, EncodedMatrix, RestructuredTable, TargetMarginals, distinct_rows, one_hot, write_csv,
 )
 from .vae import ModelFormatError, read_blob, write_blob
 
@@ -51,28 +51,27 @@ class TrainConfig:
     w_normkl: float = 0.1
     temperature: float = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message starts with the field it rejects: its flag's name
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise DataError(f"{f.name} must be finite, got {value}")
         for name in ("kl_weight", "w_marginal", "w_dbce", "w_normkl"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise DataError(f"{name} must be >= 0")
+        for name in ("lr", "min_lr", "temperature"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be positive")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.lr <= 0 or self.min_lr <= 0:
-            raise ValueError("learning rates must be positive")
+            raise DataError("epochs must be >= 1")
         if self.min_lr > self.lr:
-            raise ValueError("min_lr cannot exceed lr")
+            raise DataError("min_lr cannot exceed lr")
         if self.decay_start < 0:
-            raise ValueError("decay_start must be >= 0")
+            raise DataError("decay_start must be >= 0")
         if self.batch_size is not None and self.batch_size < 2:
-            raise ValueError("batch size must be >= 2")
+            raise DataError("batch_size must be >= 2")
         if self.focal_gamma < 0:
-            raise ValueError("focal gamma must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("softmin temperature must be positive")
+            raise DataError("focal_gamma must be >= 0")
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -316,6 +315,9 @@ def load_latent(path) -> tuple[LatentMatrix, dict]:
     for key in ("seed", "rows", "width"):
         if type(header[key]) is not int:  # a bool is no count or seed
             raise ModelFormatError(f"{path}: {key} {header[key]!r} is not an integer")
+    for key in ("rows", "width"):
+        if header[key] < 1:  # init_latent makes no empty latent
+            raise ModelFormatError(f"{path}: {key} {header[key]} is below 1")
     return LatentMatrix(z=z, seed=header["seed"]), header
 
 

@@ -55,11 +55,11 @@ class VaeHyperparams:
 
     def __post_init__(self):
         if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+            raise DataError("latent_dim must be >= 1")
         if len(self.encoder_widths) != N_BLOCKS:
-            raise ValueError(f"expected {N_BLOCKS} hidden widths")
+            raise DataError(f"encoder_widths must hold {N_BLOCKS}, not {len(self.encoder_widths)}")
         if any(w < 1 for w in self.encoder_widths):
-            raise ValueError("hidden widths must be >= 1")
+            raise DataError("encoder_widths must all be >= 1")
 
 
 def _block(in_dim, out_dim, rng, name):

@@ -351,7 +351,7 @@ def test_structural_suite(verdict, desk, tmp_path):
     report = generation.sanity_check(broken, rules)
     flagged = {hid for v in report.violations.values() for hid, _ in v}
     expected = {ids[flag_idx], ids[member_idx]}
-    planted_found = (flagged == expected and report.total_violations == 2)
+    planted_found = (flagged == expected and sum(report.counts.values()) == 2)
 
     clean_ok = sum(clean.counts.values()) == 0
     ok = round_trip and encode_identity and referential and planted_found and clean_ok

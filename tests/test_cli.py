@@ -3,10 +3,13 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 import popsynth
 from conftest import signed
 from popsynth import oracle, schema, training, vae
-from popsynth.cli import run
+from popsynth.cli import build_parser, run
 from popsynth.schema import DataError, HouseholdRecord, load_tables
 
 TINY_WIDTHS = "16,14,12,12,10,8"
@@ -692,6 +695,7 @@ BAD_NUMBERS = [
     ("pretrain", "--hidden-widths", "8,8"),
     ("pretrain", "--hidden-widths", "a,b"),
     ("pretrain", "--hidden-widths", ""),
+    ("pretrain", "--hidden-widths", "4,4,4,4,4,"),
     ("pretrain", "--latent-dim", "0"),
     ("pretrain", "--epochs", "0"),
     ("pretrain", "--lr", "-1"),
@@ -721,6 +725,9 @@ BAD_NUMBERS = [
     ("oracle-make", "--seed", "-1"),
 ]
 
+# flags that set a config field of another name
+FLAG_FIELDS = {"--hidden-widths": "encoder_widths"}
+
 
 @pytest.mark.parametrize("sub,flag,value", BAD_NUMBERS, ids=[" ".join(c) for c in BAD_NUMBERS])
 def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_path, sub, flag, value, capsys):
@@ -729,6 +736,9 @@ def test_bad_numeric_flag_is_exit_1_before_any_write(data_dir, artifacts, tmp_pa
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    # the line starts with the flag, or with the config field it sets
+    field = FLAG_FIELDS.get(flag, flag[2:].replace("-", "_"))
+    assert re.match(rf"error: (popsynth {sub}: argument {flag}: |{field}\b)", err), err
     if flag == "--seed":
         assert f"argument --seed: must be a non-negative integer, not {value}" in err
     assert not any(tmp_path.iterdir())
@@ -893,7 +903,7 @@ def test_finetune_that_changes_the_model_fails(data_dir, artifacts, tmp_path, ca
 
     def finetune(model, *args, **kwargs):
         result = real(model, *args, **kwargs)
-        model.encoder.params()[0].value[0, 0] += 1.0
+        model.parameters()[0].value[0, 0] += 1.0  # the first encoder weight
         return result
 
     monkeypatch.setattr(training, "finetune", finetune)
@@ -1011,6 +1021,19 @@ def test_removed_flag_is_a_usage_error(data_dir, artifacts, tmp_path, sub, flag,
     assert not any(tmp_path.iterdir())
 
 
+def test_readme_quick_start_commands_parse():
+    """Every command of README's Quick start is one the parser accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start")[1].split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("popsynth ")]
+    assert [argv[1] for argv in commands] == [
+        "oracle-make", "pretrain", "finetune", "generate", "evaluate"
+    ]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
 def rewrite_header(src, dst, change):
     """Copy a ``write_blob`` file with ``change(header)`` as its header,
     signed again."""
@@ -1056,6 +1079,23 @@ def test_foreign_header_is_exit_1(data_dir, artifacts, tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "inv").exists()
+
+
+@pytest.mark.parametrize("key, shape", [("rows", (0, 3)), ("width", (12, 0))])
+def test_empty_latent_is_exit_1(data_dir, artifacts, tmp_path, key, shape, capsys):
+    """A latent of no rows, or of rows 0 wide, saved with the model's
+    fingerprints and a valid digest, is malformed: one of no rows would
+    decode to an empty inventory."""
+    d, model = artifacts
+    path = tmp_path / "empty.psl"
+    training.save_latent(training.LatentMatrix(np.zeros(shape), 3), path,
+                         model.schema_fingerprint, model.checksum())
+    with pytest.raises(vae.ModelFormatError, match=f"{key} 0 is below 1"):
+        training.load_latent(path)
+    capsys.readouterr()
+    assert cli_generate(data_dir, d / "model.psv", path, tmp_path / "inv") == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} 0 is below 1\n"
     assert not (tmp_path / "inv").exists()
 
 

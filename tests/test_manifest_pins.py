@@ -61,7 +61,7 @@ def chain(tmp_path_factory):
          "--latent-dim", 3, "--hidden-widths", TINY_WIDTHS, "--reparam-mode", "standard"],
         d / "model.psv.manifest.json",
         micro | {"out": str(model), "seed": 1, "epochs": 4, "decay_start": 2, "latent_dim": 3,
-                 "hidden_widths": TINY_WIDTHS, "reparam_mode": "standard", "lr": 1e-3,
+                 "hidden_widths": [16, 14, 12, 12, 10, 8], "reparam_mode": "standard", "lr": 1e-3,
                  "min_lr": 1e-4, "kl_weight": 1.0, "focal_gamma": 2.0,
                  "focal_alpha_used": float(1.0 - np.asarray(x, dtype=np.float64).mean())},
         [model, d / "model.psv.history.csv"], with_model=True)

@@ -457,7 +457,7 @@ def test_chain_backward_reverses_layers(rng):
     chain = Chain([Affine(4, 6, rng, "a1"), Relu(), Affine(6, 2, rng, "a2")])
     x = rng.normal(size=(5, 4))
     assert fd_ok(chain, x)
-    assert len(chain.params()) == 4
+    assert len([p for layer in chain.layers for p in layer.params()]) == 4
 
 
 def test_reparameterize_is_mu_plus_scaled_noise(rng):

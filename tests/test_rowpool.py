@@ -2,6 +2,7 @@
 around a parked block, and a desk chain's bytes at one and two workers."""
 
 import json
+import os
 import sys
 import threading
 
@@ -99,6 +100,34 @@ def test_parked_sets_one_blas_thread_and_restores_the_count_on_error(monkeypatch
             assert get() == 1 and rowpool.ranges(400, 4000) == 2
             raise KeyError("inside")
     assert get() == before and rowpool.ranges(400, 4000) == 1
+
+
+def test_openblas_path_may_hold_a_space_and_an_unloadable_one_is_skipped(
+    tmp_path, monkeypatch
+):
+    """A maps line's path may hold spaces: numpy's OpenBLAS under such a
+    directory is found; a line naming a library that does not load finds
+    none, so a parked block runs unparked instead of failing."""
+    blas = rowpool.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    with open("/proc/self/maps") as fh:
+        real = sorted(line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                      if "openblas" in line and "numpy" in line)[0]
+    link = tmp_path / "my env" / "numpy.libs" / os.path.basename(real)
+    link.parent.mkdir(parents=True)
+    link.symlink_to(real)
+    line = "7f0000000000-7f0000001000 r-xp 00000000 08:01 42                 {}\n"
+    try:
+        for path, found in ((link, True), (tmp_path / "numpy.libs" / "libopenblas.so", False)):
+            monkeypatch.setattr(rowpool, "read_input", lambda _, path=path: line.format(path))
+            rowpool.openblas_threads.cache_clear()
+            got = rowpool.openblas_threads()
+            assert (got is not None) == found
+            if found:
+                assert got[0]() == blas[0]()
+    finally:
+        rowpool.openblas_threads.cache_clear()
 
 
 def test_desk_chain_keeps_its_bytes_at_one_and_two_workers(tmp_path, monkeypatch):
