@@ -4,11 +4,12 @@ Subcommands: restructure, pretrain, finetune, generate, evaluate, privacy,
 oracle-make. Every input file is read whole as UTF-8 text (a model or latent
 as bytes) through ``schema.read_input``. Every run that succeeds writes a
 manifest (resolved configuration, fingerprints, wall-clock timings, the
-process's peak RSS, sha256 of every emitted file) atomically next to its
-outputs. Exit codes: 0 success; 1 bad flags, unreadable, undecodable or
-malformed inputs and mismatched artifacts (every ``DataError``); 2 divergence,
-a model that changed during fine-tuning, write failures and running out of
-memory. Seeds are explicit flags; nothing is seeded from the clock.
+process's peak RSS, numpy's BLAS, sha256 of every emitted file) atomically
+next to its outputs. Exit codes: 0 success; 1 bad flags, unreadable,
+undecodable or malformed inputs and mismatched artifacts (every
+``DataError``); 2 divergence, a model that changed during fine-tuning, write
+failures and running out of memory. Seeds are explicit flags; nothing is
+seeded from the clock.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from . import evaluation, generation, oracle, training, vae
+from . import evaluation, generation, oracle, rowpool, training, vae
 from .schema import (
     DataError,
     distinct_rows,
@@ -78,9 +79,20 @@ def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
         "duration_s": finished - started,
         # the process's peak so far (KiB on Linux): a running maximum in-process
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "blas": _blas(),
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     write_json(path, manifest)
+
+
+def _blas() -> dict:
+    """numpy's BLAS and its thread count now (null where numpy's OpenBLAS
+    is not found): above ``rowpool.THRESHOLD`` the matcher's bits depend on
+    both, so a latent is reproduced only with them on record."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    openblas = rowpool.openblas_threads()
+    return {"name": info["name"], "version": info["version"],
+            "threads": openblas[0]() if openblas else None}
 
 
 class _Outputs(list):

@@ -9,7 +9,10 @@ Privacy: distance to the closest record (DCR), the column-mean binary
 cross-entropy between a synthetic row (clamped one-hot, read as probabilities)
 and its nearest microdata row, at household level and at person level (each
 person joined with their household's variables); plus a two-sample
-Kolmogorov-Smirnov test between DCR samples.
+Kolmogorov-Smirnov test between DCR samples. On one-hot rows that BCE is a
+function of the number of groups two rows agree on, so DCR is a table
+lookup at each row's largest count of matching groups, which one product
+of the 0/1 matrices gives exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import clamp01
+from .losses import CLAMP
 from .schema import (
     DataError,
     RestructuredTable,
@@ -32,7 +35,13 @@ from .schema import (
 
 KL_EPS = 1e-6
 MIN_EXPECTED = 5.0  # chi-square buckets expected below this are merged
-DCR_BLOCK_VALUES = 2**20  # pairwise sums per block of dcr: 8 MB of float64
+DCR_BLOCK_VALUES = 2**20  # match counts per block of dcr: 4 MB of float32
+# dcr's per-column BCE terms, synthetic value first: a 1 is clamped to
+# 1 - CLAMP and a 0 to CLAMP, and log(1 - p) is taken as log1p(-p)
+_A11 = math.log(1.0 - CLAMP)
+_A01 = math.log(CLAMP)
+_A10 = math.log1p(-(1.0 - CLAMP))
+_A00 = math.log1p(-CLAMP)
 
 
 def rmse_metric(a: np.ndarray, b: np.ndarray) -> float:
@@ -169,30 +178,35 @@ def dcr(syn: np.ndarray, micro: np.ndarray) -> np.ndarray:
     Every row of ``micro`` is compared; a caller that passes only the distinct
     rows gets the same minima for less work.
 
-    The BCE is the two-product form ``log p @ t.T + log1p(-p) @ (1 - t).T``,
-    not the one-GEMM identity of ``losses.pairwise_mean_bce``. At an exact
-    match the identity's two terms are about +16k and -16k for a row with k
-    ones, while the distance is about 1e-7, so it would lose the leading
-    digits of exactly the minima this function reports, and rows tied at
-    an exact match would get different distances. The synthetic rows go in
-    even blocks of at most ``DCR_BLOCK_VALUES`` sums, which bounds the working
-    set, and a block's minimum is ``-(max of its sums) / d``: as negation and
-    division by ``d > 0`` are monotone, it has the bits of ``min(-sums / d)``."""
+    Both take hard 0/1 rows that all hold the same number G of ones, as the
+    one-hot rows of one schema do; any other row raises ValueError. Two such
+    rows of width d that share M ones differ in 2(G - M) columns, so their
+    BCE is ``table[M]`` and a row's distance is the table at its largest M.
+    One product of the 0/1 matrices gives those counts. They are integers
+    at most G < 2^24, exact in float32 in any summation order, so no bit of
+    a distance depends on the BLAS, its threads or the blocks: the synthetic
+    rows go in blocks of at most ``DCR_BLOCK_VALUES`` counts only to bound
+    the working set."""
     syn = np.asarray(syn, dtype=np.float64)
     micro = np.asarray(micro, dtype=np.float64)
     if syn.shape[1] != micro.shape[1]:
         raise ValueError("row widths differ")
     if syn.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty input")
-    p = clamp01(syn)
-    absent = (1.0 - micro).T
+    if not all(((x == 0.0) | (x == 1.0)).all() for x in (syn, micro)):
+        raise ValueError("dcr compares rows of zeros and ones only")
+    ones = np.concatenate([syn.sum(axis=1), micro.sum(axis=1)])
+    g = ones[0]
+    if (ones != g).any():
+        raise ValueError("rows hold different counts of ones")
+    d = syn.shape[1]
+    m = np.arange(g + 1)
+    table = -(m * _A11 + (g - m) * (_A01 + _A10) + (d - 2 * g + m) * _A00) / d
+    t = micro.astype(np.float32).T
     rows = max(1, DCR_BLOCK_VALUES // micro.shape[0])
-    out = []
-    for block in np.array_split(p, -(-p.shape[0] // rows)):
-        s = np.log(block) @ micro.T
-        s += np.log1p(-block) @ absent
-        out.append(-s.max(axis=1) / p.shape[1])
-    return np.concatenate(out)
+    best = [(syn[lo : lo + rows].astype(np.float32) @ t).max(axis=1)
+            for lo in range(0, syn.shape[0], rows)]
+    return table[np.concatenate(best).astype(np.intp)]
 
 
 def person_level_matrix(table: RestructuredTable) -> np.ndarray:

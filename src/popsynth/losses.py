@@ -128,10 +128,9 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     Entry (i, j) treats prediction row i as probabilities for target row j.
     It is computed as ``(log p - log1p(-p)) @ t.T + sum_c log1p(-p)``: one
     GEMM and no ``1 - target`` copy. The identity is exact in real
-    arithmetic, but for a row that matches a target almost exactly its terms
-    cancel to a value far smaller than either, so ``evaluation.dcr``, which
-    needs those small distances, keeps the two-product form. Each
-    ``rowpool.split_rows`` range runs every pass over all its rows at once.
+    arithmetic; for a row that matches a target almost exactly its terms
+    cancel to a value far smaller than either. Each ``rowpool.split_rows``
+    range runs every pass over all its rows at once.
     """
     if pred.shape[1] != target.shape[1]:
         raise ValueError("prediction and target widths differ")

@@ -2,11 +2,11 @@
 
 Everything here is written from the defining formulas with plain Python
 loops, deliberately avoiding the vectorised code paths under test; the
-exceptions are ``two_product_dcr``, ``where_relu_backward``,
-``per_group_marginal_rmse``, ``power_focal_loss``,
-``sorted_key_distinct_rows`` and the ``one_call_`` matcher forms, which pin
-bits rather than a formula, ``choice_sample_records``, which pins a random
-stream, and the finite-difference gradient checker at the end.
+exceptions are ``where_relu_backward``, ``per_group_marginal_rmse``,
+``power_focal_loss``, ``sorted_key_distinct_rows`` and the ``one_call_``
+matcher forms, which pin bits rather than a formula,
+``choice_sample_records``, which pins a random stream, and the
+finite-difference gradient checker at the end.
 """
 
 import math
@@ -184,18 +184,21 @@ def brute_dcr(row, reference) -> float:
     return best
 
 
-def two_product_dcr(syn, micro, blocks: int = 1):
-    """``evaluation.dcr`` in its earlier form, on the synthetic rows split
-    into ``blocks`` even blocks: per block, the minimum over reference rows
-    of ``-(log p @ t.T + log1p(-p) @ (1 - t).T) / d``. Vectorised like the
-    library, since BLAS may round a sum differently in a block of another
-    row count, so a test can require dcr's bits to equal it."""
+def code_dcr(syn_codes, micro_codes, width: int):
+    """DCR of one-hot rows ``width`` columns wide, from their integer codes:
+    per synthetic row, the largest count M of groups whose codes agree with
+    one microdata row, and the column-mean BCE at M. Of G groups, a row
+    pair has M columns where both are 1, G - M where only one row is (each
+    way) and the rest where both are 0; a clamped 1 is 1 - CLAMP, a 0 CLAMP."""
     out = []
-    for block in np.array_split(syn, blocks):
-        p = np.clip(block, CLAMP, 1.0 - CLAMP)
-        bce = -(np.log(p) @ micro.T + np.log1p(-p) @ (1.0 - micro).T) / p.shape[1]
-        out.append(bce.min(axis=1))
-    return np.concatenate(out)
+    for row in syn_codes:
+        g = len(row)
+        m = max(sum(int(a == b) for a, b in zip(row, ref)) for ref in micro_codes)
+        p1 = 1.0 - CLAMP
+        total = (m * math.log(p1) + (g - m) * math.log(CLAMP)
+                 + (g - m) * math.log1p(-p1) + (width - 2 * g + m) * math.log1p(-CLAMP))
+        out.append(-total / width)
+    return np.array(out)
 
 
 def power_focal_loss(pred, target, alpha: float, gamma: float):

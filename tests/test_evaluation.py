@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from popsynth import evaluation
+from conftest import load_census_module
+from popsynth import evaluation, rowpool
 from popsynth.evaluation import (
     chi_square_test,
     dcr,
@@ -17,7 +18,7 @@ from popsynth.evaluation import (
     person_level_matrix,
     rmse_metric,
 )
-from popsynth.schema import empirical_marginals
+from popsynth.schema import empirical_marginals, one_hot
 
 
 def test_rmse_hand_value():
@@ -118,19 +119,35 @@ def test_chi_square_rejects_zero_total():
         chi_square_test(np.zeros(3), np.array([0.5, 0.3, 0.2]))
 
 
+def hard_rows(rng, n, widths):
+    """``n`` random one-hot rows over groups of ``widths`` columns, and
+    their integer codes."""
+    codes = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
+    return one_hot(codes, np.cumsum([0, *widths[:-1]]), sum(widths)), codes
+
+
+def census_widths(level):
+    """Group widths of the census workload's rows: 42 groups in 360 columns
+    at household level, 12 in 90 at person level."""
+    schema = load_census_module().census_schema()
+    hh = [v.width for v in schema.household_vars]
+    person = [v.width for v in schema.person_vars]
+    return hh + person * (schema.n_window if level == "household" else 1)
+
+
 def test_dcr_matches_brute_force(rng, monkeypatch):
     monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 10)  # three blocks of two rows
-    syn = rng.uniform(0.05, 0.95, size=(6, 8))
-    micro = (rng.random((5, 8)) < 0.5).astype(float)
+    syn, _ = hard_rows(rng, 6, [2, 3, 3])
+    micro, _ = hard_rows(rng, 5, [2, 3, 3])
     fast = dcr(syn, micro)
     brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
     np.testing.assert_allclose(fast, brute, atol=1e-12)
 
 
 def test_dcr_with_repeated_rows_matches_brute_force(rng, monkeypatch):
-    monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 90)  # blocks of 3, 2 and 2 rows
-    syn = rng.uniform(0.05, 0.95, size=(7, 8))
-    base = (rng.random((4, 8)) < 0.5).astype(float)
+    monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 90)  # blocks of 3, 3 and 1 rows
+    syn, _ = hard_rows(rng, 7, [2, 3, 3])
+    base, _ = hard_rows(rng, 4, [2, 3, 3])
     micro = base[rng.integers(0, 4, size=30)]
     fast = dcr(syn, micro)
     brute = np.array([oracles.brute_dcr(row, micro) for row in syn])
@@ -139,16 +156,9 @@ def test_dcr_with_repeated_rows_matches_brute_force(rng, monkeypatch):
 
 def test_dcr_exact_copies_at_census_width_match_brute_force(rng, monkeypatch):
     """Synthetic rows that copy a microdata row exactly sit at a distance of
-    about 1e-7, so only a relative tolerance sees their error. The one-GEMM
-    identity of ``losses.pairwise_mean_bce`` cancels terms of about 16 per
-    one in the row there and misses by about 1e-9 to 1e-8 relative, which is
-    why ``dcr`` keeps the two-product form."""
+    about 1e-7, so only a relative tolerance sees their error."""
     widths = [2, 3, 5, 7, 9, 12, 16] * 6 + [3, 4, 5, 6, 7, 11]
-    micro = np.zeros((40, sum(widths)))
-    start = 0
-    for w in widths:
-        micro[np.arange(40), start + rng.integers(0, w, size=40)] = 1.0
-        start += w
+    micro, _ = hard_rows(rng, 40, widths)
     syn = micro[rng.integers(0, 40, size=12)]
     monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", 200)  # three blocks of four rows
     fast = dcr(syn, micro)
@@ -157,21 +167,71 @@ def test_dcr_exact_copies_at_census_width_match_brute_force(rng, monkeypatch):
     np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=0)
 
 
-def test_dcr_has_the_bits_of_its_earlier_form(monkeypatch):
-    """The max form of the minimum and the in-place sum keep every distance's
-    bits, in blocks of every size from one row up."""
-    rng = np.random.default_rng(17)
-    for trial in range(60):
-        n, m, d = (int(v) for v in rng.integers(1, (90, 60, 50)))
-        micro = (rng.random((m, d)) < rng.uniform(0.1, 0.6)).astype(float)
-        syn = rng.uniform(-0.1, 1.1, size=(n, d))
-        copies = rng.random(n) < 0.3
-        syn[copies] = micro[rng.integers(0, m, size=int(copies.sum()))]
-        rows = int(rng.integers(1, n + 1))
-        monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", m * rows)
-        want = oracles.two_product_dcr(syn, micro, blocks=-(-n // rows))
-        got = dcr(syn, micro)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (trial, n, m, d)
+@pytest.mark.parametrize("level", ["household", "person"])
+def test_dcr_matches_the_code_level_oracle(rng, level):
+    widths = census_widths(level)
+    micro, micro_codes = hard_rows(rng, 300, widths)
+    syn, syn_codes = hard_rows(rng, 40, widths)
+    syn[:5], syn_codes[:5] = micro[:5], micro_codes[:5]  # exact copies too
+    want = oracles.code_dcr(syn_codes, micro_codes, sum(widths))
+    np.testing.assert_allclose(dcr(syn, micro), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("level", ["household", "person"])
+def test_dcr_gives_one_distance_per_best_match_count(level):
+    """Rows whose closest record shares as many groups get the same bits:
+    the BCE of two such one-hot rows depends on that count alone."""
+    rng = np.random.default_rng(31)
+    widths = census_widths(level)
+    syn, syn_codes = hard_rows(rng, 400, widths)
+    micro, micro_codes = hard_rows(rng, 500, widths)
+    got = dcr(syn, micro)
+    best = (syn_codes[:, None, :] == micro_codes[None, :, :]).sum(axis=2).max(axis=1)
+    split = [m for m in np.unique(best) if np.unique(got[best == m]).size > 1]
+    assert split == []
+
+
+def test_dcr_bits_hold_for_every_block_and_blas_thread_count(monkeypatch):
+    """The same bits in blocks of every size from one row up, and with
+    numpy's OpenBLAS at one thread and at two."""
+    blas = rowpool.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get, put = blas
+    rng = np.random.default_rng(41)
+    widths = census_widths("household")
+    micro, _ = hard_rows(rng, 2000, widths)
+    syn, _ = hard_rows(rng, 48, widths)
+    syn[::4] = micro[:12]
+    want = dcr(syn, micro).view(np.uint64)
+    before = get()
+    try:
+        for threads in (1, 2):
+            put(threads)
+            for rows in range(1, syn.shape[0] + 1):
+                monkeypatch.setattr(evaluation, "DCR_BLOCK_VALUES", rows * micro.shape[0])
+                assert np.array_equal(dcr(syn, micro).view(np.uint64), want), (threads, rows)
+    finally:
+        put(before)
+
+
+def test_dcr_rejects_rows_that_are_not_hard_or_hold_other_counts_of_ones(rng):
+    micro, _ = hard_rows(rng, 5, [2, 3, 3])
+    syn, _ = hard_rows(rng, 4, [2, 3, 3])
+    for bad in (0.5, 2.0, -1.0, np.nan):
+        soft = syn.copy()
+        soft[1, 0] = bad
+        for args in ((soft, micro), (micro, soft)):
+            with pytest.raises(ValueError, match="zeros and ones"):
+                dcr(*args)
+    extra = syn.copy()
+    extra[2] = 1.0  # one row of eight ones
+    short = micro.copy()
+    short[3, 5:] = 0.0  # one row of two ones
+    fewer = np.hstack([micro[:, :5], np.zeros((5, 3))])  # every row two ones
+    for args in ((extra, micro), (syn, short), (short, syn), (syn, fewer)):
+        with pytest.raises(ValueError, match="counts of ones"):
+            dcr(*args)
 
 
 def test_dcr_self_distance_is_tiny(tiny_encoded):

@@ -5,7 +5,7 @@ the manifest must sit at its documented path, name its subcommand, record
 every resolved flag (plus the command's own extra keys) as ``config``, carry
 the schema and model fingerprints, list exactly the files the command wrote
 with their sha256, give a duration that is its two timestamps apart and a
-positive peak RSS.
+positive peak RSS, and name numpy's BLAS with its thread count.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from popsynth import __version__, vae
+from popsynth import __version__, rowpool, vae
 from popsynth.cli import run
 from popsynth.schema import distinct_rows, encode_onehot, load_schema, load_tables
 
@@ -22,7 +22,7 @@ TINY_WIDTHS = "16,14,12,12,10,8"
 VARIABLES = ("AGEP", "EDU", "R65", "TEN", "VEH")
 MANIFEST_KEYS = {
     "subcommand", "toolkit_version", "config", "fingerprints",
-    "started_unix", "finished_unix", "duration_s", "peak_rss_mb", "outputs",
+    "started_unix", "finished_unix", "duration_s", "peak_rss_mb", "blas", "outputs",
 }
 
 
@@ -130,3 +130,7 @@ def test_manifest_pins(chain, sub):
     assert manifest["duration_s"] == manifest["finished_unix"] - manifest["started_unix"]
     peak = manifest["peak_rss_mb"]
     assert isinstance(peak, float) and peak > 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = rowpool.openblas_threads()
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
+                                "threads": threads[0]() if threads else None}
