@@ -1,18 +1,20 @@
 """End-to-end desk-scale run: ground truth -> pretrain -> fine-tune ->
-generate -> evaluate -> privacy, printing a compact summary of the numbers
-the test suite checks. Everything goes through the CLI entry points, so a
-run of this script exercises the same paths as a user would. It ends by
-writing ``<work-dir>/digests.json``: the sha256 of every file it left under
-the work directory except the manifests, which hold timestamps. Its last
-line is the sha256 of ``digests.json`` itself, so two runs of the same
+generate -> evaluate -> privacy, printing the scorecard of acceptance
+criteria 4-7 on its outputs. Everything goes through the CLI entry points,
+so a run of this script exercises the same paths as a user would. It ends
+by writing ``<work-dir>/digests.json``: the sha256 of every file it left
+under the work directory except the manifests, which hold timestamps. Its
+last line is the sha256 of ``digests.json`` itself, so two runs of the same
 arguments on two checkouts compare by that one value.
 
 Usage: python scripts/run_desk_pipeline.py --work-dir /tmp/desk
 
-``RECIPE`` is the one copy of the desk recipe and ``run_chain`` the one
-copy of the chain: the acceptance suite (tests/test_acceptance.py) runs
-``run_chain`` with ``RECIPE`` for criteria 4-8 and with a smaller recipe,
-twice, for criterion 9.
+``RECIPE`` is the one copy of the desk recipe, ``run_chain`` the one copy
+of the chain, and ``scorecard`` with ``BOUNDS`` the one copy of criteria
+4-7. The acceptance suite (tests/test_acceptance.py) runs ``run_chain``
+with ``RECIPE`` and asserts ``scorecard``'s flags for criteria 4-7, and
+runs it with ``SMALL_RECIPE``, twice, for criterion 9;
+scripts/seed_sweep.py scores it over seed pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import os
 import resource
 import sys
 import time
+from pathlib import Path
 
-from popsynth import cli, evaluation, training, vae
+from popsynth import cli, evaluation, losses, training, vae
 from popsynth.schema import load_schema, load_tables, write_json
 
 # each of "data", "pretrain" and "finetune" is the flag set of one command
@@ -40,6 +43,26 @@ RECIPE = {
     "wide_sample": 8000,  # prior draws for the pretrain fidelity check
     "wide_seed": 9,
     "gen_seed": 5,
+}
+# criterion 9's chain: small enough to run twice in a test
+SMALL_RECIPE = RECIPE | {
+    "data": RECIPE["data"] | dict(households=120, tract_households=40),
+    "pretrain": RECIPE["pretrain"] | dict(epochs=40, decay_start=10,
+                                          hidden_widths="16,14,12,12,10,8"),
+    "finetune": RECIPE["finetune"] | dict(epochs=40, decay_start=10),
+    "wide_sample": 300,
+}
+
+NAMES = {"C4": "pretrain recovery", "C5": "fine-tune distribution shift",
+         "C6": "realism preservation", "C7": "privacy non-degradation"}
+BOUNDS = {
+    "pretrain_rmse": 0.03,  # C4: worst RMSE and KL of a variable's proportions,
+    "pretrain_kl": 0.05,    # wide prior sample against the microdata, at most
+    "tuned_rmse": 0.01,     # C5: worst RMSE of the tuned tract to its targets, at most,
+    "tuned_p": 0.9,         # and its smallest chi-square p, at least
+    "dbce_ratio": 10.0,     # C6: matcher BCE of the tuned over the prior latents, at most
+    "ks_p": 0.05,           # C7: KS p of the two inventories' DCRs, at least,
+    "self_dcr": 1e-5,       # and the microdata's largest DCR to itself, at most
 }
 
 
@@ -136,14 +159,68 @@ def run_chain(work_dir: str, recipe: dict = RECIPE) -> dict[str, float]:
     return seconds
 
 
-def read_report(path) -> dict[str, dict[str, float]]:
+def _variables(path) -> list[dict[str, float]]:
+    """The per-variable rows of a marginals report, without its mean row."""
     with open(path, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    out = {}
-    for row in rows:
-        name = row.pop("variable")
-        out[name] = {k: float(v) for k, v in row.items() if v != ""}
-    return out
+        return [{k: float(v) for k, v in row.items() if k != "variable" and v != ""}
+                for row in csv.DictReader(fh) if row["variable"] != "__mean__"]
+
+
+def scorecard(work_dir) -> dict[str, dict]:
+    """Criteria 4-7 on the files of a finished desk chain under ``work_dir``:
+    for each of "C4" ... "C7", the numbers that ``BOUNDS`` apply to and
+    ``pass``. It writes nothing, so a chain's digests do not depend on it."""
+    w, b = Path(work_dir), BOUNDS
+    pre, tuned = (_variables(w / d / "marginals_report.csv") for d in ("report_pre", "report_tuned"))
+    c4 = dict(worst_rmse=max(r["rmse_vs_microdata"] for r in pre),
+              worst_kl=max(r["kl_vs_microdata"] for r in pre))
+    c4["pass"] = c4["worst_rmse"] <= b["pretrain_rmse"] and c4["worst_kl"] <= b["pretrain_kl"]
+
+    model = vae.load_model(w / "model.psv")
+    z0, _ = training.load_latent(w / "prior_tract.psl")
+    z1, header = training.load_latent(w / "latent.psl")
+    c5 = dict(worst_rmse=max(r["rmse_vs_target"] for r in tuned),
+              min_p=min(r["p_vs_target"] for r in tuned),
+              beats_baseline=all(r["rmse_vs_target"] < r["baseline_rmse"] for r in tuned),
+              # the latent header pins the decoder it was tuned through
+              decoder_intact=header["model_fingerprint"] == model.checksum())
+    c5["pass"] = (c5["worst_rmse"] <= b["tuned_rmse"] and c5["min_p"] >= b["tuned_p"]
+                  and c5["beats_baseline"] and c5["decoder_intact"])
+
+    data = w / "data"
+    [table] = load_tables(load_schema(data / "schema.json"),
+                          (data / "households.csv", data / "persons.csv"))
+    micro = evaluation.household_matrix(table)
+    tau = json.loads((w / "latent.psl.manifest.json").read_text())["config"]["temperature"]
+    start, end = (losses.dbce(model.decode(z.z, train=False), micro, temperature=tau).dbce_loss
+                  for z in (z0, z1))
+    c6 = dict(dbce_start=start, dbce_end=end, ratio=end / start)
+    c6["pass"] = c6["ratio"] <= b["dbce_ratio"]
+
+    levels = json.loads((w / "privacy" / "privacy_summary.json").read_text())["levels"]
+    c7 = dict(ks_p_household=levels["household"]["ks_p_value"],
+              ks_p_person=levels["person"]["ks_p_value"],
+              self_dcr=float(evaluation.dcr(micro, micro).max()))
+    c7["pass"] = (min(c7["ks_p_household"], c7["ks_p_person"]) >= b["ks_p"]
+                  and c7["self_dcr"] <= b["self_dcr"])
+    return {"C4": c4, "C5": c5, "C6": c6, "C7": c7}
+
+
+def details(card: dict[str, dict]) -> dict[str, str]:
+    """Each criterion's numbers and bounds, as its scorecard line shows them."""
+    c4, c5, c6, c7 = card.values()
+    b = {k: f"{v:g}".replace("e-0", "e-") for k, v in BOUNDS.items()}  # 1e-5, not 1e-05
+    return {
+        "C4": f"worst RMSE {c4['worst_rmse']:.4f} (<={b['pretrain_rmse']}), "
+              f"worst KL {c4['worst_kl']:.4f} (<={b['pretrain_kl']})",
+        "C5": f"worst RMSE-to-target {c5['worst_rmse']:.4f} (<={b['tuned_rmse']}), "
+              f"min p {c5['min_p']:.3f} (>={b['tuned_p']}), beats baseline "
+              f"{c5['beats_baseline']}, decoder intact {c5['decoder_intact']}",
+        "C6": f"matcher BCE {c6['dbce_start']:.4f} -> {c6['dbce_end']:.4f}, "
+              f"ratio {c6['ratio']:.2f} (<={b['dbce_ratio']})",
+        "C7": f"KS p household {c7['ks_p_household']:.3f}, person {c7['ks_p_person']:.3f} "
+              f"(>={b['ks_p']}), self-DCR {c7['self_dcr']:.1e} (<={b['self_dcr']})",
+    }
 
 
 def _sha256(file: str) -> str:
@@ -176,44 +253,14 @@ def main() -> None:
     except CommandFailed as exc:
         print(exc, file=sys.stderr)
         sys.exit(exc.rc)
-    data = os.path.join(w, "data")
+    card = scorecard(w)
+    print("\n== scorecard ==")
+    for key, detail in details(card).items():
+        print(f"[{key}] {NAMES[key]}: {'PASS' if card[key]['pass'] else 'FAIL'} ({detail})")
 
-    print("\n== pretrain fidelity (prior sample vs microdata) ==")
-    pre = read_report(f"{w}/report_pre/marginals_report.csv")
-    for name, row in pre.items():
-        print(f"  {name:10s} rmse={row['rmse_vs_microdata']:.4f} "
-              f"kl={row['kl_vs_microdata']:.4f} p={row['p_vs_microdata']:.3f}")
-
-    print("\n== fine-tune fidelity (tuned inventory vs tract targets) ==")
-    tuned = read_report(f"{w}/report_tuned/marginals_report.csv")
-    for name, row in tuned.items():
-        if name == "__mean__":
-            continue
-        print(f"  {name:10s} rmse_t={row['rmse_vs_target']:.4f} "
-              f"baseline={row['baseline_rmse']:.4f} p_t={row['p_vs_target']:.3f}")
-
-    with open(f"{w}/latent.psl.history.csv", encoding="utf-8") as fh:
-        hist = list(csv.DictReader(fh))
-    d0, d1 = float(hist[0]["dbce"]), float(hist[-1]["dbce"])
-    print(f"\n== realism == dbce start={d0:.4f} end={d1:.4f} ratio={d1 / d0:.3f}")
-
-    with open(f"{w}/privacy/privacy_summary.json", encoding="utf-8") as fh:
-        priv = json.load(fh)
-    for level, row in priv["levels"].items():
-        print(f"== privacy == {level}: KS={row['ks_statistic']:.4f} "
-              f"p={row['ks_p_value']:.4f}")
-
-    [table] = load_tables(
-        load_schema(f"{data}/schema.json"), (f"{data}/households.csv", f"{data}/persons.csv")
-    )
-    m = evaluation.household_matrix(table)
-    print(f"== privacy == microdata self-DCR max={evaluation.dcr(m, m).max():.2e}")
-
-    for d in (f"{w}/syn_pre_wide", f"{w}/syn_pre_tract", f"{w}/syn_tuned"):
-        with open(f"{d}/sanity_report.json", encoding="utf-8") as fh:
-            rep = json.load(fh)
-        print(f"== sanity == {os.path.basename(d)}: "
-              f"{sum(rep['counts'].values())} violations / {rep['total_households']}")
+    for d in ("syn_pre_wide", "syn_pre_tract", "syn_tuned"):
+        rep = json.loads(Path(w, d, "sanity_report.json").read_text())
+        print(f"== sanity == {d}: {sum(rep['counts'].values())} violations / {rep['total_households']}")
 
     write_digests(w)
 

@@ -41,7 +41,6 @@ from .schema import (
     write_target_marginals,
 )
 
-DCR_BINS = 20  # bins of each privacy DCR histogram
 TRAIN_FIELDS = {f.name for f in fields(training.TrainConfig)}
 
 
@@ -358,8 +357,8 @@ def _cmd_privacy(args, out):
         first = distinct_rows(codes(micro))[0]
         if first.size < len(m):
             m = m[first]
-        da = evaluation.dcr(xa, m)
-        db = evaluation.dcr(xb, m)
+        dist = evaluation.dcr(np.concatenate([xa, xb]), m)
+        da, db = dist[: len(xa)], dist[len(xa) :]
         ks = evaluation.ks_test(da, db)
         summary["levels"][level] = {
             "ks_statistic": ks.statistic,
@@ -373,18 +372,15 @@ def _cmd_privacy(args, out):
             [(level, "a", i, d) for i, d in enumerate(da)]
             + [(level, "b", i, d) for i, d in enumerate(db)]
         )
-        lo = float(min(da.min(), db.min()))
-        hi = float(max(da.max(), db.max()))
-        edges = np.linspace(lo, hi if hi > lo else lo + 1e-12, DCR_BINS + 1)
-        hist_a, _ = np.histogram(da, bins=edges)
-        hist_b, _ = np.histogram(db, bins=edges)
+        # DCR takes one value per best match count, so rows tie: each
+        # distance that occurs gets one row of counts
+        values, index = np.unique(dist, return_inverse=True)
+        counts = [np.bincount(index[s], minlength=values.size)
+                  for s in (slice(len(xa)), slice(len(xa), None))]
         write_csv(
             out(f"dcr_histogram_{level}.csv"),
-            ["bin_low", "bin_high", "count_a", "count_b"],
-            (
-                [f"{edges[i]:.12g}", f"{edges[i + 1]:.12g}", hist_a[i], hist_b[i]]
-                for i in range(DCR_BINS)
-            ),
+            ["distance", "count_a", "count_b"],
+            ([f"{v:.12g}", ca, cb] for v, ca, cb in zip(values, *counts)),
         )
     write_csv(
         out("dcr_distances.csv"),

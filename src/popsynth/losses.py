@@ -73,8 +73,9 @@ def focal_loss(
         # d/dp of the two terms
         dpos = target * (q_g / p - g * q ** (g - 1) * log_p)
         dneg = neg_target * (g * p ** (g - 1) * log_q - p_g / q)
-    loss = -(a * pos + (1 - a) * neg).sum() / n
-    grad = -(a * dpos + (1 - a) * dneg) / n
+    # x / -n is -(x / n) to the bit, one pass fewer than negating first
+    loss = (a * pos + (1 - a) * neg).sum() / -n
+    grad = (a * dpos + (1 - a) * dneg) / -n
     return float(loss), grad
 
 

@@ -3,11 +3,12 @@
 numpy's ufuncs run on one core, while OpenBLAS runs a GEMM on every core
 and its idle threads then spin, so a ufunc thread started right after a
 GEMM finds no free core. Inside a ``parked`` block, numpy's OpenBLAS runs
-one thread, and ``split_rows`` runs a function on even row ranges: the
-calling thread takes the first range and a module pool, created on first
-use, the others, ``min(4, CPUs)`` ranges in all. Each range runs its own
-one-thread GEMMs and its elementwise passes over all its rows, so both use
-every core.
+one thread, and ``split_rows`` runs a function on ``WORKERS`` even row
+ranges: the calling thread takes the first and a one-thread module pool,
+created on first use, the second. Each range runs its own one-thread GEMMs
+and its elementwise passes over all its rows, so both use two cores. The
+range count does not depend on the machine, so a split's bits do not
+either (see below); splits into three or four ranges were never timed.
 
 A split keeps every bit of a row-local function: each range computes its
 rows as the whole call would. Its GEMMs keep their bits only where the
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 from .schema import DataError, read_input
 
 THRESHOLD = 2**19  # values (rows x columns) from which a job is split
+WORKERS = 2  # ranges per split inside a parked block
 # every range but the last is a multiple of ALIGN rows: OpenBLAS's GEMV
 # kernel takes rows in fours, so such a range keeps its rows' bits
 ALIGN = 4
@@ -45,12 +46,6 @@ _BLAS_SYMBOLS = (
 
 _pool: ThreadPoolExecutor | None = None
 _workers = 0  # ranges per split inside a parked block; 0 outside one
-
-
-def max_workers() -> int:
-    """Ranges per split inside a parked block: the CPUs this process may
-    run on, at most 4."""
-    return min(4, len(os.sched_getaffinity(0)))
 
 
 @functools.cache
@@ -82,7 +77,7 @@ def openblas_threads():
 @contextmanager
 def parked(values: int):
     """Run the block with numpy's OpenBLAS at one thread and ``split_rows``
-    on up to ``max_workers()`` ranges, if a job of ``values`` reaches
+    on up to ``WORKERS`` ranges, if a job of ``values`` reaches
     ``THRESHOLD`` and numpy's OpenBLAS is found; else run it as it is. The
     thread count in force before the block is restored on the way out, also
     on error."""
@@ -94,7 +89,7 @@ def parked(values: int):
     get, put = blas
     before, outer = get(), _workers
     put(1)
-    _workers = max_workers()
+    _workers = WORKERS
     try:
         yield
     finally:
@@ -121,7 +116,7 @@ def split_rows(fn, rows: int, cols: int) -> None:
         fn(0, rows)
         return
     if _pool is None:
-        _pool = ThreadPoolExecutor(max(1, max_workers() - 1), "popsynth-rows")
+        _pool = ThreadPoolExecutor(WORKERS - 1, "popsynth-rows")
     bounds = [min(rows, (rows * k // w + ALIGN // 2) // ALIGN * ALIGN) for k in range(w)] + [rows]
     futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:

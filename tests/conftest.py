@@ -14,7 +14,8 @@ from popsynth.schema import (
 )
 
 
-def _load_module(name, relative):
+def load_module(name, relative):
+    """A fresh module of the file at ``relative`` to the repository root."""
     spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -24,12 +25,12 @@ def _load_module(name, relative):
 def load_desk_script():
     """A fresh module of scripts/run_desk_pipeline.py, which holds the one
     copy of the desk recipe and chain."""
-    return _load_module("run_desk_pipeline", "scripts/run_desk_pipeline.py")
+    return load_module("run_desk_pipeline", "scripts/run_desk_pipeline.py")
 
 
 def load_census_module():
     """perfbench/census.py, the writer of the benchmark's census-like inputs."""
-    return _load_module("census", "perfbench/census.py")
+    return load_module("census", "perfbench/census.py")
 
 
 def signed(blob: bytes) -> bytes:

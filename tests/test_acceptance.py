@@ -5,7 +5,8 @@ PASS/FAIL line with the measured numbers; the lines are replayed in the
 terminal summary (see conftest) so a full run prints a compact scorecard.
 The desk-scale criteria (4-8) share one session-scoped run of the chain in
 scripts/run_desk_pipeline.py (``run_chain``), which goes entirely through
-the CLI entry points; criterion 9 runs that chain twice at a smaller size.
+the CLI entry points; criteria 4-7 assert the flags of that script's
+``scorecard`` of the run. Criterion 9 runs the chain twice at a smaller size.
 """
 
 import csv
@@ -18,7 +19,7 @@ import pytest
 
 import oracles
 from conftest import load_desk_script
-from popsynth import evaluation, generation, losses, training, vae
+from popsynth import generation, losses, vae
 from popsynth.schema import (
     column_layout,
     RestructuredTable,
@@ -28,12 +29,10 @@ from popsynth.schema import (
     load_tables,
 )
 
-# the desk-scale recipe and chain of scripts/run_desk_pipeline.py: every
-# stage is seeded, so these numbers are reproduced bit-for-bit on every run
-# (criterion 9 checks that directly)
+# the desk-scale recipe, chain and scorecard of scripts/run_desk_pipeline.py:
+# every stage is seeded, so these numbers are reproduced bit-for-bit on every
+# run (criterion 9 checks that directly)
 DESK = load_desk_script()
-RECIPE = DESK.RECIPE
-read_report = DESK.read_report
 
 
 @pytest.fixture(scope="session")
@@ -60,8 +59,8 @@ def desk(tmp_path_factory):
     data = w / "data"
     schema = load_schema(data / "schema.json")
     [table] = load_tables(schema, (data / "households.csv", data / "persons.csv"))
-    return dict(w=w, data=data, schema=schema, table=table,
-                model=vae.load_model(w / "model.psv"), seconds=seconds)
+    return dict(w=w, data=data, schema=schema, table=table, seconds=seconds,
+                card=DESK.scorecard(w))
 
 
 # --- criterion 1: gradient correctness -------------------------------------
@@ -219,78 +218,33 @@ def test_matcher_matches_brute_force(verdict):
                    ok, f"max abs diff {worst:.1e}, {took:.2f}s")
 
 
-# --- criterion 4: pretrain recovery ----------------------------------------
+# --- criteria 4-7: the desk script's scorecard, plus run-time bounds -------
+
+
+def scored(verdict, desk, num, stages=()):
+    key = f"C{num}"
+    took = sum(desk["seconds"][k] for k in stages)
+    ok = desk["card"][key]["pass"] and took <= 600
+    detail = DESK.details(desk["card"])[key] + (f", {took:.0f}s" if stages else "")
+    return verdict(num, DESK.NAMES[key], ok, detail)
+
 
 def test_pretrain_recovery(verdict, desk):
-    report = read_report(desk["w"] / "report_pre" / "marginals_report.csv")
-    rows = {k: v for k, v in report.items() if k != "__mean__"}
-    worst_rmse = max(r["rmse_vs_microdata"] for r in rows.values())
-    worst_kl = max(r["kl_vs_microdata"] for r in rows.values())
-    took = sum(desk["seconds"][k] for k in
-               ("oracle-make", "pretrain", "generate syn_pre_wide", "evaluate report_pre"))
-    ok = worst_rmse <= 0.03 and worst_kl <= 0.05 and took <= 600
-    assert verdict(4, "pretrain recovery", ok,
-                   f"worst RMSE {worst_rmse:.4f} (<=0.03), worst KL "
-                   f"{worst_kl:.4f} (<=0.05), {took:.0f}s")
+    assert scored(verdict, desk, 4, ("oracle-make", "pretrain", "generate syn_pre_wide",
+                                     "evaluate report_pre"))
 
-
-# --- criterion 5: fine-tune distribution shift -------------------------------
 
 def test_finetune_distribution_shift(verdict, desk):
-    report = read_report(desk["w"] / "report_tuned" / "marginals_report.csv")
-    rows = {k: v for k, v in report.items() if k != "__mean__"}
-    worst_rmse = max(r["rmse_vs_target"] for r in rows.values())
-    min_p = min(r["p_vs_target"] for r in rows.values())
-    beats = all(r["rmse_vs_target"] < r["baseline_rmse"] for r in rows.values())
+    assert scored(verdict, desk, 5, ("finetune", "generate syn_pre_tract", "generate syn_tuned",
+                                     "evaluate report_tuned", "privacy"))
 
-    # the latent header pins the decoder it was tuned through; the model on
-    # disk must still hash to the same state
-    _, header = training.load_latent(desk["w"] / "latent.psl")
-    decoder_intact = header["model_fingerprint"] == desk["model"].checksum()
-
-    took = sum(desk["seconds"][k] for k in
-               ("finetune", "generate syn_pre_tract", "generate syn_tuned",
-                "evaluate report_tuned", "privacy"))
-    ok = (worst_rmse <= 0.01 and beats and min_p >= 0.9
-          and decoder_intact and took <= 600)
-    assert verdict(5, "fine-tune distribution shift", ok,
-                   f"worst RMSE-to-target {worst_rmse:.4f} (<=0.01), min p "
-                   f"{min_p:.3f} (>=0.9), beats baseline {beats}, decoder "
-                   f"intact {decoder_intact}, {took:.0f}s")
-
-
-# --- criterion 6: realism preservation ---------------------------------------
 
 def test_realism_preservation(verdict, desk):
-    model = desk["model"]
-    micro = encode_onehot(desk["table"]).values
-    z0, _ = training.load_latent(desk["w"] / "prior_tract.psl")
-    z1, _ = training.load_latent(desk["w"] / "latent.psl")
-    tau = RECIPE["finetune"]["temperature"]
-    d_start = losses.dbce(model.decode(z0.z, train=False), micro, temperature=tau)
-    d_end = losses.dbce(model.decode(z1.z, train=False), micro, temperature=tau)
-    ratio = d_end.dbce_loss / d_start.dbce_loss
-    ok = ratio <= 10.0
-    assert verdict(6, "realism preservation", ok,
-                   f"matcher BCE {d_start.dbce_loss:.4f} -> "
-                   f"{d_end.dbce_loss:.4f}, ratio {ratio:.2f} (<=10)")
+    assert scored(verdict, desk, 6)
 
-
-# --- criterion 7: privacy non-degradation ------------------------------------
 
 def test_privacy_nondegradation(verdict, desk):
-    with open(desk["w"] / "privacy" / "privacy_summary.json", encoding="utf-8") as fh:
-        priv = json.load(fh)
-    p_hh = priv["levels"]["household"]["ks_p_value"]
-    p_pp = priv["levels"]["person"]["ks_p_value"]
-
-    m = evaluation.household_matrix(desk["table"])
-    self_dcr = float(evaluation.dcr(m, m).max())
-
-    ok = p_hh >= 0.05 and p_pp >= 0.05 and self_dcr <= 1e-5
-    assert verdict(7, "privacy non-degradation", ok,
-                   f"KS p household {p_hh:.3f}, person {p_pp:.3f} (>=0.05), "
-                   f"self-DCR {self_dcr:.1e} (<=1e-5)")
+    assert scored(verdict, desk, 7)
 
 
 # --- criterion 8: structural suite -------------------------------------------
@@ -366,17 +320,10 @@ def test_structural_suite(verdict, desk, tmp_path):
 def test_reproducibility(verdict, tmp_path):
     # the desk chain at C9's sizes, run twice; every output it writes, prior
     # inventories, reports and privacy included, must match byte for byte
-    small = RECIPE | {
-        "data": RECIPE["data"] | dict(households=120, tract_households=40),
-        "pretrain": RECIPE["pretrain"] | dict(epochs=40, decay_start=10,
-                                              hidden_widths="16,14,12,12,10,8"),
-        "finetune": RECIPE["finetune"] | dict(epochs=40, decay_start=10),
-        "wide_sample": 300,
-    }
     digests = []
     complete = True
     for root in (tmp_path / "a", tmp_path / "b"):
-        DESK.run_chain(str(root), small)
+        DESK.run_chain(str(root), DESK.SMALL_RECIPE)
         DESK.write_digests(str(root))
         digests.append(json.loads((root / "digests.json").read_text()))
         on_disk = {

@@ -1156,3 +1156,32 @@ def test_privacy_ignores_repeated_microdata_households(data_dir, artifacts, tmp_
     assert outputs[0] == outputs[1]
     summary = json.loads(outputs[0]["privacy_summary.json"])
     assert summary["levels"]["household"]["a_mean"] < summary["levels"]["household"]["b_mean"]
+
+
+def test_privacy_histogram_has_one_row_per_distance(data_dir, artifacts, tmp_path):
+    """Each distance that occurs is one histogram row, however many rows tie
+    on it: the microdata as inventory a ties every row at its self-match
+    distance. Each count column sums to its inventory's rows, and the
+    counts are the tallies of ``dcr_distances.csv``."""
+    assert cli_generate(data_dir, artifacts[0] / "model.psv", artifacts[0] / "latent.psl",
+                        tmp_path / "inv") == 0
+    out = tmp_path / "privacy"
+    assert run(["privacy", *micro_flags(data_dir),
+                "--a-hh", str(data_dir / "households.csv"), "--a-p", str(data_dir / "persons.csv"),
+                "--b-hh", str(tmp_path / "inv" / "households.csv"),
+                "--b-p", str(tmp_path / "inv" / "persons.csv"), "--out-dir", str(out)]) == 0
+    levels = json.loads((out / "privacy_summary.json").read_text())["levels"]
+    with open(out / "dcr_distances.csv", newline="") as fh:
+        tally = collections.Counter((r["level"], r["inventory"], r["distance"])
+                                    for r in csv.DictReader(fh))
+    for level, summary in levels.items():
+        with open(out / f"dcr_histogram_{level}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        distances = [float(r["distance"]) for r in rows]
+        assert distances == sorted(set(distances))
+        for inv in "ab":
+            counts = {r["distance"]: int(r[f"count_{inv}"]) for r in rows}
+            assert sum(counts.values()) == summary[f"{inv}_n"]
+            assert {d: c for d, c in counts.items() if c} == {
+                d: c for (lv, i, d), c in tally.items() if (lv, i) == (level, inv)}
+        assert [int(r["count_a"]) for r in rows].count(summary["a_n"]) == 1

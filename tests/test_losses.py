@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -553,7 +554,7 @@ def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, wor
     want_b = oracles.one_call_pairwise_mean_bce(pred, micro)
     want_s = oracles.one_call_softmin(want_b, tau, counts)
     monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-    monkeypatch.setattr(rowpool, "max_workers", lambda: workers)
+    monkeypatch.setattr(rowpool, "WORKERS", workers)
     with rowpool.parked(n_t * n):
         assert rowpool.ranges(n_t, n) == min(workers, n_t // 4)
         got = dbce(pred, micro, tau, counts, **kw)
@@ -566,6 +567,25 @@ def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, wor
     assert s.tobytes() == want_s.tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_split_matcher_keeps_two_ranges_and_their_bits_on_any_cpu_count(monkeypatch, cpus):
+    """Whatever CPUs the process may run on, the parked census matcher runs
+    on the two ranges it runs on with two CPUs, so it keeps their bits: the
+    one-call form's."""
+    if rowpool.openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found: nothing is split")
+    n_t, n, d = MATCHER_SHAPES["census"]
+    pred, micro, counts = matcher_inputs(n_t, n, d)
+    want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with rowpool.parked(n_t * n):
+        assert rowpool.ranges(n_t, n) == 2
+        got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
+    fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
+    for field, value in zip(fields, want):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(value).tobytes(), field
+
+
 def test_split_matcher_allocates_no_range_sized_temporary(monkeypatch):
     """At the census shape on two ranges, a traced ``dbce`` (tracemalloc
     sees every thread) holds its two tract x microdata matrices and a few
@@ -575,7 +595,6 @@ def test_split_matcher_allocates_no_range_sized_temporary(monkeypatch):
         pytest.skip("numpy's OpenBLAS is not found: nothing is split")
     n_t, n, d = MATCHER_SHAPES["census"]
     pred, micro, counts = matcher_inputs(n_t, n, d)
-    monkeypatch.setattr(rowpool, "max_workers", lambda: 2)
     with rowpool.parked(n_t * n):
         assert rowpool.ranges(n_t, n) == 2
         tracemalloc.start()
@@ -596,7 +615,6 @@ def test_split_matcher_agrees_to_rounding_where_the_blas_moves_bits(monkeypatch,
     pred, micro, counts = matcher_inputs(n_t, n, d)
     want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
     monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-    monkeypatch.setattr(rowpool, "max_workers", lambda: 2)
     with rowpool.parked(n_t * n):
         got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
     fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")

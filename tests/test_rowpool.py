@@ -73,7 +73,7 @@ def test_split_rows_keeps_every_row_with_more_workers_than_cores(monkeypatch):
     x, weights = rng.normal(size=(403, 257)), rng.integers(1, 4, size=257)
     want = oracles.one_call_softmin(x, 0.3, weights)
     monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-    monkeypatch.setattr(rowpool, "max_workers", lambda: 8)
+    monkeypatch.setattr(rowpool, "WORKERS", 8)
     monkeypatch.setattr(rowpool, "_workers", 8)
     monkeypatch.setattr(rowpool, "_pool", None)
     interval = sys.getswitchinterval()
@@ -94,7 +94,6 @@ def test_parked_sets_one_blas_thread_and_restores_the_count_on_error(monkeypatch
     before = get()
     with rowpool.parked(rowpool.THRESHOLD - 1):
         assert get() == before and rowpool.ranges(400, 4000) == 1
-    monkeypatch.setattr(rowpool, "max_workers", lambda: 2)
     with pytest.raises(KeyError):
         with rowpool.parked(rowpool.THRESHOLD):
             assert get() == 1 and rowpool.ranges(400, 4000) == 2
@@ -147,7 +146,7 @@ def test_desk_chain_keeps_its_bytes_at_one_and_two_workers(tmp_path, monkeypatch
     for run, forced in (("default", None), ("one", 1), ("two", 2)):
         if forced is not None:
             monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-            monkeypatch.setattr(rowpool, "max_workers", lambda n=forced: n)
+            monkeypatch.setattr(rowpool, "WORKERS", forced)
         root = tmp_path / run
         DESK.run_chain(str(root), recipe)
         DESK.write_digests(str(root))
