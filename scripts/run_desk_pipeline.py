@@ -29,8 +29,11 @@ import sys
 import time
 from pathlib import Path
 
-from popsynth import cli, evaluation, losses, training, vae
-from popsynth.schema import load_schema, load_tables, write_json
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+from popsynth import cli, evaluation, losses, training, vae  # noqa: E402
+from popsynth.schema import load_schema, load_tables, write_json  # noqa: E402
 
 # each of "data", "pretrain" and "finetune" is the flag set of one command
 RECIPE = {

@@ -44,14 +44,10 @@ from .schema import (
 TRAIN_FIELDS = {f.name for f in fields(training.TrainConfig)}
 
 
-class UsageError(DataError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line, like every other exit-1 path; -h prints the usage
-        raise UsageError(f"{self.prog}: {message}")
+        raise DataError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +82,10 @@ def _write_manifest(path, subcommand, config, outputs, started, fingerprints):
 
 def _blas() -> dict:
     """numpy's BLAS and its thread count now (null where numpy's OpenBLAS
-    is not found): above ``rowpool.THRESHOLD`` the matcher's bits depend on
-    both, so a latent is reproduced only with them on record."""
+    is not found): the matcher's bits depend on the BLAS, and on its thread
+    count where ``rowpool.parked`` does not park it (the manifest's
+    ``matcher_workers`` is 1), so a latent is reproduced only with them on
+    record."""
     info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     openblas = rowpool.openblas_threads()
     return {"name": info["name"], "version": info["version"],
@@ -108,12 +106,12 @@ class _Outputs(list):
     def __init__(self, out_dir=None):
         super().__init__()
         if out_dir == "":
-            raise UsageError("--out-dir: the path is empty")
+            raise DataError("--out-dir: the path is empty")
         self.out_dir = existing = out_dir
         while existing and not os.path.exists(existing):
             existing = os.path.dirname(existing)
         if existing and not os.path.isdir(existing):
-            raise UsageError(f"--out-dir: {existing} is not a directory")
+            raise DataError(f"--out-dir: {existing} is not a directory")
 
     def directory(self) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -125,12 +123,12 @@ class _Outputs(list):
 
     def file(self, path, flag) -> str:
         if not path:
-            raise UsageError(f"{flag}: the path is empty")
+            raise DataError(f"{flag}: the path is empty")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
-            raise UsageError(f"{flag}: directory {parent} does not exist")
+            raise DataError(f"{flag}: directory {parent} does not exist")
         if os.path.isdir(path):
-            raise UsageError(f"{flag}: {path} is a directory")
+            raise DataError(f"{flag}: {path} is a directory")
         self.append(path)
         return path
 

@@ -119,7 +119,7 @@ def softmin(
         x *= w2[lo:hi]
         x /= x.sum(axis=-1, keepdims=True)
 
-    rowpool.split_rows(rows, *v2.shape)
+    rowpool.split_rows(rows, v2.shape[0])
     return e
 
 
@@ -153,7 +153,7 @@ def pairwise_mean_bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
         y += q.sum(axis=1)[:, None]
         y /= -d
 
-    rowpool.split_rows(rows, n_p, n)
+    rowpool.split_rows(rows, n_p)
     return out
 
 
@@ -210,7 +210,6 @@ def dbce(
     n = c.sum()
     p = clamp01(pred)
 
-    n_m = micro.shape[0]
     b = pairwise_mean_bce(p, micro)
     s = softmin(b, temperature, c)
     per_row = np.empty(n_t)
@@ -218,7 +217,7 @@ def dbce(
     def scores(lo, hi):
         np.einsum("ij,ij->i", s[lo:hi], b[lo:hi], out=per_row[lo:hi])
 
-    rowpool.split_rows(scores, n_t, n_m)
+    rowpool.split_rows(scores, n_t)
     loss = float(per_row.mean())
 
     soft_index = s.sum(axis=0)
@@ -249,7 +248,7 @@ def dbce(
         g_sum[lo:hi] = g.sum(axis=1)
         np.matmul(g, micro, out=g_micro[lo:hi])
 
-    rowpool.split_rows(gradient_rows, n_t, n_m)
+    rowpool.split_rows(gradient_rows, n_t)
     grad = (g_sum[:, None] * p - g_micro) / (d * (p * (1.0 - p)))
 
     return DbceResult(

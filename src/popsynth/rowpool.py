@@ -1,14 +1,15 @@
-"""Row-local numpy work on even row ranges, one range per worker thread.
+"""Row-local numpy work on two row ranges, one per core.
 
 numpy's ufuncs run on one core, while OpenBLAS runs a GEMM on every core
 and its idle threads then spin, so a ufunc thread started right after a
-GEMM finds no free core. Inside a ``parked`` block, numpy's OpenBLAS runs
-one thread, and ``split_rows`` runs a function on ``WORKERS`` even row
-ranges: the calling thread takes the first and a one-thread module pool,
-created on first use, the second. Each range runs its own one-thread GEMMs
-and its elementwise passes over all its rows, so both use two cores. The
-range count does not depend on the machine, so a split's bits do not
-either (see below); splits into three or four ranges were never timed.
+GEMM finds no free core. ``parked`` makes the one decision: a block whose
+job reaches ``THRESHOLD`` values, where numpy's OpenBLAS is found, runs
+with that OpenBLAS at one thread, and inside it ``split_rows`` runs a
+function on two row ranges: the calling thread takes the first and a
+one-thread module pool, created on first use, the second. Each range runs
+its own one-thread GEMMs and its elementwise passes over all its rows, so
+both use two cores. The range count does not depend on the machine, so a
+split's bits do not either (see below).
 
 A split keeps every bit of a row-local function: each range computes its
 rows as the whole call would. Its GEMMs keep their bits only where the
@@ -17,9 +18,11 @@ whole product at its own thread count. That holds at the shapes the tests
 pin (``tests/test_losses.py``), not at every shape; it is the fact that
 ``generation.decode_latent``'s row blocks rest on too.
 
-Outside a parked block, below ``THRESHOLD`` values, or with one worker,
-``split_rows`` calls the function once on all rows, on the calling thread.
-There is no setting for the pool, the threshold or the parking.
+Outside a parked block, or for at most ``ALIGN`` rows, ``split_rows``
+calls the function once on all rows, on the calling thread. Every job
+split inside a parked block is the block's own job, so ``split_rows``
+tests no size of its own. There is no setting for the pool, the threshold
+or the parking.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from contextlib import contextmanager
 
 from .schema import DataError, read_input
 
-THRESHOLD = 2**19  # values (rows x columns) from which a job is split
-WORKERS = 2  # ranges per split inside a parked block
-# every range but the last is a multiple of ALIGN rows: OpenBLAS's GEMV
-# kernel takes rows in fours, so such a range keeps its rows' bits
+THRESHOLD = 2**19  # values (rows x columns) from which parked parks a job
+# the first range is a multiple of ALIGN rows: OpenBLAS's GEMV kernel takes
+# rows in fours, so such a range keeps its rows' bits
 ALIGN = 4
 
 # (getter, setter) symbol pairs of numpy's OpenBLAS, in the order tried
@@ -45,7 +47,7 @@ _BLAS_SYMBOLS = (
 )
 
 _pool: ThreadPoolExecutor | None = None
-_workers = 0  # ranges per split inside a parked block; 0 outside one
+_split = False  # inside a parked block: split_rows runs two ranges
 
 
 @functools.cache
@@ -77,51 +79,46 @@ def openblas_threads():
 @contextmanager
 def parked(values: int):
     """Run the block with numpy's OpenBLAS at one thread and ``split_rows``
-    on up to ``WORKERS`` ranges, if a job of ``values`` reaches
-    ``THRESHOLD`` and numpy's OpenBLAS is found; else run it as it is. The
-    thread count in force before the block is restored on the way out, also
-    on error."""
-    global _workers
+    on two ranges, if a job of ``values`` reaches ``THRESHOLD`` and numpy's
+    OpenBLAS is found; else run it as it is. Yields the ranges
+    ``split_rows`` runs a job of more than ``ALIGN`` rows on in the block:
+    2 when it parks, 1 otherwise. The thread count in force before the
+    block is restored on the way out, also on error."""
+    global _split
     blas = openblas_threads() if values >= THRESHOLD else None
     if blas is None:
-        yield
+        yield 1
         return
     get, put = blas
-    before, outer = get(), _workers
+    before, outer = get(), _split
     put(1)
-    _workers = WORKERS
+    _split = True
     try:
-        yield
+        yield 2
     finally:
-        _workers = outer
+        _split = outer
         put(before)
 
 
-def ranges(rows: int, cols: int) -> int:
-    """How many ranges ``split_rows`` runs a job of ``rows`` x ``cols``
-    values on, here and now: 1 outside a parked block."""
-    return max(1, min(_workers, -(-rows // ALIGN))) if rows * cols >= THRESHOLD else 1
-
-
-def split_rows(fn, rows: int, cols: int) -> None:
-    """Call ``fn(lo, hi)`` on even ranges that cover ``range(rows)``, one per
-    worker, each starting on a multiple of ``ALIGN`` rows, and return when
-    all are done; a job is ``rows * cols`` values.
+def split_rows(fn, rows: int) -> None:
+    """Call ``fn(lo, hi)`` on ranges that cover ``range(rows)`` and return
+    when all are done: inside a parked block and for more than ``ALIGN``
+    rows, ``fn(0, mid)`` on the calling thread and ``fn(mid, rows)`` on the
+    pool, ``mid`` the multiple of ``ALIGN`` nearest half the rows; else
+    ``fn(0, rows)``.
     ``fn`` writes its rows into arrays the caller allocated, allocates
     nothing larger than one value per row of its range, and calls nothing
     the benchmark traces: only the calling thread may record spans."""
     global _pool
-    w = ranges(rows, cols)
-    if w < 2:
+    if not _split or rows <= ALIGN:
         fn(0, rows)
         return
     if _pool is None:
-        _pool = ThreadPoolExecutor(WORKERS - 1, "popsynth-rows")
-    bounds = [min(rows, (rows * k // w + ALIGN // 2) // ALIGN * ALIGN) for k in range(w)] + [rows]
-    futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        _pool = ThreadPoolExecutor(1, "popsynth-rows")
+    mid = (rows // 2 + ALIGN // 2) // ALIGN * ALIGN
+    future = _pool.submit(fn, mid, rows)
     try:
-        fn(bounds[0], bounds[1])
+        fn(0, mid)
     finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+        wait([future])
+    future.result()

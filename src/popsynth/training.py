@@ -199,7 +199,7 @@ class FinetuneResult:
     marginals: dict[str, np.ndarray]
     reference_rows: int  # microdata rows the matcher compares against
     distinct_reference_rows: int  # of which distinct
-    matcher_workers: int  # row ranges the matcher ran on; 1 below rowpool.THRESHOLD
+    matcher_workers: int  # rowpool.parked's ranges: 2 where it parked the matcher, else 1
 
 
 def finetune(
@@ -253,8 +253,7 @@ def finetune(
         )
         return mres, dres, total
 
-    with rowpool.parked(targets.n_households * rows.shape[0]):
-        workers = rowpool.ranges(targets.n_households, rows.shape[0])
+    with rowpool.parked(targets.n_households * rows.shape[0]) as workers:
         for epoch in range(config.epochs):
             lr = lr_schedule(epoch, config)
             probs = model.decode(z_param.value, train=False)

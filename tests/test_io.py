@@ -10,7 +10,7 @@ import pytest
 
 import popsynth
 from conftest import signed
-from popsynth import cli, training, vae
+from popsynth import training, vae
 from popsynth.generation import load_rules
 from popsynth.schema import DataError, SchemaError, load_schema, read_input, write_atomic
 
@@ -92,7 +92,7 @@ def test_json_nested_too_deep_is_each_readers_own_error(tmp_path):
 
 
 def test_every_bad_input_error_is_a_data_error():
-    for error in (SchemaError, vae.ModelFormatError, cli.UsageError):
+    for error in (SchemaError, vae.ModelFormatError):
         assert issubclass(error, DataError)
 
 

@@ -540,11 +540,12 @@ def test_threshold_splits_the_census_matcher_and_not_desk():
     assert 400 * 114 < rowpool.THRESHOLD <= 400 * 4000
 
 
-@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("ranges", [1, 2])
 @pytest.mark.parametrize("shape", sorted(MATCHER_SHAPES))
-def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, workers):
-    """Parked and split over row ranges, the matcher's every output keeps
-    the bits of the one-call form at the unparked BLAS thread count."""
+def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, ranges):
+    """On one range, unparked, or parked and split over two, the matcher's
+    every output keeps the bits of the one-call form at the unparked BLAS
+    thread count, with the gradient and without (the final loss's call)."""
     if rowpool.openblas_threads() is None:
         pytest.skip("numpy's OpenBLAS is not found: nothing is split")
     n_t, n, d = MATCHER_SHAPES[shape]
@@ -553,16 +554,19 @@ def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, wor
     want = oracles.one_call_dbce(pred, micro, tau, counts, **kw)
     want_b = oracles.one_call_pairwise_mean_bce(pred, micro)
     want_s = oracles.one_call_softmin(want_b, tau, counts)
-    monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-    monkeypatch.setattr(rowpool, "WORKERS", workers)
-    with rowpool.parked(n_t * n):
-        assert rowpool.ranges(n_t, n) == min(workers, n_t // 4)
+    monkeypatch.setattr(rowpool, "THRESHOLD", 0 if ranges == 2 else n_t * n + 1)
+    with rowpool.parked(n_t * n) as parked_ranges:
+        assert parked_ranges == ranges
         got = dbce(pred, micro, tau, counts, **kw)
+        loss_only = dbce(pred, micro, tau, counts, **kw, with_grad=False)
         b = pairwise_mean_bce(pred, micro)
         s = softmin(b, tau, counts)
     fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
     for field, value in zip(fields, want):
         assert np.asarray(getattr(got, field)).tobytes() == np.asarray(value).tobytes(), field
+    for field, value in zip(fields[:4], want):
+        assert np.asarray(getattr(loss_only, field)).tobytes() == np.asarray(value).tobytes(), field
+    assert loss_only.grad is None
     assert b.tobytes() == want_b.tobytes()
     assert s.tobytes() == want_s.tobytes()
 
@@ -578,8 +582,8 @@ def test_split_matcher_keeps_two_ranges_and_their_bits_on_any_cpu_count(monkeypa
     pred, micro, counts = matcher_inputs(n_t, n, d)
     want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    with rowpool.parked(n_t * n):
-        assert rowpool.ranges(n_t, n) == 2
+    with rowpool.parked(n_t * n) as ranges:
+        assert ranges == 2
         got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
     fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
     for field, value in zip(fields, want):
@@ -595,8 +599,8 @@ def test_split_matcher_allocates_no_range_sized_temporary(monkeypatch):
         pytest.skip("numpy's OpenBLAS is not found: nothing is split")
     n_t, n, d = MATCHER_SHAPES["census"]
     pred, micro, counts = matcher_inputs(n_t, n, d)
-    with rowpool.parked(n_t * n):
-        assert rowpool.ranges(n_t, n) == 2
+    with rowpool.parked(n_t * n) as ranges:
+        assert ranges == 2
         tracemalloc.start()
         try:
             dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)

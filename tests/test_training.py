@@ -381,7 +381,7 @@ def test_finetune_parks_the_blas_threads_and_restores_them(
     else:
         res = finetune(model, latent, targets, tiny_table, cfg)
         assert threads_seen == [1] * (cfg.epochs + 1)
-        assert res.matcher_workers == min(rowpool.WORKERS, -(-targets.n_households // 4))
+        assert res.matcher_workers == 2
     assert get() == before
 
 
