@@ -218,6 +218,9 @@ def _cmd_finetune(args, out):
     model = vae.load_model(args.model)
     schema = model.schema_for(load_schema(args.schema))
     [table] = load_tables(schema, (args.microdata_hh, args.microdata_p))
+    if table.n_rows == 0:
+        raise DataError(f"--microdata-hh: fine-tuning needs at least 1 household; "
+                        f"{args.microdata_hh} has 0")
     targets = load_target_marginals(args.tract_marginals, table.schema)
     latent = training.init_latent(targets.n_households, model.latent_dim, args.seed)
     fingerprint = model.checksum()

@@ -30,30 +30,20 @@ def _check_shapes(pred, target):
         raise ValueError("expected 2-d batches")
 
 
-@dataclass(frozen=True)
-class FocalParams:
-    alpha: float
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-
-
 def focal_loss(
-    pred: np.ndarray, target: np.ndarray, params: FocalParams
+    pred: np.ndarray, target: np.ndarray, alpha: float, gamma: float
 ) -> tuple[float, np.ndarray]:
     """Class-balanced focal reweighting of the binary cross-entropy.
 
     Reduces to half the binary cross-entropy, summed over columns and
     averaged over rows, at gamma=0, alpha=0.5. alpha weights the
     positive (target=1) term, so setting it to the fraction of zeros in the
-    encoded data upweights the sparse ones.
+    encoded data upweights the sparse ones. Neither is checked here:
+    ``training.TrainConfig`` checks gamma >= 0, and alpha, the share of zero
+    cells of one-hot rows, lies in [0, 1].
     """
     _check_shapes(pred, target)
-    a, g = params.alpha, params.gamma
+    a, g = alpha, gamma
     n = pred.shape[0]
     p = clamp01(pred)
     q = 1.0 - p
@@ -199,8 +189,6 @@ def dbce(
     equals the unweighted formula. The row-local passes run on
     ``rowpool.split_rows`` ranges; ``soft_index``, a sum over rows, does not.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     if pred.shape[0] == 0 or micro.shape[0] == 0:
         raise ValueError("empty batch")
     n_t, d = pred.shape

@@ -3,13 +3,14 @@
 numpy's ufuncs run on one core, while OpenBLAS runs a GEMM on every core
 and its idle threads then spin, so a ufunc thread started right after a
 GEMM finds no free core. ``parked`` makes the one decision: a block whose
-job reaches ``THRESHOLD`` values, where numpy's OpenBLAS is found, runs
-with that OpenBLAS at one thread, and inside it ``split_rows`` runs a
-function on two row ranges: the calling thread takes the first and a
-one-thread module pool, created on first use, the second. Each range runs
-its own one-thread GEMMs and its elementwise passes over all its rows, so
-both use two cores. The range count does not depend on the machine, so a
-split's bits do not either (see below).
+job has more than ``ALIGN`` rows and reaches ``THRESHOLD`` values, where
+numpy's OpenBLAS is found, runs with that OpenBLAS at one thread, and
+inside it ``split_rows`` runs a function on two row ranges: the calling
+thread takes the first and a one-thread module pool, created on first
+use, the second. Each range runs its own one-thread GEMMs and its
+elementwise passes over all its rows, so both use two cores. The range
+count does not depend on the machine, so a split's bits do not either
+(see below).
 
 A split keeps every bit of a row-local function: each range computes its
 rows as the whole call would. Its GEMMs keep their bits only where the
@@ -20,9 +21,9 @@ pin (``tests/test_losses.py``), not at every shape; it is the fact that
 
 Outside a parked block, or for at most ``ALIGN`` rows, ``split_rows``
 calls the function once on all rows, on the calling thread. Every job
-split inside a parked block is the block's own job, so ``split_rows``
-tests no size of its own. There is no setting for the pool, the threshold
-or the parking.
+split inside a parked block is the block's own job, of more than ``ALIGN``
+rows, so it runs on the two ranges ``parked`` yields. There is no setting
+for the pool, the threshold or the parking.
 """
 
 from __future__ import annotations
@@ -77,15 +78,15 @@ def openblas_threads():
 
 
 @contextmanager
-def parked(values: int):
+def parked(rows: int, cols: int):
     """Run the block with numpy's OpenBLAS at one thread and ``split_rows``
-    on two ranges, if a job of ``values`` reaches ``THRESHOLD`` and numpy's
-    OpenBLAS is found; else run it as it is. Yields the ranges
-    ``split_rows`` runs a job of more than ``ALIGN`` rows on in the block:
-    2 when it parks, 1 otherwise. The thread count in force before the
-    block is restored on the way out, also on error."""
+    on two ranges, if the job has more than ``ALIGN`` rows, ``rows * cols``
+    reaches ``THRESHOLD`` and numpy's OpenBLAS is found; else run it as it
+    is. Yields the ranges ``split_rows`` runs the job's rows on in the
+    block: 2 when it parks, 1 otherwise. The thread count in force before
+    the block is restored on the way out, also on error."""
     global _split
-    blas = openblas_threads() if values >= THRESHOLD else None
+    blas = openblas_threads() if rows > ALIGN and rows * cols >= THRESHOLD else None
     if blas is None:
         yield 1
         return

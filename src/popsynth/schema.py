@@ -76,12 +76,10 @@ N_PERSONS_KEY = "__n_persons__"
 
 
 class DataError(ValueError):
-    """Bad input: a file that cannot be read or decoded, or data that does
-    not conform to its schema. The CLI exits 1 on it and its subclasses."""
-
-
-class SchemaError(DataError):
-    """Raised when a schema file or schema object is structurally invalid."""
+    """Bad input: a file that cannot be read or decoded, a malformed schema,
+    model or latent, data that does not conform to its schema, or a bad
+    setting. The one bad-input class: nothing subclasses it, and the CLI
+    exits 1 on it."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ class Variable:
     @property
     def na_index(self) -> int:
         if not self.has_na:
-            raise SchemaError(f"variable {self.name!r} has no NA category")
+            raise DataError(f"variable {self.name!r} has no NA category")
         return len(self.categories) - 1
 
     @cached_property
@@ -128,37 +126,39 @@ class Schema:
 
     def __post_init__(self):
         if not self.household_vars:
-            raise SchemaError("schema needs at least one household variable")
+            raise DataError("schema needs at least one household variable")
         if not self.person_vars:
-            raise SchemaError("schema needs at least one person variable")
+            raise DataError("schema needs at least one person variable")
         names = [v.name for v in self.variables]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
-            raise SchemaError(f"duplicate variable name(s): {sorted(dupes)}")
+            raise DataError(f"duplicate variable name(s): {sorted(dupes)}")
         for key in ("household_id", "person_id"):  # id columns of the CSV files
             if key in names:
-                raise SchemaError(f"{key!r} is a key column of the CSV files, not a variable name")
+                raise DataError(f"{key!r} is a key column of the CSV files, not a variable name")
         for var in self.variables:
             if not var.categories:
-                raise SchemaError(f"variable {var.name!r} has no categories")
+                raise DataError(f"variable {var.name!r} has no categories")
             cats = list(var.categories)
             for c in cats:
                 if cats.count(c) > 1:
-                    raise SchemaError(
+                    raise DataError(
                         f"duplicate category {c!r} in variable {var.name!r}"
                     )
         for var in self.household_vars:
             if var.has_na or NA in var.categories:
-                raise SchemaError(
+                raise DataError(
                     f"household variable {var.name!r} must not carry an NA category"
                 )
         for var in self.person_vars:
             if not var.has_na or var.categories[-1] != NA:
-                raise SchemaError(
+                raise DataError(
                     f"person variable {var.name!r} must carry NA as its last category"
                 )
+            if var.width == 1:
+                raise DataError(f"person variable {var.name!r} has no category besides NA")
         if self.n_window is not None and self.n_window < 1:
-            raise SchemaError("n_window must be >= 1")
+            raise DataError("n_window must be >= 1")
         person_names = {v.name for v in self.person_vars}
         if not self.sort_keys:
             object.__setattr__(
@@ -166,11 +166,11 @@ class Schema:
             )
         for key in self.sort_keys:
             if key not in person_names:
-                raise SchemaError(f"sort key {key!r} is not a person variable")
+                raise DataError(f"sort key {key!r} is not a person variable")
         if not self.slot_anchor:
             object.__setattr__(self, "slot_anchor", self.person_vars[0].name)
         if self.slot_anchor not in person_names:
-            raise SchemaError(
+            raise DataError(
                 f"slot anchor {self.slot_anchor!r} is not a person variable"
             )
 
@@ -180,13 +180,13 @@ class Schema:
         for v in self.household_vars:
             if v.name == name:
                 return v
-        raise SchemaError(f"no household variable named {name!r}")
+        raise DataError(f"no household variable named {name!r}")
 
     def person_var(self, name: str) -> Variable:
         for v in self.person_vars:
             if v.name == name:
                 return v
-        raise SchemaError(f"no person variable named {name!r}")
+        raise DataError(f"no person variable named {name!r}")
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -234,7 +234,7 @@ class ColumnGroup:
 def column_layout(schema: Schema) -> tuple[tuple[ColumnGroup, ...], int]:
     """Column groups in row order: household variables, then slot 0..n-1."""
     if schema.n_window is None:
-        raise SchemaError("cannot lay out columns while n_window is unresolved")
+        raise DataError("cannot lay out columns while n_window is unresolved")
     groups = []
     start = 0
     for var in schema.household_vars:
@@ -331,53 +331,46 @@ def _strings(value) -> bool:
 
 
 def schema_from_dict(raw) -> Schema:
-    """The schema a parsed schema file or model header describes. A key the
-    format does not define is an error, not ignored."""
+    """The schema a parsed schema file or model header describes. This
+    checks the JSON types and appends NA to a person variable that lacks it;
+    ``Schema`` checks every structural rule. A key the format does not
+    define is an error, not ignored."""
     if not isinstance(raw, dict):
-        raise SchemaError("schema must be a JSON object")
+        raise DataError("schema must be a JSON object")
     unknown = raw.keys() - {"household", "person", "n_window", "person_sort_key", "slot_anchor"}
     if unknown:
-        raise SchemaError(f"unknown schema key(s) {sorted(unknown)}")
+        raise DataError(f"unknown schema key(s) {sorted(unknown)}")
 
     def build(section, is_person):
         entries = raw.get(section)
         if not isinstance(entries, list):
-            raise SchemaError(f"schema section {section!r} must be a list")
+            raise DataError(f"schema section {section!r} must be a list")
         out = []
         for entry in entries:
             if not isinstance(entry, dict) or not {"name"} <= entry.keys() <= {"name", "categories"}:
-                raise SchemaError(f"malformed entry in section {section!r}: {entry!r}")
+                raise DataError(f"malformed entry in section {section!r}: {entry!r}")
             name = entry["name"]
             if not isinstance(name, str):
-                raise SchemaError(f"variable name {name!r} in section {section!r} must be a string")
+                raise DataError(f"variable name {name!r} in section {section!r} must be a string")
             cats = entry.get("categories", [])
             if not _strings(cats):
-                raise SchemaError(f"categories of {name!r} must be a list of strings")
-            if is_person:
-                if NA in cats and cats[-1] != NA:
-                    raise SchemaError(
-                        f"person variable {name!r} lists NA in a non-final position"
-                    )
-                if NA not in cats:
-                    cats = [*cats, NA]
-                if len(cats) == 1:
-                    raise SchemaError(f"person variable {name!r} has no category besides NA")
-                out.append(Variable(name, tuple(cats), has_na=True))
-            else:
-                out.append(Variable(name, tuple(cats)))
+                raise DataError(f"categories of {name!r} must be a list of strings")
+            if is_person and NA not in cats:
+                cats = [*cats, NA]
+            out.append(Variable(name, tuple(cats), has_na=is_person))
         return tuple(out)
 
     sort_key = raw.get("person_sort_key", [])
     if isinstance(sort_key, str):
         sort_key = [sort_key]
     if not _strings(sort_key):
-        raise SchemaError("person_sort_key must be a string or a list of strings")
+        raise DataError("person_sort_key must be a string or a list of strings")
     n_window = raw.get("n_window")
     if n_window is not None and type(n_window) is not int:  # "3", 2.5 and true included
-        raise SchemaError(f"n_window must be an integer, not {n_window!r}")
+        raise DataError(f"n_window must be an integer, not {n_window!r}")
     slot_anchor = raw.get("slot_anchor", "")
     if not isinstance(slot_anchor, str):
-        raise SchemaError(f"slot_anchor must be a string, not {slot_anchor!r}")
+        raise DataError(f"slot_anchor must be a string, not {slot_anchor!r}")
     return Schema(
         household_vars=build("household", is_person=False),
         person_vars=build("person", is_person=True),
@@ -421,7 +414,7 @@ def load_schema(path) -> Schema:
     try:
         raw = json.loads(read_input(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise SchemaError(f"could not parse schema file {path}: {exc}") from None
+        raise DataError(f"could not parse schema file {path}: {exc}") from None
     return schema_from_dict(raw)
 
 
@@ -584,7 +577,7 @@ def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredT
     codes CSV files through the same core without records.
     """
     if schema.n_window is None:
-        raise SchemaError("restructure needs a pinned n_window; load_tables pins an open one")
+        raise DataError("restructure needs a pinned n_window; load_tables pins an open one")
     coded = _code(
         schema,
         [r.household_id for r in records],

@@ -16,11 +16,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn, rowpool
-from .losses import FocalParams, dbce, focal_loss, latent_kl, marginal_rmse_loss
+from .losses import dbce, focal_loss, latent_kl, marginal_rmse_loss
 from .schema import (
     DataError, EncodedMatrix, RestructuredTable, TargetMarginals, distinct_rows, one_hot, write_csv,
 )
-from .vae import ModelFormatError, read_blob, write_blob
+from .vae import read_blob, write_blob
 
 LATENT_MAGIC = b"PSLAT01\n"
 LATENT_VERSION = 2
@@ -133,7 +133,6 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
     if n < 2:
         raise ValueError("pretraining needs at least 2 rows")
     alpha = float(1.0 - x.mean())
-    focal = FocalParams(alpha=alpha, gamma=config.focal_gamma)
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
     opt = Lion([model.flat])
@@ -151,7 +150,7 @@ def pretrain(model, data: EncodedMatrix, config: TrainConfig) -> PretrainResult:
             z = nn.reparameterize(mu, logsig, noise)
             probs = model.decode(z, train=True)
             model.update_running_stats(batch)
-            fl, dprobs = focal_loss(probs, xb, focal)
+            fl, dprobs = focal_loss(probs, xb, alpha, config.focal_gamma)
             kl, dmu_kl, dls_kl = latent_kl(mu, logsig)
             dz = model.decode_backward(dprobs)
             dmu, dls = nn.reparameterize_backward(dz, logsig, noise)
@@ -216,11 +215,11 @@ def finetune(
     against every distinct microdata row, weighted by its count, which gives
     the loss of the full table at a fraction of the work: the table's code
     rows are deduplicated once before the first epoch, and only the distinct
-    ones are one-hot encoded. From ``rowpool.THRESHOLD`` tract-by-distinct-row
-    values on, the epochs and the final loss run with numpy's OpenBLAS
-    parked at one thread and the matcher split over row ranges
-    (``rowpool.parked``); the thread count in force before is restored on
-    the way out."""
+    ones are one-hot encoded. For more than ``rowpool.ALIGN`` tract households
+    and from ``rowpool.THRESHOLD`` tract-by-distinct-row values on, the
+    epochs and the final loss run with numpy's OpenBLAS parked at one thread
+    and the matcher split over two row ranges (``rowpool.parked``); the
+    thread count in force before is restored on the way out."""
     if table.schema != model.schema:
         raise ValueError("microdata does not match the model's schema")
     if latent.z.shape[1] != model.latent_dim:
@@ -253,7 +252,7 @@ def finetune(
         )
         return mres, dres, total
 
-    with rowpool.parked(targets.n_households * rows.shape[0]) as workers:
+    with rowpool.parked(targets.n_households, rows.shape[0]) as workers:
         for epoch in range(config.epochs):
             lr = lr_schedule(epoch, config)
             probs = model.decode(z_param.value, train=False)
@@ -308,15 +307,15 @@ def load_latent(path) -> tuple[LatentMatrix, dict]:
         path, LATENT_MAGIC, LATENT_VERSION, lambda h: (h["rows"], h["width"])
     )
     if header.get("format") != "pslatent":
-        raise ModelFormatError(f"{path}: format {header.get('format')!r} is not pslatent")
+        raise DataError(f"{path}: format {header.get('format')!r} is not pslatent")
     if header.keys() != LATENT_KEYS:
-        raise ModelFormatError(f"{path}: header keys {sorted(header)} are not {sorted(LATENT_KEYS)}")
+        raise DataError(f"{path}: header keys {sorted(header)} are not {sorted(LATENT_KEYS)}")
     for key in ("seed", "rows", "width"):
         if type(header[key]) is not int:  # a bool is no count or seed
-            raise ModelFormatError(f"{path}: {key} {header[key]!r} is not an integer")
+            raise DataError(f"{path}: {key} {header[key]!r} is not an integer")
     for key in ("rows", "width"):
         if header[key] < 1:  # init_latent makes no empty latent
-            raise ModelFormatError(f"{path}: {key} {header[key]} is below 1")
+            raise DataError(f"{path}: {key} {header[key]} is below 1")
     return LatentMatrix(z=z, seed=header["seed"]), header
 
 

@@ -43,10 +43,6 @@ DIGEST_SIZE = 32  # the trailing sha256 of a model or latent file
 N_BLOCKS = 6
 
 
-class ModelFormatError(DataError):
-    """Raised when a model or latent file is malformed or from an unknown version."""
-
-
 @dataclass(frozen=True)
 class VaeHyperparams:
     latent_dim: int = 64
@@ -223,14 +219,14 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
     checked before anything else is read, so a flipped bit anywhere after
     the magic is caught. Any defect of a readable file, including a payload
     that does not fill the rest of the file in the shape ``shape_of(header)``
-    or that holds a NaN or an infinity, raises ``ModelFormatError``."""
+    or that holds a NaN or an infinity, raises ``DataError``."""
     blob = read_input(path, text=False)
     start = len(magic) + 4
     if blob[: len(magic)] != magic:
-        raise ModelFormatError(f"{path}: bad magic, not a {magic.decode().strip()} file")
+        raise DataError(f"{path}: bad magic, not a {magic.decode().strip()} file")
     blob, digest = blob[:-DIGEST_SIZE], blob[-DIGEST_SIZE:]
     if hashlib.sha256(blob).digest() != digest:
-        raise ModelFormatError(
+        raise DataError(
             f"{path}: sha256 digest does not match the contents: "
             "the file is damaged, or older than the digest"
         )
@@ -238,18 +234,18 @@ def read_blob(path, magic: bytes, version: int, shape_of) -> tuple[dict, np.ndar
         (size,) = struct.unpack_from("<I", blob, len(magic))
         header = json.loads(blob[start : start + size])
     except (struct.error, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ModelFormatError(f"{path}: corrupt header: {exc}") from None
+        raise DataError(f"{path}: corrupt header: {exc}") from None
     found = header.get("version") if isinstance(header, dict) else None
     if found != version:
-        raise ModelFormatError(f"{path}: unsupported version {found!r}")
+        raise DataError(f"{path}: unsupported version {found!r}")
     if header.get("dtype") != "<f8":
-        raise ModelFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
+        raise DataError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     try:
         payload = np.frombuffer(blob, "<f8", offset=start + size).reshape(shape_of(header))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: payload does not match its header: {exc}") from None
+        raise DataError(f"{path}: payload does not match its header: {exc}") from None
     if not np.isfinite(payload).all():
-        raise ModelFormatError(f"{path}: payload holds a value that is not finite")
+        raise DataError(f"{path}: payload holds a value that is not finite")
     return header, payload.astype(np.float64)
 
 
@@ -265,13 +261,13 @@ def load_model(path) -> VaeModel:
         lambda h: (sum(math.prod(shape) for _, shape in h["arrays"]),),
     )
     if header.get("format") != "psvae":
-        raise ModelFormatError(f"{path}: format {header.get('format')!r} is not psvae")
+        raise DataError(f"{path}: format {header.get('format')!r} is not psvae")
     try:
         hp = {k: tuple(v) if isinstance(v, list) else v for k, v in header["hyperparams"].items()}
         model = VaeModel(schema_from_dict(header["schema"]), VaeHyperparams(**hp))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: header does not describe a model: {exc!r}") from None
+        raise DataError(f"{path}: header does not describe a model: {exc!r}") from None
     if header["arrays"] != model.header()["arrays"]:
-        raise ModelFormatError(f"{path}: array directory does not match the model")
+        raise DataError(f"{path}: array directory does not match the model")
     model.state[...] = state
     return model

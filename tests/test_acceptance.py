@@ -75,10 +75,10 @@ def test_gradient_correctness(verdict):
         pred = rng.uniform(0.05, 0.95, size=(n, width))
         target = (rng.uniform(size=pred.shape) < 0.5).astype(float)
 
-        params = losses.FocalParams(gamma=float(rng.uniform(0.5, 3.0)), alpha=0.25)
+        gamma = float(rng.uniform(0.5, 3.0))
 
         def f_focal(v):
-            loss, grad = losses.focal_loss(v.reshape(pred.shape), target, params)
+            loss, grad = losses.focal_loss(v.reshape(pred.shape), target, 0.25, gamma)
             return loss, grad
 
         worst = max(worst, oracles.worst_rel_error(f_focal, pred.ravel()))
@@ -175,8 +175,7 @@ def test_loss_identities(verdict):
         pred = rng.uniform(0.02, 0.98, size=(n, d))
         target = (rng.uniform(size=pred.shape) < 0.5).astype(float)
         b = oracles.brute_bce(pred, target)
-        f, _ = losses.focal_loss(pred, target,
-                                 losses.FocalParams(gamma=0.0, alpha=0.5))
+        f, _ = losses.focal_loss(pred, target, alpha=0.5, gamma=0.0)
         worst_focal = max(worst_focal, abs(f - 0.5 * b) / abs(0.5 * b))
 
     x = (rng.uniform(size=(40, 12)) < 0.5).astype(float)

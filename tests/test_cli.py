@@ -963,8 +963,8 @@ def header_only(src, dst):
     return str(dst)
 
 
-TOO_LITTLE_DATA = ["pretrain-one-household", "privacy-no-microdata-persons",
-                   "privacy-no-inventory-households"]
+TOO_LITTLE_DATA = ["pretrain-one-household", "finetune-no-households",
+                   "privacy-no-microdata-persons", "privacy-no-inventory-households"]
 
 
 @pytest.mark.parametrize("case", TOO_LITTLE_DATA)
@@ -980,6 +980,12 @@ def test_too_little_data_is_exit_1_before_any_write(data_dir, artifacts, tmp_pat
                 "--microdata-hh", str(one / "households.csv"),
                 "--microdata-p", str(one / "persons.csv"),
                 "--out", str(out / "model.psv"), "--seed", "1", "--epochs", "2"]
+    elif case == "finetune-no-households":
+        argv = valid_command("finetune", data_dir, artifacts[0] / "model.psv", out)
+        argv[argv.index("--microdata-hh") + 1] = header_only(data_dir / "households.csv",
+                                                             tmp_path / "no_hh.csv")
+        argv[argv.index("--microdata-p") + 1] = header_only(data_dir / "persons.csv",
+                                                            tmp_path / "no_p.csv")
     else:
         a_hh, a_p = hh, p
         if case == "privacy-no-microdata-persons":
@@ -998,6 +1004,8 @@ def test_too_little_data_is_exit_1_before_any_write(data_dir, artifacts, tmp_pat
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    if case == "finetune-no-households":
+        assert err.startswith("error: --microdata-hh: ")
     assert not any(out.iterdir())
 
 
@@ -1091,7 +1099,7 @@ def test_empty_latent_is_exit_1(data_dir, artifacts, tmp_path, key, shape, capsy
     path = tmp_path / "empty.psl"
     training.save_latent(training.LatentMatrix(np.zeros(shape), 3), path,
                          model.schema_fingerprint, model.checksum())
-    with pytest.raises(vae.ModelFormatError, match=f"{key} 0 is below 1"):
+    with pytest.raises(DataError, match=f"{key} 0 is below 1"):
         training.load_latent(path)
     capsys.readouterr()
     assert cli_generate(data_dir, d / "model.psv", path, tmp_path / "inv") == 1

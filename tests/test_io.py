@@ -12,7 +12,7 @@ import popsynth
 from conftest import signed
 from popsynth import training, vae
 from popsynth.generation import load_rules
-from popsynth.schema import DataError, SchemaError, load_schema, read_input, write_atomic
+from popsynth.schema import DataError, load_schema, read_input, write_atomic
 
 # the functions of src/popsynth allowed to call open(): the input reader, the
 # atomic writer and the manifest hasher, which streams the files just written
@@ -77,23 +77,39 @@ def test_read_input_failure_is_a_data_error_naming_the_path(tmp_path, case):
 
 def test_json_nested_too_deep_is_each_readers_own_error(tmp_path):
     """The recursion limit of the JSON parser is bad input to every reader
-    of JSON, raised as that reader's own error class and message."""
+    of JSON, raised as a ``DataError`` with that reader's own message."""
     deep = b"[" * 100_000
     path = tmp_path / "deep"
     path.write_bytes(deep)
-    with pytest.raises(SchemaError, match="could not parse schema file"):
+    with pytest.raises(DataError, match="could not parse schema file"):
         load_schema(path)
     with pytest.raises(DataError, match="could not parse rules file"):
         load_rules(path)
     for magic, load in ((vae.MODEL_MAGIC, vae.load_model), (training.LATENT_MAGIC, training.load_latent)):
         path.write_bytes(signed(magic + struct.pack("<I", len(deep)) + deep))
-        with pytest.raises(vae.ModelFormatError, match="corrupt header"):
+        with pytest.raises(DataError, match="corrupt header"):
             load(path)
 
 
-def test_every_bad_input_error_is_a_data_error():
-    for error in (SchemaError, vae.ModelFormatError):
-        assert issubclass(error, DataError)
+def data_error_subclasses(path):
+    """The classes the module at ``path`` defines on ``DataError``, by name
+    or as ``schema.DataError``."""
+    return [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any((base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+                    == "DataError" for base in node.bases)]
+
+
+def test_data_error_is_the_one_bad_input_class():
+    sources = sorted(Path(popsynth.__file__).parent.glob("*.py"))
+    found = {p.name: data_error_subclasses(p) for p in sources}
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+def test_data_error_subclasses_finds_a_subclass(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from .schema import DataError\nclass BadFile(DataError):\n    pass\n")
+    assert data_error_subclasses(source) == ["BadFile"]
 
 
 def test_write_atomic_leaves_no_temporary_file_when_the_rename_fails(tmp_path):

@@ -11,7 +11,6 @@ import oracles
 from conftest import load_census_module
 from popsynth import oracle, rowpool
 from popsynth.losses import (
-    FocalParams,
     clamp01,
     dbce,
     focal_loss,
@@ -39,11 +38,11 @@ def random_onehot(rng, n, widths):
 
 # the library's binary cross-entropy is the focal loss at gamma=0, alpha=0.5,
 # halved
-HALF_BCE = FocalParams(alpha=0.5, gamma=0.0)
+HALF_BCE = (0.5, 0.0)  # (alpha, gamma)
 
 
 def bce_loss(pred, target):
-    loss, grad = focal_loss(pred, target, HALF_BCE)
+    loss, grad = focal_loss(pred, target, *HALF_BCE)
     return 2.0 * loss, 2.0 * grad
 
 
@@ -89,16 +88,9 @@ def test_bce_gradient(rng):
 # -- focal -------------------------------------------------------------------
 
 
-def test_focal_params_validate():
-    with pytest.raises(ValueError):
-        FocalParams(alpha=1.5, gamma=2.0)
-    with pytest.raises(ValueError):
-        FocalParams(alpha=0.5, gamma=-1.0)
-
-
 def test_focal_hand_value():
     loss, _ = focal_loss(
-        np.array([[0.9]]), np.array([[1.0]]), FocalParams(alpha=0.25, gamma=2.0)
+        np.array([[0.9]]), np.array([[1.0]]), alpha=0.25, gamma=2.0
     )
     assert loss == pytest.approx(0.25 * 0.01 * -np.log(0.9), rel=1e-9)
     assert loss == pytest.approx(2.634e-4, rel=1e-3)
@@ -108,7 +100,7 @@ def test_focal_gamma0_halves_bce(rng):
     for _ in range(100):
         pred = rng.uniform(0.01, 0.99, size=(3, 8))
         target = (rng.random((3, 8)) < 0.4).astype(float)
-        f, _ = focal_loss(pred, target, HALF_BCE)
+        f, _ = focal_loss(pred, target, *HALF_BCE)
         b = oracles.brute_bce(pred, target)
         assert f == pytest.approx(0.5 * b, rel=1e-9)
 
@@ -116,7 +108,7 @@ def test_focal_gamma0_halves_bce(rng):
 def test_focal_matches_oracle(rng):
     pred = rng.uniform(0.01, 0.99, size=(5, 7))
     target = (rng.random((5, 7)) < 0.5).astype(float)
-    loss, _ = focal_loss(pred, target, FocalParams(alpha=0.3, gamma=1.7))
+    loss, _ = focal_loss(pred, target, alpha=0.3, gamma=1.7)
     assert loss == pytest.approx(
         oracles.brute_focal(pred, target, 0.3, 1.7), rel=1e-12
     )
@@ -124,7 +116,7 @@ def test_focal_matches_oracle(rng):
 
 def test_focal_well_classified_vanishes_faster():
     t = np.array([[1.0]])
-    f_raw, _ = focal_loss(np.array([[0.999]]), t, FocalParams(alpha=0.5, gamma=2.0))
+    f_raw, _ = focal_loss(np.array([[0.999]]), t, alpha=0.5, gamma=2.0)
     b_raw = oracles.brute_bce(np.array([[0.999]]), t)
     assert f_raw < 0.5 * b_raw * 1e-4
 
@@ -132,10 +124,9 @@ def test_focal_well_classified_vanishes_faster():
 def test_focal_gradient(rng):
     pred = rng.uniform(0.05, 0.95, size=(4, 5))
     target = (rng.random((4, 5)) < 0.4).astype(float)
-    params = FocalParams(alpha=0.25, gamma=2.0)
-    _, grad = focal_loss(pred, target, params)
+    _, grad = focal_loss(pred, target, alpha=0.25, gamma=2.0)
     numeric = oracles.central_difference(
-        lambda p: focal_loss(p, target, params)[0], pred
+        lambda p: focal_loss(p, target, alpha=0.25, gamma=2.0)[0], pred
     )
     assert oracles.max_rel_error(grad, numeric) < 1e-6
 
@@ -149,8 +140,7 @@ def test_focal_loss_has_the_bits_of_the_power_form(gamma, d):
     pred = rng.uniform(0.0, 1.0, size=(125, d))
     pred[:, :4] = [0.0, 1.0, 1e-9, 1.0 - 1e-9]  # on and near the clamp
     for target in ((rng.random((125, d)) < 0.3).astype(float), rng.random((125, d))):
-        params = FocalParams(alpha=0.7, gamma=gamma)
-        loss, grad = focal_loss(pred, target, params)
+        loss, grad = focal_loss(pred, target, alpha=0.7, gamma=gamma)
         want_loss, want_grad = oracles.power_focal_loss(pred, target, 0.7, gamma)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
@@ -555,7 +545,7 @@ def test_split_matcher_has_the_bits_of_the_one_call_form(monkeypatch, shape, ran
     want_b = oracles.one_call_pairwise_mean_bce(pred, micro)
     want_s = oracles.one_call_softmin(want_b, tau, counts)
     monkeypatch.setattr(rowpool, "THRESHOLD", 0 if ranges == 2 else n_t * n + 1)
-    with rowpool.parked(n_t * n) as parked_ranges:
+    with rowpool.parked(n_t, n) as parked_ranges:
         assert parked_ranges == ranges
         got = dbce(pred, micro, tau, counts, **kw)
         loss_only = dbce(pred, micro, tau, counts, **kw, with_grad=False)
@@ -582,7 +572,7 @@ def test_split_matcher_keeps_two_ranges_and_their_bits_on_any_cpu_count(monkeypa
     pred, micro, counts = matcher_inputs(n_t, n, d)
     want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    with rowpool.parked(n_t * n) as ranges:
+    with rowpool.parked(n_t, n) as ranges:
         assert ranges == 2
         got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
     fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
@@ -599,7 +589,7 @@ def test_split_matcher_allocates_no_range_sized_temporary(monkeypatch):
         pytest.skip("numpy's OpenBLAS is not found: nothing is split")
     n_t, n, d = MATCHER_SHAPES["census"]
     pred, micro, counts = matcher_inputs(n_t, n, d)
-    with rowpool.parked(n_t * n) as ranges:
+    with rowpool.parked(n_t, n) as ranges:
         assert ranges == 2
         tracemalloc.start()
         try:
@@ -619,7 +609,7 @@ def test_split_matcher_agrees_to_rounding_where_the_blas_moves_bits(monkeypatch,
     pred, micro, counts = matcher_inputs(n_t, n, d)
     want = oracles.one_call_dbce(pred, micro, 0.05, counts, 0.5, 0.1)
     monkeypatch.setattr(rowpool, "THRESHOLD", 0)
-    with rowpool.parked(n_t * n):
+    with rowpool.parked(n_t, n):
         got = dbce(pred, micro, 0.05, counts, w_dbce=0.5, w_normkl=0.1)
     fields = ("dbce_loss", "norm_kl", "soft_index", "per_row_softmin", "grad")
     for field, value in zip(fields, want):

@@ -15,6 +15,11 @@ from popsynth import rowpool
 from popsynth.losses import softmin
 
 DESK = load_desk_script()
+# a job of more than ALIGN rows: its (rows, cols) at the threshold, and one
+# column below it
+ROWS = 2 * rowpool.ALIGN
+AT = (ROWS, rowpool.THRESHOLD // ROWS)
+BELOW = (ROWS, rowpool.THRESHOLD // ROWS - 1)
 
 
 def ranges_of(rows):
@@ -31,17 +36,30 @@ def ranges_of(rows):
 def test_split_rows_runs_inline_outside_a_parked_block_and_below_the_threshold():
     caller = threading.get_ident()
     assert ranges_of(400) == [(0, 400, caller)]  # not parked
-    with rowpool.parked(rowpool.THRESHOLD - 1):
+    with rowpool.parked(*BELOW):
         assert ranges_of(400) == [(0, 400, caller)]
 
 
 def test_parked_yields_two_ranges_from_the_threshold_and_one_below_it():
     if rowpool.openblas_threads() is None:
         pytest.skip("numpy's OpenBLAS is not found: nothing is parked")
-    with rowpool.parked(rowpool.THRESHOLD) as ranges:
+    with rowpool.parked(*AT) as ranges:
         assert ranges == 2
-    with rowpool.parked(rowpool.THRESHOLD - 1) as ranges:
+    with rowpool.parked(*BELOW) as ranges:
         assert ranges == 1
+
+
+def test_parked_leaves_a_job_of_align_rows_alone():
+    """``split_rows`` runs a job of at most ``ALIGN`` rows on one range, so
+    ``parked`` parks no such job, however many values it has."""
+    blas = rowpool.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found: nothing is parked")
+    get, _ = blas
+    before, caller = get(), threading.get_ident()
+    with rowpool.parked(rowpool.ALIGN, rowpool.THRESHOLD) as ranges:
+        assert ranges == 1
+        assert get() == before and ranges_of(400) == [(0, 400, caller)]
 
 
 @pytest.mark.parametrize(
@@ -94,10 +112,10 @@ def test_parked_sets_one_blas_thread_and_restores_the_count_on_error():
     get, _ = blas
     before = get()
     caller = threading.get_ident()
-    with rowpool.parked(rowpool.THRESHOLD - 1):
+    with rowpool.parked(*BELOW):
         assert get() == before and ranges_of(400) == [(0, 400, caller)]
     with pytest.raises(KeyError):
-        with rowpool.parked(rowpool.THRESHOLD):
+        with rowpool.parked(*AT):
             assert get() == 1 and len(ranges_of(400)) == 2
             raise KeyError("inside")
     assert get() == before and ranges_of(400) == [(0, 400, caller)]

@@ -10,7 +10,6 @@ from popsynth.schema import (
     EncodedMatrix,
     HouseholdRecord,
     Schema,
-    SchemaError,
     Variable,
     column_layout,
     decode_onehot_with_stats,
@@ -55,7 +54,7 @@ def occupied_codes(table, row):
 
 
 def test_schema_rejects_household_na():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError):
         Schema(
             household_vars=(Variable("H", ("a", "NA")),),
             person_vars=(Variable("P", ("x", "NA"), has_na=True),),
@@ -64,7 +63,7 @@ def test_schema_rejects_household_na():
 
 def test_schema_rejects_household_na_flag():
     # levels would drop the last category of a household variable that says it has NA
-    with pytest.raises(SchemaError, match="must not carry an NA category"):
+    with pytest.raises(DataError, match="must not carry an NA category"):
         Schema(
             household_vars=(Variable("X", ("a", "b"), has_na=True),),
             person_vars=(Variable("P", ("x", "NA"), has_na=True),),
@@ -72,15 +71,24 @@ def test_schema_rejects_household_na_flag():
 
 
 def test_schema_rejects_person_without_na():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError):
         Schema(
             household_vars=(Variable("H", ("a", "b")),),
             person_vars=(Variable("P", ("x", "y")),),
         )
 
 
+def test_schema_rejects_na_only_person_variable():
+    # the rule load_schema applies, so a model header can hold no such schema
+    with pytest.raises(DataError, match="'P' has no category besides NA"):
+        Schema(
+            household_vars=(Variable("H", ("a", "b")),),
+            person_vars=(Variable("P", ("NA",), has_na=True),),
+        )
+
+
 def test_schema_rejects_duplicate_names():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError):
         Schema(
             household_vars=(Variable("X", ("a", "b")),),
             person_vars=(Variable("X", ("x", "NA"), has_na=True),),
@@ -137,7 +145,7 @@ def test_restructure_round_trip(tiny_schema, tiny_records):
 
 def test_restructure_rejects_open_n_window(tiny_schema, tiny_records):
     # load_tables pins an open window over every table it loads
-    with pytest.raises(SchemaError, match="pinned n_window"):
+    with pytest.raises(DataError, match="pinned n_window"):
         restructure(tiny_records, tiny_schema.with_n_window(None))
 
 
@@ -261,6 +269,10 @@ STRICT_CASES = {
     ),
     "person-without-categories": ({"person": [{"name": "P"}]}, "no category besides NA"),
     "person-only-na": ({"person": [{"name": "P", "categories": ["NA"]}]}, "no category besides NA"),
+    "na-not-last": (
+        {"person": [{"name": "P", "categories": ["x", "NA", "y"]}]},
+        "must carry NA as its last category",
+    ),
     "categories-a-string": (
         {"household": [{"name": "H", "categories": "yes"}]}, "must be a list of strings"
     ),
@@ -289,7 +301,7 @@ def test_load_schema_rejects_what_it_would_ignore(tmp_path, case):
     }
     p = tmp_path / "schema.json"
     p.write_text(json.dumps(raw | change))
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(DataError, match=message):
         load_schema(p)
 
 

@@ -362,7 +362,10 @@ def test_finetune_parks_the_blas_threads_and_restores_them(
     if blas is None:
         pytest.skip("numpy's OpenBLAS is not found: nothing is parked")
     get, _ = blas
-    model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    model, _, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    # more than ALIGN tract households: parked parks no smaller tract
+    targets = replace(targets, n_households=2 * rowpool.ALIGN)
+    latent = init_latent(targets.n_households, model.latent_dim, seed=7)
     cfg = TrainConfig(epochs=3, decay_start=1, seed=7)
     threads_seen, real_dbce = [], training.dbce
 
@@ -387,6 +390,18 @@ def test_finetune_parks_the_blas_threads_and_restores_them(
 
 def test_finetune_below_the_threshold_is_not_parked(tiny_schema, tiny_encoded, tiny_table):
     model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    res = finetune(model, latent, targets, tiny_table, TrainConfig(epochs=2, decay_start=1))
+    assert res.matcher_workers == 1
+
+
+def test_finetune_of_align_households_is_not_parked(
+    tiny_schema, tiny_encoded, tiny_table, monkeypatch
+):
+    """A tract of ``ALIGN`` households runs its matcher on one range at any
+    threshold, so it is not parked and records one range."""
+    model, latent, targets, _ = finetune_setup(tiny_schema, tiny_encoded, tiny_table)
+    assert targets.n_households == rowpool.ALIGN
+    monkeypatch.setattr(rowpool, "THRESHOLD", 0)
     res = finetune(model, latent, targets, tiny_table, TrainConfig(epochs=2, decay_start=1))
     assert res.matcher_workers == 1
 

@@ -9,8 +9,8 @@ import oracles
 from popsynth import vae
 from popsynth.nn import BatchNorm
 from popsynth.training import Lion
+from popsynth.schema import DataError
 from popsynth.vae import (
-    ModelFormatError,
     VaeHyperparams,
     VaeModel,
     load_model,
@@ -187,7 +187,7 @@ def test_save_is_byte_deterministic(small_model, tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.psv"
     p.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(DataError):
         load_model(p)
 
 
@@ -196,7 +196,7 @@ def test_load_rejects_truncation(small_model, tmp_path):
     save_model(small_model, p)
     blob = p.read_bytes()
     p.write_bytes(blob[:-16])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(DataError):
         load_model(p)
 
 
@@ -204,7 +204,7 @@ def test_load_rejects_trailing_bytes(small_model, tmp_path):
     p = tmp_path / "model.psv"
     save_model(small_model, p)
     p.write_bytes(p.read_bytes() + b"x")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(DataError):
         load_model(p)
 
 
@@ -295,7 +295,7 @@ def test_load_rejects_foreign_directory(small_model, tmp_path):
     header["arrays"][0], header["arrays"][1] = [b[0], a[1]], [a[0], b[1]]
     p = tmp_path / "swapped.psv"
     vae.write_blob(p, vae.MODEL_MAGIC, vae.MODEL_VERSION, header, state)
-    with pytest.raises(ModelFormatError, match="directory"):
+    with pytest.raises(DataError, match="directory"):
         load_model(p)
 
 
@@ -321,5 +321,5 @@ def test_failed_write_keeps_the_old_file(small_model, tmp_path, monkeypatch):
 def test_load_rejects_malformed_prefix(blob, tmp_path):
     p = tmp_path / "bad.psv"
     p.write_bytes(blob)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(DataError):
         load_model(p)
