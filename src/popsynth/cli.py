@@ -92,6 +92,12 @@ def _blas() -> dict:
             "threads": openblas[0]() if openblas else None}
 
 
+class _Input(str):
+    """The type of every flag that names an input file: ``run`` hands those
+    files to ``_Outputs``, which refuses an output path that would overwrite
+    one."""
+
+
 class _Outputs(list):
     """The files a command writes, in order; the manifest lists them.
 
@@ -100,11 +106,13 @@ class _Outputs(list):
     is ``name`` under it, made on first use, so a command that checks its
     input before it asks for a path writes nothing when a check fails.
     ``out.file(path, flag)`` is a ``--out`` or ``--out-latent`` file, checked
-    when it is recorded (it too must not be empty): a command records those
-    before it reads any data."""
+    when it is recorded: it must not be empty, and it must not be one of
+    ``inputs``, the command's input files by flag. A command records those
+    files before it reads any data."""
 
-    def __init__(self, out_dir=None):
+    def __init__(self, out_dir, inputs):
         super().__init__()
+        self.inputs = inputs
         if out_dir == "":
             raise DataError("--out-dir: the path is empty")
         self.out_dir = existing = out_dir
@@ -129,6 +137,9 @@ class _Outputs(list):
             raise DataError(f"{flag}: directory {parent} does not exist")
         if os.path.isdir(path):
             raise DataError(f"{flag}: {path} is a directory")
+        for in_flag, in_path in self.inputs.items():
+            if os.path.realpath(in_path) == os.path.realpath(path):
+                raise DataError(f"{flag}: {path} would overwrite the {in_flag} file {in_path}")
         self.append(path)
         return path
 
@@ -428,9 +439,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def microdata_flags(p):
-        p.add_argument("--schema", required=True)
-        p.add_argument("--microdata-hh", required=True, dest="microdata_hh")
-        p.add_argument("--microdata-p", required=True, dest="microdata_p")
+        p.add_argument("--schema", type=_Input, required=True)
+        p.add_argument("--microdata-hh", type=_Input, required=True, dest="microdata_hh")
+        p.add_argument("--microdata-p", type=_Input, required=True, dest="microdata_p")
 
     p = sub.add_parser("restructure", help="fold persons into household rows")
     microdata_flags(p)
@@ -461,8 +472,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("finetune", help="fit a latent matrix to tract marginals")
     microdata_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tract-marginals", required=True, dest="tract_marginals")
+    p.add_argument("--model", type=_Input, required=True)
+    p.add_argument("--tract-marginals", type=_Input, required=True, dest="tract_marginals")
     p.add_argument("--out-latent", required=True, dest="out_latent")
     _add_train_flags(
         p, "epochs", "lr", "min_lr", "decay_start", "w_marginal", "w_dbce", "w_normkl",
@@ -471,30 +482,30 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("generate", help="decode a latent matrix into an inventory")
-    p.add_argument("--model", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--latent", required=True)
+    p.add_argument("--model", type=_Input, required=True)
+    p.add_argument("--schema", type=_Input, required=True)
+    p.add_argument("--latent", type=_Input, required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--mode", choices=["argmax", "sample"], default="argmax")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tract-id", default=None, dest="tract_id")
-    p.add_argument("--rules", default=None)
+    p.add_argument("--rules", type=_Input, default=None)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("evaluate", help="fidelity report: synthetic vs microdata")
     microdata_flags(p)
-    p.add_argument("--syn-hh", required=True, dest="syn_hh")
-    p.add_argument("--syn-p", required=True, dest="syn_p")
-    p.add_argument("--tract-marginals", default=None, dest="tract_marginals")
+    p.add_argument("--syn-hh", type=_Input, required=True, dest="syn_hh")
+    p.add_argument("--syn-p", type=_Input, required=True, dest="syn_p")
+    p.add_argument("--tract-marginals", type=_Input, default=None, dest="tract_marginals")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("privacy", help="DCR distributions of two inventories")
     microdata_flags(p)
-    p.add_argument("--a-hh", required=True, dest="a_hh")
-    p.add_argument("--a-p", required=True, dest="a_p")
-    p.add_argument("--b-hh", required=True, dest="b_hh")
-    p.add_argument("--b-p", required=True, dest="b_p")
+    p.add_argument("--a-hh", type=_Input, required=True, dest="a_hh")
+    p.add_argument("--a-p", type=_Input, required=True, dest="a_p")
+    p.add_argument("--b-hh", type=_Input, required=True, dest="b_hh")
+    p.add_argument("--b-p", type=_Input, required=True, dest="b_p")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_privacy)
 
@@ -513,7 +524,9 @@ def run(argv) -> int:
     started = time.time()
     try:
         args = build_parser().parse_args(argv)
-        out = _Outputs(getattr(args, "out_dir", None))
+        inputs = {f"--{k.replace('_', '-')}": v for k, v in vars(args).items()
+                  if isinstance(v, _Input)}
+        out = _Outputs(getattr(args, "out_dir", None), inputs)
         # a command records its files in ``out`` and returns its fingerprints
         # and the config keys of its own; the manifest goes in --out-dir when
         # the command has one, else next to its first output

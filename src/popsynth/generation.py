@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -154,7 +154,9 @@ def write_inventory(table: RestructuredTable, provenance: Provenance, out_dir) -
 
 @dataclass(frozen=True)
 class SanityRule:
-    rule_id: str
+    """One rule; its fields are the keys of a rule in a rules file."""
+
+    id: str
     household_var: str
     household_value: str
     person_var: str
@@ -162,58 +164,49 @@ class SanityRule:
     direction: str = "both"
 
     def __post_init__(self):
+        object.__setattr__(self, "person_categories", tuple(self.person_categories))
         if self.direction not in DIRECTIONS:
-            raise DataError(
-                f"rule {self.rule_id!r}: direction must be one of {DIRECTIONS}"
-            )
+            raise DataError(f"rule {self.id!r}: direction must be one of {DIRECTIONS}")
+
+
+RULE_KEYS = [f.name for f in fields(SanityRule)]
 
 
 def load_rules(path) -> list[SanityRule]:
-    """The rules of a rules file. A field of the wrong JSON type is an
-    error that names the field, not a coercion."""
+    """The rules of a rules file, ``{"rules": [...]}``, each rule an object
+    whose keys are ``SanityRule``'s fields (``direction`` may be left out).
+    A key a rule lacks or does not define, a field of the wrong JSON type
+    and an id that two rules share are errors that name them, not defaults,
+    coercions or overwritten results."""
     try:
         raw = json.loads(read_input(path))
-        entries = raw["rules"] if isinstance(raw, dict) else raw
-        rules = []
-        for e in entries:
-            for key in ("id", "household_var", "household_value", "person_var", "direction"):
-                if not isinstance(e.get(key, ""), str):
-                    raise DataError(f"rules file {path}: {key!r} must be a string, not {e[key]!r}")
-            if not _strings(e["person_categories"]):
-                raise DataError(
-                    f"rules file {path}: 'person_categories' must be a list of strings, "
-                    f"not {e['person_categories']!r}"
-                )
-            rules.append(SanityRule(
-                rule_id=e["id"],
-                household_var=e["household_var"],
-                household_value=e["household_value"],
-                person_var=e["person_var"],
-                person_categories=tuple(e["person_categories"]),
-                direction=e.get("direction", "both"),
-            ))
-        return rules
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"could not parse rules file {path}: {exc}") from None
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed rules file {path}: {exc!r}") from None
+    if not isinstance(raw, dict) or raw.keys() != {"rules"} or not isinstance(raw["rules"], list):
+        raise DataError(f'rules file {path}: the file must be one object {{"rules": [...]}}')
+    rules = []
+    for e in raw["rules"]:
+        if not isinstance(e, dict):
+            raise DataError(f"rules file {path}: a rule must be an object, not {e!r}")
+        unknown = e.keys() - RULE_KEYS
+        if unknown:
+            raise DataError(f"rules file {path}: unknown rule key(s) {sorted(unknown)}")
+        missing = [k for k in RULE_KEYS if k not in e and k != "direction"]
+        if missing:
+            raise DataError(f"rules file {path}: a rule lacks key(s) {missing}")
+        for key, value in e.items():
+            listed = key == "person_categories"
+            if not (_strings(value) if listed else isinstance(value, str)):
+                kind = "a list of strings" if listed else "a string"
+                raise DataError(f"rules file {path}: {key!r} must be {kind}, not {value!r}")
+        if any(r.id == e["id"] for r in rules):
+            raise DataError(f"rules file {path}: rule id {e['id']!r} is used more than once")
+        rules.append(SanityRule(**e))
+    return rules
 
 
 def write_rules(rules: list[SanityRule], path) -> None:
-    payload = {
-        "rules": [
-            {
-                "id": r.rule_id,
-                "household_var": r.household_var,
-                "household_value": r.household_value,
-                "person_var": r.person_var,
-                "person_categories": list(r.person_categories),
-                "direction": r.direction,
-            }
-            for r in rules
-        ]
-    }
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text(path, json.dumps({"rules": [asdict(r) for r in rules]}, indent=2) + "\n")
 
 
 @dataclass
@@ -240,7 +233,7 @@ def _rule_masks(table: RestructuredTable, rule: SanityRule) -> tuple[np.ndarray,
         flag_code = hv.index(rule.household_value)
         wanted = [pv.index(c) for c in rule.person_categories]
     except DataError as exc:
-        raise DataError(f"rule {rule.rule_id!r}: {exc}") from None
+        raise DataError(f"rule {rule.id!r}: {exc}") from None
     flag = table.households[:, schema.household_names.index(hv.name)] == flag_code
     qualifies = np.isin(table.persons[:, :, schema.person_names.index(pv.name)], wanted)
     return flag, (qualifies & table.occupied).any(axis=1)
@@ -254,7 +247,7 @@ def sanity_check(table: RestructuredTable, rules: list[SanityRule]) -> SanityRep
         flag, member = _rule_masks(table, rule)
         no_member = flag & ~member & (rule.direction != "member_implies_flag")
         no_flag = member & ~flag & (rule.direction != "flag_implies_member")
-        report.violations[rule.rule_id] = [
+        report.violations[rule.id] = [
             (
                 table.household_ids[i],
                 "flag_without_member" if no_member[i] else "member_without_flag",

@@ -45,9 +45,9 @@ household count (a positive integer; optionally ``__n_persons__``, a
 non-negative integer). Counts must be finite and non-negative; they are
 normalised to proportions per variable.
 
-Every input file is read whole through ``read_input``, as UTF-8 text or as
-bytes. Every file is written through ``write_atomic``: to ``<path>.tmp``,
-then renamed over ``path``.
+Every input file is read whole through ``read_input``, as UTF-8 text (a
+leading byte-order mark is dropped) or as bytes. Every file is written
+through ``write_atomic``: to ``<path>.tmp``, then renamed over ``path``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -398,12 +397,14 @@ def schema_dict(schema: Schema) -> dict:
 
 
 def read_input(path, text: bool = True) -> str | bytes:
-    """The whole input file at ``path``, as UTF-8 text or as bytes. A file
-    that cannot be read or is not UTF-8 text is a ``DataError`` naming it."""
+    """The whole input file at ``path``, as UTF-8 text or as bytes. Text
+    may start with a byte-order mark, which is dropped. A file that cannot be
+    read or is not UTF-8 text is a ``DataError`` naming it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-        return blob.decode("utf-8") if text else blob
+        # a mark dropped after decoding keeps the byte offset of a decode error exact
+        return blob.decode("utf-8").removeprefix("\ufeff") if text else blob
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -454,7 +455,7 @@ def _columns(rows, width: int) -> list[tuple]:
 def _read_microdata(household_path, person_path, schema: Schema):
     """One CSV pair by column: the household ids, the household variables'
     columns, each person row's household index and the person variables'
-    columns. Ids are validated here, categories where ``_code`` codes them."""
+    columns. Ids are validated here, categories where ``_fold`` codes them."""
     hid, *households = _columns(
         _read_rows(household_path, ["household_id", *schema.household_names]),
         1 + len(schema.household_vars),
@@ -492,40 +493,18 @@ def load_microdata(household_path, person_path, schema: Schema) -> list[Househol
 # restructuring
 
 
-class _Coded(NamedTuple):
-    """One table's codes before its persons take slots."""
-
-    ids: list[str]
-    sizes: np.ndarray  # persons per household
-    households: np.ndarray  # (n, H)
-    people: np.ndarray  # (m, P), grouped by household, in input order within one
-    unknown: str | None  # the error naming the first unknown category
-
-
-def _code_columns(variables, columns, order: np.ndarray) -> tuple[np.ndarray, str | None]:
+def _code_columns(variables, columns, order: np.ndarray) -> np.ndarray:
     """Codes of string columns, one dict lookup per cell, with the rows taken
-    in ``order``; an unknown category codes as -1. Also the error that names
-    the first unknown category, variable by variable, in that row order."""
+    in ``order``. An unknown category is an error that names the first one,
+    variable by variable, in that row order."""
     codes = np.empty((len(order), len(variables)), dtype=np.int64)
     for k, (var, column) in enumerate(zip(variables, columns)):
-        codes[:, k] = np.fromiter(map(var.codes.get, column, repeat(-1)), np.int64, len(order))
-    codes = codes[order]
-    for var, column, code in zip(variables, columns, codes.T):
+        code = np.fromiter(map(var.codes.get, column, repeat(-1)), np.int64, len(order))[order]
         bad = np.flatnonzero(code < 0)
         if bad.size:
-            return codes, f"unknown category {column[order[bad[0]]]!r} for variable {var.name!r}"
-    return codes, None
-
-
-def _code(schema: Schema, ids, households, owner: np.ndarray, persons) -> _Coded:
-    """Code one table's columns; person rows are grouped by ``owner``, their
-    household's index, with a stable sort."""
-    households, unknown = _code_columns(schema.household_vars, households, np.arange(len(ids)))
-    people, person_unknown = _code_columns(
-        schema.person_vars, persons, np.argsort(owner, kind="stable")
-    )
-    sizes = np.bincount(owner, minlength=len(ids))
-    return _Coded(ids, sizes, households, people, unknown or person_unknown)
+            raise DataError(f"unknown category {column[order[bad[0]]]!r} for variable {var.name!r}")
+        codes[:, k] = code
+    return codes
 
 
 def _sort_slots(persons: np.ndarray, schema: Schema) -> np.ndarray:
@@ -539,33 +518,37 @@ def _sort_slots(persons: np.ndarray, schema: Schema) -> np.ndarray:
     return np.take_along_axis(persons, order[:, :, None], axis=1)
 
 
-def _fold(coded: _Coded, schema: Schema) -> RestructuredTable:
-    """Fold each household's persons into its row of ``schema.n_window``
-    slots. A household larger than the window, an unknown category and a
-    person with an NA anchor are errors, checked in that order."""
-    sizes = coded.sizes
+def _fold(schema: Schema, ids, households, owner: np.ndarray, persons) -> RestructuredTable:
+    """Code one table's columns and fold each household's persons into its
+    row of ``schema.n_window`` slots. ``owner`` is each person row's
+    household index; a household's persons keep their input order. A
+    household larger than the window, an unknown category (household
+    columns, then person columns in household order) and a person with an NA
+    anchor are errors, checked in that order."""
+    sizes = np.bincount(owner, minlength=len(ids))
     if int(sizes.max(initial=0)) > schema.n_window:
         i = int(np.argmax(sizes > schema.n_window))
         raise DataError(
-            f"household {coded.ids[i]!r} has {int(sizes[i])} "
+            f"household {ids[i]!r} has {int(sizes[i])} "
             f"persons but n_window is {schema.n_window}"
         )
-    if coded.unknown:
-        raise DataError(coded.unknown)
-    owner = np.repeat(np.arange(len(coded.ids)), sizes)
+    households = _code_columns(schema.household_vars, households, np.arange(len(ids)))
+    order = np.argsort(owner, kind="stable")
+    people = _code_columns(schema.person_vars, persons, order)
+    owner = owner[order]
     anchor = schema.person_names.index(schema.slot_anchor)
-    unanchored = coded.people[:, anchor] == schema.person_vars[anchor].na_index
+    unanchored = people[:, anchor] == schema.person_vars[anchor].na_index
     if unanchored.any():
         raise DataError(
-            f"household {coded.ids[owner[np.argmax(unanchored)]]!r} has a "
+            f"household {ids[owner[np.argmax(unanchored)]]!r} has a "
             f"person with NA {schema.slot_anchor!r}; the anchor variable marks slot occupancy"
         )
-    persons = np.empty((len(coded.ids), schema.n_window, len(schema.person_vars)), np.int64)
+    persons = np.empty((len(ids), schema.n_window, len(schema.person_vars)), np.int64)
     persons[:] = [v.na_index for v in schema.person_vars]
     # each person goes to the next free slot of its household, then rows are sorted
     first = np.cumsum(sizes) - sizes
-    persons[owner, np.arange(owner.size) - first[owner]] = coded.people
-    return RestructuredTable(schema, coded.ids, coded.households, _sort_slots(persons, schema))
+    persons[owner, np.arange(owner.size) - first[owner]] = people
+    return RestructuredTable(schema, ids, households, _sort_slots(persons, schema))
 
 
 def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredTable:
@@ -574,29 +557,30 @@ def restructure(records: list[HouseholdRecord], schema: Schema) -> RestructuredT
     This is where category strings become codes, so an unknown category is a
     ``DataError``. The schema's n_window must be pinned (``load_tables`` pins
     an open one); a household larger than it is an error. ``load_tables``
-    codes CSV files through the same core without records.
+    codes CSV files through the same ``_fold`` without records.
     """
     if schema.n_window is None:
         raise DataError("restructure needs a pinned n_window; load_tables pins an open one")
-    coded = _code(
+    return _fold(
         schema,
         [r.household_id for r in records],
         _columns([r.values for r in records], len(schema.household_vars)),
         np.repeat(np.arange(len(records)), [len(r.persons) for r in records]),
         _columns([p for r in records for p in r.persons], len(schema.person_vars)),
     )
-    return _fold(coded, schema)
 
 
 def load_tables(schema: Schema, *path_pairs) -> list[RestructuredTable]:
     """One restructured table per (household CSV, person CSV) pair, read by
-    column and coded without building records. An open n_window is pinned to
-    the largest household in any of them (at least 1), so that every table
-    has one layout."""
-    coded = [_code(schema, *_read_microdata(hh, p, schema)) for hh, p in path_pairs]
+    column and coded without building records. Every pair is read, and its
+    ids checked, before any is coded; then each is folded in turn by
+    ``_fold``. An open n_window is pinned to the largest household in any of
+    them (at least 1), so that every table has one layout."""
+    read = [_read_microdata(hh, p, schema) for hh, p in path_pairs]
     if schema.n_window is None:
-        schema = schema.with_n_window(max([1, *(int(c.sizes.max(initial=0)) for c in coded)]))
-    return [_fold(c, schema) for c in coded]
+        sizes = (int(np.bincount(owner).max(initial=0)) for _, _, owner, _ in read)
+        schema = schema.with_n_window(max([1, *sizes]))
+    return [_fold(schema, *r) for r in read]
 
 
 # ---------------------------------------------------------------------------

@@ -559,14 +559,23 @@ def test_bad_numeric_input_is_exit_1(data_dir, tmp_path, case, capsys):
 
 GOOD_RULE = {"id": "R65", "household_var": "R65", "household_value": "Yes",
              "person_var": "AGEP", "person_categories": ["65-74", "75 and over"]}
+
+
+def rules_file(*rules):
+    return json.dumps({"rules": list(rules)})
+
+
 BAD_RULES = {
-    "missing-key": json.dumps([{k: v for k, v in GOOD_RULE.items() if k != "person_var"}]),
+    "missing-key": rules_file({k: v for k, v in GOOD_RULE.items() if k != "person_var"}),
     "not-json": '{"rules": [',
-    "unknown-direction": json.dumps([GOOD_RULE | {"direction": "sideways"}]),
-    "household-value-typo": json.dumps([GOOD_RULE | {"household_value": "yes"}]),
-    "person-category-typo": json.dumps([GOOD_RULE | {"person_categories": ["65-74", "75+"]}]),
-    "categories-a-string": json.dumps([GOOD_RULE | {"person_categories": "65-74"}]),
-    "id-a-number": json.dumps([GOOD_RULE | {"id": 5}]),
+    "unknown-direction": rules_file(GOOD_RULE | {"direction": "sideways"}),
+    "household-value-typo": rules_file(GOOD_RULE | {"household_value": "yes"}),
+    "person-category-typo": rules_file(GOOD_RULE | {"person_categories": ["65-74", "75+"]}),
+    "categories-a-string": rules_file(GOOD_RULE | {"person_categories": "65-74"}),
+    "id-a-number": rules_file(GOOD_RULE | {"id": 5}),
+    "misspelt-key": rules_file(GOOD_RULE | {"directon": "flag_implies_member"}),
+    "top-level-list": json.dumps([GOOD_RULE]),
+    "repeated-id": rules_file(GOOD_RULE, GOOD_RULE | {"direction": "flag_implies_member"}),
 }
 
 
@@ -807,6 +816,38 @@ def test_missing_output_directory_is_exit_1_before_training(
     assert [p.name for p in tmp_path.rglob("*")] == (["taken"] if path else [])
     if flag == "--out-dir" and path:
         assert (tmp_path / "taken").read_text() == "kept"
+
+
+# an output file that is one of the command's input files, as (command,
+# output flag, input flag): the run must leave the input as it was
+OVERWRITES_INPUT = {
+    "finetune-out-latent-is-the-model": ("finetune", "--out-latent", "--model"),
+    "pretrain-out-is-the-household-csv": ("pretrain", "--out", "--microdata-hh"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES_INPUT))
+def test_output_that_would_overwrite_an_input_is_exit_1(
+    data_dir, artifacts, tmp_path, case, capsys
+):
+    """An ``--out`` or ``--out-latent`` file that is also an input exits 1
+    with one line naming both flags, before anything is read or written."""
+    sub, out_flag, in_flag = OVERWRITES_INPUT[case]
+    argv = valid_command(sub, data_dir, artifacts[0] / "model.psv", tmp_path)
+    victim = tmp_path / "input"
+    victim.write_bytes(Path(argv[argv.index(in_flag) + 1]).read_bytes())
+    argv[argv.index(in_flag) + 1] = str(victim)
+    # the same file by another spelling of its path
+    argv[argv.index(out_flag) + 1] = str(tmp_path / "." / "input")
+    before = victim.read_bytes()
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out_flag in err and in_flag in err
+    assert victim.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["input"]
 
 
 # every flag that names an input file, per command; the model and the latent

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_failed_inventory_write_keeps_the_old_file(tiny_table, tmp_path, monkeyp
 @pytest.fixture
 def senior_rule():
     return SanityRule(
-        rule_id="old_flag",
+        id="old_flag",
         household_var="OWN",
         household_value="yes",
         person_var="AGE",
@@ -277,20 +278,65 @@ def test_load_rules_rejects_bad_direction(tmp_path):
     p = tmp_path / "rules.json"
     p.write_text(
         json.dumps(
-            [
-                {
-                    "id": "r",
-                    "household_var": "OWN",
-                    "household_value": "yes",
-                    "person_var": "AGE",
-                    "person_categories": ["old"],
-                    "direction": "sideways",
-                }
-            ]
+            {
+                "rules": [
+                    {
+                        "id": "r",
+                        "household_var": "OWN",
+                        "household_value": "yes",
+                        "person_var": "AGE",
+                        "person_categories": ["old"],
+                        "direction": "sideways",
+                    }
+                ]
+            }
         )
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="direction must be one of"):
         load_rules(p)
+
+
+def test_rules_file_keys_are_the_rule_fields(senior_rule, tmp_path):
+    p = tmp_path / "rules.json"
+    write_rules([senior_rule], p)
+    [entry] = json.loads(p.read_text())["rules"]
+    assert list(entry) == [f.name for f in fields(SanityRule)]
+
+
+# the file form of ``senior_rule``, which leaves ``direction`` to its default
+RULE = {"id": "old_flag", "household_var": "OWN", "household_value": "yes",
+        "person_var": "AGE", "person_categories": ["old"]}
+
+
+def test_rules_file_without_direction_checks_both_ways(senior_rule, tmp_path):
+    p = tmp_path / "rules.json"
+    p.write_text(json.dumps({"rules": [RULE]}))
+    assert load_rules(p) == [senior_rule]
+
+
+# (file, message): each of these files was once read without an error, and
+# checked a misspelt rule both ways or dropped a repeated rule's results
+STRICT_RULES = {
+    "unknown key": ({"rules": [RULE | {"directon": "flag_implies_member"}]},
+                    "unknown rule key(s) ['directon']"),
+    "missing key": ({"rules": [{k: v for k, v in RULE.items() if k != "person_var"}]},
+                    "a rule lacks key(s) ['person_var']"),
+    "top-level list": ([RULE], 'the file must be one object {"rules": [...]}'),
+    "second top-level key": ({"rules": [RULE], "version": 1},
+                             'the file must be one object {"rules": [...]}'),
+    "repeated id": ({"rules": [RULE, RULE | {"person_var": "JOB", "person_categories": ["full"]}]},
+                    "rule id 'old_flag' is used more than once"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_RULES))
+def test_load_rules_is_strict(tmp_path, case):
+    content, message = STRICT_RULES[case]
+    p = tmp_path / "rules.json"
+    p.write_text(json.dumps(content))
+    with pytest.raises(DataError) as caught:
+        load_rules(p)
+    assert str(caught.value) == f"rules file {p}: {message}"
 
 
 WRONG_RULE_TYPES = {

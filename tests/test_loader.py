@@ -155,6 +155,50 @@ def test_every_pair_is_read_before_any_is_coded(tiny_schema, tmp_path):
         load_tables(tiny_schema, first, second)
 
 
+# (first pair, second pair, message): the pairs are folded in turn, and each
+# pair's own checks keep their order
+MULTI_PAIR_ORDER = {
+    "window before unknown category in a later pair": (
+        (["h1,yes,0"], ["h1,kid,none"]),
+        (["h1,maybe,0", "h2,no,0"], ["h2,kid,none"] * 3),
+        "household 'h2' has 3 persons but n_window is 2"),
+    "NA anchor before a later pair's unknown category": (
+        (["h1,yes,0"], ["h1,NA,none"]),
+        (["h1,maybe,0"], ["h1,kid,none"]),
+        "household 'h1' has a person with NA 'AGE'; the anchor variable marks slot occupancy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_PAIR_ORDER))
+def test_pairs_are_folded_in_turn(case, tiny_schema, tmp_path):
+    first, second, message = MULTI_PAIR_ORDER[case]
+    pairs = [write_pair(tmp_path, "a", *first), write_pair(tmp_path, "b", *second)]
+    with pytest.raises(DataError) as caught:
+        load_tables(tiny_schema, *pairs)
+    assert str(caught.value) == message
+
+
+def test_inputs_may_start_with_a_byte_order_mark(tiny_schema, tmp_path):
+    """Excel's "CSV UTF-8" starts a file with a byte-order mark; the schema
+    and the CSV pair load as they do without it."""
+    _, [pair, _] = tiny_inputs(tmp_path, tiny_schema)
+    open_window = tiny_schema.with_n_window(None)  # the tiny pair has a household of 3
+    schema = tmp_path / "schema.json"
+    write_schema(open_window, schema)
+    marked = []
+    for path in (schema, *pair):
+        copy = path.with_name(f"bom_{path.name}")
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked.append(copy)
+    assert load_schema(marked[0]) == load_schema(schema)
+    [want] = load_tables(open_window, pair)
+    [got] = load_tables(load_schema(marked[0]), tuple(marked[1:]))
+    assert got.schema == want.schema
+    assert got.household_ids == want.household_ids
+    assert np.array_equal(got.households, want.households)
+    assert np.array_equal(got.persons, want.persons)
+
+
 # (household lines, person lines, household header, person header, message)
 REJECTED = {
     "household row with an extra field": (
